@@ -77,6 +77,11 @@ def signature_check(q, d_c: int, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
     n = q.shape[0]
     if not (1 <= d_c < n):
         raise ValueError(f"need 1 <= d_c < n, got d_c={d_c}, n={n}")
+    return _satisfies_quadratic(q, d_c, tol)
+
+
+def _satisfies_quadratic(q: np.ndarray, d_c: int, tol: ToleranceProfile) -> bool:
+    n = q.shape[0]
     c = (n - 2 * d_c) * sqrt((n - 1) / (d_c * (n - d_c)))
     resid = np.linalg.norm(q @ q - c * q - (n - 1) * np.eye(n))
     return bool(resid <= tol.residual_rel_tol * n)
@@ -97,6 +102,7 @@ def lift_square(g, tol: ToleranceProfile = DEFAULT_TOL) -> tuple[np.ndarray, np.
     c_mat = g / cert.mu
     q = 1j * c_mat
     gram_c = np.eye(d) + 1j * c_mat / sqrt(d - 1.0)
+    # unlike lift_core's, this q is only as Hermitian and unimodular as g: check it all
     if not signature_check(q, d // 2, tol):
         raise ArithmeticError("constructed signature failed its quadratic")
     return gram_c, q
@@ -124,8 +130,8 @@ def lift_core(g, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     beta = beta_constant(d)
     q0 = beta * a + np.conj(beta) * a.T
     q = q0 * np.outer(x, x)
-    quad = np.linalg.norm(q @ q - (2.0 / sqrt(d + 2.0)) * q - d * np.eye(n))
-    if quad > tol.residual_rel_tol * n or not signature_check(q, d // 2, tol):
+    # Hermitian, zero diagonal and unimodular by construction: only the quadratic can fail
+    if not _satisfies_quadratic(q, d // 2, tol):
         raise ArithmeticError("constructed signature failed its quadratic")
     return q
 

@@ -5,6 +5,18 @@ bad dimensions, out-of-range orders, malformed parameters.  The classes
 below signal *domain* failures, where the input is well formed but does
 not have the mathematical structure an operation requires.  The CLI maps
 domain failures to exit code 1 and usage failures to exit code 2.
+
+Validation runs once, at the public boundary: a public function checks
+its array arguments on entry and hands values it has checked or built
+itself to private ``_`` kernels of its own module, which trust their
+arrays; calls into another module go through its public names.  The
+boundary validators raise ``ValueError`` (``as_matrix``,
+``frames._check_synthesis``, ``hadamard._as_int_square``,
+``complex_lift._check_signature_structure``) or a domain error
+(``check_skew``: ``NotSkewSymmetricError``; ``tournaments.check_seidel``
+and ``_check_skew_int``: ``InvalidSeidelError``).  Exact checks that
+decide an answer derived in floating point are not validation; they
+always run.
 """
 
 

@@ -87,23 +87,36 @@ def _check_synthesis(phi) -> np.ndarray:
     return phi
 
 
+def _check_frame(phi, tol: ToleranceProfile) -> np.ndarray:
+    phi = _check_synthesis(phi)
+    if rank_by_sv(phi, tol) != phi.shape[0]:
+        raise NotAFrameError("columns do not span the symplectic space")
+    return phi
+
+
+def _analysis(phi: np.ndarray) -> np.ndarray:
+    return phi.T @ omega(phi.shape[0])
+
+
+def _gram(phi: np.ndarray) -> np.ndarray:
+    g = _analysis(phi) @ phi
+    return (g - g.T) / 2.0
+
+
 def analysis(phi) -> np.ndarray:
     """Adjoint of the synthesis operator: phi.T @ omega."""
-    phi = _check_synthesis(phi)
-    return phi.T @ omega(phi.shape[0])
+    return _analysis(_check_synthesis(phi))
 
 
 def gram(phi) -> np.ndarray:
     """Skew-symmetric Gram matrix analysis(phi) @ phi, antisymmetrized exactly."""
-    phi = _check_synthesis(phi)
-    g = analysis(phi) @ phi
-    return (g - g.T) / 2.0
+    return _gram(_check_synthesis(phi))
 
 
 def frame_operator(phi) -> np.ndarray:
     """The d-by-d operator phi @ analysis(phi)."""
     phi = _check_synthesis(phi)
-    return phi @ analysis(phi)
+    return phi @ _analysis(phi)
 
 
 def is_frame(phi, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
@@ -118,12 +131,9 @@ def frame_bounds(phi, tol: ToleranceProfile = DEFAULT_TOL) -> FrameBounds:
     These equal the extreme nonzero singular values of the Gram matrix, which
     is how they are computed here.
     """
-    phi = _check_synthesis(phi)
-    if not is_frame(phi, tol):
-        raise NotAFrameError("columns do not span the symplectic space")
-    d = phi.shape[0]
-    s = np.linalg.svd(gram(phi), compute_uv=False)
-    return FrameBounds(lower=float(s[d - 1]), upper=float(s[0]))
+    phi = _check_frame(phi, tol)
+    s = np.linalg.svd(_gram(phi), compute_uv=False)
+    return FrameBounds(lower=float(s[phi.shape[0] - 1]), upper=float(s[0]))
 
 
 def dual_frame(phi, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
@@ -131,10 +141,8 @@ def dual_frame(phi, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
 
     Satisfies x = sum_i [phi_i, x] phi'_i = -sum_i [phi'_i, x] phi_i.
     """
-    phi = _check_synthesis(phi)
-    if not is_frame(phi, tol):
-        raise NotAFrameError("columns do not span the symplectic space")
-    return np.linalg.solve(frame_operator(phi), phi)
+    phi = _check_frame(phi, tol)
+    return np.linalg.solve(phi @ _analysis(phi), phi)
 
 
 def factor_gram(g, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
@@ -145,7 +153,10 @@ def factor_gram(g, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     the input.  The result is canonical only up to symplectic equivalence;
     compare Grams, never synthesis matrices.
     """
-    g = check_skew(g, tol)
+    return _factor(check_skew(g, tol), tol)
+
+
+def _factor(g: np.ndarray, tol: ToleranceProfile) -> np.ndarray:
     rank = rank_by_sv(g, tol)
     if rank == 0:
         raise FactorizationError("zero matrix has no frame factorization")
@@ -158,6 +169,27 @@ def factor_gram(g, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     return d_diag[:, None] * u
 
 
+def _tightness(g: np.ndarray, d: int, tol: ToleranceProfile) -> Optional[tuple[float, float]]:
+    """(c, ||g^3 + c^2 g|| / (c^2 ||g||)) with c = sigma_max, or None unless rank is d."""
+    s = np.linalg.svd(g, compute_uv=False)
+    c = float(s[0])
+    if c <= 0.0 or np.count_nonzero(s > tol.rank_rel_tol * c) != d:
+        return None
+    return c, float(np.linalg.norm(g @ g @ g + c * c * g) / (c * c * np.linalg.norm(g)))
+
+
+def _equiangularity(g: np.ndarray) -> Optional[tuple[float, float]]:
+    """(mu, max |(|g_ij| - mu)| / mu) over i != j with mu the mean modulus, or None."""
+    n = g.shape[0]
+    if n < 2:
+        return None
+    mods = np.abs(g[~np.eye(n, dtype=bool)])
+    mu = float(np.mean(mods))
+    if mu <= 0.0:
+        return None
+    return mu, float(np.max(np.abs(mods - mu)) / mu)
+
+
 def is_tight(g, d: int, tol: ToleranceProfile = DEFAULT_TOL) -> Optional[float]:
     """Return the tightness constant c if ``g`` is the Gram of a c-tight frame.
 
@@ -165,32 +197,14 @@ def is_tight(g, d: int, tol: ToleranceProfile = DEFAULT_TOL) -> Optional[float]:
     c read off as the largest singular value; returns None when either the
     rank or the residual test fails.
     """
-    g = check_skew(g, tol)
-    if rank_by_sv(g, tol) != d:
-        return None
-    c = float(np.linalg.svd(g, compute_uv=False)[0])
-    if c <= 0.0:
-        return None
-    resid = np.linalg.norm(g @ g @ g + c * c * g)
-    if resid > tol.residual_rel_tol * c * c * np.linalg.norm(g):
-        return None
-    return c
+    t = _tightness(check_skew(g, tol), d, tol)
+    return t[0] if t is not None and t[1] <= tol.residual_rel_tol else None
 
 
 def is_equiangular(g, tol: ToleranceProfile = DEFAULT_TOL) -> Optional[float]:
     """Return the common off-diagonal modulus mu, or None."""
-    g = check_skew(g, tol)
-    n = g.shape[0]
-    if n < 2:
-        return None
-    off = ~np.eye(n, dtype=bool)
-    mods = np.abs(g[off])
-    mu = float(np.mean(mods))
-    if mu <= 0.0:
-        return None
-    if np.max(np.abs(mods - mu)) > tol.entry_tol * mu:
-        return None
-    return mu
+    e = _equiangularity(check_skew(g, tol))
+    return e[0] if e is not None and e[1] <= tol.entry_tol else None
 
 
 def certify_etf(g, d: int, tol: ToleranceProfile = DEFAULT_TOL) -> Optional[EtfCertificate]:
@@ -204,18 +218,15 @@ def certify_etf(g, d: int, tol: ToleranceProfile = DEFAULT_TOL) -> Optional[EtfC
     n = g.shape[0]
     if n not in (d, d + 1):
         return None
-    c = is_tight(g, d, tol)
-    if c is None:
+    tight = _tightness(g, d, tol)
+    if tight is None or tight[1] > tol.residual_rel_tol:
         return None
-    mu = is_equiangular(g, tol)
-    if mu is None:
+    equi = _equiangularity(g)
+    if equi is None or equi[1] > tol.entry_tol:
         return None
-    c_expected = mu * np.sqrt(n - 1) if n == d else mu * np.sqrt(n)
-    if abs(c - c_expected) > tol.residual_rel_tol * c:
+    (c, t_res), (mu, eq_res) = tight, equi
+    if abs(c - mu * np.sqrt(n - 1 if n == d else n)) > tol.residual_rel_tol * c:
         return None
-    off = ~np.eye(n, dtype=bool)
-    eq_res = float(np.max(np.abs(np.abs(g[off]) - mu)) / mu)
-    t_res = float(np.linalg.norm(g @ g @ g + c * c * g) / (c * c * np.linalg.norm(g)))
     return EtfCertificate(
         d=d, n=n, mu=mu, c=c, equiangular_residual=eq_res, tightness_residual=t_res
     )
@@ -240,8 +251,6 @@ def symplectic_witness(phi, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     Since phi and psi share a Gram matrix, the unique solution of
     M @ psi = phi preserves the symplectic form.
     """
-    phi = _check_synthesis(phi)
-    if not is_frame(phi, tol):
-        raise NotAFrameError("columns do not span the symplectic space")
-    psi = factor_gram(gram(phi), tol)
+    phi = _check_frame(phi, tol)
+    psi = _factor(_gram(phi), tol)
     return phi @ psi.T @ np.linalg.inv(psi @ psi.T)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     FlatKernelError,
+    InvalidSeidelError,
     NotEtfError,
     NotSkewConferenceError,
     NotSkewHadamardError,
@@ -59,26 +60,51 @@ def _as_int_square(h) -> np.ndarray:
 
 def is_skew_hadamard(h) -> bool:
     h = _as_int_square(h)
-    m = h.shape[0]
-    if np.any(np.abs(h) != 1):
-        return False
-    if not np.array_equal(h @ h.T, m * np.eye(m, dtype=np.int64)):
-        return False
-    c = h - np.eye(m, dtype=np.int64)
-    return np.array_equal(c, -c.T)
+    return _is_conference(h - np.eye(h.shape[0], dtype=np.int64))
 
 
 def is_skew_conference(c) -> bool:
-    c = _as_int_square(c)
+    return _is_conference(_as_int_square(c))
+
+
+def _is_conference(c: np.ndarray) -> bool:
+    """C is a Seidel matrix with C C^T = (m-1) I; C + I is then skew Hadamard."""
+    try:
+        check_seidel(c)
+    except InvalidSeidelError:
+        return False
     m = c.shape[0]
-    if np.any(np.diag(c) != 0):
-        return False
-    off = ~np.eye(m, dtype=bool)
-    if m > 1 and not np.all(np.abs(c[off]) == 1):
-        return False
-    if not np.array_equal(c, -c.T):
-        return False
     return np.array_equal(c @ c.T, (m - 1) * np.eye(m, dtype=np.int64))
+
+
+def _check_skew_hadamard(h) -> np.ndarray:
+    if not is_skew_hadamard(h):
+        raise NotSkewHadamardError("input is not a skew Hadamard matrix")
+    return np.asarray(h, dtype=np.int64)
+
+
+def _check_conference(c) -> np.ndarray:
+    c = _as_int_square(c)
+    if c.shape[0] < 2:
+        raise ValueError("normalization and cores need order at least 2")
+    if not _is_conference(c):
+        raise NotSkewConferenceError("input is not a skew conference matrix")
+    return c
+
+
+def _normalize(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    eps = c[0].copy()
+    eps[0] = 1
+    return c * np.outer(eps, eps), eps
+
+
+def _core(c: np.ndarray) -> np.ndarray:
+    return c[1:, 1:].copy()
+
+
+def _double(h: np.ndarray) -> np.ndarray:
+    eye2 = 2 * np.eye(h.shape[0], dtype=np.int64)
+    return np.block([[h, h], [h - eye2, -h + eye2]])
 
 
 def normalize_conference(c) -> tuple[np.ndarray, np.ndarray]:
@@ -87,30 +113,15 @@ def normalize_conference(c) -> tuple[np.ndarray, np.ndarray]:
     Returns the normalized matrix and the +-1 diagonal used, whose first
     entry is +1.  Normalizing twice is the identity.
     """
-    c = _as_int_square(c)
-    if c.shape[0] < 2:
-        raise ValueError("normalization needs order at least 2")
-    if not is_skew_conference(c):
-        raise NotSkewConferenceError("input is not a skew conference matrix")
-    eps = c[0].copy()
-    eps[0] = 1
-    normalized = c * np.outer(eps, eps)
-    return normalized, eps
+    return _normalize(_check_conference(c))
 
 
 def core(c) -> np.ndarray:
     """Lower-right block of a normalized skew conference matrix."""
-    c = _as_int_square(c)
-    m = c.shape[0]
-    if m < 2:
-        raise ValueError("core needs order at least 2")
-    if not is_skew_conference(c):
-        raise NotSkewConferenceError("input is not a skew conference matrix")
-    expected = np.ones(m, dtype=np.int64)
-    expected[0] = 0
-    if not np.array_equal(c[0], expected):
+    c = _check_conference(c)
+    if np.any(c[0, 1:] != 1):
         raise NotSkewConferenceError("conference matrix is not normalized")
-    return c[1:, 1:].copy()
+    return _core(c)
 
 
 def etf_to_hadamard_square(g, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
@@ -120,10 +131,7 @@ def etf_to_hadamard_square(g, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray
     cert = certify_etf(g, d, tol)
     if cert is None or cert.n != d:
         raise NotEtfError("input is not the Gram matrix of a square ETF")
-    scaled = g / cert.mu
-    h = np.rint(scaled).astype(np.int64) + np.eye(d, dtype=np.int64)
-    if np.max(np.abs(scaled - (h - np.eye(d, dtype=np.int64)))) > tol.entry_tol:
-        raise RoundingError("scaled Gram entries do not round to +-1")
+    h = seidel_from_gram(g, tol) + np.eye(d, dtype=np.int64)
     if not is_skew_hadamard(h):
         raise RoundingError("rounded matrix failed the exact skew Hadamard check")
     return h
@@ -131,23 +139,18 @@ def etf_to_hadamard_square(g, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray
 
 def hadamard_to_etf_square(h) -> np.ndarray:
     """H - I, the Gram matrix of an order-d square ETF."""
-    h = _as_int_square(h)
-    if not is_skew_hadamard(h):
-        raise NotSkewHadamardError("input is not a skew Hadamard matrix")
+    h = _check_skew_hadamard(h)
     return (h - np.eye(h.shape[0], dtype=np.int64)).astype(float)
 
 
 def hadamard_to_etf_core(h) -> np.ndarray:
     """Core of the normalized conference matrix of H, an (m-2)x(m-1) ETF Gram."""
-    h = _as_int_square(h)
-    if not is_skew_hadamard(h):
-        raise NotSkewHadamardError("input is not a skew Hadamard matrix")
+    h = _check_skew_hadamard(h)
     m = h.shape[0]
     if m < 4:
         raise ValueError(f"core extraction needs order >= 4, got {m}")
-    c = h - np.eye(m, dtype=np.int64)
-    normalized, _ = normalize_conference(c)
-    return core(normalized).astype(float)
+    normalized, _ = _normalize(h - np.eye(m, dtype=np.int64))
+    return _core(normalized).astype(float)
 
 
 def etf_core_to_hadamard(g, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
@@ -179,12 +182,7 @@ def etf_core_to_hadamard(g, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
 
 def double_hadamard(h) -> np.ndarray:
     """Order-2m skew Hadamard matrix [[H, H], [H - 2I, -H + 2I]]."""
-    h = _as_int_square(h)
-    if not is_skew_hadamard(h):
-        raise NotSkewHadamardError("input is not a skew Hadamard matrix")
-    m = h.shape[0]
-    eye2 = 2 * np.eye(m, dtype=np.int64)
-    doubled = np.block([[h, h], [h - eye2, -h + eye2]])
+    doubled = _double(_check_skew_hadamard(h))
     if not is_skew_hadamard(doubled):
         raise NotSkewHadamardError("doubling failed the exact verification")
     return doubled
@@ -274,5 +272,7 @@ def seed_hadamard(order: int) -> np.ndarray:
         return np.array([[1]], dtype=np.int64)
     h = np.array([[1, 1], [-1, 1]], dtype=np.int64)
     while h.shape[0] < order:
-        h = double_hadamard(h)
+        h = _double(h)
+    if not is_skew_hadamard(h):
+        raise NotSkewHadamardError("doubling failed the exact verification")
     return h

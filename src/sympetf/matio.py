@@ -2,10 +2,11 @@
 
 Line 1 is the header ``symf <kind> <rows> <cols>`` with kind one of
 ``real``, ``int``, ``complex``; the next ``rows`` lines hold whitespace
-separated entries.  Complex entries are written ``re,im`` with no spaces
-around the comma.  Lines starting with ``#`` are comments and ignored.
-Reals are serialized with 17 significant digits, so write -> read ->
-write reproduces files byte for byte.
+separated entries.  ``int`` entries must fit in a signed 64-bit
+integer.  Complex entries are written ``re,im`` with no spaces around
+the comma.  Lines starting with ``#`` are comments and ignored.  Reals
+are serialized with 17 significant digits, so write -> read -> write
+reproduces files byte for byte.
 """
 
 from __future__ import annotations
@@ -86,12 +87,15 @@ def read_matrix(path) -> tuple[str, np.ndarray]:
         raise ValueError(f"expected {rows} rows of entries, found {len(body)}")
     dtype = {"int": np.int64, "real": float, "complex": complex}[kind]
     out = np.empty((rows, cols), dtype=dtype)
-    for r, line in enumerate(body):
-        tokens = line.split()
-        if len(tokens) != cols:
-            raise ValueError(f"row {r + 1} has {len(tokens)} entries, expected {cols}")
-        for c, token in enumerate(tokens):
-            out[r, c] = _parse_entry(kind, token)
+    try:
+        for r, line in enumerate(body):
+            tokens = line.split()
+            if len(tokens) != cols:
+                raise ValueError(f"row {r + 1} has {len(tokens)} entries, expected {cols}")
+            for c, token in enumerate(tokens):
+                out[r, c] = _parse_entry(kind, token)
+    except OverflowError as exc:
+        raise ValueError(f"row {r + 1}: {token} does not fit in a signed 64-bit integer") from exc
     if kind != "int" and not np.all(np.isfinite(out)):
         raise ValueError("matrix contains non-finite entries")
     return kind, out

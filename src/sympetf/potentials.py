@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import gram, omega
-from .skewlinalg import as_matrix, check_skew
+from .skewlinalg import check_skew
 
 __all__ = [
     "frame_potential",
@@ -81,8 +81,8 @@ def potential_gradient(phi, p) -> np.ndarray:
     p = _check_order(p)
     if math.isinf(p):
         raise ValueError("gradient is defined for finite orders only")
-    phi = as_matrix(phi)
     g = gram(phi)
+    phi = np.asarray(phi, dtype=float)
     if p == 1.0:
         w = 2.0 * g
     else:

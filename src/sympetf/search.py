@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
 
 import numpy as np
 
+from .errors import InvalidSeidelError
 from .frames import certify_etf, gram
 from .potentials import frame_potential, potential_gradient
 from .skewlinalg import DEFAULT_TOL, ToleranceProfile, skew_spectral_form
@@ -71,6 +71,19 @@ class SearchOutcome:
     restart_values: tuple[float, ...] = field(default=())
 
 
+def _outcome(restarts: list, iterations: int) -> SearchOutcome:
+    """Best (success, value, object, index) record: successes, then low values, then early."""
+    succeeded, value, best_object, r = max(restarts, key=lambda rec: (rec[0], -rec[1]))
+    return SearchOutcome(
+        success=succeeded,
+        best_value=value,
+        best_object=best_object,
+        iterations_used=iterations,
+        restart_index=r,
+        restart_values=tuple(rec[1] for rec in restarts),
+    )
+
+
 def _renormalize(phi: np.ndarray, target: float) -> np.ndarray:
     nuc = float(np.sum(np.linalg.svd(gram(phi), compute_uv=False)))
     if nuc == 0.0:
@@ -95,17 +108,17 @@ def _canonicalize(phi: np.ndarray) -> np.ndarray:
 
 
 def _rounded_certificate(phi: np.ndarray, d: int, tol: ToleranceProfile):
-    """Round the Gram to its nearest Seidel pattern and certify that exactly."""
+    """Round the Gram to its nearest Seidel pattern and certify that exactly.
+
+    There is no entry_tol gate as in seidel_from_gram: search hits sit about 1e-4 off equiangular.
+    """
     g = gram(phi)
-    n = g.shape[0]
-    off = ~np.eye(n, dtype=bool)
-    mu = float(np.mean(np.abs(g[off]))) if n > 1 else 0.0
+    mu = float(np.mean(np.abs(g[~np.eye(g.shape[0], dtype=bool)])))
     if mu <= 0.0:
         return None
-    s = np.rint(g / mu)
-    if np.any(np.abs(s[off]) != 1.0) or np.any(np.diag(s) != 0.0):
-        return None
-    if not np.array_equal(s, -s.T):
+    try:
+        s = check_seidel(np.rint(g / mu))
+    except InvalidSeidelError:
         return None
     return certify_etf(s, d, tol)
 
@@ -128,9 +141,8 @@ def continuous_etf_search(
     bound = float(n * (n - 1))
     target_nuc = math.sqrt(d * n * (n - 1))
 
-    best = None
+    restarts = []
     total_iters = 0
-    restart_values = []
     for r in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, r])
         phi = _renormalize(rng.normal(size=(d, n)), target_nuc)
@@ -153,24 +165,11 @@ def continuous_etf_search(
             if value - bound <= cfg.target_residual:
                 break
         total_iters += iters
-        restart_values.append(value)
-
         succeeded = value - bound <= cfg.target_residual
         if succeeded and _rounded_certificate(phi, d, tol) is None:
             succeeded = False
-        candidate = (succeeded, value, phi, r)
-        if best is None or (candidate[0], -candidate[1]) > (best[0], -best[1]):
-            best = candidate
-
-    succeeded, value, phi, r = best
-    return SearchOutcome(
-        success=succeeded,
-        best_value=value,
-        best_object=phi,
-        iterations_used=total_iters,
-        restart_index=r,
-        restart_values=tuple(restart_values),
-    )
+        restarts.append((succeeded, value, phi, r))
+    return _outcome(restarts, total_iters)
 
 
 def _flip_delta(s: np.ndarray, s2: np.ndarray, i: int, j: int) -> int:
@@ -245,9 +244,8 @@ def discrete_diamond_search(n: int, cfg: SearchConfig) -> SearchOutcome:
             return count_diamonds_formula(s) == diamond_upper_bound(n)
         return False
 
-    best = None
+    restarts = []
     total_flips = 0
-    restart_values = []
     for r in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, r])
         s = random_tournament(n, rng)
@@ -280,22 +278,9 @@ def discrete_diamond_search(n: int, cfg: SearchConfig) -> SearchOutcome:
             q += best_delta
             flips += 1
         total_flips += flips
-        restart_values.append(float(q))
-
         succeeded = target is not None and q == target and verified(s)
-        candidate = (succeeded, float(q), s.copy(), r)
-        if best is None or (candidate[0], -candidate[1]) > (best[0], -best[1]):
-            best = candidate
-
-    succeeded, q, s, r = best
-    return SearchOutcome(
-        success=succeeded,
-        best_value=q,
-        best_object=s,
-        iterations_used=total_flips,
-        restart_index=r,
-        restart_values=tuple(restart_values),
-    )
+        restarts.append((succeeded, float(q), s.copy(), r))
+    return _outcome(restarts, total_flips)
 
 
 def gerzon_oracle(n: int, tol: ToleranceProfile = DEFAULT_TOL) -> int:

@@ -105,8 +105,6 @@ def rank_by_sv(a, tol: ToleranceProfile = DEFAULT_TOL) -> int:
     """Numerical rank: number of singular values above rank_rel_tol * sigma_max."""
     a = as_matrix(a)
     s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
     return int(np.count_nonzero(s > tol.rank_rel_tol * s[0]))
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidSeidelError, NotEquiangularError, RoundingError
 from .frames import is_equiangular
-from .skewlinalg import DEFAULT_TOL, ToleranceProfile, rank_by_sv
+from .skewlinalg import DEFAULT_TOL, ToleranceProfile
 
 __all__ = [
     "check_seidel",
@@ -47,32 +47,24 @@ def _perm4_terms():
 _PERM4 = _perm4_terms()
 
 
-def check_seidel(s) -> np.ndarray:
-    """Validate and return a Seidel adjacency matrix as an int64 array."""
+def _check_skew_int(s) -> np.ndarray:
+    """Integer skew-symmetric square matrix (hence zero diagonal), as int64."""
     s = np.asarray(s)
     if s.ndim != 2 or s.shape[0] != s.shape[1] or s.size == 0:
         raise InvalidSeidelError(f"expected a square matrix, got shape {s.shape}")
     si = s.astype(np.int64)
     if not np.array_equal(si, s):
         raise InvalidSeidelError("entries are not integers")
-    if np.any(np.diag(si) != 0):
-        raise InvalidSeidelError("diagonal entries must be zero")
-    off = ~np.eye(si.shape[0], dtype=bool)
-    if not np.all(np.abs(si[off]) == 1):
-        raise InvalidSeidelError("off-diagonal entries must be +-1")
     if not np.array_equal(si, -si.T):
         raise InvalidSeidelError("matrix is not skew-symmetric")
     return si
 
 
-def _check_skew_int(s) -> np.ndarray:
-    """Weaker check used by flat_kernel: integer skew, diagonal zero."""
-    s = np.asarray(s)
-    if s.ndim != 2 or s.shape[0] != s.shape[1] or s.size == 0:
-        raise InvalidSeidelError(f"expected a square matrix, got shape {s.shape}")
-    si = s.astype(np.int64)
-    if not np.array_equal(si, s) or not np.array_equal(si, -si.T):
-        raise InvalidSeidelError("expected an integer skew-symmetric matrix")
+def check_seidel(s) -> np.ndarray:
+    """Validate and return a Seidel adjacency matrix as an int64 array."""
+    si = _check_skew_int(s)
+    if not np.all(np.abs(si[~np.eye(si.shape[0], dtype=bool)]) == 1):
+        raise InvalidSeidelError("off-diagonal entries must be +-1")
     return si
 
 
@@ -110,7 +102,10 @@ class DegreeStats:
 
 
 def degree_stats(s) -> DegreeStats:
-    s = check_seidel(s)
+    return _degree_stats(check_seidel(s))
+
+
+def _degree_stats(s: np.ndarray) -> DegreeStats:
     dominates = (s == 1).astype(np.int64)
     return DegreeStats(
         out_degrees=dominates.sum(axis=1),
@@ -193,7 +188,7 @@ def is_doubly_regular(s) -> bool:
     n = s.shape[0]
     if n % 4 != 3:
         return False
-    stats = degree_stats(s)
+    stats = _degree_stats(s)
     if np.any(stats.out_degrees != (n - 1) // 2):
         return False
     off = ~np.eye(n, dtype=bool)
@@ -218,12 +213,9 @@ def flat_kernel(s, tol: ToleranceProfile = DEFAULT_TOL) -> Optional[np.ndarray]:
     integer identity s @ x == 0 re-verified; returns None otherwise.
     """
     s = _check_skew_int(s)
-    n = s.shape[0]
-    sf = s.astype(float)
-    rank = rank_by_sv(sf, tol) if np.any(s != 0) else 0
-    if n - rank != 1:
+    _, sv, vt = np.linalg.svd(s.astype(float))
+    if s.shape[0] - np.count_nonzero(sv > tol.rank_rel_tol * sv[0]) != 1:
         return None
-    _, _, vt = np.linalg.svd(sf)
     v = vt[-1]
     mods = np.abs(v)
     m = float(np.mean(mods))

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -45,6 +50,57 @@ def test_matrix_file_comments_and_errors(tmp_path):
     bad.write_text("symf int 2 2\n0 1\n")
     with pytest.raises(ValueError):
         read_matrix(bad)
+
+
+def test_int_entries_beyond_int64_are_a_value_error(tmp_path):
+    path = tmp_path / "big.symf"
+    path.write_text("symf int 2 2\n0 99999999999999999999\n-1 0\n")
+    with pytest.raises(ValueError, match="signed 64-bit"):
+        read_matrix(path)
+    path.write_text(f"symf int 1 2\n{2**63 - 1} {-(2**63)}\n")
+    np.testing.assert_array_equal(read_matrix(path)[1], [[2**63 - 1, -(2**63)]])
+
+
+MALFORMED = {
+    "non-square": "symf int 2 3\n0 1 1\n-1 0 1\n",
+    "odd-rows": "symf real 3 2\n1 0\n0 1\n1 1\n",
+    "non-skew": "symf real 2 2\n0 1\n1 0\n",
+    "beyond-int64": "symf int 2 2\n0 99999999999999999999\n-1 0\n",
+}
+
+
+@pytest.mark.parametrize(
+    "fixture, argv, code",
+    [
+        pytest.param("non-square", ["verify", "hadamard"], 2, id="verify-hadamard"),
+        pytest.param("non-square", ["verify", "conference"], 2, id="verify-conference"),
+        pytest.param("non-square", ["verify", "doubly-regular"], 1, id="verify-doubly-regular"),
+        pytest.param("non-square", ["diamonds"], 1, id="diamonds"),
+        pytest.param(
+            "non-square",
+            ["convert", "--from", "hadamard", "--to", "etf-core", "--out", "out.symf"],
+            2,
+            id="convert-from-hadamard",
+        ),
+        pytest.param("odd-rows", ["verify", "frame"], 2, id="verify-frame"),
+        pytest.param("non-skew", ["factor", "--out", "out.symf"], 1, id="factor"),
+        pytest.param("non-skew", ["verify", "etf", "--dim", "2"], 1, id="verify-etf"),
+        pytest.param("beyond-int64", ["verify", "hadamard"], 2, id="int-beyond-int64"),
+    ],
+)
+def test_malformed_input_exit_code_and_one_line_error(tmp_path, fixture, argv, code):
+    (tmp_path / "in.symf").write_text(MALFORMED[fixture])
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "sympetf", *argv, "in.symf"],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+    assert not (tmp_path / "out.symf").exists()
 
 
 def test_verify_etf(tmp_path, capsys, conf4):

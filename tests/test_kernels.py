@@ -1,0 +1,94 @@
+"""Private kernels against the public paths that validate before calling them.
+
+Power-of-two seeds come out of the doubling construction with their
+conference matrices already normalized, so every input here is first
+conjugated by a seeded signed permutation D P H P^T D, which keeps H skew
+Hadamard but leaves normalization real work to do.
+"""
+
+import numpy as np
+import pytest
+
+from sympetf.frames import certify_etf, is_equiangular, is_tight
+from sympetf.hadamard import (
+    core,
+    hadamard_to_etf_core,
+    hadamard_to_etf_square,
+    is_skew_hadamard,
+    normalize_conference,
+    seed_hadamard,
+)
+from sympetf.skewlinalg import DEFAULT_TOL, ToleranceProfile
+
+ORDERS = (8, 16, 32, 64)
+LOOSE = ToleranceProfile(residual_rel_tol=1e-4, entry_tol=1e-4)
+
+
+def permuted_seed(m: int) -> np.ndarray:
+    rng = np.random.default_rng([m, 7])
+    p = rng.permutation(m)
+    d = rng.choice(np.array([-1, 1], dtype=np.int64), size=m)
+    return d[:, None] * seed_hadamard(m)[np.ix_(p, p)] * d[None, :]
+
+
+def etf_grams(m: int):
+    """(name, Gram, d) for the square and core ETFs of a permuted seed, scaled off mu = 1."""
+    h = permuted_seed(m)
+    yield "square", 0.37 * hadamard_to_etf_square(h), m
+    yield "core", 0.37 * hadamard_to_etf_core(h), m - 2
+
+
+def near_miss(g: np.ndarray, m: int) -> np.ndarray:
+    """g with one symmetric pair of entries shifted by 1e-6 * mu."""
+    i, j = np.random.default_rng([m, 11]).choice(g.shape[0], size=2, replace=False)
+    mu = abs(g[i, j])
+    out = g.copy()
+    out[i, j] += 1e-6 * mu
+    out[j, i] -= 1e-6 * mu
+    return out
+
+
+@pytest.mark.parametrize("m", ORDERS)
+def test_core_of_a_permuted_seed_matches_the_public_chain(m):
+    h = permuted_seed(m)
+    assert is_skew_hadamard(h)
+    c = h - np.eye(m, dtype=np.int64)
+    assert np.any(c[0, 1:] != 1)  # normalization has something to switch
+    expected = core(normalize_conference(c)[0])
+    got = hadamard_to_etf_core(h)
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(got, expected)
+
+
+def _certificate_matches_public_checks(g, d, tol):
+    cert = certify_etf(g, d, tol)
+    assert cert is not None
+    c, mu = is_tight(g, d, tol), is_equiangular(g, tol)
+    n = g.shape[0]
+    off = ~np.eye(n, dtype=bool)
+    eq_res = np.max(np.abs(np.abs(g[off]) - mu)) / mu
+    t_res = np.linalg.norm(g @ g @ g + c * c * g) / (c * c * np.linalg.norm(g))
+    assert (cert.d, cert.n) == (d, n)
+    assert cert.mu == mu
+    assert cert.c == c
+    assert cert.equiangular_residual == eq_res
+    assert cert.tightness_residual == t_res
+    return cert
+
+
+@pytest.mark.parametrize("m", ORDERS)
+def test_certificate_fields_match_is_tight_is_equiangular_and_the_residuals(m):
+    for _, g, d in etf_grams(m):
+        cert = _certificate_matches_public_checks(g, d, DEFAULT_TOL)
+        assert cert.mu == pytest.approx(0.37)
+
+
+@pytest.mark.parametrize("m", ORDERS)
+def test_near_miss_certificates_match_the_public_checks_under_loose_tolerances(m):
+    for _, g, d in etf_grams(m):
+        miss = near_miss(g, m)
+        assert certify_etf(miss, d) is None
+        assert is_equiangular(miss) is None
+        cert = _certificate_matches_public_checks(miss, d, LOOSE)
+        assert 1e-7 < cert.equiangular_residual < 1e-5
+        assert 0 < cert.tightness_residual < LOOSE.residual_rel_tol
