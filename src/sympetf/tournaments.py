@@ -73,10 +73,9 @@ def random_tournament(n: int, rng: np.random.Generator) -> np.ndarray:
     if n < 1:
         raise ValueError("need at least one vertex")
     s = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            s[i, j] = 1 if rng.integers(0, 2) else -1
-            s[j, i] = -s[i, j]
+    # one draw per edge, in row-major upper-triangle order
+    s[np.triu_indices(n, k=1)] = 2 * rng.integers(0, 2, size=n * (n - 1) // 2) - 1
+    s -= s.T
     return s
 
 

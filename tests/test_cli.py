@@ -259,6 +259,9 @@ def test_search_cli(tmp_path, capsys):
     assert report["success"] == "true"
     _, s = read_matrix(out)
     assert is_skew_conference(s)
+    # no skew conference matrix of order 6 exists: a miss prints false, not False
+    code, report, _ = run(capsys, "search", "--mode", "discrete", "--n", "6", "--restarts", "2")
+    assert code == 1 and report["success"] == "false"
     code, report, _ = run(
         capsys, "search", "--mode", "continuous", "--n", "3", "--dim", "2", "--p", "2",
         "--seed", "1234", "--restarts", "5",

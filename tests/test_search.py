@@ -1,13 +1,18 @@
+import hashlib
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sympetf.frames import certify_etf, gram
 from sympetf.hadamard import is_skew_conference
 from sympetf.search import (
     SearchConfig,
     _apply_flip,
+    _flip_delta,
+    _flip_deltas,
+    _offdiag_square_sum,
     continuous_etf_search,
     discrete_diamond_search,
     gerzon_oracle,
@@ -86,6 +91,71 @@ def test_incremental_flip_matches_recomputation():
         np.testing.assert_array_equal(s2, s @ s)
 
 
+@st.composite
+def tournaments(draw, max_n=30):
+    """Seidel matrix of a tournament on 2..max_n vertices, one drawn sign per edge."""
+    n = draw(st.integers(2, max_n))
+    m = n * (n - 1) // 2
+    signs = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    s = np.zeros((n, n), dtype=np.int64)
+    s[np.triu_indices(n, k=1)] = np.where(signs, 1, -1)
+    return s - s.T
+
+
+@settings(max_examples=60, deadline=None)
+@given(tournaments())
+def test_closed_form_flip_deltas_match_oracle_and_recomputation(s):
+    n = s.shape[0]
+    s2 = s @ s
+    q = _offdiag_square_sum(s2)
+    iu = np.triu_indices(n, k=1)
+    deltas = _flip_deltas(s, s2, iu)
+    for k, (i, j) in enumerate(zip(*iu)):
+        assert deltas[k] == _flip_delta(s, s2, i, j)
+        flipped, flipped2 = s.copy(), s2.copy()
+        _apply_flip(flipped, flipped2, i, j)
+        assert _offdiag_square_sum(flipped @ flipped) - q == deltas[k]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_apply_flip_sequences_keep_s2_exact(data):
+    s = data.draw(tournaments(max_n=16))
+    n = s.shape[0]
+    s2 = s @ s
+    edge = st.integers(0, n - 2).flatmap(lambda i: st.tuples(st.just(i), st.integers(i + 1, n - 1)))
+    for i, j in data.draw(st.lists(edge, max_size=40)):
+        _apply_flip(s, s2, i, j)
+        np.testing.assert_array_equal(s2, s @ s)
+
+
+# (n, seed, success, best_value, iterations_used, restart_index,
+#  restart_values, sha256 of best_object.tobytes()) at restarts=4,
+# max_iters=2000, recorded with the per-edge _flip_delta scan.  The cases
+# cover even n, n = 3 mod 4 and n = 1 mod 4, hits and misses.
+GOLDEN_TRAJECTORIES = [
+    (6, 11, False, 24.0, 29, 0, (24.0, 24.0, 24.0, 24.0), "b91c3ef08a18cf2b51ac85c9fecd5d9e5632ef5bb5091b916f5cea0088a84ae0"),
+    (7, 2, True, 21.0, 9, 0, (21.0, 21.0, 21.0, 21.0), "61beed08326e554e0037179480329b288157bc0b979ea95aeb0a2365fb45cf22"),
+    (9, 1, False, 84.0, 45, 0, (84.0, 84.0, 84.0, 84.0), "9ef5cf859618a40f0aef0a68e93cd50ba360ea31627f71e6c552185a85efb732"),
+    (12, 3, True, 0.0, 38, 0, (0.0, 192.0, 176.0, 0.0), "4a38d1788caf49890f7634bd1605523a24541fd6f38f9a65dfe3760a4052ebac"),
+    (13, 5, False, 198.0, 89, 0, (198.0, 230.0, 198.0, 230.0), "6c6fd8aac2fae889cb62deecb1dbcdc25ac26849cb83af021c04e02bdd505829"),
+    (15, 4, True, 105.0, 74, 3, (233.0, 361.0, 233.0, 105.0), "a1aa027b4a85a4a2c53d1bde7285e2803c9b59da9b04751d1cf3588477a46de0"),
+    (16, 1, True, 0.0, 110, 3, (240.0, 192.0, 336.0, 0.0), "103313900ed17f79edba424d8b033df63c97be69ab9308caf1117e3b72770e0f"),
+    (16, 6, True, 0.0, 83, 3, (240.0, 336.0, 192.0, 0.0), "9c6d177e57017c64c1acb47595e61ec70c42769d1fd2ad234512cb52b54e9e32"),
+    (20, 2, False, 432.0, 167, 0, (432.0, 544.0, 560.0, 592.0), "64ef9d0256ba3cebb310089e800803a2a4a68f9d3b59dfc275b7d3dd6705a8e7"),
+    (23, 1, False, 989.0, 231, 0, (989.0, 1053.0, 989.0, 1181.0), "dedcac9dbd5b2068ead94861d8a13faf4f98350b38adb7d1d432fae6d0cc9c8d"),
+]
+
+
+@pytest.mark.parametrize("n, seed, success, value, iters, index, values, digest", GOLDEN_TRAJECTORIES)
+def test_discrete_search_golden_trajectories(n, seed, success, value, iters, index, values, digest):
+    out = discrete_diamond_search(n, SearchConfig(seed=seed, restarts=4, max_iters=2000))
+    assert type(out.success) is bool
+    assert (out.success, out.best_value, out.iterations_used) == (success, value, iters)
+    assert (out.restart_index, out.restart_values) == (index, values)
+    assert hashlib.sha256(out.best_object.tobytes()).hexdigest() == digest
+
+
 def test_discrete_search_finds_conference_matrices():
     t0 = time.perf_counter()
     for n in (4, 8):
@@ -97,8 +167,8 @@ def test_discrete_search_finds_conference_matrices():
 
 def test_discrete_search_saturates_n7():
     out = discrete_diamond_search(7, SearchConfig(seed=2, restarts=20, max_iters=5000))
-    if out.success:
-        assert count_diamonds_formula(out.best_object) == diamond_upper_bound(7)
+    assert out.success
+    assert count_diamonds_formula(out.best_object) == diamond_upper_bound(7)
 
 
 def test_discrete_search_never_succeeds_n5():
