@@ -28,7 +28,7 @@ from .errors import (
 )
 from .frames import certify_etf, gram, omega
 from .skewlinalg import DEFAULT_TOL, ToleranceProfile, as_matrix
-from .tournaments import check_seidel, flat_kernel, seidel_from_gram
+from .tournaments import flat_kernel, seidel_from_gram, seidel_square
 
 __all__ = [
     "is_skew_hadamard",
@@ -68,13 +68,13 @@ def is_skew_conference(c) -> bool:
 
 
 def _is_conference(c: np.ndarray) -> bool:
-    """C is a Seidel matrix with C C^T = (m-1) I; C + I is then skew Hadamard."""
+    """C is a Seidel matrix with C C^T = -C^2 = (m-1) I; C + I is then skew Hadamard."""
     try:
-        check_seidel(c)
+        c2 = seidel_square(c)
     except InvalidSeidelError:
         return False
     m = c.shape[0]
-    return np.array_equal(c @ c.T, (m - 1) * np.eye(m, dtype=np.int64))
+    return np.array_equal(c2, -(m - 1) * np.eye(m, dtype=np.int64))
 
 
 def _check_skew_hadamard(h) -> np.ndarray:

@@ -16,29 +16,55 @@ import numpy as np
 __all__ = ["read_matrix", "write_matrix", "format_real"]
 
 KINDS = ("real", "int", "complex")
+_REAL = ".17g"  # 17 significant digits round-trip every float64
+_INT64 = range(-(2**63), 2**63)
 
 
 def format_real(x: float) -> str:
-    return format(float(x), ".17g")
+    return format(float(x), _REAL)
 
 
-def _format_entry(kind: str, v) -> str:
+def _format_row(kind: str, row: np.ndarray) -> str:
+    """One line of entries; ``tolist`` hands the formatters Python scalars."""
     if kind == "int":
-        return str(int(v))
+        return " ".join(map(str, map(int, row.tolist())))
     if kind == "real":
-        return format_real(v)
-    return f"{format_real(v.real)},{format_real(v.imag)}"
+        return " ".join([format(x, _REAL) for x in row.tolist()])
+    return " ".join([f"{x:{_REAL}},{y:{_REAL}}" for x, y in zip(row.real.tolist(), row.imag.tolist())])
 
 
-def _parse_entry(kind: str, token: str):
+def _parse_row(kind: str, out: np.ndarray, tokens: list[str]) -> None:
+    """Fill ``out`` from one row's tokens with the per-entry builtins, one call per row."""
     if kind == "int":
-        return int(token)
-    if kind == "real":
-        return float(token)
-    re_s, _, im_s = token.partition(",")
-    if not _:
-        raise ValueError(f"complex entry {token!r} is missing the ',' separator")
-    return complex(float(re_s), float(im_s))
+        out[:] = list(map(int, tokens))
+    elif kind == "real":
+        out[:] = list(map(float, tokens))
+    else:
+        # a token without ',' leaves an empty imaginary part, which float() rejects
+        re_s, _, im_s = zip(*[t.partition(",") for t in tokens])
+        out.real[:] = list(map(float, re_s))
+        out.imag[:] = list(map(float, im_s))
+
+
+def _raise_entry_error(kind: str, r: int, tokens: list[str]) -> None:
+    """Raise the error an entry-by-entry parse of a failed row meets first.
+
+    A whole-row parse stops at its first invalid token and detects int64
+    overflow only when the row is stored, so the row is walked again to
+    report the same entry, class and message as a parse in reading order.
+    """
+    for token in tokens:
+        if kind == "int":
+            if int(token) not in _INT64:
+                raise ValueError(f"row {r + 1}: {token} does not fit in a signed 64-bit integer")
+        elif kind == "real":
+            float(token)
+        else:
+            re_s, sep, im_s = token.partition(",")
+            if not sep:
+                raise ValueError(f"complex entry {token!r} is missing the ',' separator")
+            float(re_s)
+            float(im_s)
 
 
 def infer_kind(a: np.ndarray) -> str:
@@ -56,12 +82,16 @@ def write_matrix(path, a, kind: str | None = None) -> None:
     kind = kind or infer_kind(a)
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
+    if kind != "int":
+        a = np.asarray(a, dtype=float if kind == "real" else complex)
+        if not np.all(np.isfinite(a)):
+            raise ValueError("cannot write non-finite entries: symf files hold finite values only")
     rows, cols = a.shape
     lines = [f"symf {kind} {rows} {cols}"]
-    for r in range(rows):
-        lines.append(" ".join(_format_entry(kind, v) for v in a[r]))
+    lines += [_format_row(kind, row) for row in a]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(lines))
+        fh.write("\n")
 
 
 def read_matrix(path) -> tuple[str, np.ndarray]:
@@ -85,17 +115,21 @@ def read_matrix(path) -> tuple[str, np.ndarray]:
     body = lines[1:]
     if len(body) != rows:
         raise ValueError(f"expected {rows} rows of entries, found {len(body)}")
+    # the first row bounds cols by real text before the header sizes an allocation
+    tokens = body[0].split()
+    if len(tokens) != cols:
+        raise ValueError(f"row 1 has {len(tokens)} entries, expected {cols}")
     dtype = {"int": np.int64, "real": float, "complex": complex}[kind]
     out = np.empty((rows, cols), dtype=dtype)
-    try:
-        for r, line in enumerate(body):
-            tokens = line.split()
-            if len(tokens) != cols:
-                raise ValueError(f"row {r + 1} has {len(tokens)} entries, expected {cols}")
-            for c, token in enumerate(tokens):
-                out[r, c] = _parse_entry(kind, token)
-    except OverflowError as exc:
-        raise ValueError(f"row {r + 1}: {token} does not fit in a signed 64-bit integer") from exc
+    for r, line in enumerate(body):
+        tokens = line.split()
+        if len(tokens) != cols:
+            raise ValueError(f"row {r + 1} has {len(tokens)} entries, expected {cols}")
+        try:
+            _parse_row(kind, out[r], tokens)
+        except (ValueError, OverflowError):
+            _raise_entry_error(kind, r, tokens)
+            raise
     if kind != "int" and not np.all(np.isfinite(out)):
         raise ValueError("matrix contains non-finite entries")
     return kind, out

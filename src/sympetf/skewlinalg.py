@@ -127,14 +127,17 @@ def skew_spectral_form(a, tol: ToleranceProfile = DEFAULT_TOL) -> SkewSpectralFo
     rank = int(np.count_nonzero(s > tol.rank_rel_tol * s[0]))
     r = rank // 2
 
-    pair_cols = []  # accepted (w_k, z_k) columns, interleaved
+    # accepted (w_k, z_k) columns, interleaved, fill the first 2 * len(lambdas)
+    # columns of ``pairs``; ``basis`` copies them into one contiguous block,
+    # since projecting on a strided view rounds differently
+    pairs = np.empty((n, n))
+    basis = None
     lambdas = []
     for k in range(min(rank, n)):
         if len(lambdas) == r:
             break
         cand = u[:, k]
-        if pair_cols:
-            basis = np.column_stack(pair_cols)
+        if basis is not None:
             cand = cand - basis @ (basis.T @ cand)
         nr = np.linalg.norm(cand)
         if nr < 1e-6:
@@ -143,24 +146,23 @@ def skew_spectral_form(a, tol: ToleranceProfile = DEFAULT_TOL) -> SkewSpectralFo
         awk = a @ wk
         lam = np.linalg.norm(awk)
         zk = -awk / lam
-        if pair_cols:
+        if basis is not None:
             # one defensive re-orthogonalization pass for clustered spectra
-            basis = np.column_stack(pair_cols)
             zk = zk - basis @ (basis.T @ zk)
             zk = zk / np.linalg.norm(zk)
-        pair_cols.extend([wk, zk])
+        m = 2 * len(lambdas)
+        pairs[:, m] = wk
+        pairs[:, m + 1] = zk
         lambdas.append(lam)
+        basis = pairs[:, : m + 2].copy()
 
-    # kernel completion: right singular vectors of the discarded values
-    q_cols = [vt[k] for k in range(2 * len(lambdas), n)]
-    q = np.column_stack(q_cols + pair_cols) if q_cols else np.column_stack(pair_cols)
-
+    # kernel completion: right singular vectors of the discarded values,
+    # then the pairs in descending block value
     order = np.argsort(lambdas)[::-1]
-    lam_sorted = np.asarray([lambdas[i] for i in order])
+    lam_sorted = np.asarray(lambdas)[order]
     off = n - 2 * len(lambdas)
-    perm = list(range(off))
-    for i in order:
-        perm.extend([off + 2 * i, off + 2 * i + 1])
-    q = q[:, perm]
+    q = np.empty((n, n))
+    q[:, :off] = vt[n - off :].T
+    q[:, off:] = pairs[:, (2 * order[:, None] + np.arange(2)).ravel()]
 
     return SkewSpectralForm(w=q.T, lambdas=lam_sorted, rank=2 * len(lam_sorted))

@@ -23,6 +23,7 @@ from .skewlinalg import DEFAULT_TOL, ToleranceProfile
 
 __all__ = [
     "check_seidel",
+    "seidel_square",
     "random_tournament",
     "seidel_from_gram",
     "DegreeStats",
@@ -68,6 +69,25 @@ def check_seidel(s) -> np.ndarray:
     return si
 
 
+def _unit_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact a @ b, as int64, for matrices with entries in {-1, 0, 1}.
+
+    Every product of two entries is -1, 0 or 1, so every partial sum of an
+    inner product is an integer of magnitude at most the inner dimension,
+    far below 2**53.  Such integers are exact float64 values, so a float64
+    BLAS product is exact in any summation order, and so is its cast back
+    to int64.  Callers pass a Seidel matrix that ``check_seidel`` has
+    bounded, or a 0/1 mask of one.
+    """
+    return (a.astype(float) @ b.astype(float)).astype(np.int64)
+
+
+def seidel_square(s) -> np.ndarray:
+    """S @ S of a Seidel matrix, exactly; it equals -S @ S.T since S is skew."""
+    s = check_seidel(s)
+    return _unit_product(s, s)
+
+
 def random_tournament(n: int, rng: np.random.Generator) -> np.ndarray:
     """Uniformly random tournament on n vertices."""
     if n < 1:
@@ -109,7 +129,7 @@ def _degree_stats(s: np.ndarray) -> DegreeStats:
     return DegreeStats(
         out_degrees=dominates.sum(axis=1),
         in_degrees=dominates.sum(axis=0),
-        common_out=dominates @ dominates.T,
+        common_out=_unit_product(dominates, dominates.T),
     )
 
 
@@ -158,9 +178,8 @@ def count_diamonds_formula(s) -> int:
     exact integer arithmetic.  A fractional result means the input was not
     a genuine Seidel matrix.
     """
-    s = check_seidel(s)
-    n = s.shape[0]
-    s2 = s @ s
+    s2 = seidel_square(s)
+    n = s2.shape[0]
     iu = np.triu_indices(n, k=1)
     q = int(np.sum(s2[iu] ** 2))
     num = n * n * (n - 1) * (n - 2) - 6 * q

@@ -66,6 +66,8 @@ MALFORMED = {
     "odd-rows": "symf real 3 2\n1 0\n0 1\n1 1\n",
     "non-skew": "symf real 2 2\n0 1\n1 0\n",
     "beyond-int64": "symf int 2 2\n0 99999999999999999999\n-1 0\n",
+    # a header that would size an 800 TB array before any row is read
+    "cols-beyond-row": "symf int 1 100000000000000\n0\n",
 }
 
 
@@ -86,6 +88,7 @@ MALFORMED = {
         pytest.param("non-skew", ["factor", "--out", "out.symf"], 1, id="factor"),
         pytest.param("non-skew", ["verify", "etf", "--dim", "2"], 1, id="verify-etf"),
         pytest.param("beyond-int64", ["verify", "hadamard"], 2, id="int-beyond-int64"),
+        pytest.param("cols-beyond-row", ["verify", "hadamard"], 2, id="header-cols-beyond-row"),
     ],
 )
 def test_malformed_input_exit_code_and_one_line_error(tmp_path, fixture, argv, code):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -147,6 +152,38 @@ def test_factor_gram_round_trips(gram_tight, conf4, core3):
         np.testing.assert_allclose(gram(phi), g, atol=1e-12)
     with pytest.raises(FactorizationError):
         factor_gram(np.zeros((3, 3)))
+
+
+# (d, rows, cols, sha256 of factor_gram(core).tobytes()) on the core Grams
+# of seed_hadamard(d + 2), recorded with the column-stacked pair basis of
+# skew_spectral_form on numpy 2.4.6 / OpenBLAS 0.3.31 (x86-64) with BLAS on
+# one thread.  The bits depend on the LAPACK and BLAS build and on the BLAS
+# thread count (d = 510 differs on two threads), so a fresh interpreter
+# computes them with BLAS on one thread.
+GOLDEN_FACTORS = """\
+6 6 7 2a3206f36c2e0db2740461325095f46907fbc83721cffceac84b3d9cb669c9bf
+14 14 15 e5c5e685e3537e3447af2a55c6ad802df6029de9e9ba665ef8a898f1fb23a8a8
+62 62 63 ba4301b161d1753ad15b84a5542154f479d37f58b400f675b60799a5accaff8c
+510 510 511 586cb1ac6b3894aa66f14004c81bf865211631eced61f25a614f04c00fa9d13a
+"""
+FACTOR_DIGESTS = """\
+import hashlib
+from sympetf.frames import factor_gram
+from sympetf.hadamard import hadamard_to_etf_core, seed_hadamard
+for d in (6, 14, 62, 510):
+    phi = factor_gram(hadamard_to_etf_core(seed_hadamard(d + 2)))
+    print(d, *phi.shape, hashlib.sha256(phi.tobytes()).hexdigest())
+"""
+
+
+def test_factor_gram_golden_bits_on_seed_cores():
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", FACTOR_DIGESTS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == GOLDEN_FACTORS
 
 
 def test_is_tight(gram_tight, conf4, phi_basic):

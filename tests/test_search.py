@@ -156,6 +156,33 @@ def test_discrete_search_golden_trajectories(n, seed, success, value, iters, ind
     assert hashlib.sha256(out.best_object.tobytes()).hexdigest() == digest
 
 
+# (d, n, seed, success, best_value, iterations_used, restart_index,
+#  restart_values, sha256 of best_object.tobytes()) of continuous_etf_search
+# at p=2, restarts=4, max_iters=2000, recorded before skew_spectral_form
+# kept its pair basis in one buffer.  Hits and misses; float64 bits of
+# numpy 2.4.6 / OpenBLAS 0.3.31 (x86-64).
+GOLDEN_CONTINUOUS = [
+    (2, 3, 1, True, 6.000000002942102, 53, 2, (6.00000001689666, 6.000000086763531, 6.000000002942102, 6.000000114077316), "8e1ef2e9cbcbf35310f6983ba9ec56d1f976f1d27265d82eeabdb46a13566585"),
+    (2, 3, 5, True, 6.0000000055853295, 54, 1, (6.000000095740797, 6.0000000055853295, 6.0000000135169484, 6.000000585517547), "d7ff1d14afa71bc3b4a7c657099dc39c9c43e14264927d4e110628ae1ae6bf18"),
+    (4, 4, 0, True, 12.00000000832, 116, 0, (12.00000000832, 12.000000899924991, 12.000000032471089, 12.000000121809002), "6c55767c0fcc578058c91f30f089d9d2f0010793ea6da332c5bd0168b0a8e4d1"),
+    (4, 4, 3, True, 12.000000022885501, 72, 0, (12.000000022885501, 12.000000180519676, 12.000000047966582, 12.000000749316438), "da451e58769eca473309f9e9924998293098ffe47df616aeeaa425eacd53e510"),
+    (6, 7, 1, False, 45.502548547566505, 683, 2, (45.50254854756661, 45.502548547566704, 45.502548547566505, 48.34452013962105), "171d47b4c3da9234968341c5273d442096d1edcfe62c053c0ac8151e611352ce"),
+    (6, 7, 4, True, 42.00000041774807, 686, 2, (45.50254854756659, 45.50254854756656, 42.00000041774807, 50.83471912866714), "6ab2a38cac1e2b23ac87566df5946697f75875e6b755808a31fb7f242a107281"),
+    (8, 8, 2, True, 56.00000012774555, 236, 2, (63.03883399318551, 56.00000045861023, 56.00000012774555, 56.00000096955446), "2ca877c83671cad2c262cf744a258601a127d8e414486b7526c7ea5ddbdb2730"),
+    (16, 16, 0, False, 257.982714995079, 847, 0, (257.982714995079, 264.0440492489395, 267.98489207866163, 258.945985157339), "ba166f57f109b6e96606e2959b154b9188c47463643b57fb5232dd28e933d105"),
+]
+
+
+@pytest.mark.parametrize("d, n, seed, success, value, iters, index, values, digest", GOLDEN_CONTINUOUS)
+def test_continuous_search_golden_outcomes(d, n, seed, success, value, iters, index, values, digest):
+    out = continuous_etf_search(d, n, 2, SearchConfig(seed=seed, restarts=4, max_iters=2000))
+    assert type(out.success) is bool
+    assert (out.success, out.best_value, out.iterations_used) == (success, value, iters)
+    assert (out.restart_index, out.restart_values) == (index, values)
+    assert out.best_object.dtype == np.float64 and out.best_object.shape == (d, n)
+    assert hashlib.sha256(out.best_object.tobytes()).hexdigest() == digest
+
+
 def test_discrete_search_finds_conference_matrices():
     t0 = time.perf_counter()
     for n in (4, 8):
