@@ -58,6 +58,7 @@ from .hadamard import (
     double_hadamard,
     doubling_coefficients,
     etf_core_to_hadamard,
+    etf_to_conference,
     etf_to_hadamard_square,
     hadamard_to_etf_core,
     hadamard_to_etf_square,

@@ -11,24 +11,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import complex_lift, frames, hadamard, matio, search, tournaments
 from .errors import DomainError
 from .skewlinalg import DEFAULT_TOL
-
-VERIFY_KINDS = (
-    "frame",
-    "tight",
-    "etf",
-    "conference",
-    "hadamard",
-    "doubly-regular",
-    "signature",
-)
-
 
 class UsageError(Exception):
     pass
@@ -68,72 +57,64 @@ def _require_even_dim(args):
     return args.dim
 
 
+# Each verifier returns (verified, report fields); cmd_verify prints them in order.
+def _verify_frame(args, tol):
+    _, mat = _load(args.file, ("real", "int"))
+    mat = mat.astype(float)
+    ok = frames.is_frame(mat, tol)  # rejects an odd number of rows with ValueError
+    fields = {"d": mat.shape[0], "n": mat.shape[1]}
+    return ok, {**fields, **frames.frame_bounds(mat, tol)._asdict()} if ok else fields
+
+
+def _verify_tight(args, tol):
+    d = _require_even_dim(args)
+    _, mat = _load(args.file, ("real", "int"))
+    c = frames.is_tight(mat.astype(float), d, tol)
+    return c is not None, {} if c is None else {"c": c}
+
+
+def _verify_etf(args, tol):
+    d = _require_even_dim(args)
+    _, mat = _load(args.file, ("real", "int"))
+    cert = frames.certify_etf(mat.astype(float), d, tol)
+    return cert is not None, {} if cert is None else asdict(cert)
+
+
+def _verify_exact(args, check, report_order=True):
+    _, mat = _load(args.file, ("int",))
+    return check(mat), {"order": mat.shape[0]} if report_order else {}
+
+
+def _verify_signature(args, tol):
+    if args.dim is None or args.dim < 1:
+        raise UsageError("--dim (the complex dimension) is required for signatures")
+    _, mat = _load(args.file, ("complex",))
+    try:
+        return complex_lift.signature_check(mat, args.dim, tol), {}
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False, {}
+
+
+# kind -> verifier(args, tol); the keys, in this order, are the argparse choices.
+# Library functions are looked up at call time, so tracers that rebind them see the calls.
+_VERIFIERS = {
+    "frame": _verify_frame,
+    "tight": _verify_tight,
+    "etf": _verify_etf,
+    "conference": lambda args, tol: _verify_exact(args, hadamard.is_skew_conference),
+    "hadamard": lambda args, tol: _verify_exact(args, hadamard.is_skew_hadamard),
+    "doubly-regular": lambda args, tol: _verify_exact(args, tournaments.is_doubly_regular, False),
+    "signature": _verify_signature,
+}
+
+
 def cmd_verify(args) -> int:
-    tol = _tolerances(args)
-    kind = args.kind
-    if kind == "frame":
-        _, mat = _load(args.file, ("real", "int"))
-        mat = mat.astype(float)
-        ok = frames.is_frame(mat, tol)  # rejects an odd number of rows with ValueError
-        _emit("verified", ok)
-        _emit("d", mat.shape[0])
-        _emit("n", mat.shape[1])
-        if ok:
-            bounds = frames.frame_bounds(mat, tol)
-            _emit("lower", bounds.lower)
-            _emit("upper", bounds.upper)
-        return 0 if ok else 1
-    if kind == "tight":
-        d = _require_even_dim(args)
-        _, mat = _load(args.file, ("real", "int"))
-        c = frames.is_tight(mat.astype(float), d, tol)
-        _emit("verified", c is not None)
-        if c is not None:
-            _emit("c", c)
-        return 0 if c is not None else 1
-    if kind == "etf":
-        d = _require_even_dim(args)
-        _, mat = _load(args.file, ("real", "int"))
-        cert = frames.certify_etf(mat.astype(float), d, tol)
-        _emit("verified", cert is not None)
-        if cert is not None:
-            _emit("d", cert.d)
-            _emit("n", cert.n)
-            _emit("mu", cert.mu)
-            _emit("c", cert.c)
-            _emit("equiangular_residual", cert.equiangular_residual)
-            _emit("tightness_residual", cert.tightness_residual)
-        return 0 if cert is not None else 1
-    if kind == "conference":
-        _, mat = _load(args.file, ("int",))
-        ok = hadamard.is_skew_conference(mat)
-        _emit("verified", ok)
-        _emit("order", mat.shape[0])
-        return 0 if ok else 1
-    if kind == "hadamard":
-        _, mat = _load(args.file, ("int",))
-        ok = hadamard.is_skew_hadamard(mat)
-        _emit("verified", ok)
-        _emit("order", mat.shape[0])
-        return 0 if ok else 1
-    if kind == "doubly-regular":
-        _, mat = _load(args.file, ("int",))
-        ok = tournaments.is_doubly_regular(mat)
-        _emit("verified", ok)
-        return 0 if ok else 1
-    if kind == "signature":
-        if args.dim is None or args.dim < 1:
-            raise UsageError("--dim (the complex dimension) is required for signatures")
-        _, mat = _load(args.file, ("complex",))
-        try:
-            ok = complex_lift.signature_check(mat, args.dim, tol)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            _emit("verified", False)
-            return 1
-        _emit("verified", ok)
-        return 0 if ok else 1
-    raise UsageError(f"unknown verification kind {kind!r}")
+    ok, fields = _VERIFIERS[args.kind](args, _tolerances(args))
+    _emit("verified", ok)
+    for key, value in fields.items():
+        _emit(key, value)
+    return 0 if ok else 1
 
 
 def cmd_factor(args) -> int:
@@ -155,47 +136,31 @@ def cmd_factor(args) -> int:
     return 0
 
 
+# (--from, --to) -> conversion(matrix read, tol), looked up at call time as in
+# _VERIFIERS; the writer infers the kind of the result, and the report names
+# its sizes after the target
 _CONVERSIONS = {
-    ("etf-square", "hadamard"),
-    ("etf-core", "hadamard"),
-    ("hadamard", "etf-square"),
-    ("hadamard", "etf-core"),
-    ("etf-square", "complex-signature"),
-    ("etf-core", "complex-signature"),
+    ("etf-square", "hadamard"): lambda g, tol: hadamard.etf_to_hadamard_square(g, tol),
+    ("etf-core", "hadamard"): lambda g, tol: hadamard.etf_core_to_hadamard(g, tol),
+    ("hadamard", "etf-square"): lambda h, tol: hadamard.hadamard_to_etf_square(h).astype(np.int64),
+    ("hadamard", "etf-core"): lambda h, tol: hadamard.hadamard_to_etf_core(h).astype(np.int64),
+    ("etf-square", "complex-signature"): lambda g, tol: complex_lift.lift_square(g, tol)[1],
+    ("etf-core", "complex-signature"): lambda g, tol: complex_lift.lift_core(g, tol),
 }
+_CONVERT_REPORT = {"hadamard": ("order",), "etf-square": ("rows", "cols"),
+                   "etf-core": ("rows", "cols"), "complex-signature": ("n",)}
 
 
 def cmd_convert(args) -> int:
     tol = _tolerances(args)
-    pair = (args.src, args.to)
-    if pair not in _CONVERSIONS:
+    convert = _CONVERSIONS.get((args.src, args.to))
+    if convert is None:
         raise UsageError(f"conversion {args.src} -> {args.to} is not supported")
     _, mat = _load(args.file, ("real", "int"))
-    if args.src == "hadamard":
-        if args.to == "etf-square":
-            out = hadamard.hadamard_to_etf_square(mat).astype(np.int64)
-        else:
-            out = hadamard.hadamard_to_etf_core(mat).astype(np.int64)
-        matio.write_matrix(args.out, out, "int")
-        _emit("rows", out.shape[0])
-        _emit("cols", out.shape[1])
-        return 0
-    g = mat.astype(float)
-    if args.to == "hadamard":
-        if args.src == "etf-square":
-            out = hadamard.etf_to_hadamard_square(g, tol)
-        else:
-            out = hadamard.etf_core_to_hadamard(g, tol)
-        matio.write_matrix(args.out, out, "int")
-        _emit("order", out.shape[0])
-        return 0
-    # complex signature targets
-    if args.src == "etf-square":
-        _, q = complex_lift.lift_square(g, tol)
-    else:
-        q = complex_lift.lift_core(g, tol)
-    matio.write_matrix(args.out, q.astype(complex), "complex")
-    _emit("n", q.shape[0])
+    out = convert(mat, tol)
+    matio.write_matrix(args.out, out)
+    for key, size in zip(_CONVERT_REPORT[args.to], out.shape):
+        _emit(key, size)
     return 0
 
 
@@ -287,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="verify a matrix property and print a certificate")
-    p.add_argument("kind", choices=VERIFY_KINDS)
+    p.add_argument("kind", choices=tuple(_VERIFIERS))
     p.add_argument("file")
     p.add_argument("--dim", type=int, help="symplectic dimension (or complex dimension for signatures)")
     p.add_argument("--tol", type=float, help="override the residual tolerance")
@@ -301,8 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_factor)
 
     p = sub.add_parser("convert", help="convert between ETF Grams, Hadamard matrices, and signatures")
-    p.add_argument("--from", dest="src", required=True, choices=("etf-square", "etf-core", "hadamard"))
-    p.add_argument("--to", required=True, choices=("hadamard", "etf-square", "etf-core", "complex-signature"))
+    p.add_argument("--from", dest="src", required=True, choices=tuple(dict.fromkeys(a for a, _ in _CONVERSIONS)))
+    p.add_argument("--to", required=True, choices=tuple(dict.fromkeys(b for _, b in _CONVERSIONS)))
     p.add_argument("file")
     p.add_argument("--tol", type=float)
     p.add_argument("--out", required=True)
@@ -351,6 +316,9 @@ def main(argv=None) -> int:
         return 1
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -17,10 +17,11 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import NotEtfError, NotPsdError, RankMismatchError
+from .errors import NotEtfError, NotPsdError, RankMismatchError, SignatureError
 from .frames import certify_etf
+from .hadamard import etf_to_conference
 from .skewlinalg import DEFAULT_TOL, ToleranceProfile
-from .tournaments import flat_kernel, seidel_from_gram, switch
+from .tournaments import switch
 
 __all__ = [
     "beta_constant",
@@ -104,35 +105,30 @@ def lift_square(g, tol: ToleranceProfile = DEFAULT_TOL) -> tuple[np.ndarray, np.
     gram_c = np.eye(d) + 1j * c_mat / sqrt(d - 1.0)
     # unlike lift_core's, this q is only as Hermitian and unimodular as g: check it all
     if not signature_check(q, d // 2, tol):
-        raise ArithmeticError("constructed signature failed its quadratic")
+        raise SignatureError("constructed signature failed its quadratic")
     return gram_c, q
 
 
 def lift_core(g, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """Signature matrix of the (d/2)x(d+1) complex lift of a core ETF Gram.
 
-    The Gram is rescaled to a Seidel matrix, switched by its flat kernel
-    into a conference core K, split as K = A - A.T, and assembled as
-    D (beta A + conj(beta) A.T) D with the switching D undone.
+    The Gram's conference matrix (``etf_to_conference``) has border x and
+    core S; S is switched by x into a normalized core K, split as
+    K = A - A.T, and assembled as D (beta A + conj(beta) A.T) D with the
+    switching D = diag(x) undone.
     """
     g = np.asarray(g, dtype=float)
-    n = g.shape[0]
-    d = n - 1
-    cert = certify_etf(g, d, tol)
-    if cert is None or cert.n != n:
-        raise NotEtfError("input is not the Gram matrix of a d-by-(d+1) ETF")
-    s = seidel_from_gram(g, tol)
-    x = flat_kernel(s, tol)
-    if x is None:
-        raise NotEtfError("certified core has no flat kernel vector")
-    k = switch(s, x)
+    d = g.shape[0] - 1
+    c = etf_to_conference(g, d, tol)
+    x = c[0, 1:]
+    k = switch(c[1:, 1:], x)
     a = (k == 1).astype(float)
     beta = beta_constant(d)
     q0 = beta * a + np.conj(beta) * a.T
     q = q0 * np.outer(x, x)
     # Hermitian, zero diagonal and unimodular by construction: only the quadratic can fail
     if not _satisfies_quadratic(q, d // 2, tol):
-        raise ArithmeticError("constructed signature failed its quadratic")
+        raise SignatureError("constructed signature failed its quadratic")
     return q
 
 

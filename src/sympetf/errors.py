@@ -4,7 +4,8 @@
 bad dimensions, out-of-range orders, malformed parameters.  The classes
 below signal *domain* failures, where the input is well formed but does
 not have the mathematical structure an operation requires.  The CLI maps
-domain failures to exit code 1 and usage failures to exit code 2.
+domain failures to exit code 1, and usage failures and ``MemoryError``
+(a size no machine can hold) to exit code 2.
 
 Validation runs once, at the public boundary: a public function checks
 its array arguments on entry and hands values it has checked or built
@@ -16,7 +17,10 @@ boundary validators raise ``ValueError`` (``as_matrix``,
 (``check_skew``: ``NotSkewSymmetricError``; ``tournaments.check_seidel``
 and ``_check_skew_int``: ``InvalidSeidelError``).  Exact checks that
 decide an answer derived in floating point are not validation; they
-always run.
+always run.  A certified ETF Gram whose rounding fails the exact
+conference check (``hadamard.etf_to_conference``) raises
+``RoundingError``; a lifted signature that fails its quadratic raises
+``SignatureError``.
 """
 
 
@@ -60,8 +64,8 @@ class NotSkewConferenceError(DomainError):
     pass
 
 
-class FlatKernelError(DomainError):
-    """Kernel is not one-dimensional or not spanned by a flat vector."""
+class SignatureError(DomainError):
+    """A constructed complex-ETF signature failed its quadratic."""
 
 
 class NotPsdError(DomainError):

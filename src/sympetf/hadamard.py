@@ -19,7 +19,6 @@ from math import sqrt
 import numpy as np
 
 from .errors import (
-    FlatKernelError,
     InvalidSeidelError,
     NotEtfError,
     NotSkewConferenceError,
@@ -28,13 +27,14 @@ from .errors import (
 )
 from .frames import certify_etf, gram, omega
 from .skewlinalg import DEFAULT_TOL, ToleranceProfile, as_matrix
-from .tournaments import flat_kernel, seidel_from_gram, seidel_square
+from .tournaments import seidel_from_gram, seidel_square
 
 __all__ = [
     "is_skew_hadamard",
     "is_skew_conference",
     "normalize_conference",
     "core",
+    "etf_to_conference",
     "etf_to_hadamard_square",
     "hadamard_to_etf_square",
     "hadamard_to_etf_core",
@@ -124,16 +124,39 @@ def core(c) -> np.ndarray:
     return _core(c)
 
 
+def etf_to_conference(g, d: int, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
+    """Skew conference matrix of a certified d-by-d or d-by-(d+1) ETF Gram g.
+
+    g rounds to mu S with S a Seidel matrix.  A square ETF gives S itself.
+    A core satisfies S^2 = x x^T - nI for a +-1 border x, so x is row 0 of
+    S^2 with n added at entry 0 (x_0 = +1), read exactly, and S bordered
+    by x has order n + 1.  One exact conference check decides the result.
+    """
+    g = as_matrix(g)
+    n = g.shape[0]
+    if certify_etf(g, d, tol) is None:
+        family = "a square ETF" if n == d else "a d-by-(d+1) ETF"
+        raise NotEtfError(f"input is not the Gram matrix of {family}")
+    s = seidel_from_gram(g, tol)
+    if n == d:
+        c = s
+    else:
+        c = np.zeros((n + 1, n + 1), dtype=np.int64)
+        x = c[0, 1:]
+        x[:] = s[0] @ s  # row 0 of S^2, one exact integer vector-matrix product
+        x[0] += n
+        c[1:, 0] = -x
+        c[1:, 1:] = s
+    if not _is_conference(c):
+        raise RoundingError("rounded matrix failed the exact skew Hadamard check")
+    return c
+
+
 def etf_to_hadamard_square(g, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """I + g/mu for a certified d-by-d ETF Gram matrix g."""
     g = as_matrix(g)
-    d = g.shape[0]
-    cert = certify_etf(g, d, tol)
-    if cert is None or cert.n != d:
-        raise NotEtfError("input is not the Gram matrix of a square ETF")
-    h = seidel_from_gram(g, tol) + np.eye(d, dtype=np.int64)
-    if not is_skew_hadamard(h):
-        raise RoundingError("rounded matrix failed the exact skew Hadamard check")
+    h = etf_to_conference(g, g.shape[0], tol)
+    np.fill_diagonal(h, 1)
     return h
 
 
@@ -156,27 +179,11 @@ def hadamard_to_etf_core(h) -> np.ndarray:
 def etf_core_to_hadamard(g, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """Rebuild a skew Hadamard matrix of order d+2 from a d-by-(d+1) ETF Gram.
 
-    The scaled Gram is the Seidel matrix of a tournament whose kernel is
-    spanned by a flat vector x; bordering with x gives the conference
-    matrix and adding I the Hadamard matrix.
+    It is I plus the bordered conference matrix of ``etf_to_conference``.
     """
     g = as_matrix(g)
-    n = g.shape[0]
-    cert = certify_etf(g, n - 1, tol)
-    if cert is None or cert.n != n:
-        raise NotEtfError("input is not the Gram matrix of a d-by-(d+1) ETF")
-    s = seidel_from_gram(g, tol)
-    x = flat_kernel(s, tol)
-    if x is None:
-        raise FlatKernelError("numerical kernel extraction failed on a certified core")
-    m = n + 1
-    c = np.zeros((m, m), dtype=np.int64)
-    c[0, 1:] = x
-    c[1:, 0] = -x
-    c[1:, 1:] = s
-    h = c + np.eye(m, dtype=np.int64)
-    if not is_skew_hadamard(h):
-        raise FlatKernelError("bordered matrix failed the exact skew Hadamard check")
+    h = etf_to_conference(g, g.shape[0] - 1, tol)
+    np.fill_diagonal(h, 1)
     return h
 
 

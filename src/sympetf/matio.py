@@ -86,6 +86,12 @@ def write_matrix(path, a, kind: str | None = None) -> None:
         a = np.asarray(a, dtype=float if kind == "real" else complex)
         if not np.all(np.isfinite(a)):
             raise ValueError("cannot write non-finite entries: symf files hold finite values only")
+    elif not np.issubdtype(a.dtype, np.signedinteger):
+        with np.errstate(invalid="ignore"):
+            ai = a.astype(np.int64)
+        if not np.array_equal(ai, a):
+            raise ValueError("cannot write non-integral or out-of-int64 entries as int")
+        a = ai
     rows, cols = a.shape
     lines = [f"symf {kind} {rows} {cols}"]
     lines += [_format_row(kind, row) for row in a]

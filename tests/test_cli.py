@@ -8,7 +8,12 @@ import pytest
 
 from sympetf.cli import main
 from sympetf.frames import certify_etf, gram, omega
-from sympetf.hadamard import is_skew_conference, is_skew_hadamard, seed_hadamard
+from sympetf.hadamard import (
+    is_skew_conference,
+    is_skew_hadamard,
+    normalize_conference,
+    seed_hadamard,
+)
 from sympetf.matio import read_matrix, write_matrix
 
 
@@ -93,17 +98,80 @@ MALFORMED = {
 )
 def test_malformed_input_exit_code_and_one_line_error(tmp_path, fixture, argv, code):
     (tmp_path / "in.symf").write_text(MALFORMED[fixture])
+    proc = run_module(tmp_path, *argv, "in.symf")
+    assert proc.returncode == code
+    assert_one_line_error(proc)
+    assert not (tmp_path / "out.symf").exists()
+
+
+def run_module(cwd, *argv, preexec_fn=None):
+    """Run ``python -m sympetf`` on this checkout's sources in a child process."""
     paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-    proc = subprocess.run(
-        [sys.executable, "-m", "sympetf", *argv, "in.symf"],
-        cwd=tmp_path, env=env, capture_output=True, text=True,
+    return subprocess.run(
+        [sys.executable, "-m", "sympetf", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, preexec_fn=preexec_fn,
     )
-    assert proc.returncode == code
+
+
+def assert_one_line_error(proc):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert proc.stdout == ""
+
+
+def _flip_pair(s):
+    out = s.copy()
+    out[1, 2], out[2, 1] = -s[1, 2], -s[2, 1]
+    return out
+
+
+ROUNDING = "error: rounded matrix failed the exact skew Hadamard check"
+
+
+@pytest.mark.parametrize(
+    "src, to, message",
+    [
+        pytest.param("etf-square", "hadamard", ROUNDING, id="square-hadamard"),
+        pytest.param("etf-core", "hadamard", ROUNDING, id="core-hadamard"),
+        pytest.param("etf-core", "complex-signature", ROUNDING, id="core-signature"),
+        pytest.param("etf-square", "complex-signature",
+                     "error: constructed signature failed its quadratic", id="square-signature"),
+    ],
+)
+def test_certified_near_miss_conversion_is_a_domain_error(tmp_path, src, to, message):
+    # --tol 0.5 certifies a Gram with one reversed edge; the exact checks refuse it
+    h = seed_hadamard(16)
+    eye = np.eye(16, dtype=np.int64)
+    gram_of = {"etf-square": h - eye, "etf-core": normalize_conference(h - eye)[0][1:, 1:]}
+    write_matrix(tmp_path / "in.symf", _flip_pair(gram_of[src]), "int")
+    argv = ["convert", "--from", src, "--to", to, "in.symf", "--out", "out.symf"]
+    proc = run_module(tmp_path, *argv, "--tol", "0.5")
+    assert proc.returncode == 1
+    assert_one_line_error(proc)
+    assert proc.stderr == message + "\n"
     assert not (tmp_path / "out.symf").exists()
+    # at the default tolerance the near miss is not certified at all
+    proc = run_module(tmp_path, *argv)
+    assert proc.returncode == 1 and "is not the Gram matrix of" in proc.stderr
+
+
+def test_search_beyond_memory_is_a_one_line_usage_error(tmp_path):
+    # n = 10^8 asks numpy for an 8.9 PiB mask, more than any address space.
+    # Building it first fills two 381 MiB index vectors, so the child's
+    # address space is capped: it fails at once either way, touching at
+    # most 512 MiB.
+    resource = pytest.importorskip("resource")
+    cap = 512 * 2**20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    proc = run_module(tmp_path, "search", "--mode", "discrete", "--n", str(10**8),
+                      preexec_fn=limit)
+    assert proc.returncode == 2
+    assert_one_line_error(proc)
+    assert proc.stderr.startswith("error: out of memory: ")
 
 
 def test_verify_etf(tmp_path, capsys, conf4):

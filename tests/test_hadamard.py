@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from sympetf.errors import NotEtfError, NotSkewConferenceError, NotSkewHadamardError
+from sympetf.complex_lift import lift_core
+from sympetf.errors import (
+    NotEtfError,
+    NotSkewConferenceError,
+    NotSkewHadamardError,
+    RoundingError,
+)
 from sympetf.frames import certify_etf, gram, omega
 from sympetf.hadamard import (
     core,
@@ -12,6 +18,7 @@ from sympetf.hadamard import (
     double_hadamard,
     doubling_coefficients,
     etf_core_to_hadamard,
+    etf_to_conference,
     etf_to_hadamard_square,
     hadamard_to_etf_core,
     hadamard_to_etf_square,
@@ -27,8 +34,23 @@ from sympetf.tournaments import (
     is_doubly_regular,
     switch,
 )
+from sympetf.skewlinalg import ToleranceProfile
 
 H2 = np.array([[1, 1], [-1, 1]], dtype=np.int64)
+
+
+def signed_permutation(s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """D P S P^T D: relabel and switch, which keeps every ETF and conference identity."""
+    p = rng.permutation(s.shape[0])
+    d = rng.choice(np.array([-1, 1], dtype=np.int64), size=s.shape[0])
+    return d[:, None] * s[np.ix_(p, p)] * d[None, :]
+
+
+def flip_pair(s: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Negate entries (i, j) and (j, i): the Gram stays skew and equiangular."""
+    out = s.copy()
+    out[i, j], out[j, i] = -s[i, j], -s[j, i]
+    return out
 
 
 def test_is_skew_hadamard(conf4):
@@ -138,6 +160,43 @@ def test_core_round_trip_invariants():
         sv_a = np.linalg.svd((h - np.eye(order)).astype(float), compute_uv=False)
         sv_b = np.linalg.svd((h2 - np.eye(order)).astype(float), compute_uv=False)
         np.testing.assert_allclose(sv_a, sv_b, atol=1e-9)
+
+
+@pytest.mark.parametrize("m", [8, 16, 32, 64, 128, 256, 512])
+def test_exact_border_equals_flat_kernel_on_signed_permuted_seed_cores(m):
+    # a signed permutation moves the border off (1, ..., 1); flat_kernel is the oracle
+    k = signed_permutation(hadamard_to_etf_core(seed_hadamard(m)).astype(np.int64),
+                           np.random.default_rng(m))
+    c = etf_to_conference(0.5 * k, m - 2)
+    np.testing.assert_array_equal(c[0, 1:], flat_kernel(k))
+    np.testing.assert_array_equal(c[1:, 0], -flat_kernel(k))
+    np.testing.assert_array_equal(c[1:, 1:], k)
+    assert c[0, 0] == 0 and is_skew_conference(c)
+
+
+def test_etf_to_conference_square_and_errors(conf4):
+    np.testing.assert_array_equal(etf_to_conference(2.0 * conf4, 4), conf4)
+    with pytest.raises(NotEtfError, match="square ETF"):
+        etf_to_conference(np.zeros((4, 4)), 4)
+    with pytest.raises(NotEtfError, match=r"d-by-\(d\+1\) ETF"):
+        etf_to_conference(np.zeros((3, 3)), 2)
+
+
+@pytest.mark.parametrize("m", [8, 16, 32, 64])
+def test_certified_near_misses_fail_the_exact_check(m):
+    # one reversed edge keeps the Gram equiangular; a loose residual bound
+    # certifies it, and the exact conference check must then refuse it
+    loose = ToleranceProfile(residual_rel_tol=0.5)
+    h = seed_hadamard(m)
+    square = flip_pair(hadamard_to_etf_square(h), 1, 2)
+    core_gram = flip_pair(hadamard_to_etf_core(h), 1, 2)
+    assert certify_etf(square, m, loose) is not None
+    assert certify_etf(core_gram, m - 2, loose) is not None
+    assert certify_etf(square, m) is None and certify_etf(core_gram, m - 2) is None
+    for convert, g in ((etf_to_hadamard_square, square), (etf_core_to_hadamard, core_gram),
+                       (lift_core, core_gram)):
+        with pytest.raises(RoundingError, match="exact skew Hadamard check"):
+            convert(g, loose)
 
 
 def test_double_hadamard_chain():

@@ -126,6 +126,21 @@ def test_write_rejects_non_finite_entries(tmp_path, kind, bad):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("bad", [[[2.7, -0.5]], [[1.0, np.nan]], [[np.inf, 0.0]], [[2.0**63, 0.0]],
+                                 np.array([[2**63]], dtype=np.uint64)])
+def test_int_write_rejects_non_integral_entries(tmp_path, bad):
+    path = tmp_path / "m.symf"
+    with pytest.raises(ValueError, match="non-integral"):
+        write_matrix(path, np.array(bad), "int")
+    assert not path.exists()
+
+
+def test_int_write_accepts_integral_floats(tmp_path):
+    path = tmp_path / "m.symf"
+    write_matrix(path, np.array([[2.0, -3.0], [-(2.0**63), 0.0]]), "int")
+    assert path.read_text() == f"symf int 2 2\n2 -3\n{-(2**63)} 0\n"
+
+
 # ---------------------------------------------------------------- fuzzed text
 
 def _token(kind):

@@ -13,13 +13,24 @@ two, so ``seed_hadamard`` cannot build them.
 import numpy as np
 import pytest
 
-from sympetf.hadamard import core, is_skew_conference, is_skew_hadamard
+from sympetf.complex_lift import beta_constant, lift_core
+from sympetf.hadamard import (
+    core,
+    etf_core_to_hadamard,
+    etf_to_conference,
+    hadamard_to_etf_core,
+    is_skew_conference,
+    is_skew_hadamard,
+    normalize_conference,
+)
 from sympetf.tournaments import (
     count_diamonds_formula,
     degree_stats,
     diamond_upper_bound,
+    flat_kernel,
     is_doubly_regular,
     seidel_square,
+    switch,
 )
 
 PRIMES = (7, 11, 19, 23, 31, 43, 47, 59, 67, 71, 79, 83, 1019)
@@ -48,6 +59,13 @@ def flip_edge(s: np.ndarray, rng: np.random.Generator, lowest: int = 0) -> np.nd
     out = s.copy()
     out[i, j], out[j, i] = -s[i, j], -s[j, i]
     return out
+
+
+def signed_permutation(s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """D P S P^T D: relabel and switch, which keeps every ETF and conference identity."""
+    p = rng.permutation(s.shape[0])
+    d = rng.choice(np.array([-1, 1], dtype=np.int64), size=s.shape[0])
+    return d[:, None] * s[np.ix_(p, p)] * d[None, :]
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -84,3 +102,35 @@ def test_exact_products_match_int64_products(p):
         np.testing.assert_array_equal(seidel_square(s), s @ s)
     dominates = (q == 1).astype(np.int64)
     np.testing.assert_array_equal(degree_stats(q).common_out, dominates @ dominates.T)
+
+
+# The Paley cores have d = p - 1 = 2 mod 4, and none of them is of the
+# form 2^k - 2 that the doubled seeds reach.
+@pytest.mark.parametrize("p", PRIMES)
+def test_exact_border_equals_flat_kernel_on_paley_cores(p):
+    k = signed_permutation(qr_tournament(p), np.random.default_rng(p))
+    c = etf_to_conference(3.0 * k, p - 1)
+    np.testing.assert_array_equal(c[0, 1:], flat_kernel(k))
+    np.testing.assert_array_equal(c[1:, 1:], k)
+    assert is_skew_conference(c)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_paley_core_round_trip_rebuilds_the_normalized_hadamard_matrix(p):
+    eye = np.eye(p + 1, dtype=np.int64)
+    h = paley_conference(p) + eye
+    np.testing.assert_array_equal(etf_core_to_hadamard(hadamard_to_etf_core(h)), h)
+    shuffled = signed_permutation(h, np.random.default_rng(p))
+    normalized, _ = normalize_conference(shuffled - eye)
+    np.testing.assert_array_equal(etf_core_to_hadamard(hadamard_to_etf_core(shuffled)),
+                                  normalized + eye)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_lift_core_matches_the_flat_kernel_reference_on_paley_cores(p):
+    k = signed_permutation(qr_tournament(p), np.random.default_rng(p))
+    x = flat_kernel(k)
+    a = (switch(k, x) == 1).astype(float)
+    beta = beta_constant(p - 1)
+    reference = (beta * a + np.conj(beta) * a.T) * np.outer(x, x)
+    np.testing.assert_array_equal(lift_core(k.astype(float)), reference)
