@@ -16,7 +16,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import complex_lift, frames, hadamard, matio, search, tournaments
-from .errors import DomainError
+from .errors import DomainError, NotEtfError, RoundingError
 from .skewlinalg import DEFAULT_TOL
 
 class UsageError(Exception):
@@ -76,8 +76,10 @@ def _verify_tight(args, tol):
 def _verify_etf(args, tol):
     d = _require_even_dim(args)
     _, mat = _load(args.file, ("real", "int"))
-    cert = frames.certify_etf(mat.astype(float), d, tol)
-    return cert is not None, {} if cert is None else asdict(cert)
+    try:
+        return True, asdict(hadamard.etf_to_conference(mat.astype(float), d, tol)[0])
+    except (NotEtfError, RoundingError):  # not an ETF: a verdict, not an error
+        return False, {}
 
 
 def _verify_exact(args, check, report_order=True):

@@ -17,8 +17,7 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import NotEtfError, NotPsdError, RankMismatchError, SignatureError
-from .frames import certify_etf
+from .errors import NotPsdError, RankMismatchError, SignatureError
 from .hadamard import etf_to_conference
 from .skewlinalg import DEFAULT_TOL, ToleranceProfile
 from .tournaments import switch
@@ -91,22 +90,14 @@ def _satisfies_quadratic(q: np.ndarray, d_c: int, tol: ToleranceProfile) -> bool
 def lift_square(g, tol: ToleranceProfile = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Complex Gram and signature of the (d/2)-dimensional lift of a square ETF.
 
-    Returns (gram_c, q) with gram_c = I + i (d-1)^(-1/2) C and q = i C, where
-    C is the Gram scaled to unit modulus; Im(gram_c) is the input Gram times
-    alpha = 1/(mu sqrt(d-1)).
+    Returns (gram_c, q) with q = i C and gram_c = I + q / sqrt(d-1), where C is
+    the Gram's conference matrix (``etf_to_conference``), so Im(gram_c) is the
+    Gram times 1/(mu sqrt(d-1)) and q^2 = -C^2 = (d-1) I holds exactly.
     """
-    g = np.asarray(g, dtype=float)
-    d = g.shape[0]
-    cert = certify_etf(g, d, tol)
-    if cert is None or cert.n != d:
-        raise NotEtfError("input is not the Gram matrix of a square ETF")
-    c_mat = g / cert.mu
-    q = 1j * c_mat
-    gram_c = np.eye(d) + 1j * c_mat / sqrt(d - 1.0)
-    # unlike lift_core's, this q is only as Hermitian and unimodular as g: check it all
-    if not signature_check(q, d // 2, tol):
-        raise SignatureError("constructed signature failed its quadratic")
-    return gram_c, q
+    d = np.shape(g)[0]
+    _, c = etf_to_conference(g, d, tol)
+    q = 1j * c
+    return np.eye(d) + q / sqrt(d - 1.0), q
 
 
 def lift_core(g, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
@@ -117,9 +108,8 @@ def lift_core(g, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     K = A - A.T, and assembled as D (beta A + conj(beta) A.T) D with the
     switching D = diag(x) undone.
     """
-    g = np.asarray(g, dtype=float)
-    d = g.shape[0] - 1
-    c = etf_to_conference(g, d, tol)
+    d = np.shape(g)[0] - 1
+    _, c = etf_to_conference(g, d, tol)
     x = c[0, 1:]
     k = switch(c[1:, 1:], x)
     a = (k == 1).astype(float)

@@ -17,10 +17,12 @@ boundary validators raise ``ValueError`` (``as_matrix``,
 (``check_skew``: ``NotSkewSymmetricError``; ``tournaments.check_seidel``
 and ``_check_skew_int``: ``InvalidSeidelError``).  Exact checks that
 decide an answer derived in floating point are not validation; they
-always run.  A certified ETF Gram whose rounding fails the exact
-conference check (``hadamard.etf_to_conference``) raises
-``RoundingError``; a lifted signature that fails its quadratic raises
-``SignatureError``.
+always run.  ``hadamard.etf_to_conference`` is the one exact ETF gate: it
+raises ``RoundingError`` when a certified Gram fails its conference check,
+and so do its callers (``etf_to_hadamard_square``, ``etf_core_to_hadamard``,
+``double_frame``, ``complex_lift.lift_square`` and ``lift_core``), as does
+``tournaments.seidel_from_gram`` for entries that do not round to 0 or +-1.
+A lifted core signature that fails its quadratic raises ``SignatureError``.
 """
 
 

@@ -25,7 +25,7 @@ from .errors import (
     NotSkewHadamardError,
     RoundingError,
 )
-from .frames import certify_etf, gram, omega
+from .frames import EtfCertificate, certify_etf, gram, omega
 from .skewlinalg import DEFAULT_TOL, ToleranceProfile, as_matrix
 from .tournaments import seidel_from_gram, seidel_square
 
@@ -124,17 +124,21 @@ def core(c) -> np.ndarray:
     return _core(c)
 
 
-def etf_to_conference(g, d: int, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """Skew conference matrix of a certified d-by-d or d-by-(d+1) ETF Gram g.
+def etf_to_conference(
+    g, d: int, tol: ToleranceProfile = DEFAULT_TOL
+) -> tuple[EtfCertificate, np.ndarray]:
+    """The exact ETF gate: certificate and skew conference matrix of a Gram g.
 
-    g rounds to mu S with S a Seidel matrix.  A square ETF gives S itself.
-    A core satisfies S^2 = x x^T - nI for a +-1 border x, so x is row 0 of
-    S^2 with n added at entry 0 (x_0 = +1), read exactly, and S bordered
-    by x has order n + 1.  One exact conference check decides the result.
+    g must pass ``certify_etf`` as a d-by-d or d-by-(d+1) ETF and round to
+    mu S, S a Seidel matrix.  A square ETF gives S itself.  A core has
+    S^2 = x x^T - nI for a +-1 border x: x is row 0 of S^2 with n added at
+    entry 0 (x_0 = +1), read exactly, and S bordered by x has order n + 1.
+    One exact conference check decides the result.
     """
     g = as_matrix(g)
     n = g.shape[0]
-    if certify_etf(g, d, tol) is None:
+    cert = certify_etf(g, d, tol)
+    if cert is None:
         family = "a square ETF" if n == d else "a d-by-(d+1) ETF"
         raise NotEtfError(f"input is not the Gram matrix of {family}")
     s = seidel_from_gram(g, tol)
@@ -149,13 +153,13 @@ def etf_to_conference(g, d: int, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndar
         c[1:, 1:] = s
     if not _is_conference(c):
         raise RoundingError("rounded matrix failed the exact skew Hadamard check")
-    return c
+    return cert, c
 
 
 def etf_to_hadamard_square(g, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """I + g/mu for a certified d-by-d ETF Gram matrix g."""
     g = as_matrix(g)
-    h = etf_to_conference(g, g.shape[0], tol)
+    _, h = etf_to_conference(g, g.shape[0], tol)
     np.fill_diagonal(h, 1)
     return h
 
@@ -182,7 +186,7 @@ def etf_core_to_hadamard(g, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     It is I plus the bordered conference matrix of ``etf_to_conference``.
     """
     g = as_matrix(g)
-    h = etf_to_conference(g, g.shape[0] - 1, tol)
+    _, h = etf_to_conference(g, g.shape[0] - 1, tol)
     np.fill_diagonal(h, 1)
     return h
 
@@ -239,7 +243,7 @@ def default_b_matrix(d: int) -> np.ndarray:
 
 
 def double_frame(phi, b=None, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """Double a d-by-d ETF synthesis matrix into a 2d-by-2d one.
+    """Double a d-by-d ETF synthesis matrix, gated by ``etf_to_conference``, into a 2d-by-2d one.
 
     With mu the common Gram modulus, G the Gram, and (a, b_c, y, z) the
     doubling coefficients, the doubled frame
@@ -251,9 +255,9 @@ def double_frame(phi, b=None, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray
     phi = as_matrix(phi)
     d = phi.shape[0]
     g = gram(phi)
-    cert = certify_etf(g, d, tol)
-    if cert is None or cert.n != d:
+    if g.shape[0] != d:
         raise NotEtfError("input is not the synthesis matrix of a square ETF")
+    cert, _ = etf_to_conference(g, d, tol)
     if b is None:
         b = default_b_matrix(d)
     else:

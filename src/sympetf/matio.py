@@ -87,9 +87,12 @@ def write_matrix(path, a, kind: str | None = None) -> None:
         if not np.all(np.isfinite(a)):
             raise ValueError("cannot write non-finite entries: symf files hold finite values only")
     elif not np.issubdtype(a.dtype, np.signedinteger):
-        with np.errstate(invalid="ignore"):
-            ai = a.astype(np.int64)
-        if not np.array_equal(ai, a):
+        try:
+            with np.errstate(invalid="ignore"):
+                ai = a.astype(np.int64)
+        except OverflowError:  # Python ints beyond int64 in an object array
+            ai = None
+        if ai is None or not np.array_equal(ai, a):
             raise ValueError("cannot write non-integral or out-of-int64 entries as int")
         a = ai
     rows, cols = a.shape

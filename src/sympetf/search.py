@@ -6,7 +6,7 @@ Two searches and one exhaustive oracle:
   frame potential over synthesis matrices, re-normalizing the Gram to
   nuclear norm sqrt(d n (n-1)) after every step.  A run succeeds only if
   the potential reaches its ETF bound and the rounded Gram passes the
-  exact certificate.
+  exact gate ``etf_to_conference``.
 * ``discrete_diamond_search``: single-edge-flip local search over
   tournaments minimizing sum_{i<j} ((S^2)_ij)^2, which is equivalent to
   maximizing the diamond count.  Success requires the exact conference
@@ -25,12 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidSeidelError
-from .frames import certify_etf, gram
+from .errors import DomainError
+from .frames import gram
 from .potentials import frame_potential, potential_gradient
 from .skewlinalg import DEFAULT_TOL, ToleranceProfile, skew_spectral_form
 from .tournaments import check_seidel, count_diamonds_formula, diamond_upper_bound, random_tournament
-from .hadamard import is_skew_conference
+from .hadamard import etf_to_conference, is_skew_conference
 
 __all__ = [
     "SearchConfig",
@@ -108,19 +108,18 @@ def _canonicalize(phi: np.ndarray) -> np.ndarray:
 
 
 def _rounded_certificate(phi: np.ndarray, d: int, tol: ToleranceProfile):
-    """Round the Gram to its nearest Seidel pattern and certify that exactly.
+    """Round the Gram to its nearest Seidel pattern and pass that through the exact gate.
 
-    There is no entry_tol gate as in seidel_from_gram: search hits sit about 1e-4 off equiangular.
+    There is no entry_tol gate on the rounding: search hits sit about 1e-4 off equiangular.
     """
     g = gram(phi)
     mu = float(np.mean(np.abs(g[~np.eye(g.shape[0], dtype=bool)])))
     if mu <= 0.0:
         return None
     try:
-        s = check_seidel(np.rint(g / mu))
-    except InvalidSeidelError:
+        return etf_to_conference(check_seidel(np.rint(g / mu)), d, tol)[0]
+    except DomainError:
         return None
-    return certify_etf(s, d, tol)
 
 
 def continuous_etf_search(
@@ -129,7 +128,7 @@ def continuous_etf_search(
     """Projected gradient descent on the order-p potential, with restarts.
 
     Success means the potential came within ``cfg.target_residual`` of the
-    ETF bound n(n-1) and the rounded Gram passed the exact certificate.
+    ETF bound n(n-1) and the rounded Gram passed the exact gate.
     """
     if d < 2 or d % 2 != 0:
         raise ValueError(f"need an even dimension >= 2, got {d}")

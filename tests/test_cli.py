@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sympetf.cli import main
-from sympetf.frames import certify_etf, gram, omega
+from sympetf.frames import certify_etf, factor_gram, gram, omega
 from sympetf.hadamard import (
     is_skew_conference,
     is_skew_hadamard,
@@ -129,31 +129,57 @@ def _flip_pair(s):
 ROUNDING = "error: rounded matrix failed the exact skew Hadamard check"
 
 
+def _near_miss(src, m):
+    """The square (H - I) or core ETF Gram of a seed of order m, with one reversed edge.
+
+    For "frame" it is a synthesis matrix of the square near miss.
+    """
+    h = seed_hadamard(m)
+    eye = np.eye(m, dtype=np.int64)
+    if src == "frame":
+        return factor_gram(_flip_pair(h - eye).astype(float))
+    gram_of = {"etf-square": h - eye, "etf-core": normalize_conference(h - eye)[0][1:, 1:]}
+    return _flip_pair(gram_of[src])
+
+
 @pytest.mark.parametrize(
-    "src, to, message",
+    "src, argv",
     [
-        pytest.param("etf-square", "hadamard", ROUNDING, id="square-hadamard"),
-        pytest.param("etf-core", "hadamard", ROUNDING, id="core-hadamard"),
-        pytest.param("etf-core", "complex-signature", ROUNDING, id="core-signature"),
-        pytest.param("etf-square", "complex-signature",
-                     "error: constructed signature failed its quadratic", id="square-signature"),
+        pytest.param("etf-square", ["convert", "--from", "etf-square", "--to", "hadamard"],
+                     id="square-hadamard"),
+        pytest.param("etf-core", ["convert", "--from", "etf-core", "--to", "hadamard"],
+                     id="core-hadamard"),
+        pytest.param("etf-core", ["convert", "--from", "etf-core", "--to", "complex-signature"],
+                     id="core-signature"),
+        pytest.param("etf-square", ["convert", "--from", "etf-square", "--to", "complex-signature"],
+                     id="square-signature"),
+        pytest.param("frame", ["double", "--level", "frame"], id="square-double-frame"),
     ],
 )
-def test_certified_near_miss_conversion_is_a_domain_error(tmp_path, src, to, message):
-    # --tol 0.5 certifies a Gram with one reversed edge; the exact checks refuse it
-    h = seed_hadamard(16)
-    eye = np.eye(16, dtype=np.int64)
-    gram_of = {"etf-square": h - eye, "etf-core": normalize_conference(h - eye)[0][1:, 1:]}
-    write_matrix(tmp_path / "in.symf", _flip_pair(gram_of[src]), "int")
-    argv = ["convert", "--from", src, "--to", to, "in.symf", "--out", "out.symf"]
-    proc = run_module(tmp_path, *argv, "--tol", "0.5")
-    assert proc.returncode == 1
-    assert_one_line_error(proc)
-    assert proc.stderr == message + "\n"
-    assert not (tmp_path / "out.symf").exists()
-    # at the default tolerance the near miss is not certified at all
-    proc = run_module(tmp_path, *argv)
-    assert proc.returncode == 1 and "is not the Gram matrix of" in proc.stderr
+def test_certified_near_miss_conversion_is_a_domain_error(tmp_path, src, argv):
+    # --tol 0.5 certifies a Gram with one reversed edge; the exact gate refuses it
+    for m in (16, 64):
+        write_matrix(tmp_path / "in.symf", _near_miss(src, m))
+        cmd = [*argv, "in.symf", "--out", "out.symf"]
+        proc = run_module(tmp_path, *cmd, "--tol", "0.5")
+        assert proc.returncode == 1
+        assert_one_line_error(proc)
+        assert proc.stderr == ROUNDING + "\n"
+        assert not (tmp_path / "out.symf").exists()
+        # at the default tolerance the near miss is not certified at all
+        proc = run_module(tmp_path, *cmd)
+        assert proc.returncode == 1 and "is not the Gram matrix of" in proc.stderr
+
+
+@pytest.mark.parametrize("m", [16, 64])
+@pytest.mark.parametrize("src", ["etf-square", "etf-core"])
+def test_verify_etf_refuses_a_certified_near_miss(tmp_path, src, m):
+    # not an ETF is a verdict: verified=false and exit 1, with nothing on stderr
+    write_matrix(tmp_path / "in.symf", _near_miss(src, m))
+    d = m if src == "etf-square" else m - 2
+    for tol in (("--tol", "0.5"), ()):
+        proc = run_module(tmp_path, "verify", "etf", "in.symf", "--dim", str(d), *tol)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "verified=false\n", "")
 
 
 def test_search_beyond_memory_is_a_one_line_usage_error(tmp_path):

@@ -167,7 +167,7 @@ def test_exact_border_equals_flat_kernel_on_signed_permuted_seed_cores(m):
     # a signed permutation moves the border off (1, ..., 1); flat_kernel is the oracle
     k = signed_permutation(hadamard_to_etf_core(seed_hadamard(m)).astype(np.int64),
                            np.random.default_rng(m))
-    c = etf_to_conference(0.5 * k, m - 2)
+    _, c = etf_to_conference(0.5 * k, m - 2)
     np.testing.assert_array_equal(c[0, 1:], flat_kernel(k))
     np.testing.assert_array_equal(c[1:, 0], -flat_kernel(k))
     np.testing.assert_array_equal(c[1:, 1:], k)
@@ -175,7 +175,7 @@ def test_exact_border_equals_flat_kernel_on_signed_permuted_seed_cores(m):
 
 
 def test_etf_to_conference_square_and_errors(conf4):
-    np.testing.assert_array_equal(etf_to_conference(2.0 * conf4, 4), conf4)
+    np.testing.assert_array_equal(etf_to_conference(2.0 * conf4, 4)[1], conf4)
     with pytest.raises(NotEtfError, match="square ETF"):
         etf_to_conference(np.zeros((4, 4)), 4)
     with pytest.raises(NotEtfError, match=r"d-by-\(d\+1\) ETF"):

@@ -127,7 +127,7 @@ def test_write_rejects_non_finite_entries(tmp_path, kind, bad):
 
 
 @pytest.mark.parametrize("bad", [[[2.7, -0.5]], [[1.0, np.nan]], [[np.inf, 0.0]], [[2.0**63, 0.0]],
-                                 np.array([[2**63]], dtype=np.uint64)])
+                                 np.array([[2**63]], dtype=np.uint64), [[2**70]], [[-(2**63) - 1]]])
 def test_int_write_rejects_non_integral_entries(tmp_path, bad):
     path = tmp_path / "m.symf"
     with pytest.raises(ValueError, match="non-integral"):

@@ -12,17 +12,26 @@ two, so ``seed_hadamard`` cannot build them.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sympetf.complex_lift import beta_constant, lift_core
+from sympetf.complex_lift import beta_constant, lift_core, lift_square, signature_check
+from sympetf.errors import RoundingError
+from sympetf.frames import certify_etf, factor_gram, gram
 from sympetf.hadamard import (
     core,
+    double_frame,
+    double_hadamard,
     etf_core_to_hadamard,
     etf_to_conference,
+    etf_to_hadamard_square,
     hadamard_to_etf_core,
+    hadamard_to_etf_square,
     is_skew_conference,
     is_skew_hadamard,
     normalize_conference,
+    seed_hadamard,
 )
+from sympetf.skewlinalg import ToleranceProfile
 from sympetf.tournaments import (
     count_diamonds_formula,
     degree_stats,
@@ -109,7 +118,7 @@ def test_exact_products_match_int64_products(p):
 @pytest.mark.parametrize("p", PRIMES)
 def test_exact_border_equals_flat_kernel_on_paley_cores(p):
     k = signed_permutation(qr_tournament(p), np.random.default_rng(p))
-    c = etf_to_conference(3.0 * k, p - 1)
+    _, c = etf_to_conference(3.0 * k, p - 1)
     np.testing.assert_array_equal(c[0, 1:], flat_kernel(k))
     np.testing.assert_array_equal(c[1:, 1:], k)
     assert is_skew_conference(c)
@@ -134,3 +143,76 @@ def test_lift_core_matches_the_flat_kernel_reference_on_paley_cores(p):
     beta = beta_constant(p - 1)
     reference = (beta * a + np.conj(beta) * a.T) * np.outer(x, x)
     np.testing.assert_array_equal(lift_core(k.astype(float)), reference)
+
+
+# The square ETFs of the Paley orders p + 1 = 8, 12, 20, ..., 84 and 1020.
+# Doubling is checked for p <= 83 only: at order 2040 it takes seconds.
+@pytest.mark.parametrize("p", PRIMES)
+def test_paley_square_round_trip_lift_and_doubling(p):
+    eye = np.eye(p + 1, dtype=np.int64)
+    h = paley_conference(p) + eye
+    for hh in (h, signed_permutation(h, np.random.default_rng(p))):
+        np.testing.assert_array_equal(etf_to_hadamard_square(hadamard_to_etf_square(hh)), hh)
+    gram_c, q = lift_square(hadamard_to_etf_square(h))
+    np.testing.assert_array_equal(q, 1j * (h - eye))
+    np.testing.assert_array_equal(gram_c, np.eye(p + 1) + q / np.sqrt(p))
+    assert signature_check(q, (p + 1) // 2)
+    if p <= 83:
+        assert is_skew_hadamard(double_hadamard(h))
+        doubled = double_frame(factor_gram(hadamard_to_etf_square(h)))
+        assert certify_etf(gram(doubled), 2 * (p + 1)) is not None
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_paley_square_near_miss_is_refused_by_the_lift_and_doubling(p):
+    # a loose residual bound certifies one reversed edge; the exact gate refuses it
+    loose = ToleranceProfile(residual_rel_tol=0.5)
+    miss = flip_edge(paley_conference(p), np.random.default_rng(p)).astype(float)
+    assert certify_etf(miss, p + 1, loose) is not None
+    with pytest.raises(RoundingError):
+        lift_square(miss, loose)
+    if p <= 83:
+        with pytest.raises(RoundingError):
+            double_frame(factor_gram(miss), tol=loose)
+
+
+def _core_at(c: np.ndarray, k: int) -> np.ndarray:
+    """Switch row k of a bordered Seidel matrix to +1s, then delete vertex k."""
+    eps = c[k].copy()
+    eps[k] = 1
+    keep = np.arange(c.shape[0]) != k
+    return (c * np.outer(eps, eps))[np.ix_(keep, keep)]
+
+
+def _gate_verdict(c: np.ndarray, tol: ToleranceProfile) -> str:
+    try:
+        etf_to_conference(c.astype(float), c.shape[0], tol)
+    except RoundingError:
+        return "rounding"
+    return "accept"
+
+
+CONFERENCE = [seed_hadamard(m) - np.eye(m, dtype=np.int64) for m in (4, 8, 16, 32)] + [
+    paley_conference(p) for p in (7, 11, 19, 23)
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_signed_permutations_keep_conference_diamonds_and_gate_verdict(data):
+    # D P C P^T D relabels vertex 0 as k and switches; normalizing at k undoes the
+    # switching, so the core at k is the core at 0 relabelled
+    loose = ToleranceProfile(residual_rel_tol=0.5)
+    c = data.draw(st.sampled_from(CONFERENCE))
+    n = c.shape[0]
+    i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    miss = c.copy()
+    miss[i, j], miss[j, i] = -c[i, j], -c[j, i]
+    perm = np.array(data.draw(st.permutations(range(n))))
+    signs = np.array(data.draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)))
+    k = int(np.flatnonzero(perm == 0)[0])
+    for s, verdict in ((c, "accept"), (miss, "rounding")):
+        moved = signs[:, None] * s[np.ix_(perm, perm)] * signs[None, :]
+        assert is_skew_conference(moved) == is_skew_conference(s) == (verdict == "accept")
+        assert count_diamonds_formula(_core_at(moved, k)) == count_diamonds_formula(_core_at(s, 0))
+        assert _gate_verdict(moved, loose) == _gate_verdict(s, loose) == verdict

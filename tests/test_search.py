@@ -5,18 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sympetf.frames import certify_etf, gram
-from sympetf.hadamard import is_skew_conference
+from sympetf.frames import certify_etf, factor_gram, gram
+from sympetf.hadamard import is_skew_conference, seed_hadamard
 from sympetf.search import (
     SearchConfig,
     _apply_flip,
     _flip_delta,
     _flip_deltas,
     _offdiag_square_sum,
+    _rounded_certificate,
     continuous_etf_search,
     discrete_diamond_search,
     gerzon_oracle,
 )
+from sympetf.skewlinalg import ToleranceProfile
 from sympetf.tournaments import (
     count_diamonds_formula,
     diamond_upper_bound,
@@ -67,6 +69,18 @@ def test_continuous_search_4x5_never_certifies():
     out = continuous_etf_search(4, 5, 2, cfg)
     assert not out.success
     assert min(out.restart_values) - 20.0 >= 1e-3
+
+
+def test_continuous_success_test_is_the_exact_gate():
+    # a loose residual bound certifies the rounded Gram of a one-flip near
+    # miss; the search's success test must refuse it all the same
+    loose = ToleranceProfile(residual_rel_tol=0.5)
+    square = (seed_hadamard(16) - np.eye(16, dtype=np.int64)).astype(float)
+    miss = square.copy()
+    miss[1, 2], miss[2, 1] = -square[1, 2], -square[2, 1]
+    assert certify_etf(miss, 16, loose) is not None
+    assert _rounded_certificate(factor_gram(miss), 16, loose) is None
+    assert _rounded_certificate(factor_gram(square), 16, loose) == certify_etf(square, 16, loose)
 
 
 def test_continuous_search_deterministic():
