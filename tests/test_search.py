@@ -197,6 +197,26 @@ def test_continuous_search_golden_outcomes(d, n, seed, success, value, iters, in
     assert hashlib.sha256(out.best_object.tobytes()).hexdigest() == digest
 
 
+# (d, n, p, seed, success, best_value, iterations_used, restart_index,
+#  restart_values, sha256 of best_object.tobytes()) of continuous_etf_search
+# at orders p != 2, restarts=4, max_iters=2000, recorded before the descent
+# loop moved onto private kernels.  Same platform as GOLDEN_CONTINUOUS.
+GOLDEN_CONTINUOUS_ORDERS = [
+    (2, 3, 1.5, 1, True, 6.000000065569036, 51, 2, (6.000000384506446, 6.000000348169717, 6.000000065569036, 6.000000242207272), "6328583b7b7362a2e337f172283f4dddcd98dec059acb74d72ee9d402a0b55f1"),
+    (4, 4, 3, 0, True, 12.00000000413564, 127, 3, (12.000000069478423, 12.000000351886879, 12.000000005133726, 12.00000000413564), "5538fa72a657abb6d63c0ef92fab9e76518b14f22ce21c3ecb8d8fc99bbe649a"),
+    (6, 7, 1.5, 2, True, 42.00000016018445, 1120, 3, (43.889020335550306, 42.00000041953399, 43.8890203355503, 42.00000016018445), "07e387ce364824d9ecc2b74d01cdd6d97100f249d492ae06c3f68a0c00d9d2e3"),
+    (4, 5, 3, 1, False, 22.16767808441424, 407, 3, (22.167678084414298, 22.16767808441427, 22.167678084414266, 22.16767808441424), "5ba7a325c9dd351b15d0ccb6e135589efb657ef3c624fa51db25704c27c7bf94"),
+]
+
+
+@pytest.mark.parametrize("d, n, p, seed, success, value, iters, index, values, digest", GOLDEN_CONTINUOUS_ORDERS)
+def test_continuous_search_golden_outcomes_other_orders(d, n, p, seed, success, value, iters, index, values, digest):
+    out = continuous_etf_search(d, n, p, SearchConfig(seed=seed, restarts=4, max_iters=2000))
+    assert (out.success, out.best_value, out.iterations_used) == (success, value, iters)
+    assert (out.restart_index, out.restart_values) == (index, values)
+    assert hashlib.sha256(out.best_object.tobytes()).hexdigest() == digest
+
+
 def test_discrete_search_finds_conference_matrices():
     t0 = time.perf_counter()
     for n in (4, 8):
