@@ -4,14 +4,17 @@
 bad dimensions, out-of-range orders, malformed parameters.  The classes
 below signal *domain* failures, where the input is well formed but does
 not have the mathematical structure an operation requires.  The CLI maps
-domain failures to exit code 1, and usage failures and ``MemoryError``
-(a size no machine can hold) to exit code 2.
+domain failures to exit code 1, and usage failures, ``MemoryError`` (a
+size no machine can hold) and ``FloatingPointError`` (a search step so
+large that float64 overflows) to exit code 2.
 
 Validation runs once, at the public boundary: a public function checks
 its array arguments on entry and hands values it has checked or built
-itself to private ``_`` kernels of its own module, which trust their
-arrays; calls into another module go through its public names.  The
-boundary validators raise ``ValueError`` (``as_matrix``,
+itself to private ``_`` kernels, which trust their arrays.  Calls into
+another module go through its public names, except that a public entry
+point that validated its inputs may hand arrays it built itself to
+another module's ``_`` kernel, as ``search.continuous_etf_search`` does in
+its descent loop.  The boundary validators raise ``ValueError`` (``as_matrix``,
 ``frames._check_synthesis``, ``hadamard._as_int_square``,
 ``complex_lift._check_signature_structure``) or a domain error
 (``check_skew``: ``NotSkewSymmetricError``; ``tournaments.check_seidel``

@@ -98,8 +98,9 @@ def _analysis(phi: np.ndarray) -> np.ndarray:
     return phi.T @ omega(phi.shape[0])
 
 
-def _gram(phi: np.ndarray) -> np.ndarray:
-    g = _analysis(phi) @ phi
+def _gram(phi: np.ndarray, om: np.ndarray) -> np.ndarray:
+    """``gram`` of a checked phi given om = omega(d), which a loop builds once."""
+    g = phi.T @ om @ phi
     return (g - g.T) / 2.0
 
 
@@ -110,7 +111,8 @@ def analysis(phi) -> np.ndarray:
 
 def gram(phi) -> np.ndarray:
     """Skew-symmetric Gram matrix analysis(phi) @ phi, antisymmetrized exactly."""
-    return _gram(_check_synthesis(phi))
+    phi = _check_synthesis(phi)
+    return _gram(phi, omega(phi.shape[0]))
 
 
 def frame_operator(phi) -> np.ndarray:
@@ -132,7 +134,7 @@ def frame_bounds(phi, tol: ToleranceProfile = DEFAULT_TOL) -> FrameBounds:
     is how they are computed here.
     """
     phi = _check_frame(phi, tol)
-    s = np.linalg.svd(_gram(phi), compute_uv=False)
+    s = np.linalg.svd(_gram(phi, omega(phi.shape[0])), compute_uv=False)
     return FrameBounds(lower=float(s[phi.shape[0] - 1]), upper=float(s[0]))
 
 
@@ -252,5 +254,5 @@ def symplectic_witness(phi, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     M @ psi = phi preserves the symplectic form.
     """
     phi = _check_frame(phi, tol)
-    psi = _factor(_gram(phi), tol)
+    psi = _factor(_gram(phi, omega(phi.shape[0])), tol)
     return phi @ psi.T @ np.linalg.inv(psi @ psi.T)

@@ -139,6 +139,8 @@ def etf_to_conference(
     n = g.shape[0]
     cert = certify_etf(g, d, tol)
     if cert is None:
+        if n not in (d, d + 1):
+            raise NotEtfError(f"size mismatch: a d={d} ETF Gram has n = d or d+1, got n={n}")
         family = "a square ETF" if n == d else "a d-by-(d+1) ETF"
         raise NotEtfError(f"input is not the Gram matrix of {family}")
     s = seidel_from_gram(g, tol)

@@ -44,7 +44,10 @@ def _check_order(p) -> float:
 def frame_potential(g, p) -> float:
     """Order-p potential of a skew Gram matrix (p = math.inf for the sup form)."""
     p = _check_order(p)
-    g = check_skew(g)
+    return _potential(check_skew(g), p)
+
+
+def _potential(g: np.ndarray, p: float) -> float:
     if math.isinf(p):
         off = ~np.eye(g.shape[0], dtype=bool)
         return float(np.max(np.abs(g[off]))) if g.shape[0] > 1 else 0.0
@@ -72,10 +75,14 @@ def potential_bound(d: int, n: int, p) -> float:
 def normalize_nuclear(g, d: int, n: int) -> np.ndarray:
     """Rescale g so its nuclear norm equals sqrt(d*n*(n-1))."""
     g = check_skew(g)
-    nuc = float(np.sum(np.linalg.svd(g, compute_uv=False)))
+    nuc = _nuclear(g)
     if nuc == 0.0:
         raise ValueError("cannot normalize the zero matrix")
     return g * (math.sqrt(d * n * (n - 1)) / nuc)
+
+
+def _nuclear(g: np.ndarray) -> float:
+    return float(np.sum(np.linalg.svd(g, compute_uv=False)))
 
 
 def potential_gradient(phi, p) -> np.ndarray:
@@ -89,11 +96,13 @@ def potential_gradient(phi, p) -> np.ndarray:
         raise ValueError("gradient is defined for finite orders only")
     g = gram(phi)
     phi = np.asarray(phi, dtype=float)
-    if p == 1.0:
-        w = 2.0 * g
-    else:
-        w = 2.0 * p * g * np.abs(g) ** (2.0 * p - 2.0)
-    return -2.0 * omega(phi.shape[0]) @ phi @ w
+    return _gradient(phi, g, p, omega(phi.shape[0]))
+
+
+def _gradient(phi: np.ndarray, g: np.ndarray, p: float, om: np.ndarray) -> np.ndarray:
+    """``potential_gradient`` at a finite checked p, given g = gram(phi) and om = omega(d)."""
+    w = 2.0 * g if p == 1.0 else 2.0 * p * g * np.abs(g) ** (2.0 * p - 2.0)
+    return -2.0 * om @ phi @ w
 
 
 def potential_report(g, d: int, n: int, p) -> PotentialReport:

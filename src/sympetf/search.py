@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .frames import gram
-from .potentials import frame_potential, potential_gradient
-from .skewlinalg import DEFAULT_TOL, ToleranceProfile, skew_spectral_form
+from .frames import _gram, gram, omega
+from .potentials import _gradient, _nuclear, _potential
+from .skewlinalg import DEFAULT_TOL, ToleranceProfile, _spectral_form
 from .tournaments import check_seidel, count_diamonds_formula, diamond_upper_bound, random_tournament
 from .hadamard import etf_to_conference, is_skew_conference
 
@@ -50,8 +50,10 @@ class SearchConfig:
     target_residual: float = 1e-6
 
     def __post_init__(self):
-        if self.restarts < 1 or self.max_iters < 1 or self.step <= 0:
-            raise ValueError("restarts and max_iters must be >= 1 and step > 0")
+        if self.restarts < 1 or self.max_iters < 1 or not 0 < self.step < math.inf:
+            raise ValueError("restarts and max_iters must be >= 1 and step finite and > 0")
+        if not self.target_residual >= 0:
+            raise ValueError(f"target_residual must be >= 0, got {self.target_residual}")
 
 
 @dataclass(frozen=True)
@@ -84,15 +86,16 @@ def _outcome(restarts: list, iterations: int) -> SearchOutcome:
     )
 
 
-def _renormalize(phi: np.ndarray, target: float) -> np.ndarray:
-    nuc = float(np.sum(np.linalg.svd(gram(phi), compute_uv=False)))
+@np.errstate(over="raise", invalid="raise")  # a step too large for float64 fails at once
+def _renormalize(phi: np.ndarray, target: float, om: np.ndarray) -> np.ndarray:
+    nuc = _nuclear(_gram(phi, om))
     if nuc == 0.0:
         return phi
     return phi * math.sqrt(target / nuc)
 
 
-def _canonicalize(phi: np.ndarray) -> np.ndarray:
-    """Replace phi by the canonical factor of its Gram, keeping the Gram fixed.
+def _canonicalize(phi: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Replace phi by the canonical factor of its Gram g, keeping the Gram fixed.
 
     The symplectic group is noncompact, so gradient trajectories can drift
     to arbitrarily large synthesis matrices without changing the objective;
@@ -100,7 +103,7 @@ def _canonicalize(phi: np.ndarray) -> np.ndarray:
     Skipped when the Gram is (numerically) rank deficient.
     """
     d = phi.shape[0]
-    form = skew_spectral_form(gram(phi))
+    form = _spectral_form(g, DEFAULT_TOL)  # g = _gram(phi) is exactly antisymmetric
     if form.rank != d:
         return phi
     u = form.w[phi.shape[1] - d :, :]
@@ -139,25 +142,28 @@ def continuous_etf_search(
 
     bound = float(n * (n - 1))
     target_nuc = math.sqrt(d * n * (n - 1))
+    om = omega(d)
 
     restarts = []
     total_iters = 0
     for r in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, r])
-        phi = _renormalize(rng.normal(size=(d, n)), target_nuc)
-        value = frame_potential(gram(phi), p)
+        phi = _renormalize(rng.normal(size=(d, n)), target_nuc, om)
+        g = _gram(phi, om)
+        value, grad = _potential(g, p), _gradient(phi, g, p, om)
         step = cfg.step
         iters = 0
         while iters < cfg.max_iters and step > 1e-14:
             iters += 1
-            grad = potential_gradient(phi, p)
-            gnorm = float(np.linalg.norm(grad))
-            if gnorm == 0.0:
+            if float(np.linalg.norm(grad)) == 0.0:
                 break
-            trial = _renormalize(phi - step * grad, target_nuc)
-            trial_value = frame_potential(gram(trial), p)
+            trial = _renormalize(phi - step * grad, target_nuc, om)
+            g = _gram(trial, om)
+            trial_value = _potential(g, p)
             if trial_value < value:
-                phi, value = _canonicalize(trial), trial_value
+                # phi moves only here, so a rejected step keeps phi and its gradient
+                phi, value = _canonicalize(trial, g), trial_value
+                grad = _gradient(phi, _gram(phi, om), p, om)
                 step *= 1.5
             else:
                 step *= 0.5

@@ -12,6 +12,7 @@ factorization, tightness certificates) reduces to this decomposition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,7 +119,17 @@ def skew_spectral_form(a, tol: ToleranceProfile = DEFAULT_TOL) -> SkewSpectralFo
     singular values without explicit clustering.
     """
     a = check_skew(a, tol)
-    a = (a - a.T) / 2.0  # kill roundoff asymmetry before decomposing
+    return _spectral_form((a - a.T) / 2.0, tol)  # kill roundoff asymmetry first
+
+
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm`` of a vector, bit for bit: the same dot over a contiguous copy."""
+    v = v.ravel(order="K")
+    return math.sqrt(v.dot(v))
+
+
+def _spectral_form(a: np.ndarray, tol: ToleranceProfile) -> SkewSpectralForm:
+    """``skew_spectral_form`` of an exactly antisymmetric float array, unchecked."""
     n = a.shape[0]
 
     u, s, vt = np.linalg.svd(a)
@@ -139,17 +150,17 @@ def skew_spectral_form(a, tol: ToleranceProfile = DEFAULT_TOL) -> SkewSpectralFo
         cand = u[:, k]
         if basis is not None:
             cand = cand - basis @ (basis.T @ cand)
-        nr = np.linalg.norm(cand)
+        nr = _norm(cand)
         if nr < 1e-6:
             continue  # already inside an accepted block
         wk = cand / nr
         awk = a @ wk
-        lam = np.linalg.norm(awk)
+        lam = _norm(awk)
         zk = -awk / lam
         if basis is not None:
             # one defensive re-orthogonalization pass for clustered spectra
             zk = zk - basis @ (basis.T @ zk)
-            zk = zk / np.linalg.norm(zk)
+            zk = zk / _norm(zk)
         m = 2 * len(lambdas)
         pairs[:, m] = wk
         pairs[:, m + 1] = zk

@@ -182,6 +182,19 @@ def test_verify_etf_refuses_a_certified_near_miss(tmp_path, src, m):
         assert (proc.returncode, proc.stdout, proc.stderr) == (1, "verified=false\n", "")
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--step", "nan"), ("--step", "inf"), ("--step", "-1"), ("--step", "1e300"),
+    ("--target-residual", "nan"), ("--target-residual", "-1"),
+])
+def test_search_budget_is_checked_at_the_boundary(tmp_path, flag, value):
+    # a NaN step used to run 0 iterations and a NaN residual could never be
+    # met; a step that overflows float64 is refused without numpy warnings
+    proc = run_module(tmp_path, "search", "--mode", "continuous", "--n", "3", "--dim", "2",
+                      "--restarts", "2", flag, value)
+    assert proc.returncode == 2
+    assert_one_line_error(proc)
+
+
 def test_search_beyond_memory_is_a_one_line_usage_error(tmp_path):
     # n = 10^8 asks numpy for an 8.9 PiB mask, more than any address space.
     # Building it first fills two 381 MiB index vectors, so the child's

@@ -182,6 +182,13 @@ def test_etf_to_conference_square_and_errors(conf4):
         etf_to_conference(np.zeros((3, 3)), 2)
 
 
+@pytest.mark.parametrize("m, d", [(8, 4), (8, 6), (16, 8), (4, 8)])
+def test_etf_to_conference_names_a_size_mismatch(m, d):
+    # a genuine square ETF Gram offered at a dimension whose sizes exclude it
+    with pytest.raises(NotEtfError, match=rf"^size mismatch: a d={d} ETF Gram has n = d or d\+1, got n={m}$"):
+        etf_to_conference(hadamard_to_etf_square(seed_hadamard(m)), d)
+
+
 @pytest.mark.parametrize("m", [8, 16, 32, 64])
 def test_certified_near_misses_fail_the_exact_check(m):
     # one reversed edge keeps the Gram equiangular; a loose residual bound

@@ -6,10 +6,13 @@ conjugated by a seeded signed permutation D P H P^T D, which keeps H skew
 Hadamard but leaves normalization real work to do.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sympetf.frames import certify_etf, is_equiangular, is_tight
+from sympetf.frames import _gram, certify_etf, gram, is_equiangular, is_tight, omega
 from sympetf.hadamard import (
     core,
     hadamard_to_etf_core,
@@ -18,7 +21,16 @@ from sympetf.hadamard import (
     normalize_conference,
     seed_hadamard,
 )
-from sympetf.skewlinalg import DEFAULT_TOL, ToleranceProfile
+from sympetf.potentials import (
+    _gradient,
+    _nuclear,
+    _potential,
+    frame_potential,
+    normalize_nuclear,
+    potential_gradient,
+)
+from sympetf.search import _renormalize
+from sympetf.skewlinalg import DEFAULT_TOL, ToleranceProfile, _norm, _spectral_form, skew_spectral_form
 
 ORDERS = (8, 16, 32, 64)
 LOOSE = ToleranceProfile(residual_rel_tol=1e-4, entry_tol=1e-4)
@@ -92,3 +104,35 @@ def test_near_miss_certificates_match_the_public_checks_under_loose_tolerances(m
         cert = _certificate_matches_public_checks(miss, d, LOOSE)
         assert 1e-7 < cert.equiangular_residual < 1e-5
         assert 0 < cert.tightness_residual < LOOSE.residual_rel_tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.sampled_from((2, 4, 6, 8)),
+    extra=st.integers(0, 1),
+    p=st.sampled_from((1.5, 2.0, 3.0)),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from((1e-3, 1.0, 37.0)),
+)
+def test_search_kernels_are_bit_identical_to_the_public_api(d, extra, p, seed, scale):
+    # the continuous search's loop calls the kernels directly; each must
+    # return the very bits its validating public wrapper returns
+    n = d + extra
+    phi = scale * np.random.default_rng(seed).normal(size=(d, n))
+    om = omega(d)
+    g = _gram(phi, om)
+    assert g.tobytes() == gram(phi).tobytes()
+    assert np.float64(_potential(g, p)).tobytes() == np.float64(frame_potential(g, p)).tobytes()
+    assert _gradient(phi, g, p, om).tobytes() == potential_gradient(phi, p).tobytes()
+    form, public = _spectral_form(g, DEFAULT_TOL), skew_spectral_form(g)
+    assert form.rank == public.rank
+    assert form.w.tobytes() == public.w.tobytes()
+    assert form.lambdas.tobytes() == public.lambdas.tobytes()
+    # the nuclear-norm kernel behind normalize_nuclear and the search's rescaling
+    nuc = float(np.sum(np.linalg.svd(g, compute_uv=False)))
+    assert _nuclear(g) == nuc
+    assert _renormalize(phi, 6.0, om).tobytes() == (phi * math.sqrt(6.0 / nuc)).tobytes()
+    target = math.sqrt(d * n * (n - 1))
+    assert normalize_nuclear(g, d, n).tobytes() == (g * (target / nuc)).tobytes()
+    for v in (form.w[:, 0], form.w[0], g[:, -1]):
+        assert _norm(v) == np.linalg.norm(v)

@@ -1,5 +1,6 @@
 import hashlib
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,15 @@ def test_config_validation():
         SearchConfig(restarts=0)
     with pytest.raises(ValueError):
         SearchConfig(step=-1.0)
+    for bad in ({"step": float("nan")}, {"step": float("inf")},
+                {"target_residual": float("nan")}, {"target_residual": -1e-9}):
+        with pytest.raises(ValueError):
+            SearchConfig(**bad)
+    # a finite step too large for float64 fails with one exception, not warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="overflow"):
+            continuous_etf_search(2, 3, 2, SearchConfig(step=1e300))
     with pytest.raises(ValueError):
         continuous_etf_search(3, 3, 2, SearchConfig())
     with pytest.raises(ValueError):
