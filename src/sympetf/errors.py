@@ -13,9 +13,9 @@ its array arguments on entry and hands values it has checked or built
 itself to private ``_`` kernels, which trust their arrays.  Calls into
 another module go through its public names, except that a public entry
 point that validated its inputs may hand arrays it built itself to
-another module's ``_`` kernel, as ``search.continuous_etf_search`` does in
-its descent loop.  The boundary validators raise ``ValueError`` (``as_matrix``,
-``frames._check_synthesis``, ``hadamard._as_int_square``,
+another module's ``_`` kernel, as ``search.continuous_etf_search`` does
+in its descent loop.  The boundary validators raise ``ValueError``
+(``as_matrix``, ``frames._check_synthesis``, ``hadamard._as_int_square``,
 ``complex_lift._check_signature_structure``) or a domain error
 (``check_skew``: ``NotSkewSymmetricError``; ``tournaments.check_seidel``
 and ``_check_skew_int``: ``InvalidSeidelError``).  Exact checks that

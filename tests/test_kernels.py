@@ -1,9 +1,10 @@
 """Private kernels against the public paths that validate before calling them.
 
 Power-of-two seeds come out of the doubling construction with their
-conference matrices already normalized, so every input here is first
-conjugated by a seeded signed permutation D P H P^T D, which keeps H skew
-Hadamard but leaves normalization real work to do.
+conference matrices already normalized, so every Hadamard input here is
+first conjugated by a seeded signed permutation D P H P^T D, which keeps H
+skew Hadamard but leaves normalization real work to do.  The continuous
+search's kernels are compared bit for bit on random synthesis matrices.
 """
 
 import math
@@ -30,7 +31,13 @@ from sympetf.potentials import (
     potential_gradient,
 )
 from sympetf.search import _renormalize
-from sympetf.skewlinalg import DEFAULT_TOL, ToleranceProfile, _norm, _spectral_form, skew_spectral_form
+from sympetf.skewlinalg import (
+    DEFAULT_TOL,
+    ToleranceProfile,
+    _norm,
+    _spectral_form,
+    skew_spectral_form,
+)
 
 ORDERS = (8, 16, 32, 64)
 LOOSE = ToleranceProfile(residual_rel_tol=1e-4, entry_tol=1e-4)
