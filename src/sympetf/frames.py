@@ -159,16 +159,10 @@ def factor_gram(g, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
 
 
 def _factor(g: np.ndarray, tol: ToleranceProfile) -> np.ndarray:
-    rank = rank_by_sv(g, tol)
-    if rank == 0:
-        raise FactorizationError("zero matrix has no frame factorization")
-    if rank % 2 != 0:
-        raise FactorizationError(f"numerical rank {rank} is odd; inconsistent tolerances")
     form = skew_spectral_form(g, tol)
-    n = g.shape[0]
-    u = form.w[n - form.rank :, :]
-    d_diag = np.sqrt(np.repeat(form.lambdas, 2))
-    return d_diag[:, None] * u
+    if form.rank == 0:
+        raise FactorizationError("zero matrix has no frame factorization")
+    return form.factor()
 
 
 def _tightness(g: np.ndarray, d: int, tol: ToleranceProfile) -> Optional[tuple[float, float]]:

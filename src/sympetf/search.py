@@ -86,7 +86,6 @@ def _outcome(restarts: list, iterations: int) -> SearchOutcome:
     )
 
 
-@np.errstate(over="raise", invalid="raise")  # a step too large for float64 fails at once
 def _renormalize(phi: np.ndarray, target: float, om: np.ndarray) -> np.ndarray:
     nuc = _nuclear(_gram(phi, om))
     if nuc == 0.0:
@@ -102,12 +101,8 @@ def _canonicalize(phi: np.ndarray, g: np.ndarray) -> np.ndarray:
     resetting to the bounded D @ U factor keeps the line search conditioned.
     Skipped when the Gram is (numerically) rank deficient.
     """
-    d = phi.shape[0]
     form = _spectral_form(g, DEFAULT_TOL)  # g = _gram(phi) is exactly antisymmetric
-    if form.rank != d:
-        return phi
-    u = form.w[phi.shape[1] - d :, :]
-    return np.sqrt(np.repeat(form.lambdas, 2))[:, None] * u
+    return form.factor() if form.rank == phi.shape[0] else phi
 
 
 def _rounded_certificate(phi: np.ndarray, d: int, tol: ToleranceProfile):
@@ -125,6 +120,7 @@ def _rounded_certificate(phi: np.ndarray, d: int, tol: ToleranceProfile):
         return None
 
 
+@np.errstate(over="raise", invalid="raise")  # a step or order too large for float64 fails at once
 def continuous_etf_search(
     d: int, n: int, p: float, cfg: SearchConfig, tol: ToleranceProfile = DEFAULT_TOL
 ) -> SearchOutcome:

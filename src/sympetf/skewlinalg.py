@@ -56,9 +56,10 @@ DEFAULT_TOL = ToleranceProfile()
 class SkewSpectralForm:
     """Canonical form of a skew-symmetric matrix.
 
-    ``w`` is n-by-n orthogonal, ``lambdas`` holds the r distinct-slot block
-    values in descending order (each one is a nonzero singular value of the
-    input, which occurs twice), and ``rank == 2 * r``.
+    ``w`` is n-by-n orthogonal, ``lambdas`` holds the r block values in
+    descending order (the positive eigenvalues of ``1j * a``, each a
+    nonzero singular value of ``a`` that occurs twice), and
+    ``rank == 2 * r``, so the rank is always even.
     """
 
     w: np.ndarray
@@ -75,6 +76,15 @@ class SkewSpectralForm:
             b[i, i + 1] = lam
             b[i + 1, i] = -lam
         return self.w.T @ b @ self.w
+
+    def factor(self) -> np.ndarray:
+        """The canonical rank-by-n factor D @ U whose symplectic Gram is the input.
+
+        U is the last ``rank`` rows of ``w`` and D repeats the square root
+        of each block value on both rows of its block.
+        """
+        u = self.w[self.w.shape[0] - self.rank :, :]
+        return np.sqrt(np.repeat(self.lambdas, 2))[:, None] * u
 
 
 def as_matrix(a, dtype=float) -> np.ndarray:
@@ -112,68 +122,29 @@ def rank_by_sv(a, tol: ToleranceProfile = DEFAULT_TOL) -> int:
 def skew_spectral_form(a, tol: ToleranceProfile = DEFAULT_TOL) -> SkewSpectralForm:
     """Canonical spectral form of a real skew-symmetric matrix.
 
-    Works through the SVD: for skew ``a`` with a = u s v^T one has
-    a @ u_k = -s_k v_k, so each retained left singular vector pairs with
-    its image under ``a`` to give one 2x2 rotation block.  Vectors already
-    covered by an accepted block are skipped, which handles repeated
-    singular values without explicit clustering.
+    Works through one Hermitian eigendecomposition of ``1j * a``: an
+    eigenvector x + iy of an eigenvalue l > 0 has a @ y = -l x and
+    a @ x = l y, and the eigenvectors of -l are the conjugates, so the
+    rows sqrt(2) y, sqrt(2) x of every positive eigenvalue, repeated ones
+    included, are orthonormal and span one 2x2 block of value l.  The
+    kernel rows are a real orthonormal complement of those rows.
     """
     a = check_skew(a, tol)
     return _spectral_form((a - a.T) / 2.0, tol)  # kill roundoff asymmetry first
 
 
-def _norm(v: np.ndarray) -> float:
-    """``np.linalg.norm`` of a vector, bit for bit: the same dot over a contiguous copy."""
-    v = v.ravel(order="K")
-    return math.sqrt(v.dot(v))
-
-
 def _spectral_form(a: np.ndarray, tol: ToleranceProfile) -> SkewSpectralForm:
     """``skew_spectral_form`` of an exactly antisymmetric float array, unchecked."""
     n = a.shape[0]
-
-    u, s, vt = np.linalg.svd(a)
-    if s[0] == 0.0:
+    lam, z = np.linalg.eigh(1j * a)  # ascending, in +-l pairs
+    if lam[-1] <= 0.0:
         return SkewSpectralForm(w=np.eye(n), lambdas=np.zeros(0), rank=0)
-    rank = int(np.count_nonzero(s > tol.rank_rel_tol * s[0]))
-    r = rank // 2
-
-    # accepted (w_k, z_k) columns, interleaved, fill the first 2 * len(lambdas)
-    # columns of ``pairs``; ``basis`` copies them into one contiguous block,
-    # since projecting on a strided view rounds differently
-    pairs = np.empty((n, n))
-    basis = None
-    lambdas = []
-    for k in range(min(rank, n)):
-        if len(lambdas) == r:
-            break
-        cand = u[:, k]
-        if basis is not None:
-            cand = cand - basis @ (basis.T @ cand)
-        nr = _norm(cand)
-        if nr < 1e-6:
-            continue  # already inside an accepted block
-        wk = cand / nr
-        awk = a @ wk
-        lam = _norm(awk)
-        zk = -awk / lam
-        if basis is not None:
-            # one defensive re-orthogonalization pass for clustered spectra
-            zk = zk - basis @ (basis.T @ zk)
-            zk = zk / _norm(zk)
-        m = 2 * len(lambdas)
-        pairs[:, m] = wk
-        pairs[:, m + 1] = zk
-        lambdas.append(lam)
-        basis = pairs[:, : m + 2].copy()
-
-    # kernel completion: right singular vectors of the discarded values,
-    # then the pairs in descending block value
-    order = np.argsort(lambdas)[::-1]
-    lam_sorted = np.asarray(lambdas)[order]
-    off = n - 2 * len(lambdas)
-    q = np.empty((n, n))
-    q[:, :off] = vt[n - off :].T
-    q[:, off:] = pairs[:, (2 * order[:, None] + np.arange(2)).ravel()]
-
-    return SkewSpectralForm(w=q.T, lambdas=lam_sorted, rank=2 * len(lam_sorted))
+    r = int(np.count_nonzero(lam > tol.rank_rel_tol * lam[-1]))
+    z = z[:, n - r :][:, ::-1]  # descending block values
+    off = n - 2 * r
+    w = np.empty((n, n))
+    w[off::2] = math.sqrt(2.0) * z.imag.T
+    w[off + 1 :: 2] = math.sqrt(2.0) * z.real.T
+    if off:
+        w[:off] = np.linalg.qr(w[off:].T, mode="complete")[0][:, 2 * r :].T
+    return SkewSpectralForm(w=w, lambdas=lam[n - r :][::-1], rank=2 * r)

@@ -182,17 +182,23 @@ def test_verify_etf_refuses_a_certified_near_miss(tmp_path, src, m):
         assert (proc.returncode, proc.stdout, proc.stderr) == (1, "verified=false\n", "")
 
 
-@pytest.mark.parametrize("flag, value", [
+BUDGETS = [
     ("--step", "nan"), ("--step", "inf"), ("--step", "-1"), ("--step", "1e300"),
     ("--target-residual", "nan"), ("--target-residual", "-1"),
-])
-def test_search_budget_is_checked_at_the_boundary(tmp_path, flag, value):
+    ("--n", "16", "--dim", "16", "--p", "300", "--max-iters", "50"),
+]
+
+
+@pytest.mark.parametrize("argv", BUDGETS, ids=["-".join(argv) for argv in BUDGETS])
+def test_search_budget_is_checked_at_the_boundary(tmp_path, argv):
     # a NaN step used to run 0 iterations and a NaN residual could never be
-    # met; a step that overflows float64 is refused without numpy warnings
+    # met; a step or an order p that overflows float64 is refused without
+    # numpy warnings.  argv comes last, so its --n and --dim win.
     proc = run_module(tmp_path, "search", "--mode", "continuous", "--n", "3", "--dim", "2",
-                      "--restarts", "2", flag, value)
+                      "--restarts", "2", *argv)
     assert proc.returncode == 2
     assert_one_line_error(proc)
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_search_beyond_memory_is_a_one_line_usage_error(tmp_path):

@@ -155,16 +155,18 @@ def test_factor_gram_round_trips(gram_tight, conf4, core3):
 
 
 # (d, rows, cols, sha256 of factor_gram(core).tobytes()) on the core Grams
-# of seed_hadamard(d + 2), recorded with the column-stacked pair basis of
-# skew_spectral_form on numpy 2.4.6 / OpenBLAS 0.3.31 (x86-64) with BLAS on
-# one thread.  The bits depend on the LAPACK and BLAS build and on the BLAS
-# thread count (d = 510 differs on two threads), so a fresh interpreter
-# computes them with BLAS on one thread.
+# of seed_hadamard(d + 2), recorded after skew_spectral_form moved from an
+# SVD pairing loop to one Hermitian eigendecomposition (the Gram of each
+# factor matches its core to 3e-15 relative before and after), on numpy
+# 2.4.6 / OpenBLAS 0.3.31 (x86-64) with BLAS on one thread.  The bits
+# depend on the LAPACK and BLAS build and on the BLAS thread count (d = 510
+# differs on two threads), so a fresh interpreter computes them with BLAS
+# on one thread.
 GOLDEN_FACTORS = """\
-6 6 7 2a3206f36c2e0db2740461325095f46907fbc83721cffceac84b3d9cb669c9bf
-14 14 15 e5c5e685e3537e3447af2a55c6ad802df6029de9e9ba665ef8a898f1fb23a8a8
-62 62 63 ba4301b161d1753ad15b84a5542154f479d37f58b400f675b60799a5accaff8c
-510 510 511 586cb1ac6b3894aa66f14004c81bf865211631eced61f25a614f04c00fa9d13a
+6 6 7 c8089ebaa07807fbfa2fa80165e82aa624be4bedcdcf70b368ee41a9f62ad3c4
+14 14 15 3ef8f5550c0937bbde197752e861c9f573ee18e7b9023e663bef870383d4f4c2
+62 62 63 066f32268004d186fdbaf994204395f553d623f0bb334b27b8751d80964fbb07
+510 510 511 d8e5d548c186a63a59c7ba8f2148a760bab5ee4f3b228d5e4c62baa3dfa8837a
 """
 FACTOR_DIGESTS = """\
 import hashlib

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sympetf.frames import _gram, certify_etf, gram, is_equiangular, is_tight, omega
+from sympetf.frames import _gram, certify_etf, factor_gram, gram, is_equiangular, is_tight, omega
 from sympetf.hadamard import (
     core,
     hadamard_to_etf_core,
@@ -30,11 +30,10 @@ from sympetf.potentials import (
     normalize_nuclear,
     potential_gradient,
 )
-from sympetf.search import _renormalize
+from sympetf.search import _canonicalize, _renormalize
 from sympetf.skewlinalg import (
     DEFAULT_TOL,
     ToleranceProfile,
-    _norm,
     _spectral_form,
     skew_spectral_form,
 )
@@ -141,5 +140,22 @@ def test_search_kernels_are_bit_identical_to_the_public_api(d, extra, p, seed, s
     assert _renormalize(phi, 6.0, om).tobytes() == (phi * math.sqrt(6.0 / nuc)).tobytes()
     target = math.sqrt(d * n * (n - 1))
     assert normalize_nuclear(g, d, n).tobytes() == (g * (target / nuc)).tobytes()
-    for v in (form.w[:, 0], form.w[0], g[:, -1]):
-        assert _norm(v) == np.linalg.norm(v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.sampled_from((2, 4, 8, 16)),
+    extra=st.integers(0, 1),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from((1e-3, 1.0, 1e3)),
+)
+def test_canonical_factor_keeps_the_gram_and_is_the_factor_gram_bits(d, extra, seed, scale):
+    # the search's canonical reset and factor_gram share SkewSpectralForm.factor,
+    # so a reset phi is the factor_gram of its own Gram, bit for bit
+    n = d + extra
+    phi = scale * np.random.default_rng(seed).normal(size=(d, n))
+    g = _gram(phi, omega(d))
+    canon = _canonicalize(phi, g)
+    assert np.linalg.norm(gram(canon) - g) <= 1e-12 * np.linalg.norm(g)
+    if _spectral_form(g, DEFAULT_TOL).rank == d:
+        assert canon.tobytes() == factor_gram(gram(phi)).tobytes()

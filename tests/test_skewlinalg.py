@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from sympetf.errors import NotSkewSymmetricError
+from sympetf.frames import gram
+from sympetf.hadamard import hadamard_to_etf_core, hadamard_to_etf_square
 from sympetf.skewlinalg import (
     DEFAULT_TOL,
     ToleranceProfile,
@@ -93,6 +95,42 @@ def test_spectral_form_handles_large_clusters():
         np.testing.assert_allclose(form.lambdas, math.sqrt(order - 1), atol=1e-12)
         assert np.linalg.norm(form.reconstruct() - g) <= 1e-12 * np.linalg.norm(g)
         assert np.linalg.norm(form.w @ form.w.T - np.eye(order)) <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_spectral_form_of_rank_deficient_grams(scale):
+    # gram(phi) of a d-by-n phi with d <= n - 2 has a kernel of dimension
+    # n - d >= 2, which the form completes with real orthonormal rows
+    rng = np.random.default_rng(13)
+    for d, n in ((2, 4), (2, 7), (4, 6), (4, 9), (6, 8), (6, 13), (8, 16)):
+        g = gram(scale * rng.normal(size=(d, n)))
+        form = skew_spectral_form(g)
+        ref = max(1.0, np.linalg.norm(g))
+        s = np.linalg.svd(g, compute_uv=False)
+        s = s[s > DEFAULT_TOL.rank_rel_tol * s[0]]
+        assert form.rank == s.size == d
+        np.testing.assert_allclose(np.repeat(form.lambdas, 2), s, atol=1e-10 * ref)
+        assert np.linalg.norm(form.reconstruct() - g) <= 1e-9 * ref
+        assert np.linalg.norm(form.w @ form.w.T - np.eye(n)) <= n * DEFAULT_TOL.rank_rel_tol
+        assert np.linalg.norm(form.w[: n - form.rank] @ g) <= 1e-9 * ref
+
+
+@pytest.mark.parametrize("p", [11, 19, 23, 43])
+def test_spectral_form_handles_paley_clusters(p):
+    # orders p + 1 = 12, 20, 24, 44 are not powers of two: the square Gram has
+    # the single block value sqrt(p) at full multiplicity, and the core Gram
+    # the same value on every block plus a one-dimensional kernel
+    from test_paley import paley_conference
+
+    h = paley_conference(p) + np.eye(p + 1, dtype=np.int64)
+    for g, rank in ((hadamard_to_etf_square(h), p + 1), (hadamard_to_etf_core(h), p - 1)):
+        n = g.shape[0]
+        form = skew_spectral_form(g)
+        assert form.rank == rank
+        np.testing.assert_allclose(form.lambdas, math.sqrt(p), atol=1e-12)
+        assert np.linalg.norm(form.reconstruct() - g) <= 1e-12 * np.linalg.norm(g)
+        assert np.linalg.norm(form.w @ form.w.T - np.eye(n)) <= 1e-12
+        assert np.linalg.norm(form.w[: n - rank] @ g) <= 1e-12 * np.linalg.norm(g)
 
 
 def test_rank_by_sv_basics(conf4):
