@@ -13,11 +13,9 @@ from .skewlinalg import (
     skew_spectral_form,
 )
 from .frames import (
-    EtfCertificate,
     FrameBounds,
     admissible_sizes,
     analysis,
-    certify_etf,
     dual_frame,
     factor_gram,
     frame_bounds,
@@ -52,6 +50,8 @@ from .tournaments import (
 )
 from .hadamard import (
     DoublingCoefficients,
+    EtfCertificate,
+    certify_etf,
     core,
     default_b_matrix,
     double_frame,

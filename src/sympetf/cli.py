@@ -16,7 +16,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import complex_lift, frames, hadamard, matio, search, tournaments
-from .errors import DomainError, NotEtfError, RoundingError
+from .errors import DomainError
 from .skewlinalg import DEFAULT_TOL
 
 class UsageError(Exception):
@@ -76,10 +76,8 @@ def _verify_tight(args, tol):
 def _verify_etf(args, tol):
     d = _require_even_dim(args)
     _, mat = _load(args.file, ("real", "int"))
-    try:
-        return True, asdict(hadamard.etf_to_conference(mat.astype(float), d, tol)[0])
-    except (NotEtfError, RoundingError):  # not an ETF: a verdict, not an error
-        return False, {}
+    cert = hadamard.certify_etf(mat.astype(float), d, tol)  # None is a verdict, not an error
+    return cert is not None, {} if cert is None else asdict(cert)
 
 
 def _verify_exact(args, check, report_order=True):
@@ -257,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=tuple(_VERIFIERS))
     p.add_argument("file")
     p.add_argument("--dim", type=int, help="symplectic dimension (or complex dimension for signatures)")
-    p.add_argument("--tol", type=float, help="override the residual tolerance")
+    p.add_argument("--tol", type=float, help="override residual_rel_tol; for etf it bounds "
+                   "||G - mu*S||_F / ||G||_F, the distance to the rounded Seidel matrix S")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("factor", help="factor a skew Gram matrix into a synthesis matrix")

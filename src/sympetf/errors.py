@@ -12,20 +12,22 @@ Validation runs once, at the public boundary: a public function checks
 its array arguments on entry and hands values it has checked or built
 itself to private ``_`` kernels, which trust their arrays.  Calls into
 another module go through its public names, except that a public entry
-point that validated its inputs may hand arrays it built itself to
-another module's ``_`` kernel, as ``search.continuous_etf_search`` does
-in its descent loop.  The boundary validators raise ``ValueError``
-(``as_matrix``, ``frames._check_synthesis``, ``hadamard._as_int_square``,
-``complex_lift._check_signature_structure``) or a domain error
-(``check_skew``: ``NotSkewSymmetricError``; ``tournaments.check_seidel``
-and ``_check_skew_int``: ``InvalidSeidelError``).  Exact checks that
-decide an answer derived in floating point are not validation; they
-always run.  ``hadamard.etf_to_conference`` is the one exact ETF gate: it
-raises ``RoundingError`` when a certified Gram fails its conference check,
-and so do its callers (``etf_to_hadamard_square``, ``etf_core_to_hadamard``,
-``double_frame``, ``complex_lift.lift_square`` and ``lift_core``), as does
-``tournaments.seidel_from_gram`` for entries that do not round to 0 or +-1.
-A lifted core signature that fails its quadratic raises ``SignatureError``.
+point may hand arrays it validated or built itself to another module's
+``_`` kernel, as ``search.continuous_etf_search`` does in its descent
+loop and ``hadamard.etf_to_conference`` with ``frames._equiangularity``
+and ``tournaments._round_seidel``.  The boundary validators raise
+``ValueError`` (``as_matrix``, ``frames._check_synthesis``,
+``hadamard._as_int_square``, ``complex_lift._check_signature_structure``)
+or a domain error (``check_skew``: ``NotSkewSymmetricError``;
+``tournaments.check_seidel`` and ``_check_skew_int``: ``InvalidSeidelError``).
+Exact checks that decide an answer derived in floating point are not
+validation; they always run.  ``hadamard.etf_to_conference`` is the one
+exact ETF gate: it raises ``NotEtfError`` for a wrong size or a Gram that
+is not equiangular, and ``RoundingError`` when g/mu misses a Seidel matrix
+S or S fails its conference check; ``certify_etf`` returns None for both.
+Its callers in ``hadamard`` and ``complex_lift`` raise the same, and
+``tournaments.seidel_from_gram`` raises ``RoundingError`` too.  A lifted
+core signature that fails its quadratic raises ``SignatureError``.
 """
 
 

@@ -11,7 +11,6 @@ equiangularity are decided entirely by skew linear algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -21,9 +20,9 @@ from .skewlinalg import (
     DEFAULT_TOL,
     ToleranceProfile,
     as_matrix,
+    _canonical_factor,
     check_skew,
     rank_by_sv,
-    skew_spectral_form,
 )
 
 __all__ = [
@@ -38,8 +37,6 @@ __all__ = [
     "factor_gram",
     "is_tight",
     "is_equiangular",
-    "EtfCertificate",
-    "certify_etf",
     "admissible_sizes",
     "symplectic_witness",
 ]
@@ -48,24 +45,6 @@ __all__ = [
 class FrameBounds(NamedTuple):
     lower: float
     upper: float
-
-
-@dataclass(frozen=True)
-class EtfCertificate:
-    """Verified parameters of an equiangular tight frame.
-
-    ``mu`` is the common off-diagonal Gram modulus, ``c`` the tightness
-    constant; the residuals record how sharply the defining identities
-    held.  For a valid certificate c = mu*sqrt(n-1) when n == d and
-    c = mu*sqrt(n) when n == d+1.
-    """
-
-    d: int
-    n: int
-    mu: float
-    c: float
-    equiangular_residual: float
-    tightness_residual: float
 
 
 def omega(d: int) -> np.ndarray:
@@ -155,23 +134,16 @@ def factor_gram(g, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     the input.  The result is canonical only up to symplectic equivalence;
     compare Grams, never synthesis matrices.
     """
-    return _factor(check_skew(g, tol), tol)
+    g = check_skew(g, tol)
+    return _factor((g - g.T) / 2.0, tol)  # kill roundoff asymmetry first
 
 
 def _factor(g: np.ndarray, tol: ToleranceProfile) -> np.ndarray:
-    form = skew_spectral_form(g, tol)
-    if form.rank == 0:
+    """``factor_gram`` of an exactly antisymmetric Gram, unchecked."""
+    phi = _canonical_factor(g, tol)
+    if phi.shape[0] == 0:
         raise FactorizationError("zero matrix has no frame factorization")
-    return form.factor()
-
-
-def _tightness(g: np.ndarray, d: int, tol: ToleranceProfile) -> Optional[tuple[float, float]]:
-    """(c, ||g^3 + c^2 g|| / (c^2 ||g||)) with c = sigma_max, or None unless rank is d."""
-    s = np.linalg.svd(g, compute_uv=False)
-    c = float(s[0])
-    if c <= 0.0 or np.count_nonzero(s > tol.rank_rel_tol * c) != d:
-        return None
-    return c, float(np.linalg.norm(g @ g @ g + c * c * g) / (c * c * np.linalg.norm(g)))
+    return phi
 
 
 def _equiangularity(g: np.ndarray) -> Optional[tuple[float, float]]:
@@ -193,39 +165,19 @@ def is_tight(g, d: int, tol: ToleranceProfile = DEFAULT_TOL) -> Optional[float]:
     c read off as the largest singular value; returns None when either the
     rank or the residual test fails.
     """
-    t = _tightness(check_skew(g, tol), d, tol)
-    return t[0] if t is not None and t[1] <= tol.residual_rel_tol else None
+    g = check_skew(g, tol)
+    s = np.linalg.svd(g, compute_uv=False)
+    c = float(s[0])
+    if c <= 0.0 or np.count_nonzero(s > tol.rank_rel_tol * c) != d:
+        return None
+    residual = np.linalg.norm(g @ g @ g + c * c * g) / (c * c * np.linalg.norm(g))
+    return c if residual <= tol.residual_rel_tol else None
 
 
 def is_equiangular(g, tol: ToleranceProfile = DEFAULT_TOL) -> Optional[float]:
     """Return the common off-diagonal modulus mu, or None."""
     e = _equiangularity(check_skew(g, tol))
     return e[0] if e is not None and e[1] <= tol.entry_tol else None
-
-
-def certify_etf(g, d: int, tol: ToleranceProfile = DEFAULT_TOL) -> Optional[EtfCertificate]:
-    """Verify that ``g`` is the Gram matrix of a d-dimensional ETF.
-
-    Checks tightness, equiangularity, the size restriction n in {d, d+1},
-    and the relation between c and mu for the respective size.  Returns a
-    certificate carrying the measured residuals, or None.
-    """
-    g = check_skew(g, tol)
-    n = g.shape[0]
-    if n not in (d, d + 1):
-        return None
-    tight = _tightness(g, d, tol)
-    if tight is None or tight[1] > tol.residual_rel_tol:
-        return None
-    equi = _equiangularity(g)
-    if equi is None or equi[1] > tol.entry_tol:
-        return None
-    (c, t_res), (mu, eq_res) = tight, equi
-    if abs(c - mu * np.sqrt(n - 1 if n == d else n)) > tol.residual_rel_tol * c:
-        return None
-    return EtfCertificate(
-        d=d, n=n, mu=mu, c=c, equiangular_residual=eq_res, tightness_residual=t_res
-    )
 
 
 def admissible_sizes(d: int) -> set[int]:

@@ -25,16 +25,18 @@ from .errors import (
     NotSkewHadamardError,
     RoundingError,
 )
-from .frames import EtfCertificate, certify_etf, gram, omega
-from .skewlinalg import DEFAULT_TOL, ToleranceProfile, as_matrix
-from .tournaments import seidel_from_gram, seidel_square
+from .frames import _equiangularity, gram, omega
+from .skewlinalg import DEFAULT_TOL, ToleranceProfile, as_matrix, check_skew
+from .tournaments import _round_seidel, seidel_square
 
 __all__ = [
     "is_skew_hadamard",
     "is_skew_conference",
     "normalize_conference",
     "core",
+    "EtfCertificate",
     "etf_to_conference",
+    "certify_etf",
     "etf_to_hadamard_square",
     "hadamard_to_etf_square",
     "hadamard_to_etf_core",
@@ -124,26 +126,49 @@ def core(c) -> np.ndarray:
     return _core(c)
 
 
+@dataclass(frozen=True)
+class EtfCertificate:
+    """Parameters of a d-by-n equiangular tight frame, issued by ``etf_to_conference``.
+
+    ``mu`` is the common off-diagonal Gram modulus and ``c`` the tightness
+    constant, mu*sqrt(n-1) if n == d and mu*sqrt(n) if n == d+1.  The
+    residuals are max | |g_ij| - mu | / mu over i != j (equiangular) and
+    ||g - mu S||_F / ||g||_F with S the rounded Seidel matrix (tightness).
+    """
+
+    d: int
+    n: int
+    mu: float
+    c: float
+    equiangular_residual: float
+    tightness_residual: float
+
+
 def etf_to_conference(
     g, d: int, tol: ToleranceProfile = DEFAULT_TOL
 ) -> tuple[EtfCertificate, np.ndarray]:
     """The exact ETF gate: certificate and skew conference matrix of a Gram g.
 
-    g must pass ``certify_etf`` as a d-by-d or d-by-(d+1) ETF and round to
-    mu S, S a Seidel matrix.  A square ETF gives S itself.  A core has
-    S^2 = x x^T - nI for a +-1 border x: x is row 0 of S^2 with n added at
-    entry 0 (x_0 = +1), read exactly, and S bordered by x has order n + 1.
-    One exact conference check decides the result.
+    g must be skew, of size n = d or d+1 and equiangular within entry_tol,
+    and g/mu must round entrywise within entry_tol to a Seidel matrix S with
+    ||g - mu S||_F <= residual_rel_tol ||g||_F.  A square ETF gives S itself.
+    A core has S^2 = x x^T - nI for a +-1 border x: x is row 0 of S^2 with n
+    added at entry 0 (x_0 = +1), read exactly, and S bordered by x has order
+    n + 1.  One exact conference check decides; no float tightness test runs.
     """
-    g = as_matrix(g)
+    g = check_skew(g, tol)
     n = g.shape[0]
-    cert = certify_etf(g, d, tol)
-    if cert is None:
-        if n not in (d, d + 1):
-            raise NotEtfError(f"size mismatch: a d={d} ETF Gram has n = d or d+1, got n={n}")
+    if n not in (d, d + 1):
+        raise NotEtfError(f"size mismatch: a d={d} ETF Gram has n = d or d+1, got n={n}")
+    equi = _equiangularity(g)
+    if equi is None or equi[1] > tol.entry_tol:
         family = "a square ETF" if n == d else "a d-by-(d+1) ETF"
         raise NotEtfError(f"input is not the Gram matrix of {family}")
-    s = seidel_from_gram(g, tol)
+    mu, equiangular_residual = equi
+    s = _round_seidel(g, mu, tol)
+    residual = float(np.linalg.norm(g - mu * s) / np.linalg.norm(g))
+    if residual > tol.residual_rel_tol:
+        raise RoundingError(f"distance {residual:.3e} to mu*S exceeds {tol.residual_rel_tol:.1e}")
     if n == d:
         c = s
     else:
@@ -155,13 +180,22 @@ def etf_to_conference(
         c[1:, 1:] = s
     if not _is_conference(c):
         raise RoundingError("rounded matrix failed the exact skew Hadamard check")
+    cert = EtfCertificate(d=d, n=n, mu=mu, c=mu * sqrt(n - 1 if n == d else n),
+                          equiangular_residual=equiangular_residual, tightness_residual=residual)
     return cert, c
+
+
+def certify_etf(g, d: int, tol: ToleranceProfile = DEFAULT_TOL) -> EtfCertificate | None:
+    """Certificate of ``etf_to_conference``; None where it raises NotEtfError or RoundingError."""
+    try:
+        return etf_to_conference(g, d, tol)[0]
+    except (NotEtfError, RoundingError):
+        return None
 
 
 def etf_to_hadamard_square(g, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """I + g/mu for a certified d-by-d ETF Gram matrix g."""
-    g = as_matrix(g)
-    _, h = etf_to_conference(g, g.shape[0], tol)
+    _, h = etf_to_conference(g, np.shape(g)[0], tol)
     np.fill_diagonal(h, 1)
     return h
 
@@ -187,8 +221,7 @@ def etf_core_to_hadamard(g, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
 
     It is I plus the bordered conference matrix of ``etf_to_conference``.
     """
-    g = as_matrix(g)
-    _, h = etf_to_conference(g, g.shape[0] - 1, tol)
+    _, h = etf_to_conference(g, np.shape(g)[0] - 1, tol)
     np.fill_diagonal(h, 1)
     return h
 

@@ -25,12 +25,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
-from .frames import _gram, gram, omega
+from .frames import _equiangularity, _gram, gram, omega
 from .potentials import _gradient, _nuclear, _potential
-from .skewlinalg import DEFAULT_TOL, ToleranceProfile, _spectral_form
-from .tournaments import check_seidel, count_diamonds_formula, diamond_upper_bound, random_tournament
-from .hadamard import etf_to_conference, is_skew_conference
+from .skewlinalg import DEFAULT_TOL, ToleranceProfile, _canonical_factor
+from .tournaments import count_diamonds_formula, diamond_upper_bound, random_tournament
+from .hadamard import certify_etf, is_skew_conference
 
 __all__ = [
     "SearchConfig",
@@ -101,8 +100,8 @@ def _canonicalize(phi: np.ndarray, g: np.ndarray) -> np.ndarray:
     resetting to the bounded D @ U factor keeps the line search conditioned.
     Skipped when the Gram is (numerically) rank deficient.
     """
-    form = _spectral_form(g, DEFAULT_TOL)  # g = _gram(phi) is exactly antisymmetric
-    return form.factor() if form.rank == phi.shape[0] else phi
+    factor = _canonical_factor(g, DEFAULT_TOL)  # g = _gram(phi) is exactly antisymmetric
+    return factor if factor.shape[0] == phi.shape[0] else phi
 
 
 def _rounded_certificate(phi: np.ndarray, d: int, tol: ToleranceProfile):
@@ -111,13 +110,8 @@ def _rounded_certificate(phi: np.ndarray, d: int, tol: ToleranceProfile):
     There is no entry_tol gate on the rounding: search hits sit about 1e-4 off equiangular.
     """
     g = gram(phi)
-    mu = float(np.mean(np.abs(g[~np.eye(g.shape[0], dtype=bool)])))
-    if mu <= 0.0:
-        return None
-    try:
-        return etf_to_conference(check_seidel(np.rint(g / mu)), d, tol)[0]
-    except DomainError:
-        return None
+    equi = _equiangularity(g)
+    return None if equi is None else certify_etf(np.rint(g / equi[0]), d, tol)
 
 
 @np.errstate(over="raise", invalid="raise")  # a step or order too large for float64 fails at once

@@ -6,8 +6,8 @@ positive block values ``lambdas`` (descending) with
 
     a = w.T @ blkdiag(0, l_1*J, ..., l_r*J) @ w,   J = [[0, 1], [-1, 0]],
 
-where the zero block has size ``n - 2r``.  Everything downstream (Gram
-factorization, tightness certificates) reduces to this decomposition.
+where the zero block has size ``n - 2r``.  Gram factorization and the
+continuous search's canonical reset reduce to this decomposition.
 """
 
 from __future__ import annotations
@@ -83,8 +83,7 @@ class SkewSpectralForm:
         U is the last ``rank`` rows of ``w`` and D repeats the square root
         of each block value on both rows of its block.
         """
-        u = self.w[self.w.shape[0] - self.rank :, :]
-        return np.sqrt(np.repeat(self.lambdas, 2))[:, None] * u
+        return _scale_rows(self.lambdas, self.w[self.w.shape[0] - self.rank :, :])
 
 
 def as_matrix(a, dtype=float) -> np.ndarray:
@@ -130,21 +129,35 @@ def skew_spectral_form(a, tol: ToleranceProfile = DEFAULT_TOL) -> SkewSpectralFo
     kernel rows are a real orthonormal complement of those rows.
     """
     a = check_skew(a, tol)
-    return _spectral_form((a - a.T) / 2.0, tol)  # kill roundoff asymmetry first
+    n = a.shape[0]
+    lambdas, rows = _blocks((a - a.T) / 2.0, tol)  # kill roundoff asymmetry first
+    rank = rows.shape[0]
+    w = np.eye(n)  # the form of the zero matrix
+    w[n - rank :] = rows
+    if 0 < rank < n:
+        w[: n - rank] = np.linalg.qr(rows.T, mode="complete")[0][:, rank:].T
+    return SkewSpectralForm(w=w, lambdas=lambdas, rank=rank)
 
 
-def _spectral_form(a: np.ndarray, tol: ToleranceProfile) -> SkewSpectralForm:
-    """``skew_spectral_form`` of an exactly antisymmetric float array, unchecked."""
+def _blocks(a: np.ndarray, tol: ToleranceProfile) -> tuple[np.ndarray, np.ndarray]:
+    """(lambdas, block rows) of an exactly antisymmetric ``a``, unchecked.
+
+    The block rows are the last ``rank`` rows of w; a caller that needs only the factor runs no QR.
+    """
     n = a.shape[0]
     lam, z = np.linalg.eigh(1j * a)  # ascending, in +-l pairs
-    if lam[-1] <= 0.0:
-        return SkewSpectralForm(w=np.eye(n), lambdas=np.zeros(0), rank=0)
-    r = int(np.count_nonzero(lam > tol.rank_rel_tol * lam[-1]))
+    r = int(np.count_nonzero(lam > tol.rank_rel_tol * max(lam[-1], 0.0)))
     z = z[:, n - r :][:, ::-1]  # descending block values
-    off = n - 2 * r
-    w = np.empty((n, n))
-    w[off::2] = math.sqrt(2.0) * z.imag.T
-    w[off + 1 :: 2] = math.sqrt(2.0) * z.real.T
-    if off:
-        w[:off] = np.linalg.qr(w[off:].T, mode="complete")[0][:, 2 * r :].T
-    return SkewSpectralForm(w=w, lambdas=lam[n - r :][::-1], rank=2 * r)
+    rows = np.empty((2 * r, n))
+    rows[0::2] = math.sqrt(2.0) * z.imag.T
+    rows[1::2] = math.sqrt(2.0) * z.real.T
+    return lam[n - r :][::-1], rows
+
+
+def _scale_rows(lambdas: np.ndarray, u: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.repeat(lambdas, 2))[:, None] * u
+
+
+def _canonical_factor(a: np.ndarray, tol: ToleranceProfile) -> np.ndarray:
+    """``skew_spectral_form(a).factor()`` of an exactly antisymmetric float array, unchecked."""
+    return _scale_rows(*_blocks(a, tol))

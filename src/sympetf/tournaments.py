@@ -104,11 +104,16 @@ def seidel_from_gram(g, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     mu = is_equiangular(g, tol)
     if mu is None:
         raise NotEquiangularError("Gram matrix is not equiangular")
-    scaled = np.asarray(g, dtype=float) / mu
+    return check_seidel(_round_seidel(np.asarray(g, dtype=float), mu, tol))
+
+
+def _round_seidel(g: np.ndarray, mu: float, tol: ToleranceProfile) -> np.ndarray:
+    """g / mu rounded to an int64 matrix with entries in {-1, 0, 1}, each within entry_tol."""
+    scaled = g / mu
     s = np.rint(scaled).astype(np.int64)
     if np.max(np.abs(scaled - s)) > tol.entry_tol or np.any(np.abs(s) > 1):
         raise RoundingError("scaled entries do not round to 0 or +-1")
-    return check_seidel(s)
+    return s
 
 
 @dataclass(frozen=True)

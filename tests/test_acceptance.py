@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 
+from sympetf import certify_etf
 from sympetf.complex_lift import (
     beta_constant,
     core_lift_scale,
@@ -19,7 +20,6 @@ from sympetf.complex_lift import (
 )
 from sympetf.frames import (
     analysis,
-    certify_etf,
     factor_gram,
     frame_bounds,
     frame_operator,

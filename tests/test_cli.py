@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from sympetf.cli import main
-from sympetf.frames import certify_etf, factor_gram, gram, omega
+from sympetf import certify_etf
+from sympetf.frames import factor_gram, gram, omega
 from sympetf.hadamard import (
     is_skew_conference,
     is_skew_hadamard,
@@ -157,18 +158,17 @@ def _near_miss(src, m):
     ],
 )
 def test_certified_near_miss_conversion_is_a_domain_error(tmp_path, src, argv):
-    # --tol 0.5 certifies a Gram with one reversed edge; the exact gate refuses it
+    # a Gram with one reversed edge is equiangular and rounds exactly, so the
+    # exact conference check refuses it, with one error under any --tol
     for m in (16, 64):
         write_matrix(tmp_path / "in.symf", _near_miss(src, m))
         cmd = [*argv, "in.symf", "--out", "out.symf"]
-        proc = run_module(tmp_path, *cmd, "--tol", "0.5")
-        assert proc.returncode == 1
-        assert_one_line_error(proc)
-        assert proc.stderr == ROUNDING + "\n"
-        assert not (tmp_path / "out.symf").exists()
-        # at the default tolerance the near miss is not certified at all
-        proc = run_module(tmp_path, *cmd)
-        assert proc.returncode == 1 and "is not the Gram matrix of" in proc.stderr
+        for tol in (("--tol", "0.5"), ()):
+            proc = run_module(tmp_path, *cmd, *tol)
+            assert proc.returncode == 1
+            assert_one_line_error(proc)
+            assert proc.stderr == ROUNDING + "\n"
+            assert not (tmp_path / "out.symf").exists()
 
 
 @pytest.mark.parametrize("m", [16, 64])

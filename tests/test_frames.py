@@ -6,11 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sympetf import certify_etf
 from sympetf.errors import FactorizationError, NotAFrameError
 from sympetf.frames import (
     admissible_sizes,
     analysis,
-    certify_etf,
     dual_frame,
     factor_gram,
     frame_bounds,

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from etf_oracle import svd_certify_etf
+from sympetf import certify_etf
 from sympetf.complex_lift import lift_core
 from sympetf.errors import (
     NotEtfError,
@@ -10,7 +12,7 @@ from sympetf.errors import (
     NotSkewHadamardError,
     RoundingError,
 )
-from sympetf.frames import certify_etf, gram, omega
+from sympetf.frames import gram, omega
 from sympetf.hadamard import (
     core,
     default_b_matrix,
@@ -34,7 +36,7 @@ from sympetf.tournaments import (
     is_doubly_regular,
     switch,
 )
-from sympetf.skewlinalg import ToleranceProfile
+from sympetf.skewlinalg import DEFAULT_TOL, ToleranceProfile
 
 H2 = np.array([[1, 1], [-1, 1]], dtype=np.int64)
 
@@ -192,14 +194,15 @@ def test_etf_to_conference_names_a_size_mismatch(m, d):
 @pytest.mark.parametrize("m", [8, 16, 32, 64])
 def test_certified_near_misses_fail_the_exact_check(m):
     # one reversed edge keeps the Gram equiangular; a loose residual bound
-    # certifies it, and the exact conference check must then refuse it
+    # lets the SVD oracle certify it, and the exact conference check refuses it
     loose = ToleranceProfile(residual_rel_tol=0.5)
     h = seed_hadamard(m)
     square = flip_pair(hadamard_to_etf_square(h), 1, 2)
     core_gram = flip_pair(hadamard_to_etf_core(h), 1, 2)
-    assert certify_etf(square, m, loose) is not None
-    assert certify_etf(core_gram, m - 2, loose) is not None
-    assert certify_etf(square, m) is None and certify_etf(core_gram, m - 2) is None
+    assert svd_certify_etf(square, m, loose) is not None
+    assert svd_certify_etf(core_gram, m - 2, loose) is not None
+    for tol in (loose, DEFAULT_TOL):
+        assert certify_etf(square, m, tol) is None and certify_etf(core_gram, m - 2, tol) is None
     for convert, g in ((etf_to_hadamard_square, square), (etf_core_to_hadamard, core_gram),
                        (lift_core, core_gram)):
         with pytest.raises(RoundingError, match="exact skew Hadamard check"):

@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sympetf.frames import _gram, certify_etf, factor_gram, gram, is_equiangular, is_tight, omega
+from etf_oracle import svd_certify_etf
+from sympetf import certify_etf
+from sympetf.frames import _gram, factor_gram, gram, is_equiangular, is_tight, omega
 from sympetf.hadamard import (
     core,
     hadamard_to_etf_core,
@@ -34,7 +36,7 @@ from sympetf.search import _canonicalize, _renormalize
 from sympetf.skewlinalg import (
     DEFAULT_TOL,
     ToleranceProfile,
-    _spectral_form,
+    _canonical_factor,
     skew_spectral_form,
 )
 
@@ -79,16 +81,18 @@ def test_core_of_a_permuted_seed_matches_the_public_chain(m):
 
 
 def _certificate_matches_public_checks(g, d, tol):
+    # c is derived from mu, and the SVD's sigma_max (is_tight) agrees with it
     cert = certify_etf(g, d, tol)
-    assert cert is not None
-    c, mu = is_tight(g, d, tol), is_equiangular(g, tol)
+    assert cert is not None and svd_certify_etf(g, d, tol) is not None
+    mu = is_equiangular(g, tol)
     n = g.shape[0]
     off = ~np.eye(n, dtype=bool)
     eq_res = np.max(np.abs(np.abs(g[off]) - mu)) / mu
-    t_res = np.linalg.norm(g @ g @ g + c * c * g) / (c * c * np.linalg.norm(g))
+    t_res = np.linalg.norm(g - mu * np.rint(g / mu)) / np.linalg.norm(g)
     assert (cert.d, cert.n) == (d, n)
     assert cert.mu == mu
-    assert cert.c == c
+    assert cert.c == mu * math.sqrt(n - 1 if n == d else n)
+    assert cert.c == pytest.approx(is_tight(g, d, tol), rel=tol.residual_rel_tol)
     assert cert.equiangular_residual == eq_res
     assert cert.tightness_residual == t_res
     return cert
@@ -130,10 +134,7 @@ def test_search_kernels_are_bit_identical_to_the_public_api(d, extra, p, seed, s
     assert g.tobytes() == gram(phi).tobytes()
     assert np.float64(_potential(g, p)).tobytes() == np.float64(frame_potential(g, p)).tobytes()
     assert _gradient(phi, g, p, om).tobytes() == potential_gradient(phi, p).tobytes()
-    form, public = _spectral_form(g, DEFAULT_TOL), skew_spectral_form(g)
-    assert form.rank == public.rank
-    assert form.w.tobytes() == public.w.tobytes()
-    assert form.lambdas.tobytes() == public.lambdas.tobytes()
+    assert _canonical_factor(g, DEFAULT_TOL).tobytes() == skew_spectral_form(g).factor().tobytes()
     # the nuclear-norm kernel behind normalize_nuclear and the search's rescaling
     nuc = float(np.sum(np.linalg.svd(g, compute_uv=False)))
     assert _nuclear(g) == nuc
@@ -150,12 +151,12 @@ def test_search_kernels_are_bit_identical_to_the_public_api(d, extra, p, seed, s
     scale=st.sampled_from((1e-3, 1.0, 1e3)),
 )
 def test_canonical_factor_keeps_the_gram_and_is_the_factor_gram_bits(d, extra, seed, scale):
-    # the search's canonical reset and factor_gram share SkewSpectralForm.factor,
+    # the search's canonical reset and factor_gram share skewlinalg._canonical_factor,
     # so a reset phi is the factor_gram of its own Gram, bit for bit
     n = d + extra
     phi = scale * np.random.default_rng(seed).normal(size=(d, n))
     g = _gram(phi, omega(d))
     canon = _canonicalize(phi, g)
     assert np.linalg.norm(gram(canon) - g) <= 1e-12 * np.linalg.norm(g)
-    if _spectral_form(g, DEFAULT_TOL).rank == d:
+    if skew_spectral_form(g).rank == d:
         assert canon.tobytes() == factor_gram(gram(phi)).tobytes()

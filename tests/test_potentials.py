@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sympetf.frames import certify_etf, gram, is_equiangular, is_frame, omega
+from sympetf import certify_etf
+from sympetf.frames import gram, is_equiangular, is_frame, omega
 from sympetf.potentials import (
     frame_potential,
     normalize_nuclear,

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sympetf.frames import certify_etf, factor_gram, gram
+from etf_oracle import svd_certify_etf
+from sympetf import certify_etf
+from sympetf.frames import factor_gram, gram
 from sympetf.hadamard import is_skew_conference, seed_hadamard
 from sympetf.search import (
     SearchConfig,
@@ -82,13 +84,14 @@ def test_continuous_search_4x5_never_certifies():
 
 
 def test_continuous_success_test_is_the_exact_gate():
-    # a loose residual bound certifies the rounded Gram of a one-flip near
-    # miss; the search's success test must refuse it all the same
+    # a loose residual bound lets the SVD oracle certify the rounded Gram of a
+    # one-flip near miss; the search's success test must refuse it all the same
     loose = ToleranceProfile(residual_rel_tol=0.5)
     square = (seed_hadamard(16) - np.eye(16, dtype=np.int64)).astype(float)
     miss = square.copy()
     miss[1, 2], miss[2, 1] = -square[1, 2], -square[2, 1]
-    assert certify_etf(miss, 16, loose) is not None
+    assert svd_certify_etf(miss, 16, loose) is not None
+    assert certify_etf(miss, 16, loose) is None
     assert _rounded_certificate(factor_gram(miss), 16, loose) is None
     assert _rounded_certificate(factor_gram(square), 16, loose) == certify_etf(square, 16, loose)
 
