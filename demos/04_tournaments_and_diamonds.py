@@ -13,7 +13,7 @@ from sympetf import (
     count_diamonds_formula,
     degree_stats,
     diamond_upper_bound,
-    flat_kernel,
+    etf_to_conference,
     gamma,
     hadamard_to_etf_core,
     is_doubly_regular,
@@ -39,8 +39,10 @@ print("out-degrees:", degree_stats(s).out_degrees)
 k7 = hadamard_to_etf_core(seed_hadamard(8)).astype(np.int64)
 print("\n7-vertex core from doubling:")
 print("  delta =", count_diamonds_formula(k7), " bound =", diamond_upper_bound(7))
-x = flat_kernel(k7)
-print("  flat kernel vector:", x)
+# as a 6x7 ETF Gram, k7 is the core of a conference matrix whose border the gate reads exactly
+_, c = etf_to_conference(k7, 6)
+x = c[0, 1:]
+print("  exact border (a flat kernel vector):", x)
 print("  switched tournament doubly regular:", is_doubly_regular(switch(k7, x)))
 
 # a scaled equiangular Gram recovers its tournament

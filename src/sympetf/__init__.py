@@ -41,7 +41,6 @@ from .tournaments import (
     count_diamonds_formula,
     degree_stats,
     diamond_upper_bound,
-    flat_kernel,
     gamma,
     is_doubly_regular,
     random_tournament,

@@ -42,7 +42,7 @@ def _load(path, want=None):
 
 
 def _tolerances(args):
-    if getattr(args, "tol", None) is None:
+    if args.tol is None:
         return DEFAULT_TOL
     if not (0.0 < args.tol < 1.0):
         raise UsageError("--tol must lie strictly between 0 and 1")
@@ -118,10 +118,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_factor(args) -> int:
-    tol = _tolerances(args)
     _, mat = _load(args.file, ("real", "int"))
     g = mat.astype(float)
-    phi = frames.factor_gram(g, tol)
+    phi = frames.factor_gram(g)
     if args.dim is not None and phi.shape[0] != args.dim:
         print(
             f"error: factorization has dimension {phi.shape[0]}, expected {args.dim}",
@@ -165,13 +164,15 @@ def cmd_convert(args) -> int:
 
 
 def cmd_double(args) -> int:
-    tol = _tolerances(args)
     if args.level == "hadamard":
+        if args.tol is not None:
+            raise UsageError("--tol applies to --level frame only; Hadamard doubling is exact")
         _, mat = _load(args.file, ("int",))
         out = hadamard.double_hadamard(mat)
         matio.write_matrix(args.out, out, "int")
         _emit("order", out.shape[0])
         return 0
+    tol = _tolerances(args)
     _, mat = _load(args.file, ("real", "int"))
     doubled = hadamard.double_frame(mat.astype(float), tol=tol)
     matio.write_matrix(args.out, doubled, "real")
@@ -255,14 +256,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=tuple(_VERIFIERS))
     p.add_argument("file")
     p.add_argument("--dim", type=int, help="symplectic dimension (or complex dimension for signatures)")
-    p.add_argument("--tol", type=float, help="override residual_rel_tol; for etf it bounds "
-                   "||G - mu*S||_F / ||G||_F, the distance to the rounded Seidel matrix S")
+    p.add_argument("--tol", type=float, help="residual_rel_tol of tight, etf and signature; for "
+                   "etf it bounds ||G - mu*S||_F / ||G||_F, the distance to the rounded Seidel matrix S")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("factor", help="factor a skew Gram matrix into a synthesis matrix")
     p.add_argument("file")
     p.add_argument("--dim", type=int, help="expected frame dimension")
-    p.add_argument("--tol", type=float)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_factor)
 
@@ -270,14 +270,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="src", required=True, choices=tuple(dict.fromkeys(a for a, _ in _CONVERSIONS)))
     p.add_argument("--to", required=True, choices=tuple(dict.fromkeys(b for _, b in _CONVERSIONS)))
     p.add_argument("file")
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=float, help="override residual_rel_tol, read by --from etf-square "
+                   "and --from etf-core only")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("double", help="double a skew Hadamard matrix or an ETF synthesis matrix")
     p.add_argument("--level", required=True, choices=("hadamard", "frame"))
     p.add_argument("file")
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=float, help="override residual_rel_tol; --level frame only")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_double)
 

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import NotPsdError, RankMismatchError, SignatureError
 from .hadamard import etf_to_conference
 from .skewlinalg import DEFAULT_TOL, ToleranceProfile
-from .tournaments import switch
 
 __all__ = [
     "beta_constant",
@@ -111,11 +110,11 @@ def lift_core(g, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     d = np.shape(g)[0] - 1
     _, c = etf_to_conference(g, d, tol)
     x = c[0, 1:]
-    k = switch(c[1:, 1:], x)
+    switching = np.outer(x, x)
+    k = c[1:, 1:] * switching
     a = (k == 1).astype(float)
     beta = beta_constant(d)
-    q0 = beta * a + np.conj(beta) * a.T
-    q = q0 * np.outer(x, x)
+    q = (beta * a + np.conj(beta) * a.T) * switching
     # Hermitian, zero diagonal and unimodular by construction: only the quadratic can fail
     if not _satisfies_quadratic(q, d // 2, tol):
         raise SignatureError("constructed signature failed its quadratic")

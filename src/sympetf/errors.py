@@ -13,13 +13,14 @@ its array arguments on entry and hands values it has checked or built
 itself to private ``_`` kernels, which trust their arrays.  Calls into
 another module go through its public names, except that a public entry
 point may hand arrays it validated or built itself to another module's
-``_`` kernel, as ``search.continuous_etf_search`` does in its descent
-loop and ``hadamard.etf_to_conference`` with ``frames._equiangularity``
-and ``tournaments._round_seidel``.  The boundary validators raise
-``ValueError`` (``as_matrix``, ``frames._check_synthesis``,
-``hadamard._as_int_square``, ``complex_lift._check_signature_structure``)
-or a domain error (``check_skew``: ``NotSkewSymmetricError``;
-``tournaments.check_seidel`` and ``_check_skew_int``: ``InvalidSeidelError``).
+``_`` kernel: ``search`` in its descent loop and with
+``tournaments._offdiag_square_sum``, ``hadamard.etf_to_conference`` with
+``frames._equiangularity`` and ``tournaments._round_seidel``.  Boundary
+validators raise ``ValueError`` (``as_matrix``, ``frames._check_synthesis``,
+``complex_lift._check_signature_structure``, and for ``hadamard`` the one
+integer validator ``tournaments._as_int_square``) or a domain error
+(``check_skew``: ``NotSkewSymmetricError``; ``tournaments.check_seidel``,
+which has ``_as_int_square`` raise ``InvalidSeidelError``).
 Exact checks that decide an answer derived in floating point are not
 validation; they always run.  ``hadamard.etf_to_conference`` is the one
 exact ETF gate: it raises ``NotEtfError`` for a wrong size or a Gram that

@@ -25,9 +25,9 @@ from .errors import (
     NotSkewHadamardError,
     RoundingError,
 )
-from .frames import _equiangularity, gram, omega
+from .frames import _equiangularity, gram
 from .skewlinalg import DEFAULT_TOL, ToleranceProfile, as_matrix, check_skew
-from .tournaments import _round_seidel, seidel_square
+from .tournaments import _as_int_square, _round_seidel, seidel_square
 
 __all__ = [
     "is_skew_hadamard",
@@ -50,19 +50,8 @@ __all__ = [
 ]
 
 
-def _as_int_square(h) -> np.ndarray:
-    h = np.asarray(h)
-    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.size == 0:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    hi = np.rint(h).astype(np.int64)
-    if not np.array_equal(hi, h):
-        raise ValueError("entries are not integers")
-    return hi
-
-
 def is_skew_hadamard(h) -> bool:
-    h = _as_int_square(h)
-    return _is_conference(h - np.eye(h.shape[0], dtype=np.int64))
+    return _is_skew_hadamard(_as_int_square(h))
 
 
 def is_skew_conference(c) -> bool:
@@ -79,10 +68,15 @@ def _is_conference(c: np.ndarray) -> bool:
     return np.array_equal(c2, -(m - 1) * np.eye(m, dtype=np.int64))
 
 
+def _is_skew_hadamard(h: np.ndarray) -> bool:
+    return _is_conference(h - np.eye(h.shape[0], dtype=np.int64))
+
+
 def _check_skew_hadamard(h) -> np.ndarray:
-    if not is_skew_hadamard(h):
+    h = _as_int_square(h)
+    if not _is_skew_hadamard(h):
         raise NotSkewHadamardError("input is not a skew Hadamard matrix")
-    return np.asarray(h, dtype=np.int64)
+    return h
 
 
 def _check_conference(c) -> np.ndarray:
@@ -195,7 +189,11 @@ def certify_etf(g, d: int, tol: ToleranceProfile = DEFAULT_TOL) -> EtfCertificat
 
 def etf_to_hadamard_square(g, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """I + g/mu for a certified d-by-d ETF Gram matrix g."""
-    _, h = etf_to_conference(g, np.shape(g)[0], tol)
+    return _etf_to_hadamard(g, np.shape(g)[0], tol)
+
+
+def _etf_to_hadamard(g, d: int, tol: ToleranceProfile) -> np.ndarray:
+    _, h = etf_to_conference(g, d, tol)
     np.fill_diagonal(h, 1)
     return h
 
@@ -221,9 +219,7 @@ def etf_core_to_hadamard(g, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
 
     It is I plus the bordered conference matrix of ``etf_to_conference``.
     """
-    _, h = etf_to_conference(g, np.shape(g)[0] - 1, tol)
-    np.fill_diagonal(h, 1)
-    return h
+    return _etf_to_hadamard(g, np.shape(g)[0] - 1, tol)
 
 
 def double_hadamard(h) -> np.ndarray:
@@ -277,11 +273,11 @@ def default_b_matrix(d: int) -> np.ndarray:
     return np.diag(b)
 
 
-def double_frame(phi, b=None, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
+def double_frame(phi, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """Double a d-by-d ETF synthesis matrix, gated by ``etf_to_conference``, into a 2d-by-2d one.
 
-    With mu the common Gram modulus, G the Gram, and (a, b_c, y, z) the
-    doubling coefficients, the doubled frame
+    With mu the common Gram modulus, G the Gram, (a, b_c, y, z) the doubling
+    coefficients and B = ``default_b_matrix(d)``, the doubled frame
 
         F = [[a/mu * phi @ G, b_c * phi], [y * B @ phi, z * B @ phi]]
 
@@ -293,13 +289,7 @@ def double_frame(phi, b=None, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray
     if g.shape[0] != d:
         raise NotEtfError("input is not the synthesis matrix of a square ETF")
     cert, _ = etf_to_conference(g, d, tol)
-    if b is None:
-        b = default_b_matrix(d)
-    else:
-        b = as_matrix(b)
-        w = omega(d)
-        if np.max(np.abs(b.T @ w @ b + w)) > tol.entry_tol:
-            raise ValueError("B must satisfy B.T @ omega @ B == -omega")
+    b = default_b_matrix(d)
     cf = doubling_coefficients(d)
     top = np.hstack([(cf.a / cert.mu) * (phi @ g), cf.b * phi])
     bottom = np.hstack([cf.y * (b @ phi), cf.z * (b @ phi)])

@@ -28,7 +28,8 @@ import numpy as np
 from .frames import _equiangularity, _gram, gram, omega
 from .potentials import _gradient, _nuclear, _potential
 from .skewlinalg import DEFAULT_TOL, ToleranceProfile, _canonical_factor
-from .tournaments import count_diamonds_formula, diamond_upper_bound, random_tournament
+from .tournaments import (_offdiag_square_sum, count_diamonds_formula, diamond_upper_bound,
+                          random_tournament)
 from .hadamard import certify_etf, is_skew_conference
 
 __all__ = [
@@ -167,31 +168,6 @@ def continuous_etf_search(
     return _outcome(restarts, total_iters)
 
 
-def _flip_delta(s: np.ndarray, s2: np.ndarray, i: int, j: int) -> int:
-    """Change in sum_{a<b} ((S^2)_ab)^2 caused by flipping edge (i, j), O(n).
-
-    The search scores edges with ``_flip_deltas``; this loop over the
-    changed entries of S^2 is kept as the test oracle for that closed form.
-    """
-    n = s.shape[0]
-    sij = s[i, j]
-    delta = 0
-    # rows/columns i and j change except for the pair entries handled below
-    for a in range(n):
-        if a == i or a == j:
-            continue
-        old_ai = s2[a, i]
-        old_aj = s2[a, j]
-        new_ai = old_ai + 2 * sij * s[a, j]
-        new_aj = old_aj - 2 * sij * s[a, i]
-        delta += new_ai * new_ai - old_ai * old_ai
-        delta += new_aj * new_aj - old_aj * old_aj
-    # the symmetric (i, j) entry: S E + E S contributes nothing there and the
-    # diagonal correction E^2 only touches (i,i) and (j,j), which never enter
-    # the off-diagonal objective
-    return delta
-
-
 def _apply_flip(s: np.ndarray, s2: np.ndarray, i: int, j: int) -> None:
     """Flip edge (i, j) in place, maintaining s2 == s @ s exactly."""
     sij = s[i, j]
@@ -212,23 +188,20 @@ def _apply_flip(s: np.ndarray, s2: np.ndarray, i: int, j: int) -> None:
     s[j, i] = sij
 
 
-def _offdiag_square_sum(s2: np.ndarray) -> int:
-    n = s2.shape[0]
-    iu = np.triu_indices(n, k=1)
-    return int(np.sum(s2[iu] ** 2))
-
-
 def _flip_deltas(s: np.ndarray, s2: np.ndarray, iu: tuple) -> np.ndarray:
-    """``_flip_delta`` for every edge in ``iu`` at once: 8 s_ij (S^3)_ij + 16n - 24.
+    """Change in sum_{a<b} ((S^2)_ab)^2 from flipping each edge (i, j) in ``iu``.
 
-    For a != i, j the flip moves (S^2)_ai by 2 s_ij s_aj and (S^2)_aj by
-    -2 s_ij s_ai, so the objective changes by 8(n-2) + 4 s_ij (x + y) with
-    x = sum_{a != i,j} (S^2)_ia s_aj and y = sum_{a != i,j} s_ia (S^2)_aj.
-    Both equal (S^3)_ij + (n-1) s_ij, since (S^2)_ii = -(n-1), s_jj = 0
-    and s_ij^2 = 1.
+    It is 8 s_ij (S^3)_ij + 16n - 24.  For a != i, j the flip moves
+    (S^2)_ai by 2 s_ij s_aj and (S^2)_aj by -2 s_ij s_ai, so the objective
+    changes by 8(n-2) + 4 s_ij (x + y) with x = sum_{a != i,j} (S^2)_ia s_aj
+    and y = sum_{a != i,j} s_ia (S^2)_aj.  Both equal (S^3)_ij + (n-1) s_ij,
+    since (S^2)_ii = -(n-1), s_jj = 0 and s_ij^2 = 1.
     """
     n = s.shape[0]
     return 8 * s[iu] * (s2 @ s)[iu] + (16 * n - 24)
+
+
+_MAX_DISCRETE_N = 1024
 
 
 def discrete_diamond_search(n: int, cfg: SearchConfig) -> SearchOutcome:
@@ -245,9 +218,14 @@ def discrete_diamond_search(n: int, cfg: SearchConfig) -> SearchOutcome:
     therefore costs one n x n integer product S^2 @ S (O(n^3) arithmetic,
     all inside numpy) and O(n^2) indexing, and the accepted flip updates
     S^2 exactly in O(n).
+
+    n must satisfy 2 <= n <= 1024, checked before anything is allocated;
+    at n = 1024 each step already multiplies two 1024 x 1024 int64 matrices.
     """
     if n < 2:
         raise ValueError(f"need at least two vertices, got {n}")
+    if n > _MAX_DISCRETE_N:
+        raise ValueError(f"discrete search is limited to n <= {_MAX_DISCRETE_N}, got {n}")
     if n % 2 == 0:
         target = 0
     elif n % 4 == 3:

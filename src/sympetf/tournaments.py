@@ -4,8 +4,8 @@ A Seidel matrix is an integer skew-symmetric matrix with zero diagonal
 and +-1 off the diagonal; entry s_ij = 1 means vertex i dominates j.
 Diamonds are the 4-vertex subtournaments whose Seidel minor has
 determinant 9 (a vertex dominating, or dominated by, a 3-cycle).  All
-counting is exact integer arithmetic; floating point enters only in
-kernel extraction and spectra.
+counting is exact integer arithmetic; floating point enters only where
+an equiangular Gram matrix is rounded to its Seidel matrix.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from typing import Optional
 
 import numpy as np
 
@@ -34,7 +33,6 @@ __all__ = [
     "diamond_upper_bound",
     "is_doubly_regular",
     "switch",
-    "flat_kernel",
 ]
 
 def _perm4_terms():
@@ -48,22 +46,22 @@ def _perm4_terms():
 _PERM4 = _perm4_terms()
 
 
-def _check_skew_int(s) -> np.ndarray:
-    """Integer skew-symmetric square matrix (hence zero diagonal), as int64."""
-    s = np.asarray(s)
-    if s.ndim != 2 or s.shape[0] != s.shape[1] or s.size == 0:
-        raise InvalidSeidelError(f"expected a square matrix, got shape {s.shape}")
-    si = s.astype(np.int64)
-    if not np.array_equal(si, s):
-        raise InvalidSeidelError("entries are not integers")
-    if not np.array_equal(si, -si.T):
-        raise InvalidSeidelError("matrix is not skew-symmetric")
-    return si
+def _as_int_square(a, error: type[Exception] = ValueError) -> np.ndarray:
+    """A nonempty square matrix of integers, as int64; ``error`` names what it raises."""
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise error(f"expected a square matrix, got shape {a.shape}")
+    ai = a.astype(np.int64)
+    if not np.array_equal(ai, a):
+        raise error("entries are not integers")
+    return ai
 
 
 def check_seidel(s) -> np.ndarray:
     """Validate and return a Seidel adjacency matrix as an int64 array."""
-    si = _check_skew_int(s)
+    si = _as_int_square(s, InvalidSeidelError)
+    if not np.array_equal(si, -si.T):
+        raise InvalidSeidelError("matrix is not skew-symmetric")
     if not np.all(np.abs(si[~np.eye(si.shape[0], dtype=bool)]) == 1):
         raise InvalidSeidelError("off-diagonal entries must be +-1")
     return si
@@ -185,13 +183,18 @@ def count_diamonds_formula(s) -> int:
     """
     s2 = seidel_square(s)
     n = s2.shape[0]
-    iu = np.triu_indices(n, k=1)
-    q = int(np.sum(s2[iu] ** 2))
-    num = n * n * (n - 1) * (n - 2) - 6 * q
+    num = n * n * (n - 1) * (n - 2) - 6 * _offdiag_square_sum(s2)
     delta, rem = divmod(num, 96)
     if rem != 0 or delta < 0:
         raise InvalidSeidelError(f"closed form gave non-integer or negative count {num}/96")
     return delta
+
+
+def _offdiag_square_sum(s2: np.ndarray) -> int:
+    """sum_{i<j} ((S^2)_ij)^2, exactly, from S^2."""
+    n = s2.shape[0]
+    iu = np.triu_indices(n, k=1)
+    return int(np.sum(s2[iu] ** 2))
 
 
 def diamond_upper_bound(n: int) -> Fraction:
@@ -227,26 +230,3 @@ def switch(s, eps) -> np.ndarray:
     if np.any(np.abs(eps) != 1):
         raise ValueError("switching vector entries must be +-1")
     return s * np.outer(eps, eps)
-
-
-def flat_kernel(s, tol: ToleranceProfile = DEFAULT_TOL) -> Optional[np.ndarray]:
-    """Extract a +-1 kernel vector when the kernel is one-dimensional and flat.
-
-    Returns the vector normalized to have first entry +1, with the exact
-    integer identity s @ x == 0 re-verified; returns None otherwise.
-    """
-    s = _check_skew_int(s)
-    _, sv, vt = np.linalg.svd(s.astype(float))
-    if s.shape[0] - np.count_nonzero(sv > tol.rank_rel_tol * sv[0]) != 1:
-        return None
-    v = vt[-1]
-    mods = np.abs(v)
-    m = float(np.mean(mods))
-    if m == 0.0 or np.max(np.abs(mods - m)) > tol.entry_tol * m:
-        return None
-    x = np.rint(v / m).astype(np.int64)
-    if np.any(np.abs(x) != 1) or np.any(s @ x != 0):
-        return None
-    if x[0] < 0:
-        x = -x
-    return x

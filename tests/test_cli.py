@@ -10,6 +10,7 @@ from sympetf.cli import main
 from sympetf import certify_etf
 from sympetf.frames import factor_gram, gram, omega
 from sympetf.hadamard import (
+    hadamard_to_etf_square,
     is_skew_conference,
     is_skew_hadamard,
     normalize_conference,
@@ -202,10 +203,10 @@ def test_search_budget_is_checked_at_the_boundary(tmp_path, argv):
 
 
 def test_search_beyond_memory_is_a_one_line_usage_error(tmp_path):
-    # n = 10^8 asks numpy for an 8.9 PiB mask, more than any address space.
-    # Building it first fills two 381 MiB index vectors, so the child's
-    # address space is capped: it fails at once either way, touching at
-    # most 512 MiB.
+    # n = 10^8 would need an 8.9 PiB mask, more than any address space; the
+    # search refuses it by its size bound before allocating anything.  The
+    # child's address space stays capped, so a regression touches at most
+    # 512 MiB.
     resource = pytest.importorskip("resource")
     cap = 512 * 2**20
 
@@ -216,7 +217,7 @@ def test_search_beyond_memory_is_a_one_line_usage_error(tmp_path):
                       preexec_fn=limit)
     assert proc.returncode == 2
     assert_one_line_error(proc)
-    assert proc.stderr.startswith("error: out of memory: ")
+    assert proc.stderr.startswith("error: discrete search is limited to n <= 1024, got ")
 
 
 def test_verify_etf(tmp_path, capsys, conf4):
@@ -363,6 +364,34 @@ def test_double_frame_cli(tmp_path, capsys):
     assert code == 0 and report["d"] == "4"
     _, f = read_matrix(out)
     assert certify_etf(gram(f), 4) is not None
+
+
+def test_factor_has_no_tol_flag(tmp_path):
+    write_matrix(tmp_path / "g.symf", hadamard_to_etf_square(seed_hadamard(8)), "real")
+    proc = run_module(tmp_path, "factor", "g.symf", "--out", "phi.symf", "--tol", "0.9")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "unrecognized arguments: --tol 0.9" in proc.stderr
+    assert not (tmp_path / "phi.symf").exists()
+
+
+def test_double_hadamard_refuses_tol(tmp_path):
+    write_matrix(tmp_path / "h.symf", seed_hadamard(8), "int")
+    proc = run_module(tmp_path, "double", "--level", "hadamard", "h.symf", "--out", "out.symf",
+                      "--tol", "0.5")
+    assert proc.returncode == 2
+    assert_one_line_error(proc)
+    assert not (tmp_path / "out.symf").exists()
+
+
+def test_double_frame_tol_keeps_the_bytes(tmp_path, capsys):
+    phi = tmp_path / "phi.symf"
+    write_matrix(phi, factor_gram(hadamard_to_etf_square(seed_hadamard(8))), "real")
+    reports = []
+    for name, tol in (("plain.symf", ()), ("tol.symf", ("--tol", "0.5"))):
+        assert main(["double", "--level", "frame", str(phi), "--out", str(tmp_path / name), *tol]) == 0
+        reports.append(capsys.readouterr())
+    assert reports[0] == reports[1] and reports[0].out == "d=16\nn=16\n"
+    assert (tmp_path / "plain.symf").read_bytes() == (tmp_path / "tol.symf").read_bytes()
 
 
 def test_search_cli(tmp_path, capsys):

@@ -1,11 +1,14 @@
-"""Every module of the package imports cleanly when it is the first one imported.
+"""Every module of the package imports cleanly when it is the first one imported,
+and every private function of the package is used by the package.
 
 ``import sympetf.x`` always runs the package ``__init__`` first, which hides
 an import cycle behind ``__init__``'s fixed order.  So each module is
 loaded in a fresh interpreter under a bare package whose ``__init__`` has
-not run, and the package itself is imported the usual way.
+not run, and the package itself is imported the usual way.  A private
+function that only tests call is a test oracle and belongs under tests/.
 """
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -35,3 +38,26 @@ def test_module_imports_first_in_a_fresh_interpreter(name):
     proc = subprocess.run([sys.executable, "-c", FIRST_IMPORT, name, str(SRC)],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def _names(node):
+    """Every name a node reads, as a bare name, an attribute or an imported name."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+
+
+def test_every_private_function_is_used_by_the_package():
+    statements = [(path.stem, stmt) for path in sorted((SRC / "sympetf").glob("*.py"))
+                  for stmt in ast.parse(path.read_text()).body]
+    unused = [
+        f"{module}.{stmt.name}"
+        for module, stmt in statements
+        if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_")
+        and not any(stmt.name in _names(other) for _, other in statements if other is not stmt)
+    ]
+    assert unused == []

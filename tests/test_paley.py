@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from etf_oracle import svd_certify_etf
+from tournament_oracles import flat_kernel
 from sympetf import certify_etf
 from sympetf.complex_lift import beta_constant, lift_core, lift_square, signature_check
 from sympetf.errors import RoundingError
@@ -38,7 +39,6 @@ from sympetf.tournaments import (
     count_diamonds_formula,
     degree_stats,
     diamond_upper_bound,
-    flat_kernel,
     is_doubly_regular,
     seidel_square,
     switch,

@@ -1,5 +1,6 @@
 import hashlib
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,15 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from etf_oracle import svd_certify_etf
+from tournament_oracles import flip_delta
 from sympetf import certify_etf
 from sympetf.frames import factor_gram, gram
 from sympetf.hadamard import is_skew_conference, seed_hadamard
 from sympetf.search import (
+    _MAX_DISCRETE_N,
     SearchConfig,
     _apply_flip,
-    _flip_delta,
     _flip_deltas,
-    _offdiag_square_sum,
     _rounded_certificate,
     continuous_etf_search,
     discrete_diamond_search,
@@ -23,6 +24,7 @@ from sympetf.search import (
 )
 from sympetf.skewlinalg import ToleranceProfile
 from sympetf.tournaments import (
+    _offdiag_square_sum,
     count_diamonds_formula,
     diamond_upper_bound,
     random_tournament,
@@ -138,7 +140,7 @@ def test_closed_form_flip_deltas_match_oracle_and_recomputation(s):
     iu = np.triu_indices(n, k=1)
     deltas = _flip_deltas(s, s2, iu)
     for k, (i, j) in enumerate(zip(*iu)):
-        assert deltas[k] == _flip_delta(s, s2, i, j)
+        assert deltas[k] == flip_delta(s, s2, i, j)
         flipped, flipped2 = s.copy(), s2.copy()
         _apply_flip(flipped, flipped2, i, j)
         assert _offdiag_square_sum(flipped @ flipped) - q == deltas[k]
@@ -158,8 +160,9 @@ def test_apply_flip_sequences_keep_s2_exact(data):
 
 # (n, seed, success, best_value, iterations_used, restart_index,
 #  restart_values, sha256 of best_object.tobytes()) at restarts=4,
-# max_iters=2000, recorded with the per-edge _flip_delta scan.  The cases
-# cover even n, n = 3 mod 4 and n = 1 mod 4, hits and misses.
+# max_iters=2000, recorded with the per-edge scan of
+# tournament_oracles.flip_delta.  The cases cover even n, n = 3 mod 4
+# and n = 1 mod 4, hits and misses.
 GOLDEN_TRAJECTORIES = [
     (6, 11, False, 24.0, 29, 0, (24.0, 24.0, 24.0, 24.0), "b91c3ef08a18cf2b51ac85c9fecd5d9e5632ef5bb5091b916f5cea0088a84ae0"),
     (7, 2, True, 21.0, 9, 0, (21.0, 21.0, 21.0, 21.0), "61beed08326e554e0037179480329b288157bc0b979ea95aeb0a2365fb45cf22"),
@@ -262,6 +265,18 @@ def test_discrete_search_deterministic():
     assert a.best_value == b.best_value
     assert a.restart_index == b.restart_index
     np.testing.assert_array_equal(a.best_object, b.best_object)
+
+
+@pytest.mark.parametrize("n", [_MAX_DISCRETE_N + 1, 10**8])
+def test_discrete_search_refuses_orders_above_its_bound_before_allocating(n):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"n <= {_MAX_DISCRETE_N}, got {n}"):
+            discrete_diamond_search(n, SearchConfig(restarts=1, max_iters=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_gerzon_oracle_values():

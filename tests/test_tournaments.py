@@ -4,6 +4,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+from tournament_oracles import flat_kernel
 from sympetf.errors import InvalidSeidelError, NotEquiangularError
 from sympetf.frames import gram
 from sympetf.tournaments import (
@@ -12,7 +13,6 @@ from sympetf.tournaments import (
     count_diamonds_formula,
     degree_stats,
     diamond_upper_bound,
-    flat_kernel,
     gamma,
     is_doubly_regular,
     random_tournament,

@@ -1,0 +1,58 @@
+"""Floating-point and loop references for the exact tournament kernels, kept as test oracles.
+
+``flat_kernel`` extracts a +-1 kernel vector of a skew integer matrix from
+its full SVD, as the core conversions once did; the exact ETF gate now
+reads the same vector as the border of the conference matrix.
+``flip_delta`` recomputes the change of sum_{a<b} ((S^2)_ab)^2 under one
+edge flip by looping over the changed entries of S^2, the check for the
+closed form that ``search._flip_deltas`` evaluates for every edge at once.
+"""
+
+from typing import Optional
+
+import numpy as np
+
+from sympetf.skewlinalg import DEFAULT_TOL, ToleranceProfile
+
+
+def flat_kernel(s, tol: ToleranceProfile = DEFAULT_TOL) -> Optional[np.ndarray]:
+    """A +-1 kernel vector with first entry +1 when the kernel is one-dimensional and flat.
+
+    The integer identity s @ x == 0 is re-verified; None otherwise.
+    """
+    s = np.asarray(s, dtype=np.int64)
+    _, sv, vt = np.linalg.svd(s.astype(float))
+    if s.shape[0] - np.count_nonzero(sv > tol.rank_rel_tol * sv[0]) != 1:
+        return None
+    v = vt[-1]
+    mods = np.abs(v)
+    m = float(np.mean(mods))
+    if m == 0.0 or np.max(np.abs(mods - m)) > tol.entry_tol * m:
+        return None
+    x = np.rint(v / m).astype(np.int64)
+    if np.any(np.abs(x) != 1) or np.any(s @ x != 0):
+        return None
+    if x[0] < 0:
+        x = -x
+    return x
+
+
+def flip_delta(s: np.ndarray, s2: np.ndarray, i: int, j: int) -> int:
+    """Change in sum_{a<b} ((S^2)_ab)^2 caused by flipping edge (i, j), O(n)."""
+    n = s.shape[0]
+    sij = s[i, j]
+    delta = 0
+    # rows/columns i and j change except for the pair entries handled below
+    for a in range(n):
+        if a == i or a == j:
+            continue
+        old_ai = s2[a, i]
+        old_aj = s2[a, j]
+        new_ai = old_ai + 2 * sij * s[a, j]
+        new_aj = old_aj - 2 * sij * s[a, i]
+        delta += new_ai * new_ai - old_ai * old_ai
+        delta += new_aj * new_aj - old_aj * old_aj
+    # the symmetric (i, j) entry: S E + E S contributes nothing there and the
+    # diagonal correction E^2 only touches (i,i) and (j,j), which never enter
+    # the off-diagonal objective
+    return delta
