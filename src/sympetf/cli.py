@@ -49,6 +49,16 @@ def _tolerances(args):
     return replace(DEFAULT_TOL, residual_rel_tol=args.tol)
 
 
+_CONDITIONAL = ("dim", "tol", "p", "step", "target_residual")  # flags some kind leaves unread
+
+
+def _reject_unread(args, reads, what):
+    """Refuse each conditional flag that was given although ``what`` does not read it."""
+    for flag in _CONDITIONAL:
+        if flag not in reads and getattr(args, flag, None) is not None:
+            raise UsageError(f"--{flag.replace('_', '-')} does not apply to {what}")
+
+
 def _require_even_dim(args):
     if args.dim is None:
         raise UsageError("--dim is required for this kind")
@@ -58,25 +68,25 @@ def _require_even_dim(args):
 
 
 # Each verifier returns (verified, report fields); cmd_verify prints them in order.
-def _verify_frame(args, tol):
+def _verify_frame(args):
     _, mat = _load(args.file, ("real", "int"))
     mat = mat.astype(float)
-    ok = frames.is_frame(mat, tol)  # rejects an odd number of rows with ValueError
+    ok = frames.is_frame(mat)  # rejects an odd number of rows with ValueError
     fields = {"d": mat.shape[0], "n": mat.shape[1]}
-    return ok, {**fields, **frames.frame_bounds(mat, tol)._asdict()} if ok else fields
+    return ok, {**fields, **frames.frame_bounds(mat)._asdict()} if ok else fields
 
 
-def _verify_tight(args, tol):
+def _verify_tight(args):
     d = _require_even_dim(args)
     _, mat = _load(args.file, ("real", "int"))
-    c = frames.is_tight(mat.astype(float), d, tol)
+    c = frames.is_tight(mat.astype(float), d, _tolerances(args))
     return c is not None, {} if c is None else {"c": c}
 
 
-def _verify_etf(args, tol):
+def _verify_etf(args):
     d = _require_even_dim(args)
     _, mat = _load(args.file, ("real", "int"))
-    cert = hadamard.certify_etf(mat.astype(float), d, tol)  # None is a verdict, not an error
+    cert = hadamard.certify_etf(mat.astype(float), d, _tolerances(args))  # None is a verdict, not an error
     return cert is not None, {} if cert is None else asdict(cert)
 
 
@@ -85,32 +95,35 @@ def _verify_exact(args, check, report_order=True):
     return check(mat), {"order": mat.shape[0]} if report_order else {}
 
 
-def _verify_signature(args, tol):
+def _verify_signature(args):
     if args.dim is None or args.dim < 1:
         raise UsageError("--dim (the complex dimension) is required for signatures")
     _, mat = _load(args.file, ("complex",))
     try:
-        return complex_lift.signature_check(mat, args.dim, tol), {}
+        return complex_lift.signature_check(mat, args.dim, _tolerances(args)), {}
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return False, {}
 
 
-# kind -> verifier(args, tol); the keys, in this order, are the argparse choices.
-# Library functions are looked up at call time, so tracers that rebind them see the calls.
+# kind -> (verifier(args), the optional flags it reads); the keys, in this order, are
+# the argparse choices.  Library functions are looked up at call time, so tracers
+# that rebind them see the calls.
 _VERIFIERS = {
-    "frame": _verify_frame,
-    "tight": _verify_tight,
-    "etf": _verify_etf,
-    "conference": lambda args, tol: _verify_exact(args, hadamard.is_skew_conference),
-    "hadamard": lambda args, tol: _verify_exact(args, hadamard.is_skew_hadamard),
-    "doubly-regular": lambda args, tol: _verify_exact(args, tournaments.is_doubly_regular, False),
-    "signature": _verify_signature,
+    "frame": (_verify_frame, ()),
+    "tight": (_verify_tight, ("dim", "tol")),
+    "etf": (_verify_etf, ("dim", "tol")),
+    "conference": (lambda args: _verify_exact(args, hadamard.is_skew_conference), ()),
+    "hadamard": (lambda args: _verify_exact(args, hadamard.is_skew_hadamard), ()),
+    "doubly-regular": (lambda args: _verify_exact(args, tournaments.is_doubly_regular, False), ()),
+    "signature": (_verify_signature, ("dim", "tol")),
 }
 
 
 def cmd_verify(args) -> int:
-    ok, fields = _VERIFIERS[args.kind](args, _tolerances(args))
+    verify, reads = _VERIFIERS[args.kind]
+    _reject_unread(args, reads, f"verify {args.kind}")
+    ok, fields = verify(args)
     _emit("verified", ok)
     for key, value in fields.items():
         _emit(key, value)
@@ -148,9 +161,17 @@ _CONVERSIONS = {
 }
 _CONVERT_REPORT = {"hadamard": ("order",), "etf-square": ("rows", "cols"),
                    "etf-core": ("rows", "cols"), "complex-signature": ("n",)}
+# --from, --level and --mode -> the optional flags each reads; the keys, in this order, are
+# the argparse choices.  Hadamard doubling is exact, and SearchConfig holds the budget defaults.
+_CONVERT_READS = {"etf-square": ("tol",), "etf-core": ("tol",), "hadamard": ()}
+_DOUBLE_READS = {"hadamard": (), "frame": ("tol",)}
+_BUDGET = ("seed", "restarts", "max_iters", "step", "target_residual")
+_SEARCH_READS = {"continuous": ("dim", "p", *_BUDGET, "out"),
+                 "discrete": ("seed", "restarts", "max_iters", "out")}
 
 
 def cmd_convert(args) -> int:
+    _reject_unread(args, _CONVERT_READS[args.src], f"convert --from {args.src}")
     tol = _tolerances(args)
     convert = _CONVERSIONS.get((args.src, args.to))
     if convert is None:
@@ -164,9 +185,8 @@ def cmd_convert(args) -> int:
 
 
 def cmd_double(args) -> int:
+    _reject_unread(args, _DOUBLE_READS[args.level], f"double --level {args.level}")
     if args.level == "hadamard":
-        if args.tol is not None:
-            raise UsageError("--tol applies to --level frame only; Hadamard doubling is exact")
         _, mat = _load(args.file, ("int",))
         out = hadamard.double_hadamard(mat)
         matio.write_matrix(args.out, out, "int")
@@ -208,20 +228,15 @@ def cmd_diamonds(args) -> int:
 
 
 def cmd_search(args) -> int:
-    cfg = search.SearchConfig(
-        seed=args.seed,
-        restarts=args.restarts,
-        max_iters=args.max_iters,
-        step=args.step,
-        target_residual=args.target_residual,
-    )
+    _reject_unread(args, _SEARCH_READS[args.mode], f"search --mode {args.mode}")
+    cfg = search.SearchConfig(**{k: v for k, v in vars(args).items() if k in _BUDGET and v is not None})
     if args.mode == "discrete":
         out = search.discrete_diamond_search(args.n, cfg)
         obj_kind = "int"
     else:
         if args.dim is None:
             raise UsageError("--dim is required for continuous searches")
-        out = search.continuous_etf_search(args.dim, args.n, args.p, cfg)
+        out = search.continuous_etf_search(args.dim, args.n, 2.0 if args.p is None else args.p, cfg)
         obj_kind = "real"
     _emit("success", out.success)
     _emit("best_value", float(out.best_value))
@@ -255,9 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify a matrix property and print a certificate")
     p.add_argument("kind", choices=tuple(_VERIFIERS))
     p.add_argument("file")
-    p.add_argument("--dim", type=int, help="symplectic dimension (or complex dimension for signatures)")
-    p.add_argument("--tol", type=float, help="residual_rel_tol of tight, etf and signature; for "
-                   "etf it bounds ||G - mu*S||_F / ||G||_F, the distance to the rounded Seidel matrix S")
+    p.add_argument("--dim", type=int, help="tight, etf: symplectic dimension; signature: complex dimension")
+    p.add_argument("--tol", type=float, help="override residual_rel_tol; tight, etf, signature only; for etf "
+                   "it bounds ||G - mu*S||_F / ||G||_F, the distance to the rounded Seidel matrix S")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("factor", help="factor a skew Gram matrix into a synthesis matrix")
@@ -267,16 +282,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_factor)
 
     p = sub.add_parser("convert", help="convert between ETF Grams, Hadamard matrices, and signatures")
-    p.add_argument("--from", dest="src", required=True, choices=tuple(dict.fromkeys(a for a, _ in _CONVERSIONS)))
+    p.add_argument("--from", dest="src", required=True, choices=tuple(_CONVERT_READS))
     p.add_argument("--to", required=True, choices=tuple(dict.fromkeys(b for _, b in _CONVERSIONS)))
     p.add_argument("file")
-    p.add_argument("--tol", type=float, help="override residual_rel_tol, read by --from etf-square "
+    p.add_argument("--tol", type=float, help="override residual_rel_tol; --from etf-square "
                    "and --from etf-core only")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("double", help="double a skew Hadamard matrix or an ETF synthesis matrix")
-    p.add_argument("--level", required=True, choices=("hadamard", "frame"))
+    p.add_argument("--level", required=True, choices=tuple(_DOUBLE_READS))
     p.add_argument("file")
     p.add_argument("--tol", type=float, help="override residual_rel_tol; --level frame only")
     p.add_argument("--out", required=True)
@@ -288,15 +303,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_diamonds)
 
     p = sub.add_parser("search", help="run the continuous or discrete search")
-    p.add_argument("--mode", required=True, choices=("continuous", "discrete"))
+    cfg = search.SearchConfig
+    p.add_argument("--mode", required=True, choices=tuple(_SEARCH_READS))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=10)
-    p.add_argument("--max-iters", type=int, default=2000)
-    p.add_argument("--step", type=float, default=0.05)
-    p.add_argument("--target-residual", type=float, default=1e-6)
+    p.add_argument("--dim", type=int, help="symplectic dimension; continuous only, and required there")
+    p.add_argument("--p", type=float, help="order of the frame potential (default 2); continuous only")
+    p.add_argument("--seed", type=int, help=f"default {cfg.seed}")
+    p.add_argument("--restarts", type=int, help=f"default {cfg.restarts}")
+    p.add_argument("--max-iters", type=int, help=f"default {cfg.max_iters}")
+    p.add_argument("--step", type=float, help=f"initial step (default {cfg.step}); continuous only")
+    p.add_argument("--target-residual", type=float, help="margin over the ETF bound (default "
+                   f"{cfg.target_residual}); continuous only")
     p.add_argument("--out")
     p.set_defaults(func=cmd_search)
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NotPsdError, RankMismatchError, SignatureError
 from .hadamard import etf_to_conference
-from .skewlinalg import DEFAULT_TOL, ToleranceProfile
+from .skewlinalg import DEFAULT_TOL, ToleranceProfile, _check_even_dim
 
 __all__ = [
     "beta_constant",
@@ -38,8 +38,7 @@ def beta_constant(d: int) -> complex:
     Re(beta) = -1/sqrt(d+2) is forced by unimodularity together with the
     signature quadratic; for d = 2 this is the primitive cube root of unity.
     """
-    if d < 2 or d % 2 != 0:
-        raise ValueError(f"need an even dimension >= 2, got {d}")
+    _check_even_dim(d)
     re = -1.0 / sqrt(d + 2.0)
     return complex(re, sqrt(1.0 - re * re))
 
@@ -50,8 +49,7 @@ def core_lift_scale(d: int) -> float:
     The signature quadratic puts the eigenvalues of Q at sqrt(d+2) and
     -d/sqrt(d+2); this scale maps the negative one to zero.
     """
-    if d < 2 or d % 2 != 0:
-        raise ValueError(f"need an even dimension >= 2, got {d}")
+    _check_even_dim(d)
     return sqrt(d + 2.0) / d
 
 

@@ -17,7 +17,8 @@ point may hand arrays it validated or built itself to another module's
 ``tournaments._offdiag_square_sum``, ``hadamard.etf_to_conference`` with
 ``frames._equiangularity`` and ``tournaments._round_seidel``.  Boundary
 validators raise ``ValueError`` (``as_matrix``, ``frames._check_synthesis``,
-``complex_lift._check_signature_structure``, and for ``hadamard`` the one
+``complex_lift._check_signature_structure``, the one even-dimension rule
+``skewlinalg._check_even_dim``, and for ``hadamard`` the one
 integer validator ``tournaments._as_int_square``) or a domain error
 (``check_skew``: ``NotSkewSymmetricError``; ``tournaments.check_seidel``,
 which has ``_as_int_square`` raise ``InvalidSeidelError``).

@@ -21,6 +21,7 @@ from .skewlinalg import (
     ToleranceProfile,
     as_matrix,
     _canonical_factor,
+    _check_even_dim,
     check_skew,
     rank_by_sv,
 )
@@ -49,8 +50,7 @@ class FrameBounds(NamedTuple):
 
 def omega(d: int) -> np.ndarray:
     """Standard symplectic form matrix: direct sum of d/2 blocks [[0,1],[-1,0]]."""
-    if d < 2 or d % 2 != 0:
-        raise ValueError(f"symplectic dimension must be even and >= 2, got {d}")
+    _check_even_dim(d)
     w = np.zeros((d, d))
     for i in range(0, d, 2):
         w[i, i + 1] = 1.0
@@ -60,9 +60,7 @@ def omega(d: int) -> np.ndarray:
 
 def _check_synthesis(phi) -> np.ndarray:
     phi = as_matrix(phi)
-    d = phi.shape[0]
-    if d < 2 or d % 2 != 0:
-        raise ValueError(f"synthesis matrix must have an even number >= 2 of rows, got {d}")
+    _check_even_dim(phi.shape[0])
     return phi
 
 
@@ -186,8 +184,7 @@ def admissible_sizes(d: int) -> set[int]:
     This is a necessary condition only; existence beyond constructed orders
     is open and never asserted here.
     """
-    if d < 2 or d % 2 != 0:
-        raise ValueError(f"symplectic dimension must be even and >= 2, got {d}")
+    _check_even_dim(d)
     if d == 2:
         return {2, 3}
     return {d} if d % 4 == 0 else {d + 1}

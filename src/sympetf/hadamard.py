@@ -26,7 +26,7 @@ from .errors import (
     RoundingError,
 )
 from .frames import _equiangularity, gram
-from .skewlinalg import DEFAULT_TOL, ToleranceProfile, as_matrix, check_skew
+from .skewlinalg import DEFAULT_TOL, ToleranceProfile, _check_even_dim, as_matrix, check_skew
 from .tournaments import _as_int_square, _round_seidel, seidel_square
 
 __all__ = [
@@ -266,8 +266,7 @@ def doubling_coefficients(d: int) -> DoublingCoefficients:
 
 def default_b_matrix(d: int) -> np.ndarray:
     """Direct sum of d/2 copies of diag(1, -1); satisfies B.T @ omega @ B == -omega."""
-    if d < 2 or d % 2 != 0:
-        raise ValueError(f"need an even dimension >= 2, got {d}")
+    _check_even_dim(d)
     b = np.ones(d)
     b[1::2] = -1.0
     return np.diag(b)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .frames import _equiangularity, _gram, gram, omega
 from .potentials import _gradient, _nuclear, _potential
-from .skewlinalg import DEFAULT_TOL, ToleranceProfile, _canonical_factor
+from .skewlinalg import DEFAULT_TOL, ToleranceProfile, _canonical_factor, _check_even_dim
 from .tournaments import (_offdiag_square_sum, count_diamonds_formula, diamond_upper_bound,
                           random_tournament)
 from .hadamard import certify_etf, is_skew_conference
@@ -124,8 +124,7 @@ def continuous_etf_search(
     Success means the potential came within ``cfg.target_residual`` of the
     ETF bound n(n-1) and the rounded Gram passed the exact gate.
     """
-    if d < 2 or d % 2 != 0:
-        raise ValueError(f"need an even dimension >= 2, got {d}")
+    _check_even_dim(d)
     if n < d or n > d + 1:
         raise ValueError(f"ETF sizes require n in {{d, d+1}}, got n={n}")
     if not (1.0 < p < math.inf):
@@ -226,19 +225,13 @@ def discrete_diamond_search(n: int, cfg: SearchConfig) -> SearchOutcome:
         raise ValueError(f"need at least two vertices, got {n}")
     if n > _MAX_DISCRETE_N:
         raise ValueError(f"discrete search is limited to n <= {_MAX_DISCRETE_N}, got {n}")
+    # (objective value of a hit, exact check of a hit)
     if n % 2 == 0:
-        target = 0
+        target, verified = 0, is_skew_conference
     elif n % 4 == 3:
-        target = n * (n - 1) // 2
+        target, verified = n * (n - 1) // 2, lambda s: count_diamonds_formula(s) == diamond_upper_bound(n)
     else:
-        target = None  # saturation impossible; minimize anyway
-
-    def verified(s) -> bool:
-        if n % 2 == 0:
-            return is_skew_conference(s)
-        if n % 4 == 3:
-            return count_diamonds_formula(s) == diamond_upper_bound(n)
-        return False
+        target, verified = None, None  # saturation impossible; minimize anyway
 
     iu = np.triu_indices(n, k=1)
     restarts = []

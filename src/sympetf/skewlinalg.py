@@ -86,6 +86,12 @@ class SkewSpectralForm:
         return _scale_rows(self.lambdas, self.w[self.w.shape[0] - self.rank :, :])
 
 
+def _check_even_dim(d: int) -> None:
+    """The one rule for a symplectic dimension: even and at least 2, else ValueError."""
+    if d < 2 or d % 2 != 0:
+        raise ValueError(f"dimension must be even and >= 2, got {d}")
+
+
 def as_matrix(a, dtype=float) -> np.ndarray:
     """Coerce to a 2-d array of the given dtype and reject non-finite entries."""
     m = np.asarray(a, dtype=dtype)

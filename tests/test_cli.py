@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -6,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sympetf.cli import main
+from sympetf import cli
+from sympetf.cli import build_parser, main
 from sympetf import certify_etf
 from sympetf.frames import factor_gram, gram, omega
 from sympetf.hadamard import (
@@ -392,6 +394,70 @@ def test_double_frame_tol_keeps_the_bytes(tmp_path, capsys):
         reports.append(capsys.readouterr())
     assert reports[0] == reports[1] and reports[0].out == "d=16\nn=16\n"
     assert (tmp_path / "plain.symf").read_bytes() == (tmp_path / "tol.symf").read_bytes()
+
+
+def _unread_inputs(tmp_path):
+    """Inputs each command accepts without the unread flag, by argv file placeholder."""
+    h = seed_hadamard(8)
+    eye = np.eye(8, dtype=np.int64)
+    files = {"frame": factor_gram(hadamard_to_etf_square(h)), "conference": h - eye,
+             "hadamard": h, "doubly-regular": normalize_conference(h - eye)[0][1:, 1:]}
+    for name, mat in files.items():
+        write_matrix(tmp_path / f"{name}.symf", mat)
+    return {"{%s}" % name: str(tmp_path / f"{name}.symf") for name in files}
+
+
+UNREAD = [
+    *[(["verify", kind, "{%s}" % kind], flag, f"verify {kind}")
+      for kind in ("frame", "conference", "hadamard", "doubly-regular")
+      for flag in (("--dim", "8"), ("--tol", "0.5"))],
+    *[(["convert", "--from", "hadamard", "--to", to, "{hadamard}", "--out", "{out}"], ("--tol", "0.5"),
+       "convert --from hadamard") for to in ("etf-square", "etf-core")],
+    *[(["search", "--mode", "discrete", "--n", "8", "--seed", "7", "--out", "{out}"], flag,
+       "search --mode discrete")
+      for flag in (("--dim", "8"), ("--p", "2"), ("--step", "0.05"), ("--target-residual", "1e-6"))],
+]
+
+
+@pytest.mark.parametrize("argv, flag, what", UNREAD,
+                         ids=[f"{what}-{flag[0]}" for _, flag, what in UNREAD])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, argv, flag, what):
+    names = {**_unread_inputs(tmp_path), "{out}": str(tmp_path / "out.symf")}
+    argv = [names.get(a, a) for a in argv]
+    assert main([*argv, *flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not (tmp_path / "out.symf").exists()
+    assert captured.err == f"error: {flag[0]} does not apply to {what}\n"
+    # the same command without the flag runs
+    assert main(argv) == 0
+
+
+def test_each_optional_flag_is_read_somewhere_and_policed_where_it_is_not():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    reads = {"verify": {kind: r for kind, (_, r) in cli._VERIFIERS.items()},
+             "convert": cli._CONVERT_READS, "double": cli._DOUBLE_READS, "search": cli._SEARCH_READS}
+    conditional = set()
+    for command, table in reads.items():
+        optional = {a.dest for a in subparsers[command]._actions
+                    if a.option_strings and not a.required} - {"help"}
+        read_by_some = set().union(*table.values())
+        read_by_all = set.intersection(*map(set, table.values()))
+        assert read_by_some == optional, command  # no name the parser lacks, no flag read nowhere
+        conditional |= read_by_some - read_by_all
+    assert conditional == set(cli._CONDITIONAL)
+
+
+@pytest.mark.parametrize("argv, defaults", [
+    (["--mode", "discrete", "--n", "8", "--seed", "7"], ["--restarts", "10", "--max-iters", "2000"]),
+    (["--mode", "continuous", "--n", "3", "--dim", "2", "--restarts", "5"],
+     ["--seed", "0", "--p", "2", "--step", "0.05", "--target-residual", "1e-6"]),
+], ids=["discrete", "continuous"])
+def test_search_flags_left_out_take_the_search_config_defaults(capsys, argv, defaults):
+    reports = []
+    for extra in ((), defaults):
+        reports.append((main(["search", *argv, *extra]), capsys.readouterr().out))
+    assert reports[0] == reports[1] and "best_value=" in reports[0][1]
 
 
 def test_search_cli(tmp_path, capsys):

@@ -132,6 +132,19 @@ def test_diamond_counts_small_cases(core3):
     assert count_diamonds_formula(diamond) == 1
 
 
+def test_four_vertex_minor_is_its_pfaffian_squared():
+    # the brute count reads a diamond off |Pf| = 3; on every 4-vertex
+    # tournament that agrees with the determinant read in floating point
+    seen = 0
+    for s in all_tournaments(4):
+        pf = s[0, 1] * s[2, 3] - s[0, 2] * s[1, 3] + s[0, 3] * s[1, 2]
+        det = round(np.linalg.det(s))
+        assert pf * pf == det and det in (1, 9)
+        assert count_diamonds_bruteforce(s) == (det == 9)
+        seen += 1
+    assert seen == 64
+
+
 def test_diamond_formula_matches_bruteforce_corpus():
     rng = np.random.default_rng(23)
     for _ in range(200):
