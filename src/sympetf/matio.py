@@ -7,6 +7,12 @@ integer.  Complex entries are written ``re,im`` with no spaces around
 the comma.  Lines starting with ``#`` are comments and ignored.  Reals
 are serialized with 17 significant digits, so write -> read -> write
 reproduces files byte for byte.
+
+Matrices with few distinct values (Hadamard, conference and signature
+matrices) are coded per distinct value: the writer formats each value,
+told apart by bit pattern, once, and the reader parses each distinct
+token once.  Past ``_TABLE_CAP`` distinct values both work row by row.
+Bytes, arrays and errors are the same either way.
 """
 
 from __future__ import annotations
@@ -20,17 +26,54 @@ _REAL = ".17g"  # 17 significant digits round-trip every float64
 _INT64 = range(-(2**63), 2**63)
 
 
-def format_real(x: float) -> str:
-    return format(float(x), _REAL)
+# most distinct values (real and imaginary parts each, for complex) or
+# tokens that the writer's and the reader's tables hold
+_TABLE_CAP = 64
 
 
-def _format_row(kind: str, row: np.ndarray) -> str:
-    """One line of entries; ``tolist`` hands the formatters Python scalars."""
+def _tokens(kind: str, values: np.ndarray) -> list[str]:
+    """The text of each entry of a 1-d array: the one home of the entry formats."""
     if kind == "int":
-        return " ".join(map(str, map(int, row.tolist())))
+        return list(map(str, values.tolist()))
     if kind == "real":
-        return " ".join([format(x, _REAL) for x in row.tolist()])
-    return " ".join([f"{x:{_REAL}},{y:{_REAL}}" for x, y in zip(row.real.tolist(), row.imag.tolist())])
+        return [format(x, _REAL) for x in values.tolist()]
+    return [f"{re},{im}" for re, im in zip(_tokens("real", values.real), _tokens("real", values.imag))]
+
+
+def format_real(x: float) -> str:
+    return _tokens("real", np.array([x], dtype=float))[0]
+
+
+def _distinct(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The sorted distinct entries of a 2-d int64 array and each entry's index
+    among them, or None past ``_TABLE_CAP`` of them.  The first row is
+    counted first, so a many-valued matrix costs one short ``unique``."""
+    if not bits.size or np.unique(bits[0]).size > _TABLE_CAP:
+        return None
+    s = np.sort(bits, axis=None)
+    u = s[np.r_[True, s[1:] != s[:-1]]]
+    return (u, np.searchsorted(u, bits)) if u.size <= _TABLE_CAP else None
+
+
+def _table_lines(kind: str, a: np.ndarray) -> list[str] | None:
+    """The lines of ``a`` joined from one token per distinct entry, or None
+    past ``_TABLE_CAP`` distinct values.  Reals are told apart by their bits,
+    not by ``==``, so ``-0.0`` and ``0.0`` keep their own tokens."""
+    parts = []
+    for part in (a.real, a.imag) if kind == "complex" else (a,):
+        found = _distinct(part.astype(np.int64, copy=False) if kind == "int" else part.view(np.int64))
+        if found is None:
+            return None
+        parts.append(found if kind == "int" else (found[0].view(float), found[1]))
+    if kind != "complex":
+        (values, codes), = parts
+    else:  # every (re, im) pair of the two tables, set by assignment to keep signed zeros
+        (re, re_codes), (im, im_codes) = parts
+        values = np.empty((re.size, im.size), dtype=complex)
+        values.real, values.imag = re[:, None], im
+        values, codes = values.ravel(), re_codes * im.size + im_codes
+    table = np.array(_tokens(kind, values), dtype=object)
+    return [" ".join(table[row].tolist()) for row in codes]
 
 
 def _parse_row(kind: str, out: np.ndarray, tokens: list[str]) -> None:
@@ -97,10 +140,11 @@ def write_matrix(path, a, kind: str | None = None) -> None:
         a = ai
     rows, cols = a.shape
     lines = [f"symf {kind} {rows} {cols}"]
-    lines += [_format_row(kind, row) for row in a]
+    lines += _table_lines(kind, a) or [" ".join(_tokens(kind, row)) for row in a]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+        for line in lines:  # not one joined string: that would double the peak memory
+            fh.write(line)
+            fh.write("\n")
 
 
 def read_matrix(path) -> tuple[str, np.ndarray]:
@@ -130,15 +174,28 @@ def read_matrix(path) -> tuple[str, np.ndarray]:
         raise ValueError(f"row 1 has {len(tokens)} entries, expected {cols}")
     dtype = {"int": np.int64, "real": float, "complex": complex}[kind]
     out = np.empty((rows, cols), dtype=dtype)
+    # token -> value, filled only from rows already stored (int64 overflow shows
+    # only on the store); dropped once it holds more than _TABLE_CAP tokens
+    cache: dict | None = {}
     for r, line in enumerate(body):
         tokens = line.split()
         if len(tokens) != cols:
             raise ValueError(f"row {r + 1} has {len(tokens)} entries, expected {cols}")
+        if cache is not None:
+            try:
+                out[r] = list(map(cache.__getitem__, tokens))
+                continue
+            except KeyError:
+                pass
         try:
             _parse_row(kind, out[r], tokens)
         except (ValueError, OverflowError):
             _raise_entry_error(kind, r, tokens)
             raise
+        if cache is not None:
+            cache.update(zip(tokens, out[r].tolist()))
+            if len(cache) > _TABLE_CAP:
+                cache = None
     if kind != "int" and not np.all(np.isfinite(out)):
         raise ValueError("matrix contains non-finite entries")
     return kind, out

@@ -2,7 +2,9 @@
 
 ``_reference_read`` is the entry-by-entry reader that the row-wise reader
 replaced; it stays here as the oracle for what a file means and for the
-class and message of every rejection.
+class and message of every rejection.  ``_reference_text`` is the
+entry-by-entry writer, the oracle for the bytes of both writer paths (a
+table of the distinct values' tokens, and row by row past the cap).
 """
 
 import contextlib
@@ -10,14 +12,19 @@ import io
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from sympetf import matio
 from sympetf.cli import main
+from sympetf.complex_lift import lift_core
+from sympetf.hadamard import hadamard_to_etf_core, seed_hadamard
 from sympetf.matio import KINDS, read_matrix, write_matrix
+from test_paley import signed_permutation
 
 
 def _reference_entry(kind, token):
@@ -68,6 +75,18 @@ def _reference_read(path):
     return kind, out
 
 
+def _reference_text(kind, mat):
+    lines = [f"symf {kind} {mat.shape[0]} {mat.shape[1]}"]
+    for row in mat.tolist():
+        if kind == "int":
+            lines.append(" ".join(str(x) for x in row))
+        elif kind == "real":
+            lines.append(" ".join(format(x, ".17g") for x in row))
+        else:
+            lines.append(" ".join(f"{z.real:.17g},{z.imag:.17g}" for z in row))
+    return "\n".join(lines) + "\n"
+
+
 def _outcome(reader, path):
     try:
         kind, mat = reader(path)
@@ -113,6 +132,89 @@ def test_write_read_write_is_byte_identical(case):
         assert back.tobytes() == mat.tobytes()  # bit for bit, -0.0 and subnormals included
         write_matrix(second, back, kind2)
         assert first.read_bytes() == second.read_bytes()
+
+
+@st.composite
+def few_valued_matrices(draw):
+    """Matrices whose entries (or real and imaginary parts) come from a pool of
+    at most 6 values, so the writer takes its table path."""
+    kind = draw(st.sampled_from(KINDS))
+    shape = draw(st.tuples(st.integers(1, 6), st.integers(1, 8)))
+    if kind == "int":
+        ints = st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from([-(2**63), 2**63 - 1, 0, -1]))
+        pool = st.sampled_from(draw(st.lists(ints, min_size=1, max_size=6)))
+        return kind, draw(arrays(np.int64, shape, elements=pool))
+    pool = st.sampled_from(draw(st.lists(st.one_of(st.sampled_from(EDGE_FLOATS), reals), min_size=1, max_size=6)))
+    re = draw(arrays(np.float64, shape, elements=pool))
+    if kind == "real":
+        return kind, re
+    z = np.empty(shape, dtype=complex)  # a signed zero may sit in either part
+    z.real, z.imag = re, draw(arrays(np.float64, shape, elements=pool))
+    return kind, z
+
+
+def _write_both_ways(tmp, kind, mat):
+    """The bytes of the table path and of the row path (a cap of 0 forces the rows)."""
+    table, rows = Path(tmp) / "table.symf", Path(tmp) / "rows.symf"
+    write_matrix(table, mat, kind)
+    with mock.patch.object(matio, "_TABLE_CAP", 0):
+        write_matrix(rows, mat, kind)
+    return table.read_bytes(), rows.read_bytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(few_valued_matrices())
+def test_table_writer_and_row_writer_emit_the_same_bytes(case):
+    kind, mat = case
+    assert matio._table_lines(kind, mat) is not None
+    with tempfile.TemporaryDirectory() as tmp:
+        table, rows = _write_both_ways(tmp, kind, mat)
+    assert table == rows == _reference_text(kind, mat).encode()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("extra", [0, 1], ids=["at-cap", "above-cap"])
+def test_the_table_path_holds_up_to_the_cap_and_rows_take_over_past_it(tmp_path, kind, extra):
+    n = matio._TABLE_CAP + extra
+    values = np.r_[-0.0, np.arange(1, n) / 3] if kind != "int" else np.arange(n) + 2**62
+    # the first row holds one value, so only the check of the whole matrix sees the others
+    mat = np.stack([np.full(n, values[0]), values])
+    if kind == "complex":
+        z = np.empty(mat.shape, dtype=complex)
+        z.real, z.imag = mat, -0.0
+        mat = z
+    assert (matio._table_lines(kind, mat) is None) == bool(extra)
+    table, rows = _write_both_ways(tmp_path, kind, mat)
+    assert table == rows == _reference_text(kind, mat).encode()
+
+
+def test_table_writer_keeps_signed_zeros_apart(tmp_path):
+    path = tmp_path / "m.symf"
+    write_matrix(path, np.array([[0.0, -0.0], [-0.0, 0.0]]), "real")
+    assert path.read_text() == "symf real 2 2\n0 -0\n-0 0\n"
+    z = np.empty((1, 3), dtype=complex)
+    z.real, z.imag = [0.0, -0.0, 0.0], [-0.0, 0.0, 0.0]
+    write_matrix(path, z, "complex")
+    assert path.read_text() == "symf complex 1 3\n0,-0 -0,0 0,0\n"
+
+
+def test_both_codec_paths_agree_at_benchmark_scale(tmp_path):
+    """The m = 512 skew Hadamard matrix, its core and the core's complex
+    signature: the benchmark's pipeline files."""
+    h = signed_permutation(seed_hadamard(512), np.random.default_rng(512))
+    k = hadamard_to_etf_core(h).astype(np.int64)
+    for kind, mat in (("int", h), ("int", k), ("complex", lift_core(k))):
+        assert matio._table_lines(kind, mat) is not None
+        table, rows = _write_both_ways(tmp_path, kind, mat)
+        assert table == rows
+        path = tmp_path / "table.symf"
+        with mock.patch.object(matio, "_parse_row", wraps=matio._parse_row) as parse:
+            kind2, back = read_matrix(path)
+        assert parse.call_count == 1  # row 1 holds every distinct token
+        with mock.patch.object(matio, "_TABLE_CAP", 0):
+            kind3, by_rows = read_matrix(path)
+        assert kind2 == kind3 == kind and back.dtype == by_rows.dtype == mat.dtype
+        assert back.tobytes() == by_rows.tobytes() == mat.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
@@ -185,6 +287,70 @@ def test_overflow_is_reported_at_its_token_before_a_later_bad_token(tmp_path):
     path.write_text("symf complex 1 2\n1,2 3\n")
     with pytest.raises(ValueError, match="'3' is missing the ',' separator"):
         read_matrix(path)
+
+
+def _stored_token(kind):
+    """Tokens that a row stores without error, so that their rows fill the reader's cache."""
+    floats = st.floats().map(repr)
+    return {"int": st.integers(-(2**63), 2**63 - 1).map(str), "real": floats,
+            "complex": st.tuples(floats, floats).map(",".join)}[kind]
+
+
+@st.composite
+def few_token_texts(draw):
+    """4-8 rows drawn from a pool of at most 5 tokens that store, so later rows
+    hit the reader's cache; from the middle row on, a row may also draw a fresh
+    token (malformed, past int64 or fine) after those hits."""
+    kind = draw(st.sampled_from(KINDS))
+    rows, cols = draw(st.integers(4, 8)), draw(st.integers(1, 4))
+    pool = st.sampled_from(draw(st.lists(_stored_token(kind), min_size=1, max_size=5)))
+    past_int64 = st.one_of(st.integers(2**63, 2**70), st.integers(-(2**70), -(2**63) - 1)).map(str)
+    late = st.one_of(pool, pool, pool, _token(kind), past_int64)
+    lines = []
+    for r in range(draw(st.sampled_from([rows, rows, rows, rows + 1, rows - 1]))):
+        width = draw(st.sampled_from([cols, cols, cols, cols, cols + 1, cols - 1]))
+        lines.append(" ".join(draw(st.lists(pool if r < rows // 2 else late, min_size=width, max_size=width))))
+    return f"symf {kind} {rows} {cols}\n" + "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(few_token_texts())
+def test_cached_reader_matches_entry_reader(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.symf"
+        path.write_text(text)
+        assert _outcome(read_matrix, path) == _outcome(_reference_read, path)
+
+
+def test_a_cached_row_does_not_hide_a_later_overflow(tmp_path):
+    path = tmp_path / "m.symf"
+    path.write_text(f"symf int 2 2\n1 -1\n{2**63} 1\n")
+    with pytest.raises(ValueError, match=rf"^row 2: {2**63} does not fit in a signed 64-bit integer$"):
+        read_matrix(path)
+
+
+def test_a_token_that_overflowed_is_parsed_afresh_by_the_next_read(tmp_path):
+    bad, good = tmp_path / "bad.symf", tmp_path / "good.symf"
+    bad.write_text(f"symf int 2 2\n1 {2**63}\n1 -1\n")
+    good.write_text(f"symf real 2 2\n1 {2**63}\n{2**63} 1\n")
+    for _ in range(2):
+        with pytest.raises(ValueError, match=rf"^row 1: {2**63} does not fit"):
+            read_matrix(bad)
+        kind, mat = read_matrix(good)
+        assert kind == "real" and mat.tolist() == [[1.0, 2.0**63], [2.0**63, 1.0]]
+        assert _outcome(read_matrix, good) == _outcome(_reference_read, good)
+
+
+@pytest.mark.parametrize("text, parsed", [
+    ("symf int 4 3\n1 1 1\n1 -1 1\n-1 1 -1\n1 -1 -1\n", 2),  # row 2 brings -1; rows 3 and 4 hit
+    ("symf int 3 70\n" + "\n".join([" ".join(map(str, range(70)))] * 3) + "\n", 3),  # 70 tokens pass the cap
+], ids=["two-tokens", "past-the-cap"])
+def test_rows_parse_until_the_cache_holds_their_tokens(tmp_path, text, parsed):
+    path = tmp_path / "m.symf"
+    path.write_text(text)
+    with mock.patch.object(matio, "_parse_row", wraps=matio._parse_row) as parse:
+        assert _outcome(read_matrix, path) == _outcome(_reference_read, path)
+    assert parse.call_count == parsed
 
 
 CLI_COMMANDS = [
