@@ -122,6 +122,8 @@ def write_matrix(path, a, kind: str | None = None) -> None:
     a = np.asarray(a)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
+    if 0 in a.shape:  # the reader refuses such a header, so never write one
+        raise ValueError("matrix dimensions must be positive")
     kind = kind or infer_kind(a)
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")

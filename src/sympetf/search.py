@@ -9,8 +9,10 @@ Two searches and one exhaustive oracle:
   exact gate ``etf_to_conference``.
 * ``discrete_diamond_search``: single-edge-flip local search over
   tournaments minimizing sum_{i<j} ((S^2)_ij)^2, which is equivalent to
-  maximizing the diamond count.  Success requires the exact conference
-  (even n) or bound-saturation (n = 3 mod 4) verification.
+  maximizing the diamond count.  Its only state is S; each step scores
+  every flip from S^3, an exact float64 BLAS product.  Success requires
+  the exact conference (even n) or bound-saturation (n = 3 mod 4)
+  verification.
 * ``gerzon_oracle``: minimum numerical rank over every n-vertex Seidel
   sign pattern, feasible for n <= 6.
 
@@ -167,27 +169,7 @@ def continuous_etf_search(
     return _outcome(restarts, total_iters)
 
 
-def _apply_flip(s: np.ndarray, s2: np.ndarray, i: int, j: int) -> None:
-    """Flip edge (i, j) in place, maintaining s2 == s @ s exactly."""
-    sij = s[i, j]
-    # S' = S + E with E[i,j] = -2 sij, E[j,i] = 2 sij
-    scol_i = s[:, i].copy()
-    scol_j = s[:, j].copy()
-    srow_i = s[i, :].copy()
-    srow_j = s[j, :].copy()
-    # S @ E touches columns i and j; E @ S touches rows i and j
-    s2[:, j] -= 2 * sij * scol_i
-    s2[:, i] += 2 * sij * scol_j
-    s2[j, :] += 2 * sij * srow_i
-    s2[i, :] -= 2 * sij * srow_j
-    # E @ E corrects the two diagonal entries
-    s2[i, i] -= 4
-    s2[j, j] -= 4
-    s[i, j] = -sij
-    s[j, i] = sij
-
-
-def _flip_deltas(s: np.ndarray, s2: np.ndarray, iu: tuple) -> np.ndarray:
+def _flip_deltas(s: np.ndarray, iu: tuple) -> np.ndarray:
     """Change in sum_{a<b} ((S^2)_ab)^2 from flipping each edge (i, j) in ``iu``.
 
     It is 8 s_ij (S^3)_ij + 16n - 24.  For a != i, j the flip moves
@@ -195,9 +177,17 @@ def _flip_deltas(s: np.ndarray, s2: np.ndarray, iu: tuple) -> np.ndarray:
     changes by 8(n-2) + 4 s_ij (x + y) with x = sum_{a != i,j} (S^2)_ia s_aj
     and y = sum_{a != i,j} s_ia (S^2)_aj.  Both equal (S^3)_ij + (n-1) s_ij,
     since (S^2)_ii = -(n-1), s_jj = 0 and s_ij^2 = 1.
+
+    ``s`` is a float64 Seidel matrix, and S^3 = (S @ S) @ S is two float64
+    BLAS products, yet every delta is an exact integer.  Each partial sum
+    in S @ S is an integer of magnitude at most n - 1, and each partial sum
+    in S^2 @ S one of magnitude at most n(n - 1) <= 1024 * 1023, far below
+    2**53.  Such integers are exact float64 values, so the product is exact
+    in any summation order, and ``np.argmin`` sees the same values as an
+    int64 product would give.
     """
     n = s.shape[0]
-    return 8 * s[iu] * (s2 @ s)[iu] + (16 * n - 24)
+    return 8 * s[iu] * ((s @ s) @ s)[iu] + (16 * n - 24)
 
 
 _MAX_DISCRETE_N = 1024
@@ -212,14 +202,15 @@ def discrete_diamond_search(n: int, cfg: SearchConfig) -> SearchOutcome:
     plateau, equal-value flips are accepted at most n times before a
     random restart; ties break at the lowest (i, j).
 
-    Each step scores all n(n-1)/2 flips at once: flipping edge (i, j)
-    changes the objective by exactly 8 s_ij (S^3)_ij + 16n - 24.  A step
-    therefore costs one n x n integer product S^2 @ S (O(n^3) arithmetic,
-    all inside numpy) and O(n^2) indexing, and the accepted flip updates
-    S^2 exactly in O(n).
+    The search state is S alone, held as float64.  Each step scores all
+    n(n-1)/2 flips at once: flipping edge (i, j) changes the objective by
+    exactly 8 s_ij (S^3)_ij + 16n - 24.  A step therefore costs two n x n
+    float64 BLAS products for S^3 (exact, see ``_flip_deltas``) and O(n^2)
+    indexing; the accepted flip swaps s_ij and s_ji.
 
-    n must satisfy 2 <= n <= 1024, checked before anything is allocated;
-    at n = 1024 each step already multiplies two 1024 x 1024 int64 matrices.
+    n must satisfy 2 <= n <= 1024, checked before anything is allocated.
+    The bound keeps S^3 exact in float64, and it caps a step at 2n^3, about
+    2 * 10^9 multiply-adds, and a few n x n float64 arrays of 8 MiB each.
     """
     if n < 2:
         raise ValueError(f"need at least two vertices, got {n}")
@@ -238,15 +229,14 @@ def discrete_diamond_search(n: int, cfg: SearchConfig) -> SearchOutcome:
     total_flips = 0
     for r in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, r])
-        s = random_tournament(n, rng)
-        s2 = s @ s
-        q = _offdiag_square_sum(s2)
+        s = random_tournament(n, rng).astype(float)
+        q = _offdiag_square_sum(s @ s)  # exact for the reason given in _flip_deltas
         plateau_moves = 0
         flips = 0
         while flips < cfg.max_iters:
             if target is not None and q == target:
                 break
-            deltas = _flip_deltas(s, s2, iu)
+            deltas = _flip_deltas(s, iu)
             k = int(np.argmin(deltas))  # first minimum: the lowest (i, j) in row-major order
             best_delta = int(deltas[k])
             if best_delta > 0:
@@ -257,12 +247,14 @@ def discrete_diamond_search(n: int, cfg: SearchConfig) -> SearchOutcome:
                     break
             else:
                 plateau_moves = 0
-            _apply_flip(s, s2, int(iu[0][k]), int(iu[1][k]))
+            i, j = iu[0][k], iu[1][k]
+            s[i, j], s[j, i] = s[j, i], s[i, j]
             q += best_delta
             flips += 1
         total_flips += flips
-        succeeded = target is not None and q == target and verified(s)
-        restarts.append((succeeded, float(q), s.copy(), r))
+        found = s.astype(np.int64)
+        succeeded = target is not None and q == target and verified(found)
+        restarts.append((succeeded, float(q), found, r))
     return _outcome(restarts, total_flips)
 
 

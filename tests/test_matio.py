@@ -228,6 +228,19 @@ def test_write_rejects_non_finite_entries(tmp_path, kind, bad):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("kind", [*KINDS, None])
+@pytest.mark.parametrize("shape", [(0, 3), (2, 0)])
+def test_write_rejects_a_matrix_with_no_rows_or_no_columns(tmp_path, kind, shape):
+    path = tmp_path / "m.symf"
+    with pytest.raises(ValueError, match="^matrix dimensions must be positive$"):
+        write_matrix(path, np.zeros(shape), kind)
+    assert not path.exists()
+    # the reader refuses the header such a write would have made, in the same words
+    path.write_text(f"symf {kind or 'real'} {shape[0]} {shape[1]}\n")
+    with pytest.raises(ValueError, match="^matrix dimensions must be positive$"):
+        read_matrix(path)
+
+
 @pytest.mark.parametrize("bad", [[[2.7, -0.5]], [[1.0, np.nan]], [[np.inf, 0.0]], [[2.0**63, 0.0]],
                                  np.array([[2**63]], dtype=np.uint64), [[2**70]], [[-(2**63) - 1]]])
 def test_int_write_rejects_non_integral_entries(tmp_path, bad):
