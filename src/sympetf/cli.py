@@ -5,6 +5,11 @@ success, 1 means the input was well formed but the domain operation
 failed (not verified, no factorization, search missed), and 2 means a
 usage or I/O problem.  Reports are ``key=value`` lines on stdout;
 diagnostics go to stderr.
+
+Each ``cmd_*`` writes its ``--out`` file, if any, and returns ``(ok,
+fields)``.  ``main`` alone prints the fields in order and maps the outcome
+to 0/1/2: ``ok`` to 0 or 1, a ``DomainError`` to 1, and usage, I/O,
+``MemoryError`` and ``FloatingPointError`` to 2.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import complex_lift, frames, hadamard, matio, search, tournaments
-from .errors import DomainError
+from .errors import DomainError, FactorizationError
 from .skewlinalg import DEFAULT_TOL
 
 class UsageError(Exception):
@@ -67,7 +72,7 @@ def _require_even_dim(args):
     return args.dim
 
 
-# Each verifier returns (verified, report fields); cmd_verify prints them in order.
+# Each verifier returns (verified, report fields).
 def _verify_frame(args):
     _, mat = _load(args.file, ("real", "int"))
     mat = mat.astype(float)
@@ -99,6 +104,8 @@ def _verify_signature(args):
     if args.dim is None or args.dim < 1:
         raise UsageError("--dim (the complex dimension) is required for signatures")
     _, mat = _load(args.file, ("complex",))
+    if args.dim >= mat.shape[0]:
+        raise UsageError(f"--dim must be below the signature order {mat.shape[0]}, got {args.dim}")
     try:
         return complex_lift.signature_check(mat, args.dim, _tolerances(args)), {}
     except ValueError as exc:
@@ -120,32 +127,22 @@ _VERIFIERS = {
 }
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[bool, dict]:
     verify, reads = _VERIFIERS[args.kind]
     _reject_unread(args, reads, f"verify {args.kind}")
     ok, fields = verify(args)
-    _emit("verified", ok)
-    for key, value in fields.items():
-        _emit(key, value)
-    return 0 if ok else 1
+    return ok, {"verified": ok, **fields}
 
 
-def cmd_factor(args) -> int:
+def cmd_factor(args) -> tuple[bool, dict]:
     _, mat = _load(args.file, ("real", "int"))
     g = mat.astype(float)
     phi = frames.factor_gram(g)
     if args.dim is not None and phi.shape[0] != args.dim:
-        print(
-            f"error: factorization has dimension {phi.shape[0]}, expected {args.dim}",
-            file=sys.stderr,
-        )
-        return 1
+        raise FactorizationError(f"factorization has dimension {phi.shape[0]}, expected {args.dim}")
     residual = float(np.linalg.norm(frames.gram(phi) - g))
     matio.write_matrix(args.out, phi, "real")
-    _emit("d", phi.shape[0])
-    _emit("n", phi.shape[1])
-    _emit("residual", residual)
-    return 0
+    return True, {"d": phi.shape[0], "n": phi.shape[1], "residual": residual}
 
 
 # (--from, --to) -> conversion(matrix read, tol), looked up at call time as in
@@ -170,7 +167,7 @@ _SEARCH_READS = {"continuous": ("dim", "p", *_BUDGET, "out"),
                  "discrete": ("seed", "restarts", "max_iters", "out")}
 
 
-def cmd_convert(args) -> int:
+def cmd_convert(args) -> tuple[bool, dict]:
     _reject_unread(args, _CONVERT_READS[args.src], f"convert --from {args.src}")
     tol = _tolerances(args)
     convert = _CONVERSIONS.get((args.src, args.to))
@@ -179,55 +176,49 @@ def cmd_convert(args) -> int:
     _, mat = _load(args.file, ("real", "int"))
     out = convert(mat, tol)
     matio.write_matrix(args.out, out)
-    for key, size in zip(_CONVERT_REPORT[args.to], out.shape):
-        _emit(key, size)
-    return 0
+    return True, dict(zip(_CONVERT_REPORT[args.to], out.shape))
 
 
-def cmd_double(args) -> int:
+def cmd_double(args) -> tuple[bool, dict]:
     _reject_unread(args, _DOUBLE_READS[args.level], f"double --level {args.level}")
     if args.level == "hadamard":
         _, mat = _load(args.file, ("int",))
         out = hadamard.double_hadamard(mat)
         matio.write_matrix(args.out, out, "int")
-        _emit("order", out.shape[0])
-        return 0
+        return True, {"order": out.shape[0]}
     tol = _tolerances(args)
     _, mat = _load(args.file, ("real", "int"))
     doubled = hadamard.double_frame(mat.astype(float), tol=tol)
     matio.write_matrix(args.out, doubled, "real")
-    _emit("d", doubled.shape[0])
-    _emit("n", doubled.shape[1])
-    return 0
+    return True, {"d": doubled.shape[0], "n": doubled.shape[1]}
 
 
-def cmd_diamonds(args) -> int:
+# --method -> diamond counter, looked up at call time as in _VERIFIERS; without
+# --method every counter runs, in this order, and they must agree
+_DIAMOND_COUNTERS = {
+    "brute": lambda s: tournaments.count_diamonds_bruteforce(s),
+    "formula": lambda s: tournaments.count_diamonds_formula(s),
+}
+
+
+def cmd_diamonds(args) -> tuple[bool, dict]:
     _, mat = _load(args.file, ("int",))
+    methods = (args.method,) if args.method else tuple(_DIAMOND_COUNTERS)
+    counts = {method: _DIAMOND_COUNTERS[method](mat) for method in methods}
+    fields = {} if args.method else {f"delta_{method}": c for method, c in counts.items()}
+    if len(set(counts.values())) > 1:
+        print("error: diamond counts disagree", file=sys.stderr)
+        return False, fields
+    fields["delta"] = delta = counts[methods[0]]
     n = mat.shape[0]
-    if args.method == "brute":
-        delta = tournaments.count_diamonds_bruteforce(mat)
-        _emit("delta", delta)
-    elif args.method == "formula":
-        delta = tournaments.count_diamonds_formula(mat)
-        _emit("delta", delta)
-    else:
-        brute = tournaments.count_diamonds_bruteforce(mat)
-        formula = tournaments.count_diamonds_formula(mat)
-        _emit("delta_brute", brute)
-        _emit("delta_formula", formula)
-        if brute != formula:
-            print("error: diamond counts disagree", file=sys.stderr)
-            return 1
-        delta = brute
-        _emit("delta", delta)
     if n % 2 == 1:
         bound = tournaments.diamond_upper_bound(n)
-        _emit("bound", bound if bound.denominator > 1 else bound.numerator)
-        _emit("saturated", delta == bound)
-    return 0
+        fields["bound"] = bound if bound.denominator > 1 else bound.numerator
+        fields["saturated"] = delta == bound
+    return True, fields
 
 
-def cmd_search(args) -> int:
+def cmd_search(args) -> tuple[bool, dict]:
     _reject_unread(args, _SEARCH_READS[args.mode], f"search --mode {args.mode}")
     cfg = search.SearchConfig(**{k: v for k, v in vars(args).items() if k in _BUDGET and v is not None})
     if args.mode == "discrete":
@@ -238,25 +229,20 @@ def cmd_search(args) -> int:
             raise UsageError("--dim is required for continuous searches")
         out = search.continuous_etf_search(args.dim, args.n, 2.0 if args.p is None else args.p, cfg)
         obj_kind = "real"
-    _emit("success", out.success)
-    _emit("best_value", float(out.best_value))
-    _emit("restart", out.restart_index)
-    _emit("iterations", out.iterations_used)
     if args.out:
         matio.write_matrix(args.out, out.best_object, obj_kind)
-    return 0 if out.success else 1
+    return out.success, {"success": out.success, "best_value": float(out.best_value),
+                         "restart": out.restart_index, "iterations": out.iterations_used}
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> tuple[bool, dict]:
     try:
         h = hadamard.seed_hadamard(args.hadamard_order)
     except ValueError as exc:
         # well-formed request the generator cannot fulfil: domain failure
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise DomainError(str(exc)) from exc
     matio.write_matrix(args.out, h, "int")
-    _emit("order", h.shape[0])
-    return 0
+    return True, {"order": h.shape[0]}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,19 +312,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (UsageError, ValueError, OSError, FloatingPointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        ok, fields = args.func(args)
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
+    except (DomainError, UsageError, ValueError, OSError, FloatingPointError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1 if isinstance(exc, DomainError) else 2
+    for key, value in fields.items():
+        _emit(key, value)
+    return 0 if ok else 1
 
 
 def console_main() -> None:

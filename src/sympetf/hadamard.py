@@ -295,14 +295,24 @@ def double_frame(phi, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     return np.vstack([top, bottom])
 
 
+_MAX_SEED_ORDER = 2048
+
+
 def seed_hadamard(order: int) -> np.ndarray:
-    """Skew Hadamard matrix of any power-of-two order, built by doubling.
+    """Skew Hadamard matrix of any power-of-two order up to 2048, built by doubling.
 
     Other orders are reachable only through search, not through this
-    generator.
+    generator.  The bound is checked before anything is allocated.  At
+    order m the peak, measured with ``tracemalloc``, is seven m x m arrays
+    of 8-byte entries, 56 m^2 bytes or 224 MiB at m = 2048: the int64
+    matrix, H - I and its int64 copy in ``check_seidel``, and the two
+    float64 copies and the float64 product of the exact check
+    ``_unit_product``.
     """
     if order < 1 or order & (order - 1) != 0:
         raise ValueError(f"seed orders are powers of two, got {order}")
+    if order > _MAX_SEED_ORDER:
+        raise ValueError(f"seed orders are limited to {_MAX_SEED_ORDER}, got {order}")
     if order == 1:
         return np.array([[1]], dtype=np.int64)
     h = np.array([[1, 1], [-1, 1]], dtype=np.int64)

@@ -1,4 +1,6 @@
 import argparse
+import ast
+import hashlib
 import os
 import subprocess
 import sys
@@ -12,6 +14,7 @@ from sympetf.cli import build_parser, main
 from sympetf import certify_etf
 from sympetf.frames import factor_gram, gram, omega
 from sympetf.hadamard import (
+    hadamard_to_etf_core,
     hadamard_to_etf_square,
     is_skew_conference,
     is_skew_hadamard,
@@ -204,19 +207,19 @@ def test_search_budget_is_checked_at_the_boundary(tmp_path, argv):
     assert "RuntimeWarning" not in proc.stderr
 
 
-def test_search_beyond_memory_is_a_one_line_usage_error(tmp_path):
-    # n = 10^8 would need an 8.9 PiB mask, more than any address space; the
-    # search refuses it by its size bound before allocating anything.  The
-    # child's address space stays capped, so a regression touches at most
-    # 512 MiB.
+def _address_space_cap():
+    """A child preexec_fn capping its address space at 512 MiB, so a regression
+    that allocates touches at most that much."""
     resource = pytest.importorskip("resource")
     cap = 512 * 2**20
+    return lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
+def test_search_beyond_memory_is_a_one_line_usage_error(tmp_path):
+    # n = 10^8 would need an 8.9 PiB mask, more than any address space; the
+    # search refuses it by its size bound before allocating anything
     proc = run_module(tmp_path, "search", "--mode", "discrete", "--n", str(10**8),
-                      preexec_fn=limit)
+                      preexec_fn=_address_space_cap())
     assert proc.returncode == 2
     assert_one_line_error(proc)
     assert proc.stderr.startswith("error: discrete search is limited to n <= 1024, got ")
@@ -488,3 +491,263 @@ def test_gen_cli(tmp_path, capsys):
     assert is_skew_hadamard(h)
     code, _, err = run(capsys, "gen", "--hadamard-order", "12", "--out", str(out))
     assert code == 1 and "powers of two" in err
+
+
+# ------------------------------------------------------------ transcript goldens
+#
+# Every command's exact stdout, stderr, exit code and --out bytes on small
+# inputs, recorded before the commands stopped printing their own reports.
+# Two cases changed on purpose since, each marked where it stands.
+# Two floats come out of LAPACK: the factor residual and the continuous
+# best_value.  Their lines are pinned by key and position and bounded by
+# value, and the files they come with by their header line.
+
+def _transcript_inputs():
+    """Input files of the goldens, all of order <= 16: name -> (matrix, kind)."""
+    h8 = seed_hadamard(8)
+    conf = h8 - np.eye(8, dtype=np.int64)
+    transitive = np.triu(np.ones((4, 4), dtype=np.int64), 1)
+    return {
+        "h8": (h8, "int"), "conf8": (conf, "int"), "ones": (np.ones((4, 4), dtype=np.int64), "int"),
+        "core7": (normalize_conference(conf)[0][1:, 1:], "int"),
+        "trans4": (transitive - transitive.T, "int"),
+        "sq8": (hadamard_to_etf_square(h8), "real"), "kcore": (hadamard_to_etf_core(h8), "real"),
+        "near": (_near_miss("etf-square", 8), "int"),
+        "phi": (np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]), "real"),
+        "flat": (np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), "real"),
+        "eye2": (np.eye(2), "real"), "zero": (np.zeros((3, 3)), "real"),
+        "sig8": (1j * conf, "complex"), "unskewed": (conf.astype(complex), "complex"),
+    }
+
+
+# command -> (report key of its LAPACK float, the range it must lie in); a hit of the
+# continuous search comes within target_residual = 1e-6 of the p = 2 bound, 6 at (d, n) = (2, 3)
+LAPACK_FLOATS = {"factor": ("residual", 0.0, 1e-12),
+                 "search --mode continuous": ("best_value", 6.0, 6.0 + 1e-6)}
+
+
+def _transcript(tmp_path, monkeypatch, capsys, argv):
+    """(exit code, stdout, stderr, out.symf digest) of ``main(argv)`` run in tmp_path.
+
+    The digest is None with no out.symf, else its sha256, or its header line
+    where the report holds a LAPACK float.
+    """
+    monkeypatch.chdir(tmp_path)
+    for name, (mat, kind) in _transcript_inputs().items():
+        write_matrix(f"{name}.symf", mat, kind)
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines(keepends=True)
+    lapack = next((kb for cmd, kb in LAPACK_FLOATS.items() if argv.startswith(cmd)), None)
+    for i, line in enumerate(lines):
+        key, _, value = line.partition("=")
+        if lapack and key == lapack[0]:
+            assert lapack[1] <= float(value) <= lapack[2], line
+            lines[i] = f"{key}=*\n"
+    out = tmp_path / "out.symf"
+    if not out.exists():
+        digest = None
+    elif lapack:
+        digest = out.read_text().splitlines()[0]
+    else:
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    return code, "".join(lines), captured.err, digest
+
+
+TRANSCRIPTS = [
+    ('verify frame phi.symf',
+     0, 'verified=true\nd=2\nn=3\nlower=1.4142135623730949\nupper=1.4142135623730951\n', '',
+     None),
+    ('verify frame flat.symf',
+     1, 'verified=false\nd=2\nn=3\n', '',
+     None),
+    ('verify tight sq8.symf --dim 8',
+     0, 'verified=true\nc=2.6457513110645912\n', '',
+     None),
+    ('verify tight sq8.symf --dim 6',
+     1, 'verified=false\n', '',
+     None),
+    ('verify etf sq8.symf --dim 8',
+     0, 'verified=true\nd=8\nn=8\nmu=1\nc=2.6457513110645907\nequiangular_residual=0\ntightness_residual=0\n', '',
+     None),
+    ('verify etf kcore.symf --dim 6',
+     0, 'verified=true\nd=6\nn=7\nmu=1\nc=2.6457513110645907\nequiangular_residual=0\ntightness_residual=0\n', '',
+     None),
+    ('verify etf near.symf --dim 8',
+     1, 'verified=false\n', '',
+     None),
+    ('verify conference conf8.symf',
+     0, 'verified=true\norder=8\n', '',
+     None),
+    ('verify conference ones.symf',
+     1, 'verified=false\norder=4\n', '',
+     None),
+    ('verify hadamard h8.symf',
+     0, 'verified=true\norder=8\n', '',
+     None),
+    ('verify hadamard ones.symf',
+     1, 'verified=false\norder=4\n', '',
+     None),
+    ('verify doubly-regular core7.symf',
+     0, 'verified=true\n', '',
+     None),
+    ('verify doubly-regular trans4.symf',
+     1, 'verified=false\n', '',
+     None),
+    ('verify signature sig8.symf --dim 4',
+     0, 'verified=true\n', '',
+     None),
+    ('verify signature sig8.symf --dim 1',
+     1, 'verified=false\n', '',
+     None),
+    ('verify signature unskewed.symf --dim 4',
+     1, 'verified=false\n', 'error: signature matrix must be self-adjoint\n',
+     None),
+    # --dim at or past the order was verified=false with an error line, exit 1
+    ('verify signature sig8.symf --dim 8',
+     2, '', 'error: --dim must be below the signature order 8, got 8\n',
+     None),
+    ('verify signature sig8.symf --dim 100',
+     2, '', 'error: --dim must be below the signature order 8, got 100\n',
+     None),
+    ('verify etf sq8.symf --dim 3',
+     2, '', 'error: --dim must be even and >= 2, got 3\n',
+     None),
+    ('factor sq8.symf --out out.symf',
+     0, 'd=8\nn=8\nresidual=*\n', '',
+     'symf real 8 8'),
+    ('factor sq8.symf --dim 6 --out out.symf',
+     1, '', 'error: factorization has dimension 8, expected 6\n',
+     None),
+    ('factor zero.symf --out out.symf',
+     1, '', 'error: zero matrix has no frame factorization\n',
+     None),
+    ('factor missing.symf --out out.symf',
+     2, '', "error: cannot read missing.symf: [Errno 2] No such file or directory: 'missing.symf'\n",
+     None),
+    ('convert --from hadamard --to etf-square h8.symf --out out.symf',
+     0, 'rows=8\ncols=8\n', '',
+     'e861543d412f3620a5a3eab023d029deade012876969c5a911de7bc5df1fc66f'),
+    ('convert --from hadamard --to etf-core h8.symf --out out.symf',
+     0, 'rows=7\ncols=7\n', '',
+     '9b0e6bd9fc476fe560d6eedb018b025af19ff951d5455141a1fc3e1e63dad275'),
+    ('convert --from etf-square --to hadamard sq8.symf --out out.symf',
+     0, 'order=8\n', '',
+     'e693079157e59bf0e9ecf64b8b029dd8771d8cd7dd9ff5957bc92e441cf057be'),
+    ('convert --from etf-core --to hadamard kcore.symf --out out.symf',
+     0, 'order=8\n', '',
+     'e693079157e59bf0e9ecf64b8b029dd8771d8cd7dd9ff5957bc92e441cf057be'),
+    ('convert --from etf-square --to complex-signature sq8.symf --out out.symf',
+     0, 'n=8\n', '',
+     '17c7c754f59c5f76a16b1a575ca9e7b6548dbe1ccb0194afca929cb7189be2e8'),
+    ('convert --from etf-core --to complex-signature kcore.symf --out out.symf',
+     0, 'n=7\n', '',
+     'd16f7aaf8c28d6fe215dee0a5c8dd2e2d6366ce20021cb35a825f7f17b8bf3a1'),
+    ('convert --from etf-square --to hadamard near.symf --out out.symf',
+     1, '', 'error: rounded matrix failed the exact skew Hadamard check\n',
+     None),
+    ('convert --from etf-core --to etf-square kcore.symf --out out.symf',
+     2, '', 'error: conversion etf-core -> etf-square is not supported\n',
+     None),
+    ('double --level hadamard h8.symf --out out.symf',
+     0, 'order=16\n', '',
+     '8b76a7673c8002f90b90dd36368947dc862e37a79f1c63b5c5a7b99d891435e5'),
+    ('double --level frame eye2.symf --out out.symf',
+     0, 'd=4\nn=4\n', '',
+     '160899437abf1c3454354eefecaae8269dbeda4eb304ab868cab596db69b961c'),
+    ('double --level hadamard h8.symf --out out.symf --tol 0.5',
+     2, '', 'error: --tol does not apply to double --level hadamard\n',
+     None),
+    ('diamonds core7.symf',
+     0, 'delta_brute=14\ndelta_formula=14\ndelta=14\nbound=14\nsaturated=true\n', '',
+     None),
+    ('diamonds core7.symf --method brute',
+     0, 'delta=14\nbound=14\nsaturated=true\n', '',
+     None),
+    ('diamonds core7.symf --method formula',
+     0, 'delta=14\nbound=14\nsaturated=true\n', '',
+     None),
+    ('diamonds conf8.symf',
+     0, 'delta_brute=28\ndelta_formula=28\ndelta=28\n', '',
+     None),
+    ('diamonds conf8.symf --method brute',
+     0, 'delta=28\n', '',
+     None),
+    ('diamonds conf8.symf --method formula',
+     0, 'delta=28\n', '',
+     None),
+    ('diamonds sq8.symf',
+     2, '', 'error: sq8.symf: expected a int matrix, got real\n',
+     None),
+    ('search --mode discrete --n 8 --seed 7 --restarts 8',
+     0, 'success=true\nbest_value=0\nrestart=0\niterations=28\n', '',
+     None),
+    ('search --mode discrete --n 8 --seed 7 --restarts 8 --out out.symf',
+     0, 'success=true\nbest_value=0\nrestart=0\niterations=28\n', '',
+     'e70634fd688a06296b2ef73780450813b186d1a3b377ca3ef166236c232b282d'),
+    # the report used to come before the failed write
+    ('search --mode discrete --n 8 --seed 7 --restarts 8 --out missing/out.symf',
+     2, '', "error: [Errno 2] No such file or directory: 'missing/out.symf'\n",
+     None),
+    ('search --mode discrete --n 6 --restarts 2',
+     1, 'success=false\nbest_value=24\nrestart=0\niterations=13\n', '',
+     None),
+    ('search --mode continuous --n 3 --dim 2 --seed 1234 --restarts 5',
+     0, 'success=true\nbest_value=*\nrestart=2\niterations=58\n', '',
+     None),
+    ('search --mode continuous --n 3 --dim 2 --seed 1234 --restarts 5 --out out.symf',
+     0, 'success=true\nbest_value=*\nrestart=2\niterations=58\n', '',
+     'symf real 2 3'),
+    ('search --mode continuous --n 3 --restarts 5',
+     2, '', 'error: --dim is required for continuous searches\n',
+     None),
+    ('gen --hadamard-order 16 --out out.symf',
+     0, 'order=16\n', '',
+     '8b76a7673c8002f90b90dd36368947dc862e37a79f1c63b5c5a7b99d891435e5'),
+    ('gen --hadamard-order 12 --out out.symf',
+     1, '', 'error: seed orders are powers of two, got 12\n',
+     None),
+    ('gen --hadamard-order 16 --out missing/out.symf',
+     2, '', "error: [Errno 2] No such file or directory: 'missing/out.symf'\n",
+     None),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err, digest", TRANSCRIPTS, ids=[t[0] for t in TRANSCRIPTS])
+def test_transcript_golden(tmp_path, monkeypatch, capsys, argv, code, out, err, digest):
+    assert _transcript(tmp_path, monkeypatch, capsys, argv) == (code, out, err, digest)
+
+
+def test_only_main_prints_reports_and_picks_exit_codes():
+    # every cmd_* returns (ok, fields) and main alone turns them into stdout and
+    # an exit code; the only other prints are the two stderr lines of a verdict
+    tree = ast.parse(Path(cli.__file__).read_text())
+    printers = {"_emit", "main", "_verify_signature"}
+    prints = 0
+    functions = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+    for name, node in ((fn.name, node) for fn in functions for node in ast.walk(fn)):
+        if name.startswith("cmd_") and isinstance(node, ast.Return):
+            value = node.value
+            assert not (isinstance(value, ast.Constant) and type(value.value) is int), name
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+            continue
+        assert not (name.startswith("cmd_") and node.func.id == "_emit"), name
+        if node.func.id == "print":
+            prints += 1
+            if name == "cmd_diamonds":
+                assert ast.unparse(node) == "print('error: diamond counts disagree', file=sys.stderr)"
+            else:
+                assert name in printers, name
+    assert prints == sum(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "print"
+                         for n in ast.walk(tree))  # none outside a function
+
+
+def test_gen_beyond_the_seed_bound_is_a_one_line_domain_error(tmp_path):
+    # 2**40 would need 2**83 bytes; the generator refuses it by its size
+    # bound before allocating anything
+    proc = run_module(tmp_path, "gen", "--hadamard-order", str(2**40), "--out", "h.symf",
+                      preexec_fn=_address_space_cap())
+    assert proc.returncode == 1
+    assert_one_line_error(proc)
+    assert proc.stderr == f"error: seed orders are limited to 2048, got {2**40}\n"
+    assert not (tmp_path / "h.symf").exists()

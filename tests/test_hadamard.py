@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,6 +294,18 @@ def test_seed_hadamard():
         assert order in (1, 2) or order % 4 == 0
     with pytest.raises(ValueError):
         seed_hadamard(12)
+
+
+def test_seed_hadamard_refuses_orders_beyond_its_bound_before_allocating():
+    tracemalloc.start()
+    try:
+        for order in (4096, 2**40):
+            with pytest.raises(ValueError, match=f"limited to 2048, got {order}$"):
+                seed_hadamard(order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_seven_vertex_doubled_core_fixture():
