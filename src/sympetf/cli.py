@@ -42,7 +42,8 @@ def _load(path, want=None):
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     if want is not None and kind not in want:
-        raise UsageError(f"{path}: expected a {' or '.join(want)} matrix, got {kind}")
+        what = " or ".join(want)
+        raise UsageError(f"{path}: expected {'an' if what[0] in 'aeiou' else 'a'} {what} matrix, got {kind}")
     return kind, mat
 
 
@@ -104,6 +105,8 @@ def _verify_signature(args):
     if args.dim is None or args.dim < 1:
         raise UsageError("--dim (the complex dimension) is required for signatures")
     _, mat = _load(args.file, ("complex",))
+    if mat.shape[0] != mat.shape[1]:
+        raise UsageError(f"{args.file}: expected a square matrix, got shape {mat.shape}")
     if args.dim >= mat.shape[0]:
         raise UsageError(f"--dim must be below the signature order {mat.shape[0]}, got {args.dim}")
     try:

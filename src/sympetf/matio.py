@@ -8,21 +8,29 @@ the comma.  Lines starting with ``#`` are comments and ignored.  Reals
 are serialized with 17 significant digits, so write -> read -> write
 reproduces files byte for byte.
 
-Matrices with few distinct values (Hadamard, conference and signature
-matrices) are coded per distinct value: the writer formats each value,
-told apart by bit pattern, once, and the reader parses each distinct
-token once.  Past ``_TABLE_CAP`` distinct values both work row by row.
-Bytes, arrays and errors are the same either way.
+``int`` and ``real`` bodies are parsed by numpy's C text reader.  A body
+that reader refuses is parsed again row by row with Python's ``int`` and
+``float``, so the accepted syntax (``1_0``, non-ASCII digits) and the
+errors are those of an entry-by-entry parse.  Matrices with few distinct
+values (Hadamard, conference and signature matrices) are coded per
+distinct value: the writer formats each value, told apart by bit
+pattern, once, and the ``complex`` reader parses each distinct token
+once.  Past ``_TABLE_CAP`` distinct values the writer formats each row
+with one ``%`` and the reader parses row by row.  Bytes, arrays and
+errors are the same on every path.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 
 __all__ = ["read_matrix", "write_matrix", "format_real"]
 
 KINDS = ("real", "int", "complex")
-_REAL = ".17g"  # 17 significant digits round-trip every float64
+# the one home of the entry formats; 17 significant digits round-trip every float64
+_FORMATS = {"int": "%d", "real": "%.17g", "complex": "%.17g,%.17g"}
 _INT64 = range(-(2**63), 2**63)
 
 
@@ -32,12 +40,11 @@ _TABLE_CAP = 64
 
 
 def _tokens(kind: str, values: np.ndarray) -> list[str]:
-    """The text of each entry of a 1-d array: the one home of the entry formats."""
-    if kind == "int":
-        return list(map(str, values.tolist()))
-    if kind == "real":
-        return [format(x, _REAL) for x in values.tolist()]
-    return [f"{re},{im}" for re, im in zip(_tokens("real", values.real), _tokens("real", values.imag))]
+    """The text of each entry of a 1-d array."""
+    fmt = _FORMATS[kind]
+    if kind == "complex":
+        return [fmt % (z.real, z.imag) for z in values.tolist()]
+    return [fmt % x for x in values.tolist()]
 
 
 def format_real(x: float) -> str:
@@ -110,6 +117,19 @@ def _raise_entry_error(kind: str, r: int, tokens: list[str]) -> None:
             float(im_s)
 
 
+def _c_parse(body: list[str], dtype, shape: tuple[int, int]) -> np.ndarray | None:
+    """The body as numpy's C reader parses it, or None where it finds another
+    shape or refuses the text.  It refuses all that Python's ``int`` and
+    ``float`` refuse and more (``1_0``, non-ASCII digits)."""
+    try:
+        with warnings.catch_warnings():  # older numpy reads the int token 1.5 as 1 and only warns
+            warnings.simplefilter("error", DeprecationWarning)
+            out = np.loadtxt(body, dtype=dtype, comments=None, ndmin=2)  # an inline '#' stays an error
+    except (ValueError, DeprecationWarning):
+        return None
+    return out if out.shape == shape else None
+
+
 def infer_kind(a: np.ndarray) -> str:
     if np.issubdtype(a.dtype, np.complexfloating):
         return "complex"
@@ -142,7 +162,11 @@ def write_matrix(path, a, kind: str | None = None) -> None:
         a = ai
     rows, cols = a.shape
     lines = [f"symf {kind} {rows} {cols}"]
-    lines += _table_lines(kind, a) or [" ".join(_tokens(kind, row)) for row in a]
+    # past the table cap, one % per row; rows are listed one at a time, since a
+    # whole-matrix tolist() would hold a Python object per entry at once
+    fmt = " ".join([_FORMATS[kind]] * cols)
+    flat = np.ascontiguousarray(a).view(float) if kind == "complex" else a  # re, im, re, im, ...
+    lines += _table_lines(kind, a) or [fmt % tuple(row.tolist()) for row in flat]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in lines:  # not one joined string: that would double the peak memory
             fh.write(line)
@@ -175,29 +199,33 @@ def read_matrix(path) -> tuple[str, np.ndarray]:
     if len(tokens) != cols:
         raise ValueError(f"row 1 has {len(tokens)} entries, expected {cols}")
     dtype = {"int": np.int64, "real": float, "complex": complex}[kind]
-    out = np.empty((rows, cols), dtype=dtype)
-    # token -> value, filled only from rows already stored (int64 overflow shows
-    # only on the store); dropped once it holds more than _TABLE_CAP tokens
-    cache: dict | None = {}
-    for r, line in enumerate(body):
-        tokens = line.split()
-        if len(tokens) != cols:
-            raise ValueError(f"row {r + 1} has {len(tokens)} entries, expected {cols}")
-        if cache is not None:
+    # complex bodies skip the C reader: on the signature files the token cache
+    # below is faster than numpy's parse of two floats per entry
+    out = None if kind == "complex" else _c_parse(body, dtype, (rows, cols))
+    if out is None:  # complex, or a body the C reader refused: row by row
+        out = np.empty((rows, cols), dtype=dtype)
+        # token -> value, filled only from rows already stored (int64 overflow shows
+        # only on the store); dropped once it holds more than _TABLE_CAP tokens
+        cache: dict | None = {}
+        for r, line in enumerate(body):
+            tokens = line.split()
+            if len(tokens) != cols:
+                raise ValueError(f"row {r + 1} has {len(tokens)} entries, expected {cols}")
+            if cache is not None:
+                try:
+                    out[r] = list(map(cache.__getitem__, tokens))
+                    continue
+                except KeyError:
+                    pass
             try:
-                out[r] = list(map(cache.__getitem__, tokens))
-                continue
-            except KeyError:
-                pass
-        try:
-            _parse_row(kind, out[r], tokens)
-        except (ValueError, OverflowError):
-            _raise_entry_error(kind, r, tokens)
-            raise
-        if cache is not None:
-            cache.update(zip(tokens, out[r].tolist()))
-            if len(cache) > _TABLE_CAP:
-                cache = None
+                _parse_row(kind, out[r], tokens)
+            except (ValueError, OverflowError):
+                _raise_entry_error(kind, r, tokens)
+                raise
+            if cache is not None:
+                cache.update(zip(tokens, out[r].tolist()))
+                if len(cache) > _TABLE_CAP:
+                    cache = None
     if kind != "int" and not np.all(np.isfinite(out)):
         raise ValueError("matrix contains non-finite entries")
     return kind, out

@@ -497,7 +497,7 @@ def test_gen_cli(tmp_path, capsys):
 #
 # Every command's exact stdout, stderr, exit code and --out bytes on small
 # inputs, recorded before the commands stopped printing their own reports.
-# Two cases changed on purpose since, each marked where it stands.
+# Three cases changed on purpose since, each marked where it stands.
 # Two floats come out of LAPACK: the factor residual and the continuous
 # best_value.  Their lines are pinned by key and position and bounded by
 # value, and the files they come with by their header line.
@@ -517,6 +517,7 @@ def _transcript_inputs():
         "flat": (np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), "real"),
         "eye2": (np.eye(2), "real"), "zero": (np.zeros((3, 3)), "real"),
         "sig8": (1j * conf, "complex"), "unskewed": (conf.astype(complex), "complex"),
+        "q45": (np.ones((4, 5), dtype=complex), "complex"),
     }
 
 
@@ -610,6 +611,13 @@ TRANSCRIPTS = [
     ('verify signature sig8.symf --dim 100',
      2, '', 'error: --dim must be below the signature order 8, got 100\n',
      None),
+    # a non-square file is malformed input, refused before --dim is read against its order
+    ('verify signature q45.symf --dim 2',
+     2, '', 'error: q45.symf: expected a square matrix, got shape (4, 5)\n',
+     None),
+    ('verify signature q45.symf --dim 4',
+     2, '', 'error: q45.symf: expected a square matrix, got shape (4, 5)\n',
+     None),
     ('verify etf sq8.symf --dim 3',
      2, '', 'error: --dim must be even and >= 2, got 3\n',
      None),
@@ -676,8 +684,9 @@ TRANSCRIPTS = [
     ('diamonds conf8.symf --method formula',
      0, 'delta=28\n', '',
      None),
+    # said "expected a int matrix" before
     ('diamonds sq8.symf',
-     2, '', 'error: sq8.symf: expected a int matrix, got real\n',
+     2, '', 'error: sq8.symf: expected an int matrix, got real\n',
      None),
     ('search --mode discrete --n 8 --seed 7 --restarts 8',
      0, 'success=true\nbest_value=0\nrestart=0\niterations=28\n', '',

@@ -9,6 +9,7 @@ function that only tests call is a test oracle and belongs under tests/.
 """
 
 import ast
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -38,6 +39,13 @@ def test_module_imports_first_in_a_fresh_interpreter(name):
     proc = subprocess.run([sys.executable, "-c", FIRST_IMPORT, name, str(SRC)],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_the_package_does_not_import_scipy():
+    # scipy.linalg adds about 0.25 s of import and 23 MB of peak memory to each CLI call
+    proc = subprocess.run([sys.executable, "-c", "import sys, sympetf; print('scipy' in sys.modules)"],
+                          capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.stdout == "False\n", proc.stderr
 
 
 def _names(node):

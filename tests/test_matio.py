@@ -2,9 +2,11 @@
 
 ``_reference_read`` is the entry-by-entry reader that the row-wise reader
 replaced; it stays here as the oracle for what a file means and for the
-class and message of every rejection.  ``_reference_text`` is the
-entry-by-entry writer, the oracle for the bytes of both writer paths (a
-table of the distinct values' tokens, and row by row past the cap).
+class and message of every rejection, on every reader path (numpy's C
+reader for ``int`` and ``real`` bodies, the rows it refuses, and the
+``complex`` token cache).  ``_reference_text`` is the entry-by-entry
+writer, the oracle for the bytes of both writer paths (a table of the
+distinct values' tokens, and one ``%`` per row past the cap).
 """
 
 import contextlib
@@ -120,13 +122,32 @@ def matrices(draw):
     return kind, z
 
 
+SUBNORMALS = st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308)
+
+
+@st.composite
+def many_valued_matrices(draw):
+    """Real and complex matrices of 66 or more distinct real parts, past
+    ``_TABLE_CAP``, so the writer formats them row by row."""
+    kind = draw(st.sampled_from(["real", "complex"]))
+    shape = draw(st.tuples(st.integers(2, 4), st.integers(33, 40)))
+    elements = st.one_of(reals, SUBNORMALS)
+    re = draw(arrays(np.float64, shape, elements=elements, unique=True))
+    if kind == "real":
+        return kind, re
+    z = np.empty(shape, dtype=complex)
+    z.real, z.imag = re, draw(arrays(np.float64, shape, elements=elements))
+    return kind, z
+
+
 @settings(max_examples=150, deadline=None)
-@given(matrices())
+@given(st.one_of(matrices(), many_valued_matrices()))
 def test_write_read_write_is_byte_identical(case):
     kind, mat = case
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "a.symf", Path(tmp) / "b.symf"
         write_matrix(first, mat, kind)
+        assert first.read_bytes() == _reference_text(kind, mat).encode()
         kind2, back = read_matrix(first)
         assert kind2 == kind and back.dtype == mat.dtype
         assert back.tobytes() == mat.tobytes()  # bit for bit, -0.0 and subnormals included
@@ -210,8 +231,9 @@ def test_both_codec_paths_agree_at_benchmark_scale(tmp_path):
         path = tmp_path / "table.symf"
         with mock.patch.object(matio, "_parse_row", wraps=matio._parse_row) as parse:
             kind2, back = read_matrix(path)
-        assert parse.call_count == 1  # row 1 holds every distinct token
-        with mock.patch.object(matio, "_TABLE_CAP", 0):
+        # int bodies are parsed whole in C; row 1 of the signature holds every distinct token
+        assert parse.call_count == (1 if kind == "complex" else 0)
+        with mock.patch.object(matio, "_TABLE_CAP", 0), mock.patch.object(matio, "_c_parse", return_value=None):
             kind3, by_rows = read_matrix(path)
         assert kind2 == kind3 == kind and back.dtype == by_rows.dtype == mat.dtype
         assert back.tobytes() == by_rows.tobytes() == mat.tobytes()
@@ -258,6 +280,12 @@ def test_int_write_accepts_integral_floats(tmp_path):
 
 # ---------------------------------------------------------------- fuzzed text
 
+# tokens that Python's int or float parse and numpy's C reader refuses, or
+# (+5, 007) that both parse
+PYTHON_ONLY = st.sampled_from(["1_0", "１", "٣", "+5", "007"])
+NEAR_INT64 = st.sampled_from([2**63 - 2, 2**63 - 1, 2**63, -(2**63) + 1, -(2**63), -(2**63) - 1]).map(str)
+
+
 def _token(kind):
     ints = st.integers(-(2**70), 2**70).map(str)
     floats = st.floats().map(repr)
@@ -266,7 +294,24 @@ def _token(kind):
     )
     pairs = st.tuples(st.one_of(floats, ints, garbage), st.one_of(floats, ints, garbage)).map(",".join)
     valid = {"int": ints, "real": floats, "complex": pairs}[kind]
-    return st.one_of(valid, valid, valid, ints, floats, pairs, garbage)
+    return st.one_of(valid, valid, valid, ints, floats, pairs, garbage, PYTHON_ONLY, NEAR_INT64)
+
+
+# str.split() separators, most of them beyond ASCII space; NUL is none, so it
+# joins two tokens into one bad token
+SEPARATORS = st.sampled_from([" ", " ", " ", "\t", "  ", "\xa0", "\x1c", "\u3000", "\x85", "\x00"])
+LINE_ENDS = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+
+
+def _text(draw, header, rows):
+    """A file of the header and the entry rows (lists of tokens): any separator
+    between two tokens, a ``# c`` after some rows, one line end throughout."""
+    end = draw(LINE_ENDS)
+    lines = [header]
+    for tokens in rows:
+        line = "".join(t + draw(SEPARATORS) for t in tokens[:-1]) + (tokens[-1] if tokens else "")
+        lines.append(line + draw(st.sampled_from(["", "", "", "", "", "", "", " # c"])))
+    return end.join(lines) + end
 
 
 @st.composite
@@ -276,8 +321,8 @@ def symf_texts(draw):
     lines = []
     for _ in range(draw(st.sampled_from([rows, rows, rows, rows + 1, rows - 1]))):
         width = draw(st.sampled_from([cols, cols, cols, cols + 1, cols - 1]))
-        lines.append(" ".join(draw(st.lists(_token(kind), min_size=width, max_size=width))))
-    return f"symf {kind} {rows} {cols}\n" + "\n".join(lines) + "\n"
+        lines.append(draw(st.lists(_token(kind), min_size=width, max_size=width)))
+    return _text(draw, f"symf {kind} {rows} {cols}", lines)
 
 
 @settings(max_examples=300, deadline=None)
@@ -285,7 +330,7 @@ def symf_texts(draw):
 def test_row_reader_matches_entry_reader(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.symf"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8", newline="")
         assert _outcome(read_matrix, path) == _outcome(_reference_read, path)
 
 
@@ -322,8 +367,8 @@ def few_token_texts(draw):
     lines = []
     for r in range(draw(st.sampled_from([rows, rows, rows, rows + 1, rows - 1]))):
         width = draw(st.sampled_from([cols, cols, cols, cols, cols + 1, cols - 1]))
-        lines.append(" ".join(draw(st.lists(pool if r < rows // 2 else late, min_size=width, max_size=width))))
-    return f"symf {kind} {rows} {cols}\n" + "\n".join(lines) + "\n"
+        lines.append(draw(st.lists(pool if r < rows // 2 else late, min_size=width, max_size=width)))
+    return _text(draw, f"symf {kind} {rows} {cols}", lines)
 
 
 @settings(max_examples=300, deadline=None)
@@ -331,7 +376,7 @@ def few_token_texts(draw):
 def test_cached_reader_matches_entry_reader(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.symf"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8", newline="")
         assert _outcome(read_matrix, path) == _outcome(_reference_read, path)
 
 
@@ -354,16 +399,39 @@ def test_a_token_that_overflowed_is_parsed_afresh_by_the_next_read(tmp_path):
         assert _outcome(read_matrix, good) == _outcome(_reference_read, good)
 
 
-@pytest.mark.parametrize("text, parsed", [
-    ("symf int 4 3\n1 1 1\n1 -1 1\n-1 1 -1\n1 -1 -1\n", 2),  # row 2 brings -1; rows 3 and 4 hit
-    ("symf int 3 70\n" + "\n".join([" ".join(map(str, range(70)))] * 3) + "\n", 3),  # 70 tokens pass the cap
+@pytest.mark.parametrize("rows, parsed", [
+    (["1 1 1", "1 -1 1", "-1 1 -1", "1 -1 -1"], 2),  # row 2 brings -1; rows 3 and 4 hit
+    ([" ".join(map(str, range(70)))] * 3, 3),  # 70 tokens pass the cap
 ], ids=["two-tokens", "past-the-cap"])
-def test_rows_parse_until_the_cache_holds_their_tokens(tmp_path, text, parsed):
+def test_rows_parse_until_the_cache_holds_their_tokens(tmp_path, rows, parsed):
+    # int and real bodies are parsed whole by numpy's C reader, with no row
+    # parse; the same rows as complex entries (0 imaginary parts) fill the cache
+    path = tmp_path / "m.symf"
+    as_complex = [" ".join(f"{t},0" for t in row.split()) for row in rows]
+    for kind, body, calls in (("int", rows, 0), ("real", rows, 0), ("complex", as_complex, parsed)):
+        path.write_text(f"symf {kind} {len(rows)} {len(rows[0].split())}\n" + "\n".join(body) + "\n")
+        with mock.patch.object(matio, "_parse_row", wraps=matio._parse_row) as parse:
+            assert _outcome(read_matrix, path) == _outcome(_reference_read, path)
+        assert parse.call_count == calls
+
+
+@pytest.mark.parametrize("text, error", [
+    ("symf int 1 2\n1 2 # c\n", "row 1 has 4 entries, expected 2"),
+    # past the first-row check, only comments=None keeps numpy from reading "3 4"
+    ("symf int 2 2\n1 2\n3 4 # c\n", "row 2 has 4 entries, expected 2"),
+    ("symf real 2 3\n1 2 3\n4 # c\n", "could not convert string to float: '#'"),
+])
+def test_an_inline_hash_is_an_entry_not_a_comment(tmp_path, text, error):
     path = tmp_path / "m.symf"
     path.write_text(text)
-    with mock.patch.object(matio, "_parse_row", wraps=matio._parse_row) as parse:
-        assert _outcome(read_matrix, path) == _outcome(_reference_read, path)
-    assert parse.call_count == parsed
+    assert _outcome(read_matrix, path) == _outcome(_reference_read, path) == (ValueError, error)
+
+
+def test_the_c_reader_leaves_any_other_shape_to_the_rows():
+    assert matio._c_parse(["1 2", "3 4"], np.int64, (2, 2)).tolist() == [[1, 2], [3, 4]]
+    assert matio._c_parse(["1 2", "3 4"], np.int64, (2, 3)) is None
+    assert matio._c_parse(["1 2", "3 4 5"], float, (2, 2)) is None
+    assert matio._c_parse(["1_0 2"], np.int64, (1, 2)) is None
 
 
 CLI_COMMANDS = [
@@ -390,7 +458,7 @@ CLI_COMMANDS = [
 def test_cli_on_fuzzed_files_exits_0_1_or_2(text, command):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "in.symf"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8", newline="")
         argv = [arg.format(out=Path(tmp) / "out.symf") for arg in command]
         argv.insert(2 if command[0] == "verify" else 1, str(path))
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
