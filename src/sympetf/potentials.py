@@ -44,14 +44,16 @@ def _check_order(p) -> float:
 def frame_potential(g, p) -> float:
     """Order-p potential of a skew Gram matrix (p = math.inf for the sup form)."""
     p = _check_order(p)
-    return _potential(check_skew(g), p)
-
-
-def _potential(g: np.ndarray, p: float) -> float:
+    g = check_skew(g)
     if math.isinf(p):
-        off = ~np.eye(g.shape[0], dtype=bool)
-        return float(np.max(np.abs(g[off]))) if g.shape[0] > 1 else 0.0
-    return float(np.sum(np.abs(g) ** (2.0 * p)))
+        return float(np.max(np.abs(g[~np.eye(g.shape[0], dtype=bool)]), initial=0.0))
+    return _value_and_weight(g, p)[0]
+
+
+def _value_and_weight(g: np.ndarray, p: float) -> tuple[float, np.ndarray]:
+    """(potential, W) with W = |g|^(2p-2) * g at a finite checked p: the potential is sum W * g."""
+    w = np.abs(g) ** (2.0 * p - 2.0) * g
+    return float(np.vdot(w, g)), w
 
 
 def potential_bound(d: int, n: int, p) -> float:
@@ -88,21 +90,20 @@ def _nuclear(g: np.ndarray) -> float:
 def potential_gradient(phi, p) -> np.ndarray:
     """Gradient of phi -> frame_potential(gram(phi), p) for finite p.
 
-    With g = gram(phi) and the skew weight matrix w_ij = 2p g_ij |g_ij|^(2p-2),
-    the chain rule through g = phi.T @ omega @ phi gives -2 * omega @ phi @ w.
+    With g = gram(phi) and the skew weight matrix W = |g|^(2p-2) * g, the
+    chain rule through g = phi.T @ omega @ phi gives -4p * omega @ phi @ W.
     """
     p = _check_order(p)
     if math.isinf(p):
         raise ValueError("gradient is defined for finite orders only")
     g = gram(phi)
     phi = np.asarray(phi, dtype=float)
-    return _gradient(phi, g, p, omega(phi.shape[0]))
+    return _gradient(phi, _value_and_weight(g, p)[1], p, omega(phi.shape[0]))
 
 
-def _gradient(phi: np.ndarray, g: np.ndarray, p: float, om: np.ndarray) -> np.ndarray:
-    """``potential_gradient`` at a finite checked p, given g = gram(phi) and om = omega(d)."""
-    w = 2.0 * g if p == 1.0 else 2.0 * p * g * np.abs(g) ** (2.0 * p - 2.0)
-    return -2.0 * om @ phi @ w
+def _gradient(phi: np.ndarray, w: np.ndarray, p: float, om: np.ndarray) -> np.ndarray:
+    """``potential_gradient`` at a finite checked p, given W of gram(phi) and om = omega(d)."""
+    return (-4.0 * p) * (om @ phi @ w)
 
 
 def potential_report(g, d: int, n: int, p) -> PotentialReport:

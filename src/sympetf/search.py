@@ -3,10 +3,11 @@
 Two searches and one exhaustive oracle:
 
 * ``continuous_etf_search``: projected gradient descent on the order-p
-  frame potential over synthesis matrices, re-normalizing the Gram to
-  nuclear norm sqrt(d n (n-1)) after every step.  A run succeeds only if
-  the potential reaches its ETF bound and the rounded Gram passes the
-  exact gate ``etf_to_conference``.
+  frame potential at Gram nuclear norm sqrt(d n (n-1)).  A trial step
+  builds one Gram and rescales it with the trial; one W = |g|^(2p-2) * g
+  gives its potential and, once accepted, the gradient at its canonical
+  reset, which keeps the Gram.  A run succeeds only if the potential
+  reaches its ETF bound and the rounded Gram passes ``etf_to_conference``.
 * ``discrete_diamond_search``: single-edge-flip local search over
   tournaments minimizing sum_{i<j} ((S^2)_ij)^2, which is equivalent to
   maximizing the diamond count.  Its only state is S; each step scores
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .frames import _equiangularity, _gram, gram, omega
-from .potentials import _gradient, _nuclear, _potential
+from .potentials import _gradient, _nuclear, _value_and_weight
 from .skewlinalg import DEFAULT_TOL, ToleranceProfile, _canonical_factor, _check_even_dim
 from .tournaments import (_offdiag_square_sum, count_diamonds_formula, diamond_upper_bound,
                           random_tournament)
@@ -88,11 +89,14 @@ def _outcome(restarts: list, iterations: int) -> SearchOutcome:
     )
 
 
-def _renormalize(phi: np.ndarray, target: float, om: np.ndarray) -> np.ndarray:
-    nuc = _nuclear(_gram(phi, om))
+def _renormalize(phi: np.ndarray, target: float, om: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sqrt(c) phi, c g), g = gram(phi), c = target / nuclear norm of g; gram(sqrt(c) phi) = c g."""
+    g = _gram(phi, om)
+    nuc = _nuclear(g)
     if nuc == 0.0:
-        return phi
-    return phi * math.sqrt(target / nuc)
+        return phi, g
+    c = target / nuc
+    return phi * math.sqrt(c), g * c
 
 
 def _canonicalize(phi: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -103,7 +107,7 @@ def _canonicalize(phi: np.ndarray, g: np.ndarray) -> np.ndarray:
     resetting to the bounded D @ U factor keeps the line search conditioned.
     Skipped when the Gram is (numerically) rank deficient.
     """
-    factor = _canonical_factor(g, DEFAULT_TOL)  # g = _gram(phi) is exactly antisymmetric
+    factor = _canonical_factor(g, DEFAULT_TOL)  # g = c * _gram(...) is exactly antisymmetric
     return factor if factor.shape[0] == phi.shape[0] else phi
 
 
@@ -140,54 +144,52 @@ def continuous_etf_search(
     total_iters = 0
     for r in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, r])
-        phi = _renormalize(rng.normal(size=(d, n)), target_nuc, om)
-        g = _gram(phi, om)
-        value, grad = _potential(g, p), _gradient(phi, g, p, om)
+        phi, g = _renormalize(rng.normal(size=(d, n)), target_nuc, om)
+        value, w = _value_and_weight(g, p)
+        grad = _gradient(phi, w, p, om)
         step = cfg.step
         iters = 0
         while iters < cfg.max_iters and step > 1e-14:
             iters += 1
-            if float(np.linalg.norm(grad)) == 0.0:
+            if not grad.any():
                 break
-            trial = _renormalize(phi - step * grad, target_nuc, om)
-            g = _gram(trial, om)
-            trial_value = _potential(g, p)
+            trial, g = _renormalize(phi - step * grad, target_nuc, om)
+            trial_value, w = _value_and_weight(g, p)
             if trial_value < value:
-                # phi moves only here, so a rejected step keeps phi and its gradient
+                # phi moves only here; its reset keeps the Gram g, whose W gives the gradient
                 phi, value = _canonicalize(trial, g), trial_value
-                grad = _gradient(phi, _gram(phi, om), p, om)
+                grad = _gradient(phi, w, p, om)
                 step *= 1.5
             else:
                 step *= 0.5
             if value - bound <= cfg.target_residual:
                 break
         total_iters += iters
-        succeeded = value - bound <= cfg.target_residual
-        if succeeded and _rounded_certificate(phi, d, tol) is None:
-            succeeded = False
+        succeeded = value - bound <= cfg.target_residual and _rounded_certificate(phi, d, tol) is not None
         restarts.append((succeeded, value, phi, r))
     return _outcome(restarts, total_iters)
 
 
-def _flip_deltas(s: np.ndarray, iu: tuple) -> np.ndarray:
-    """Change in sum_{a<b} ((S^2)_ab)^2 from flipping each edge (i, j) in ``iu``.
+def _flip_deltas(s: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Change in sum_{a<b} ((S^2)_ab)^2 from flipping edge (i, j), at [i, j] for i < j.
 
     It is 8 s_ij (S^3)_ij + 16n - 24.  For a != i, j the flip moves
     (S^2)_ai by 2 s_ij s_aj and (S^2)_aj by -2 s_ij s_ai, so the objective
     changes by 8(n-2) + 4 s_ij (x + y) with x = sum_{a != i,j} (S^2)_ia s_aj
     and y = sum_{a != i,j} s_ia (S^2)_aj.  Both equal (S^3)_ij + (n-1) s_ij,
-    since (S^2)_ii = -(n-1), s_jj = 0 and s_ij^2 = 1.
+    since (S^2)_ii = -(n-1), s_jj = 0 and s_ij^2 = 1.  ``mask`` is 16n - 24
+    above the diagonal and +inf on and below it, so a flat ``argmin`` scans
+    the deltas in ``triu_indices`` order and picks the lowest of equal ones.
 
     ``s`` is a float64 Seidel matrix, and S^3 = (S @ S) @ S is two float64
     BLAS products, yet every delta is an exact integer.  Each partial sum
     in S @ S is an integer of magnitude at most n - 1, and each partial sum
     in S^2 @ S one of magnitude at most n(n - 1) <= 1024 * 1023, far below
     2**53.  Such integers are exact float64 values, so the product is exact
-    in any summation order, and ``np.argmin`` sees the same values as an
-    int64 product would give.
+    in any summation order, and so is the sum 8 s_ij (S^3)_ij + 16n - 24;
+    ``np.argmin`` sees the same values as an int64 product would give.
     """
-    n = s.shape[0]
-    return 8 * s[iu] * ((s @ s) @ s)[iu] + (16 * n - 24)
+    return 8 * s * ((s @ s) @ s) + mask
 
 
 _MAX_DISCRETE_N = 1024
@@ -206,7 +208,7 @@ def discrete_diamond_search(n: int, cfg: SearchConfig) -> SearchOutcome:
     n(n-1)/2 flips at once: flipping edge (i, j) changes the objective by
     exactly 8 s_ij (S^3)_ij + 16n - 24.  A step therefore costs two n x n
     float64 BLAS products for S^3 (exact, see ``_flip_deltas``) and O(n^2)
-    indexing; the accepted flip swaps s_ij and s_ji.
+    elementwise work; the accepted flip swaps s_ij and s_ji.
 
     n must satisfy 2 <= n <= 1024, checked before anything is allocated.
     The bound keeps S^3 exact in float64, and it caps a step at 2n^3, about
@@ -224,7 +226,7 @@ def discrete_diamond_search(n: int, cfg: SearchConfig) -> SearchOutcome:
     else:
         target, verified = None, None  # saturation impossible; minimize anyway
 
-    iu = np.triu_indices(n, k=1)
+    mask = np.where(np.tri(n, dtype=bool), np.inf, 16.0 * n - 24)
     restarts = []
     total_flips = 0
     for r in range(cfg.restarts):
@@ -236,18 +238,15 @@ def discrete_diamond_search(n: int, cfg: SearchConfig) -> SearchOutcome:
         while flips < cfg.max_iters:
             if target is not None and q == target:
                 break
-            deltas = _flip_deltas(s, iu)
+            deltas = _flip_deltas(s, mask)
             k = int(np.argmin(deltas))  # first minimum: the lowest (i, j) in row-major order
-            best_delta = int(deltas[k])
+            best_delta = int(deltas.flat[k])
             if best_delta > 0:
                 break  # strict local minimum
-            if best_delta == 0:
-                plateau_moves += 1
-                if plateau_moves > n:
-                    break
-            else:
-                plateau_moves = 0
-            i, j = iu[0][k], iu[1][k]
+            plateau_moves = plateau_moves + 1 if best_delta == 0 else 0
+            if plateau_moves > n:
+                break
+            i, j = divmod(k, n)
             s[i, j], s[j, i] = s[j, i], s[i, j]
             q += best_delta
             flips += 1

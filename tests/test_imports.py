@@ -22,6 +22,7 @@ MODULES = sorted(p.stem for p in (SRC / "sympetf").glob("*.py") if p.stem != "__
 FIRST_IMPORT = """\
 import importlib, sys, types
 name, src = sys.argv[1], sys.argv[2]
+sys.path.insert(0, src)
 if name != "__init__":
     package = types.ModuleType("sympetf")
     package.__path__ = [src + "/sympetf"]

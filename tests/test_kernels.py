@@ -27,7 +27,7 @@ from sympetf.hadamard import (
 from sympetf.potentials import (
     _gradient,
     _nuclear,
-    _potential,
+    _value_and_weight,
     frame_potential,
     normalize_nuclear,
     potential_gradient,
@@ -132,13 +132,20 @@ def test_search_kernels_are_bit_identical_to_the_public_api(d, extra, p, seed, s
     om = omega(d)
     g = _gram(phi, om)
     assert g.tobytes() == gram(phi).tobytes()
-    assert np.float64(_potential(g, p)).tobytes() == np.float64(frame_potential(g, p)).tobytes()
-    assert _gradient(phi, g, p, om).tobytes() == potential_gradient(phi, p).tobytes()
+    # one W = |g|^(2p-2) * g gives the search both the potential and the gradient
+    value, w = _value_and_weight(g, p)
+    assert np.float64(value).tobytes() == np.float64(frame_potential(g, p)).tobytes()
+    assert value == pytest.approx(float(np.sum(np.abs(g) ** (2.0 * p))), rel=1e-13)
+    assert _gradient(phi, w, p, om).tobytes() == potential_gradient(phi, p).tobytes()
     assert _canonical_factor(g, DEFAULT_TOL).tobytes() == skew_spectral_form(g).factor().tobytes()
     # the nuclear-norm kernel behind normalize_nuclear and the search's rescaling
     nuc = float(np.sum(np.linalg.svd(g, compute_uv=False)))
     assert _nuclear(g) == nuc
-    assert _renormalize(phi, 6.0, om).tobytes() == (phi * math.sqrt(6.0 / nuc)).tobytes()
+    # the rescaled pair (sqrt(c) phi, c g) comes from one Gram: the second is not rebuilt
+    scaled, scaled_g = _renormalize(phi, 6.0, om)
+    assert scaled.tobytes() == (phi * math.sqrt(6.0 / nuc)).tobytes()
+    assert scaled_g.tobytes() == (g * (6.0 / nuc)).tobytes()
+    assert np.linalg.norm(gram(scaled) - scaled_g) <= 1e-12 * np.linalg.norm(scaled_g)
     target = math.sqrt(d * n * (n - 1))
     assert normalize_nuclear(g, d, n).tobytes() == (g * (target / nuc)).tobytes()
 
