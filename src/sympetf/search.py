@@ -11,9 +11,9 @@ Two searches and one exhaustive oracle:
 * ``discrete_diamond_search``: single-edge-flip local search over
   tournaments minimizing sum_{i<j} ((S^2)_ij)^2, which is equivalent to
   maximizing the diamond count.  Its only state is S; each step scores
-  every flip from S^3, an exact float64 BLAS product.  Success requires
-  the exact conference (even n) or bound-saturation (n = 3 mod 4)
-  verification.
+  every flip from S^3, an exact float64 BLAS product, in one buffer per
+  search.  Success requires the exact conference (even n) or
+  bound-saturation (n = 3 mod 4) verification.
 * ``gerzon_oracle``: minimum numerical rank over every n-vertex Seidel
   sign pattern, feasible for n <= 6.
 
@@ -170,7 +170,7 @@ def continuous_etf_search(
     return _outcome(restarts, total_iters)
 
 
-def _flip_deltas(s: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def _flip_deltas(s: np.ndarray, mask: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Change in sum_{a<b} ((S^2)_ab)^2 from flipping edge (i, j), at [i, j] for i < j.
 
     It is 8 s_ij (S^3)_ij + 16n - 24.  For a != i, j the flip moves
@@ -181,15 +181,17 @@ def _flip_deltas(s: np.ndarray, mask: np.ndarray) -> np.ndarray:
     above the diagonal and +inf on and below it, so a flat ``argmin`` scans
     the deltas in ``triu_indices`` order and picks the lowest of equal ones.
 
-    ``s`` is a float64 Seidel matrix, and S^3 = (S @ S) @ S is two float64
-    BLAS products, yet every delta is an exact integer.  Each partial sum
-    in S @ S is an integer of magnitude at most n - 1, and each partial sum
-    in S^2 @ S one of magnitude at most n(n - 1) <= 1024 * 1023, far below
-    2**53.  Such integers are exact float64 values, so the product is exact
-    in any summation order, and so is the sum 8 s_ij (S^3)_ij + 16n - 24;
-    ``np.argmin`` sees the same values as an int64 product would give.
+    ``s`` is float64.  S^3 = (S @ S) @ S, two BLAS products, is written into
+    ``out``, the caller's reused n x n buffer, which is then multiplied by s
+    and by 8 and offset by ``mask`` in place and returned.  Every partial sum
+    and result is an integer of magnitude at most 8n(n - 1) + 16n < 2**24, so
+    each step is exact in any order and ``argmin`` sees int64 values.
     """
-    return 8 * s * ((s @ s) @ s) + mask
+    np.matmul(s @ s, s, out=out)
+    out *= s
+    out *= 8.0
+    out += mask
+    return out
 
 
 _MAX_DISCRETE_N = 1024
@@ -206,9 +208,9 @@ def discrete_diamond_search(n: int, cfg: SearchConfig) -> SearchOutcome:
 
     The search state is S alone, held as float64.  Each step scores all
     n(n-1)/2 flips at once: flipping edge (i, j) changes the objective by
-    exactly 8 s_ij (S^3)_ij + 16n - 24.  A step therefore costs two n x n
-    float64 BLAS products for S^3 (exact, see ``_flip_deltas``) and O(n^2)
-    elementwise work; the accepted flip swaps s_ij and s_ji.
+    exactly 8 s_ij (S^3)_ij + 16n - 24.  A step costs two n x n float64 BLAS
+    products for S^3 (exact, see ``_flip_deltas``) and O(n^2) in-place work
+    in one buffer made per search; the accepted flip swaps s_ij and s_ji.
 
     n must satisfy 2 <= n <= 1024, checked before anything is allocated.
     The bound keeps S^3 exact in float64, and it caps a step at 2n^3, about
@@ -227,6 +229,7 @@ def discrete_diamond_search(n: int, cfg: SearchConfig) -> SearchOutcome:
         target, verified = None, None  # saturation impossible; minimize anyway
 
     mask = np.where(np.tri(n, dtype=bool), np.inf, 16.0 * n - 24)
+    deltas = np.empty((n, n))
     restarts = []
     total_flips = 0
     for r in range(cfg.restarts):
@@ -238,8 +241,7 @@ def discrete_diamond_search(n: int, cfg: SearchConfig) -> SearchOutcome:
         while flips < cfg.max_iters:
             if target is not None and q == target:
                 break
-            deltas = _flip_deltas(s, mask)
-            k = int(np.argmin(deltas))  # first minimum: the lowest (i, j) in row-major order
+            k = int(_flip_deltas(s, mask, deltas).argmin())  # first minimum: the lowest (i, j), row-major
             best_delta = int(deltas.flat[k])
             if best_delta > 0:
                 break  # strict local minimum

@@ -80,8 +80,8 @@ def random_tournament(n: int, rng: np.random.Generator) -> np.ndarray:
     if n < 1:
         raise ValueError("need at least one vertex")
     s = np.zeros((n, n), dtype=np.int64)
-    # one draw per edge, in row-major upper-triangle order
-    s[np.triu_indices(n, k=1)] = 2 * rng.integers(0, 2, size=n * (n - 1) // 2) - 1
+    # one draw per edge: a boolean mask assigns in row-major upper-triangle order
+    s[~np.tri(n, dtype=bool)] = 2 * rng.integers(0, 2, size=n * (n - 1) // 2) - 1
     s -= s.T
     return s
 
@@ -175,10 +175,12 @@ def count_diamonds_formula(s) -> int:
 
 
 def _offdiag_square_sum(s2: np.ndarray) -> int:
-    """sum_{i<j} ((S^2)_ij)^2, exactly, from S^2."""
-    n = s2.shape[0]
-    iu = np.triu_indices(n, k=1)
-    return int(np.sum(s2[iu] ** 2))
+    """sum_{i<j} ((S^2)_ij)^2 = (<S^2, S^2> - <diag S^2, diag S^2>) / 2, since S^2 is symmetric.
+
+    Exact for int64 and float64 S^2: each partial sum of either ``np.vdot``
+    is an integer of magnitude at most n^2 (n-1)^2 < 2**53 (n <= 9000).
+    """
+    return int(np.vdot(s2, s2) - np.vdot(s2.diagonal(), s2.diagonal())) // 2
 
 
 def diamond_upper_bound(n: int) -> Fraction:
@@ -187,6 +189,8 @@ def diamond_upper_bound(n: int) -> Fraction:
     Returned as an exact Fraction: the value is an integer exactly when
     n = 3 mod 4, which is when the bound can be attained.
     """
+    if n < 1:
+        raise ValueError(f"need at least one vertex, got {n}")
     if n % 2 == 0:
         raise ValueError(f"diamond bound is stated for odd n, got {n}")
     return Fraction(n * (n - 1) * (n - 3) * (n + 1), 96)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from etf_oracle import svd_certify_etf
-from tournament_oracles import flip_delta
+from tournament_oracles import flip_delta, offdiag_square_sum
 from sympetf import certify_etf
 from sympetf.frames import factor_gram, gram
 from sympetf.hadamard import is_skew_conference, seed_hadamard
@@ -151,7 +151,7 @@ def test_closed_form_flip_deltas_match_oracle_and_recomputation(s):
     n = s.shape[0]
     s2 = s @ s
     q = _offdiag_square_sum(s2)
-    deltas = _flip_deltas(s.astype(float), flip_mask(n))
+    deltas = _flip_deltas(s.astype(float), flip_mask(n), np.empty((n, n)))
     assert np.all(deltas[np.tri(n, dtype=bool)] == np.inf)
     for i, j in zip(*np.triu_indices(n, k=1)):
         assert deltas[i, j] == flip_delta(s, s2, i, j)
@@ -167,10 +167,52 @@ def test_flip_deltas_exact_at_the_size_bound():
     s = random_tournament(n, rng)
     s2 = seidel_square(s)
     iu = np.triu_indices(n, k=1)
-    deltas = _flip_deltas(s.astype(float), flip_mask(n))
+    deltas = _flip_deltas(s.astype(float), flip_mask(n), np.empty((n, n)))
     picks = [(int(iu[0][k]), int(iu[1][k])) for k in rng.choice(len(iu[0]), size=200, replace=False)]
     for i, j in picks + [divmod(int(np.argmin(deltas)), n)]:
         assert deltas[i, j] == flip_delta(s, s2, i, j)
+
+
+@pytest.mark.parametrize("n", [7, 16, 33])
+def test_flip_deltas_reuse_one_buffer_across_flips(n):
+    # the buffer starts as NaN and carries each scan into the next; after
+    # every flip it must hold exactly what a freshly allocated scan gives
+    rng = np.random.default_rng(n)
+    s = random_tournament(n, rng).astype(float)
+    mask = flip_mask(n)
+    out = np.full((n, n), np.nan)
+    iu = np.triu_indices(n, k=1)
+    for _ in range(60):
+        before = s.tobytes()
+        assert _flip_deltas(s, mask, out) is out
+        assert s.tobytes() == before
+        assert out.tobytes() == (8 * s * ((s @ s) @ s) + mask).tobytes()
+        assert np.all(out[np.tri(n, dtype=bool)] == np.inf)
+        k = int(rng.integers(len(iu[0])))
+        i, j = iu[0][k], iu[1][k]
+        s[i, j], s[j, i] = s[j, i], s[i, j]
+
+
+@settings(max_examples=60, deadline=None)
+@given(tournaments())
+def test_offdiag_square_sum_matches_the_upper_triangle_oracle(s):
+    s2 = s @ s
+    expected = offdiag_square_sum(s2)
+    assert _offdiag_square_sum(s2) == expected
+    assert _offdiag_square_sum(s2.astype(float)) == expected
+
+
+def test_offdiag_square_sum_exact_at_the_discrete_size_bound():
+    # the float64 S^2 the search builds for q0 at its largest order
+    s = random_tournament(_MAX_DISCRETE_N, np.random.default_rng(7)).astype(float)
+    s2 = s @ s
+    assert _offdiag_square_sum(s2) == offdiag_square_sum(s2)
+
+
+def test_offdiag_square_sum_exact_for_int64_at_order_2048():
+    s2 = seidel_square(random_tournament(2048, np.random.default_rng(8)))
+    assert s2.dtype == np.int64
+    assert _offdiag_square_sum(s2) == offdiag_square_sum(s2)
 
 
 # (n, seed, success, best_value, iterations_used, restart_index,
@@ -179,6 +221,9 @@ def test_flip_deltas_exact_at_the_size_bound():
 # tournament_oracles.flip_delta.  The cases cover even n, n = 3 mod 4
 # and n = 1 mod 4, hits and misses.  The rows at n = 32 and 64 were
 # recorded with the int64 S^2 @ S scan, before S^3 moved to float64 BLAS.
+# Every row passes unchanged with the scan writing into one reused buffer,
+# the starting objective taken from the symmetric-square identity and the
+# draw filling the upper triangle through a boolean mask: none moves a bit.
 GOLDEN_TRAJECTORIES = [
     (6, 11, False, 24.0, 29, 0, (24.0, 24.0, 24.0, 24.0), "b91c3ef08a18cf2b51ac85c9fecd5d9e5632ef5bb5091b916f5cea0088a84ae0"),
     (7, 2, True, 21.0, 9, 0, (21.0, 21.0, 21.0, 21.0), "61beed08326e554e0037179480329b288157bc0b979ea95aeb0a2365fb45cf22"),

@@ -161,6 +161,13 @@ def test_diamond_upper_bound_values():
         diamond_upper_bound(4)
 
 
+@pytest.mark.parametrize("n", [0, -1, -3, -4])
+def test_diamond_upper_bound_needs_a_vertex(n):
+    # -3 is odd and gave Fraction(3, 2) before the order was checked
+    with pytest.raises(ValueError, match=f"need at least one vertex, got {n}"):
+        diamond_upper_bound(n)
+
+
 def test_bound_strict_for_n5_exhaustive():
     bound = diamond_upper_bound(5)
     best = max(count_diamonds_formula(s) for s in all_tournaments(5))

@@ -6,6 +6,9 @@ reads the same vector as the border of the conference matrix.
 ``flip_delta`` recomputes the change of sum_{a<b} ((S^2)_ab)^2 under one
 edge flip by looping over the changed entries of S^2, the check for the
 closed form that ``search._flip_deltas`` evaluates for every edge at once.
+``offdiag_square_sum`` sums ((S^2)_ij)^2 over the strict upper triangle
+directly, the check for the symmetric-square identity of
+``tournaments._offdiag_square_sum``.
 """
 
 from typing import Optional
@@ -56,3 +59,9 @@ def flip_delta(s: np.ndarray, s2: np.ndarray, i: int, j: int) -> int:
     # diagonal correction E^2 only touches (i,i) and (j,j), which never enter
     # the off-diagonal objective
     return delta
+
+
+def offdiag_square_sum(s2: np.ndarray) -> int:
+    """sum_{i<j} ((S^2)_ij)^2 gathered entry by entry from the strict upper triangle."""
+    n = s2.shape[0]
+    return int(np.sum(s2[np.triu_indices(n, k=1)] ** 2))
