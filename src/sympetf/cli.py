@@ -21,7 +21,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import complex_lift, frames, hadamard, matio, search, tournaments
-from .errors import DomainError, FactorizationError
+from .errors import DomainError, FactorizationError, NotAFrameError
 from .skewlinalg import DEFAULT_TOL
 
 class UsageError(Exception):
@@ -77,9 +77,11 @@ def _require_even_dim(args):
 def _verify_frame(args):
     _, mat = _load(args.file, ("real", "int"))
     mat = mat.astype(float)
-    ok = frames.is_frame(mat)  # rejects an odd number of rows with ValueError
     fields = {"d": mat.shape[0], "n": mat.shape[1]}
-    return ok, {**fields, **frames.frame_bounds(mat)._asdict()} if ok else fields
+    try:  # rejects an odd number of rows with ValueError
+        return True, {**fields, **frames.frame_bounds(mat)._asdict()}
+    except NotAFrameError:
+        return False, fields
 
 
 def _verify_tight(args):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NotPsdError, RankMismatchError, SignatureError
 from .hadamard import etf_to_conference
-from .skewlinalg import DEFAULT_TOL, ToleranceProfile, _check_even_dim
+from .skewlinalg import DEFAULT_TOL, ToleranceProfile, _check_even_dim, as_matrix
 
 __all__ = [
     "beta_constant",
@@ -54,8 +54,8 @@ def core_lift_scale(d: int) -> float:
 
 
 def _check_signature_structure(q, tol: ToleranceProfile) -> np.ndarray:
-    q = np.asarray(q, dtype=complex)
-    if q.ndim != 2 or q.shape[0] != q.shape[1] or q.size == 0:
+    q = as_matrix(q, complex)
+    if q.shape[0] != q.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {q.shape}")
     n = q.shape[0]
     if np.max(np.abs(q - q.conj().T)) > tol.entry_tol:
@@ -155,9 +155,7 @@ def realify(psi) -> np.ndarray:
     The result is a (2 d_c)-by-n real synthesis matrix whose symplectic Gram
     equals Im(psi^* psi).
     """
-    psi = np.asarray(psi, dtype=complex)
-    if psi.ndim != 2 or psi.size == 0:
-        raise ValueError(f"expected a nonempty 2-d matrix, got shape {psi.shape}")
+    psi = as_matrix(psi, complex)
     d_c, n = psi.shape
     out = np.empty((2 * d_c, n))
     out[0::2] = psi.real

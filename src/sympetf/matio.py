@@ -8,16 +8,17 @@ the comma.  Lines starting with ``#`` are comments and ignored.  Reals
 are serialized with 17 significant digits, so write -> read -> write
 reproduces files byte for byte.
 
-``int`` and ``real`` bodies are parsed by numpy's C text reader.  A body
-that reader refuses is parsed again row by row with Python's ``int`` and
-``float``, so the accepted syntax (``1_0``, non-ASCII digits) and the
-errors are those of an entry-by-entry parse.  Matrices with few distinct
-values (Hadamard, conference and signature matrices) are coded per
-distinct value: the writer formats each value, told apart by bit
-pattern, once, and the ``complex`` reader parses each distinct token
-once.  Past ``_TABLE_CAP`` distinct values the writer formats each row
-with one ``%`` and the reader parses row by row.  Bytes, arrays and
-errors are the same on every path.
+``int`` and ``real`` bodies are parsed by numpy's C text reader.  Every
+other body (all ``complex`` ones, and those that reader refuses) goes
+through one entry parser, Python's ``int`` and ``float`` per token, so
+the accepted syntax (``1_0``, non-ASCII digits) and the errors are those
+of an entry-by-entry parse.  Matrices with few distinct values
+(Hadamard, conference and signature matrices) are coded per distinct
+value: the writer formats each value, told apart by bit pattern, once,
+and the reader keeps a table of the first ``_TABLE_CAP`` distinct tokens
+and parses each of them once.  Past ``_TABLE_CAP`` distinct values the
+writer formats each row with one ``%`` and the reader parses each token
+outside its table.  Bytes, arrays and errors are the same on every path.
 """
 
 from __future__ import annotations
@@ -83,38 +84,20 @@ def _table_lines(kind: str, a: np.ndarray) -> list[str] | None:
     return [" ".join(table[row].tolist()) for row in codes]
 
 
-def _parse_row(kind: str, out: np.ndarray, tokens: list[str]) -> None:
-    """Fill ``out`` from one row's tokens with the per-entry builtins, one call per row."""
+def _entry(kind: str, r: int, token: str):
+    """The value of one token of row ``r``, or the error an entry-by-entry
+    parse meets at it: int64 range is checked here, not on the store."""
     if kind == "int":
-        out[:] = list(map(int, tokens))
-    elif kind == "real":
-        out[:] = list(map(float, tokens))
-    else:
-        # a token without ',' leaves an empty imaginary part, which float() rejects
-        re_s, _, im_s = zip(*[t.partition(",") for t in tokens])
-        out.real[:] = list(map(float, re_s))
-        out.imag[:] = list(map(float, im_s))
-
-
-def _raise_entry_error(kind: str, r: int, tokens: list[str]) -> None:
-    """Raise the error an entry-by-entry parse of a failed row meets first.
-
-    A whole-row parse stops at its first invalid token and detects int64
-    overflow only when the row is stored, so the row is walked again to
-    report the same entry, class and message as a parse in reading order.
-    """
-    for token in tokens:
-        if kind == "int":
-            if int(token) not in _INT64:
-                raise ValueError(f"row {r + 1}: {token} does not fit in a signed 64-bit integer")
-        elif kind == "real":
-            float(token)
-        else:
-            re_s, sep, im_s = token.partition(",")
-            if not sep:
-                raise ValueError(f"complex entry {token!r} is missing the ',' separator")
-            float(re_s)
-            float(im_s)
+        value = int(token)
+        if value not in _INT64:
+            raise ValueError(f"row {r + 1}: {token} does not fit in a signed 64-bit integer")
+        return value
+    if kind == "real":
+        return float(token)
+    re_s, sep, im_s = token.partition(",")
+    if not sep:
+        raise ValueError(f"complex entry {token!r} is missing the ',' separator")
+    return complex(float(re_s), float(im_s))
 
 
 def _c_parse(body: list[str], dtype, shape: tuple[int, int]) -> np.ndarray | None:
@@ -199,33 +182,28 @@ def read_matrix(path) -> tuple[str, np.ndarray]:
     if len(tokens) != cols:
         raise ValueError(f"row 1 has {len(tokens)} entries, expected {cols}")
     dtype = {"int": np.int64, "real": float, "complex": complex}[kind]
-    # complex bodies skip the C reader: on the signature files the token cache
+    # complex bodies skip the C reader: on the signature files the token table
     # below is faster than numpy's parse of two floats per entry
     out = None if kind == "complex" else _c_parse(body, dtype, (rows, cols))
     if out is None:  # complex, or a body the C reader refused: row by row
         out = np.empty((rows, cols), dtype=dtype)
-        # token -> value, filled only from rows already stored (int64 overflow shows
-        # only on the store); dropped once it holds more than _TABLE_CAP tokens
-        cache: dict | None = {}
+        table: dict = {}  # token -> value for the first _TABLE_CAP distinct tokens
         for r, line in enumerate(body):
             tokens = line.split()
             if len(tokens) != cols:
                 raise ValueError(f"row {r + 1} has {len(tokens)} entries, expected {cols}")
-            if cache is not None:
-                try:
-                    out[r] = list(map(cache.__getitem__, tokens))
-                    continue
-                except KeyError:
-                    pass
             try:
-                _parse_row(kind, out[r], tokens)
-            except (ValueError, OverflowError):
-                _raise_entry_error(kind, r, tokens)
-                raise
-            if cache is not None:
-                cache.update(zip(tokens, out[r].tolist()))
-                if len(cache) > _TABLE_CAP:
-                    cache = None
+                out[r] = list(map(table.__getitem__, tokens))
+            except KeyError:  # parse the misses in reading order, so the first bad one raises
+                values = []
+                for token in tokens:
+                    value = table.get(token)
+                    if value is None:
+                        value = _entry(kind, r, token)
+                        if len(table) < _TABLE_CAP:
+                            table[token] = value
+                    values.append(value)
+                out[r] = values
     if kind != "int" and not np.all(np.isfinite(out)):
         raise ValueError("matrix contains non-finite entries")
     return kind, out

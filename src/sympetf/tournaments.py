@@ -212,9 +212,10 @@ def is_doubly_regular(s) -> bool:
 def switch(s, eps) -> np.ndarray:
     """Conjugate by the diagonal +-1 matrix built from ``eps``."""
     s = check_seidel(s)
-    eps = np.asarray(eps, dtype=np.int64).ravel()
+    eps = np.asarray(eps).ravel()
     if eps.shape[0] != s.shape[0]:
         raise ValueError(f"switching vector length {eps.shape[0]} does not match n={s.shape[0]}")
-    if np.any(np.abs(eps) != 1):
+    if not np.all((eps == 1) | (eps == -1)):  # before the cast, which would turn 1.5 into 1
         raise ValueError("switching vector entries must be +-1")
+    eps = eps.astype(np.int64)
     return s * np.outer(eps, eps)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -258,6 +259,16 @@ def test_verify_frame_and_tight(tmp_path, capsys, phi_basic):
     code, report, _ = run(capsys, "verify", "tight", str(gpath), "--dim", "2")
     assert code == 0
     assert report["c"].startswith("1.414")
+
+
+def test_verify_frame_runs_one_rank_svd(tmp_path, capsys, phi_basic):
+    # one SVD for the rank, one for the bounds from the Gram
+    path = tmp_path / "phi.symf"
+    write_matrix(path, phi_basic, "real")
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+        code, report, _ = run(capsys, "verify", "frame", str(path))
+    assert (code, report["verified"]) == (0, "true")
+    assert svd.call_count == 2
 
 
 def test_verify_missing_file(capsys):

@@ -69,6 +69,33 @@ def test_signature_check_generic_failure():
     assert not signature_check(q, 2)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_signatures_and_synthesis_matrices_are_rejected(bad):
+    message = "^matrix contains NaN or Inf entries$"
+    q = np.full((3, 3), bad)
+    with pytest.raises(ValueError, match=message):
+        signature_check(q, 1)
+    with pytest.raises(ValueError, match=message):
+        synthesis_from_signature(q, 1, scale=1.0)
+    # one bad entry in an otherwise valid signature, and in a synthesis row
+    q = lift_core(hadamard_to_etf_core(seed_hadamard(4)))
+    q[0, 1] = complex(0.0, bad)
+    with pytest.raises(ValueError, match=message):
+        signature_check(q, 1)
+    with pytest.raises(ValueError, match=message):
+        realify([[bad, 1j]])
+
+
+def test_signature_and_synthesis_shapes_are_checked():
+    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+        signature_check(np.ones((2, 3)), 1)
+    for bad in (np.ones(3), np.ones((1, 2, 2)), np.ones((0, 0))):
+        with pytest.raises(ValueError, match="^expected a nonempty 2-d matrix"):
+            signature_check(bad, 1)
+        with pytest.raises(ValueError, match="^expected a nonempty 2-d matrix"):
+            realify(bad)
+
+
 def test_lift_square_small():
     gram_c, q = lift_square(omega(2))
     np.testing.assert_allclose(q, 1j * omega(2), atol=1e-15)

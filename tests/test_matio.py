@@ -1,10 +1,10 @@
 """The symf reader and writer: round trips, non-finite values, and fuzzed input.
 
-``_reference_read`` is the entry-by-entry reader that the row-wise reader
-replaced; it stays here as the oracle for what a file means and for the
-class and message of every rejection, on every reader path (numpy's C
-reader for ``int`` and ``real`` bodies, the rows it refuses, and the
-``complex`` token cache).  ``_reference_text`` is the entry-by-entry
+``_reference_read`` is the entry-by-entry reader, the oracle for what a
+file means and for the class and message of every rejection, on every
+reader path (numpy's C reader for ``int`` and ``real`` bodies, and the one
+entry parser with its token table for ``complex`` bodies and the bodies
+that C reader refuses, inside the table and past ``_TABLE_CAP``).  ``_reference_text`` is the entry-by-entry
 writer, the oracle for the bytes of both writer paths (a table of the
 distinct values' tokens, and one ``%`` per row past the cap).
 """
@@ -229,10 +229,10 @@ def test_both_codec_paths_agree_at_benchmark_scale(tmp_path):
         table, rows = _write_both_ways(tmp_path, kind, mat)
         assert table == rows
         path = tmp_path / "table.symf"
-        with mock.patch.object(matio, "_parse_row", wraps=matio._parse_row) as parse:
+        with mock.patch.object(matio, "_entry", wraps=matio._entry) as parse:
             kind2, back = read_matrix(path)
-        # int bodies are parsed whole in C; row 1 of the signature holds every distinct token
-        assert parse.call_count == (1 if kind == "complex" else 0)
+        # int bodies are parsed whole in C; the signature's 3 distinct tokens are parsed once each
+        assert parse.call_count == (3 if kind == "complex" else 0)
         with mock.patch.object(matio, "_TABLE_CAP", 0), mock.patch.object(matio, "_c_parse", return_value=None):
             kind3, by_rows = read_matrix(path)
         assert kind2 == kind3 == kind and back.dtype == by_rows.dtype == mat.dtype
@@ -348,7 +348,7 @@ def test_overflow_is_reported_at_its_token_before_a_later_bad_token(tmp_path):
 
 
 def _stored_token(kind):
-    """Tokens that a row stores without error, so that their rows fill the reader's cache."""
+    """Tokens that parse without error, so that they fill the reader's token table."""
     floats = st.floats().map(repr)
     return {"int": st.integers(-(2**63), 2**63 - 1).map(str), "real": floats,
             "complex": st.tuples(floats, floats).map(",".join)}[kind]
@@ -357,7 +357,7 @@ def _stored_token(kind):
 @st.composite
 def few_token_texts(draw):
     """4-8 rows drawn from a pool of at most 5 tokens that store, so later rows
-    hit the reader's cache; from the middle row on, a row may also draw a fresh
+    hit the reader's token table; from the middle row on, a row may also draw a fresh
     token (malformed, past int64 or fine) after those hits."""
     kind = draw(st.sampled_from(KINDS))
     rows, cols = draw(st.integers(4, 8)), draw(st.integers(1, 4))
@@ -372,9 +372,10 @@ def few_token_texts(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(few_token_texts())
-def test_cached_reader_matches_entry_reader(text):
-    with tempfile.TemporaryDirectory() as tmp:
+@given(few_token_texts(), st.sampled_from([matio._TABLE_CAP, 2]))
+def test_cached_reader_matches_entry_reader(text, cap):
+    # a cap of 2 fills the token table early, so later misses are parsed past it
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(matio, "_TABLE_CAP", cap):
         path = Path(tmp) / "m.symf"
         path.write_text(text, encoding="utf-8", newline="")
         assert _outcome(read_matrix, path) == _outcome(_reference_read, path)
@@ -400,17 +401,18 @@ def test_a_token_that_overflowed_is_parsed_afresh_by_the_next_read(tmp_path):
 
 
 @pytest.mark.parametrize("rows, parsed", [
-    (["1 1 1", "1 -1 1", "-1 1 -1", "1 -1 -1"], 2),  # row 2 brings -1; rows 3 and 4 hit
-    ([" ".join(map(str, range(70)))] * 3, 3),  # 70 tokens pass the cap
+    (["1 1 1", "1 -1 1", "-1 1 -1", "1 -1 -1"], 2),  # one parse each for 1 and -1
+    # the first 64 of 70 tokens fill the table; the other 6 are parsed in every row
+    ([" ".join(map(str, range(70)))] * 3, 70 + 2 * 6),
 ], ids=["two-tokens", "past-the-cap"])
 def test_rows_parse_until_the_cache_holds_their_tokens(tmp_path, rows, parsed):
-    # int and real bodies are parsed whole by numpy's C reader, with no row
-    # parse; the same rows as complex entries (0 imaginary parts) fill the cache
+    # int and real bodies are parsed whole by numpy's C reader, with no entry
+    # parse; the same rows as complex entries (0 imaginary parts) fill the token table
     path = tmp_path / "m.symf"
     as_complex = [" ".join(f"{t},0" for t in row.split()) for row in rows]
     for kind, body, calls in (("int", rows, 0), ("real", rows, 0), ("complex", as_complex, parsed)):
         path.write_text(f"symf {kind} {len(rows)} {len(rows[0].split())}\n" + "\n".join(body) + "\n")
-        with mock.patch.object(matio, "_parse_row", wraps=matio._parse_row) as parse:
+        with mock.patch.object(matio, "_entry", wraps=matio._entry) as parse:
             assert _outcome(read_matrix, path) == _outcome(_reference_read, path)
         assert parse.call_count == calls
 

@@ -202,6 +202,10 @@ def test_switch_properties(core3):
         np.testing.assert_allclose(sv_a, sv_b, atol=1e-10)
     with pytest.raises(ValueError):
         switch(core3, [1, 1])
+    # signs are checked as given, before any cast to integers
+    for eps in ([1.5, -1.7, 1], [0.5, 1, 1], [1j, 1, 1], [0, 1, 1]):
+        with pytest.raises(ValueError, match=r"^switching vector entries must be \+-1$"):
+            switch(core3, eps)
 
 
 def test_flat_kernel(core3):
