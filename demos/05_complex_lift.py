@@ -28,7 +28,7 @@ print("square lift of the 2x2 identity-frame Gram (omega):")
 gram_c, q = lift_square(omega(2))
 print("complex Gram =\n", gram_c)
 print("signature (purely imaginary) =\n", q)
-psi = synthesis_from_signature(q, 1, scale=1.0)
+psi = synthesis_from_signature(q, 1)
 print("complex synthesis =\n", psi)
 real = realify(psi)
 print("realified synthesis =\n", real)
@@ -40,7 +40,7 @@ print("\ncore lift of the (2,3) ETF Gram; beta =", beta_constant(d))
 q3 = lift_core(k3)
 print("signature =\n", q3)
 print("quadratic residual:", np.linalg.norm(q3 @ q3 - q3 - 2 * np.eye(3)))
-psi3 = synthesis_from_signature(q3, 1, core_lift_scale(d))
+psi3 = synthesis_from_signature(q3, 1)
 real3 = realify(psi3)
 alpha = core_lift_scale(d) * beta_constant(d).imag
 print("cycle closes: max |gram(realified) - alpha*k| =",
@@ -49,7 +49,7 @@ print("cycle closes: max |gram(realified) - alpha*k| =",
 d = 6
 k7 = hadamard_to_etf_core(seed_hadamard(8))
 q7 = lift_core(k7)
-psi7 = synthesis_from_signature(q7, 3, core_lift_scale(d))
+psi7 = synthesis_from_signature(q7, 3)
 alpha = core_lift_scale(d) * beta_constant(d).imag
 print("\nsame cycle at d=6:",
       np.max(np.abs(gram(realify(psi7)) - alpha * k7)))

@@ -15,6 +15,7 @@ to 0/1/2: ``ok`` to 0 or 1, a ``DomainError`` to 1, and usage, I/O,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import asdict, replace
 
@@ -326,8 +327,16 @@ def main(argv=None) -> int:
     except (DomainError, UsageError, ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, DomainError) else 2
-    for key, value in fields.items():
-        _emit(key, value)
+    try:
+        for key, value in fields.items():
+            _emit(key, value)
+        sys.stdout.flush()
+    except OSError as exc:  # a closed pipe or a full device; the exit flush must not fail again
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
     return 0 if ok else 1
 
 

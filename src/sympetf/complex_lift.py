@@ -2,13 +2,15 @@
 
 A complex ETF with n vectors in dimension d_c is characterized by its
 signature matrix Q: Hermitian, zero diagonal, unimodular off-diagonal,
-satisfying Q^2 = c Q + (n-1) I with c = (n - 2 d_c) sqrt((n-1)/(d_c (n-d_c))).
+satisfying Q^2 = c Q + (n-1) I with c = (n - 2 d_c) sqrt((n-1)/(d_c (n-d_c))),
+and I + s Q is its Gram, with s = -1 over the quadratic's smaller root.
 
 Square symplectic ETF Grams lift through purely imaginary signatures
 Q = i C; cores lift through Q = beta A + conj(beta) A.T where A is the
 0/1 part of the conference core and beta is unimodular with real part
--1/sqrt(d+2).  Realification stacks the real and imaginary parts of each
-row and satisfies Im(Psi^* Psi) = realify(Psi)^dagger realify(Psi).
+-1/sqrt(d+2).  Both are built from the exact gate's conference matrix, so Q
+satisfies its quadratic as a theorem.  Realification stacks the real and
+imaginary parts of each row: Im(Psi^* Psi) = realify(Psi)^dagger realify(Psi).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import NotPsdError, RankMismatchError, SignatureError
+from .errors import NotPsdError, RankMismatchError
 from .hadamard import etf_to_conference
 from .skewlinalg import DEFAULT_TOL, ToleranceProfile, _check_even_dim, as_matrix
 
@@ -30,6 +32,19 @@ __all__ = [
     "synthesis_from_signature",
     "realify",
 ]
+
+
+def _quadratic_c(n: int, d_c: int) -> float:
+    """Coefficient c of the signature quadratic Q^2 = c Q + (n-1) I."""
+    if not (1 <= d_c < n):
+        raise ValueError(f"need 1 <= d_c < n, got d_c={d_c}, n={n}")
+    return (n - 2 * d_c) * sqrt((n - 1) / (d_c * (n - d_c)))
+
+
+def _lift_scale(n: int, d_c: int) -> float:
+    """-1 over the smaller root of x^2 = c x + (n-1): I + scale*Q then has rank d_c."""
+    c = _quadratic_c(n, d_c)
+    return 2.0 / (sqrt(c * c + 4.0 * (n - 1)) - c)
 
 
 def beta_constant(d: int) -> complex:
@@ -47,10 +62,10 @@ def core_lift_scale(d: int) -> float:
     """Scale making I + scale*Q positive semidefinite of rank d/2 in the core lift.
 
     The signature quadratic puts the eigenvalues of Q at sqrt(d+2) and
-    -d/sqrt(d+2); this scale maps the negative one to zero.
+    -d/sqrt(d+2); this scale, sqrt(d+2)/d, maps the negative one to zero.
     """
     _check_even_dim(d)
-    return sqrt(d + 2.0) / d
+    return _lift_scale(d + 1, d // 2)
 
 
 def _check_signature_structure(q, tol: ToleranceProfile) -> np.ndarray:
@@ -72,14 +87,7 @@ def signature_check(q, d_c: int, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
     """Does Q satisfy the complex-ETF signature quadratic for dimension d_c?"""
     q = _check_signature_structure(q, tol)
     n = q.shape[0]
-    if not (1 <= d_c < n):
-        raise ValueError(f"need 1 <= d_c < n, got d_c={d_c}, n={n}")
-    return _satisfies_quadratic(q, d_c, tol)
-
-
-def _satisfies_quadratic(q: np.ndarray, d_c: int, tol: ToleranceProfile) -> bool:
-    n = q.shape[0]
-    c = (n - 2 * d_c) * sqrt((n - 1) / (d_c * (n - d_c)))
+    c = _quadratic_c(n, d_c)
     resid = np.linalg.norm(q @ q - c * q - (n - 1) * np.eye(n))
     return bool(resid <= tol.residual_rel_tol * n)
 
@@ -94,7 +102,7 @@ def lift_square(g, tol: ToleranceProfile = DEFAULT_TOL) -> tuple[np.ndarray, np.
     d = np.shape(g)[0]
     _, c = etf_to_conference(g, d, tol)
     q = 1j * c
-    return np.eye(d) + q / sqrt(d - 1.0), q
+    return np.eye(d) + _lift_scale(d, d // 2) * q, q
 
 
 def lift_core(g, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
@@ -103,7 +111,8 @@ def lift_core(g, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     The Gram's conference matrix (``etf_to_conference``) has border x and
     core S; S is switched by x into a normalized core K, split as
     K = A - A.T, and assembled as D (beta A + conj(beta) A.T) D with the
-    switching D = diag(x) undone.
+    switching D = diag(x) undone.  K is the Seidel matrix of a doubly
+    regular tournament, so Q satisfies its quadratic as a theorem.
     """
     d = np.shape(g)[0] - 1
     _, c = etf_to_conference(g, d, tol)
@@ -112,41 +121,28 @@ def lift_core(g, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     k = c[1:, 1:] * switching
     a = (k == 1).astype(float)
     beta = beta_constant(d)
-    q = (beta * a + np.conj(beta) * a.T) * switching
-    # Hermitian, zero diagonal and unimodular by construction: only the quadratic can fail
-    if not _satisfies_quadratic(q, d // 2, tol):
-        raise SignatureError("constructed signature failed its quadratic")
-    return q
+    return (beta * a + np.conj(beta) * a.T) * switching
 
 
-def synthesis_from_signature(
-    q, d_c: int, scale: float, tol: ToleranceProfile = DEFAULT_TOL
-) -> np.ndarray:
+def synthesis_from_signature(q, d_c: int, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """Factor gram_c = I + scale*Q into a d_c-by-n complex synthesis matrix.
 
-    The scale must place the smallest eigenvalue of gram_c at zero with
-    exactly d_c positive eigenvalues left; eigenvalues below the rank
-    threshold are clipped to zero before taking square roots.
+    The scale (``_lift_scale``) puts the smallest eigenvalue of gram_c at
+    zero with d_c positive ones left when Q is a signature for d_c;
+    eigenvalues below the rank threshold are clipped to zero.
     """
     q = _check_signature_structure(q, tol)
-    if scale <= 0:
-        raise ValueError("scale must be positive")
     n = q.shape[0]
-    gram_c = np.eye(n) + scale * q
+    gram_c = np.eye(n) + _lift_scale(n, d_c) * q
     evals, evecs = np.linalg.eigh(gram_c)
+    # diag(q) is within entry_tol < 1 of zero and the scale is at most 1: trace > 0
     lam_max = float(evals[-1])
-    if lam_max <= 0:
-        raise NotPsdError("lifted Gram has no positive spectrum")
-    cut = tol.rank_rel_tol * lam_max
     if evals[0] < -tol.residual_rel_tol * lam_max * n:
         raise NotPsdError(f"lifted Gram has negative eigenvalue {evals[0]:.3e}")
-    keep = evals > cut
+    keep = evals > tol.rank_rel_tol * lam_max
     if int(np.count_nonzero(keep)) != d_c:
-        raise RankMismatchError(
-            f"lifted Gram has rank {int(np.count_nonzero(keep))}, expected {d_c}"
-        )
-    psi = (np.sqrt(evals[keep])[:, None] * evecs[:, keep].conj().T)
-    return psi
+        raise RankMismatchError(f"lifted Gram has rank {int(np.count_nonzero(keep))}, expected {d_c}")
+    return np.sqrt(evals[keep])[:, None] * evecs[:, keep].conj().T
 
 
 def realify(psi) -> np.ndarray:

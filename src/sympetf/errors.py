@@ -28,8 +28,7 @@ exact ETF gate: it raises ``NotEtfError`` for a wrong size or a Gram that
 is not equiangular, and ``RoundingError`` when g/mu misses a Seidel matrix
 S or S fails its conference check; ``certify_etf`` returns None for both.
 Its callers in ``hadamard`` and ``complex_lift`` raise the same, and
-``tournaments.seidel_from_gram`` raises ``RoundingError`` too.  A lifted
-core signature that fails its quadratic raises ``SignatureError``.
+``tournaments.seidel_from_gram`` raises ``RoundingError`` too.
 """
 
 
@@ -71,10 +70,6 @@ class NotSkewHadamardError(DomainError):
 
 class NotSkewConferenceError(DomainError):
     pass
-
-
-class SignatureError(DomainError):
-    """A constructed complex-ETF signature failed its quadratic."""
 
 
 class NotPsdError(DomainError):

@@ -111,20 +111,19 @@ def _canonicalize(phi: np.ndarray, g: np.ndarray) -> np.ndarray:
     return factor if factor.shape[0] == phi.shape[0] else phi
 
 
-def _rounded_certificate(phi: np.ndarray, d: int, tol: ToleranceProfile):
+def _rounded_certificate(phi: np.ndarray, d: int):
     """Round the Gram to its nearest Seidel pattern and pass that through the exact gate.
 
     There is no entry_tol gate on the rounding: search hits sit about 1e-4 off equiangular.
+    The rounded Gram is integer and antisymmetric, so no tolerance can change the verdict.
     """
     g = gram(phi)
     equi = _equiangularity(g)
-    return None if equi is None else certify_etf(np.rint(g / equi[0]), d, tol)
+    return None if equi is None else certify_etf(np.rint(g / equi[0]), d)
 
 
 @np.errstate(over="raise", invalid="raise")  # a step or order too large for float64 fails at once
-def continuous_etf_search(
-    d: int, n: int, p: float, cfg: SearchConfig, tol: ToleranceProfile = DEFAULT_TOL
-) -> SearchOutcome:
+def continuous_etf_search(d: int, n: int, p: float, cfg: SearchConfig) -> SearchOutcome:
     """Projected gradient descent on the order-p potential, with restarts.
 
     Success means the potential came within ``cfg.target_residual`` of the
@@ -165,7 +164,7 @@ def continuous_etf_search(
             if value - bound <= cfg.target_residual:
                 break
         total_iters += iters
-        succeeded = value - bound <= cfg.target_residual and _rounded_certificate(phi, d, tol) is not None
+        succeeded = value - bound <= cfg.target_residual and _rounded_certificate(phi, d) is not None
         restarts.append((succeeded, value, phi, r))
     return _outcome(restarts, total_iters)
 

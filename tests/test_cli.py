@@ -112,13 +112,13 @@ def test_malformed_input_exit_code_and_one_line_error(tmp_path, fixture, argv, c
     assert not (tmp_path / "out.symf").exists()
 
 
-def run_module(cwd, *argv, preexec_fn=None):
+def run_module(cwd, *argv, preexec_fn=None, stdout=subprocess.PIPE):
     """Run ``python -m sympetf`` on this checkout's sources in a child process."""
     paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     return subprocess.run(
         [sys.executable, "-m", "sympetf", *argv],
-        cwd=cwd, env=env, capture_output=True, text=True, preexec_fn=preexec_fn,
+        cwd=cwd, env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, preexec_fn=preexec_fn,
     )
 
 
@@ -224,6 +224,28 @@ def test_search_beyond_memory_is_a_one_line_usage_error(tmp_path):
     assert proc.returncode == 2
     assert_one_line_error(proc)
     assert proc.stderr.startswith("error: discrete search is limited to n <= 1024, got ")
+
+
+def _closed_pipe():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return write_end
+
+
+@pytest.mark.parametrize("sink", ["full", "closed-pipe"])
+def test_unwritable_stdout_is_a_one_line_usage_error(tmp_path, sink):
+    # the report's write fails (ENOSPC or EPIPE); the exit flush must not fail again
+    if sink == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this platform")
+    write_matrix(tmp_path / "k.symf", hadamard_to_etf_core(seed_hadamard(8)), "real")
+    fd = os.open("/dev/full", os.O_WRONLY) if sink == "full" else _closed_pipe()
+    try:
+        proc = run_module(tmp_path, "verify", "etf", "k.symf", "--dim", "6", stdout=fd)
+    finally:
+        os.close(fd)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write the report: ") and proc.stderr.count("\n") == 1
+    assert "Exception ignored" not in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_verify_etf(tmp_path, capsys, conf4):
@@ -660,6 +682,11 @@ TRANSCRIPTS = [
      0, 'n=8\n', '',
      '17c7c754f59c5f76a16b1a575ca9e7b6548dbe1ccb0194afca929cb7189be2e8'),
     ('convert --from etf-core --to complex-signature kcore.symf --out out.symf',
+     0, 'n=7\n', '',
+     'd16f7aaf8c28d6fe215dee0a5c8dd2e2d6366ce20021cb35a825f7f17b8bf3a1'),
+    # --tol bounds the gate's residual, which is 0 here; it used to leak into a
+    # floating-point re-check of the lifted quadratic, residual 1.0e-15 > 7e-16
+    ('convert --from etf-core --to complex-signature kcore.symf --tol 1e-16 --out out.symf',
      0, 'n=7\n', '',
      'd16f7aaf8c28d6fe215dee0a5c8dd2e2d6366ce20021cb35a825f7f17b8bf3a1'),
     ('convert --from etf-square --to hadamard near.symf --out out.symf',

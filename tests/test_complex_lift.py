@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sympetf.complex_lift import (
+    _lift_scale,
     beta_constant,
     core_lift_scale,
     lift_core,
@@ -12,7 +13,7 @@ from sympetf.complex_lift import (
     signature_check,
     synthesis_from_signature,
 )
-from sympetf.errors import NotEtfError, NotPsdError
+from sympetf.errors import NotEtfError, NotPsdError, RankMismatchError
 from sympetf.frames import gram, omega
 from sympetf.hadamard import hadamard_to_etf_core, hadamard_to_etf_square, seed_hadamard
 from sympetf.tournaments import switch
@@ -67,6 +68,9 @@ def test_signature_check_generic_failure():
     q = np.triu(phases, 1)
     q = q + q.conj().T
     assert not signature_check(q, 2)
+    # its smallest eigenvalue -2.008 lies below -sqrt(3), the root the scale maps to zero
+    with pytest.raises(NotPsdError, match="^lifted Gram has negative eigenvalue -"):
+        synthesis_from_signature(q, 2)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -76,7 +80,7 @@ def test_non_finite_signatures_and_synthesis_matrices_are_rejected(bad):
     with pytest.raises(ValueError, match=message):
         signature_check(q, 1)
     with pytest.raises(ValueError, match=message):
-        synthesis_from_signature(q, 1, scale=1.0)
+        synthesis_from_signature(q, 1)
     # one bad entry in an otherwise valid signature, and in a synthesis row
     q = lift_core(hadamard_to_etf_core(seed_hadamard(4)))
     q[0, 1] = complex(0.0, bad)
@@ -119,7 +123,9 @@ def test_lift_square_family():
 
 
 def test_lift_core_family():
-    for g, d in core_fixtures():
+    # the quadratic is a theorem the lift does not re-check: test it at the
+    # order the benchmark pipeline lifts, too
+    for g, d in [*core_fixtures(), (hadamard_to_etf_core(seed_hadamard(512)), 510)]:
         q = lift_core(g)
         n = d + 1
         assert q.shape == (n, n)
@@ -157,7 +163,7 @@ def test_lift_core_switched_input(core3):
 
 def test_synthesis_from_signature_square():
     gram_c, q = lift_square(omega(2))
-    psi = synthesis_from_signature(q, 1, scale=1.0)
+    psi = synthesis_from_signature(q, 1)
     assert psi.shape == (1, 2)
     np.testing.assert_allclose(psi.conj().T @ psi, gram_c, atol=1e-12)
 
@@ -166,7 +172,7 @@ def test_synthesis_from_signature_core(core3):
     q = lift_core(core3.astype(float))
     scale = core_lift_scale(2)
     assert abs(scale - 1.0) <= 1e-15
-    psi = synthesis_from_signature(q, 1, scale)
+    psi = synthesis_from_signature(q, 1)
     assert psi.shape == (1, 3)
     got = psi.conj().T @ psi
     np.testing.assert_allclose(got, np.eye(3) + scale * q, atol=1e-12)
@@ -174,10 +180,29 @@ def test_synthesis_from_signature_core(core3):
     np.testing.assert_allclose(np.abs(got[off]), 1.0, atol=1e-12)
 
 
-def test_synthesis_from_signature_wrong_scale(core3):
+def test_synthesis_from_signature_wrong_dimension(core3):
+    # the scale for d_c = 2 leaves I + scale*Q at full rank 3
     q = lift_core(core3.astype(float))
-    with pytest.raises(NotPsdError):
-        synthesis_from_signature(q, 1, scale=2.0)
+    with pytest.raises(RankMismatchError, match="^lifted Gram has rank 3, expected 2$"):
+        synthesis_from_signature(q, 2)
+
+
+@pytest.mark.parametrize("d_c", [0, 3])
+def test_dimension_out_of_range_is_one_value_error(core3, d_c):
+    q = lift_core(core3.astype(float))
+    message = f"^need 1 <= d_c < n, got d_c={d_c}, n=3$"
+    with pytest.raises(ValueError, match=message):
+        signature_check(q, d_c)
+    with pytest.raises(ValueError, match=message):
+        synthesis_from_signature(q, d_c)
+
+
+@pytest.mark.parametrize("d", [2, 4, 6, 8, 14, 62, 510, 1022])
+def test_lift_scale_is_minus_one_over_the_smaller_root(d):
+    # square lift: c = 0, and the scale is 1/sqrt(d-1) bit for bit
+    assert _lift_scale(d, d // 2) == 1.0 / math.sqrt(d - 1)
+    # core lift: the quadratic's roots are sqrt(d+2) and -d/sqrt(d+2)
+    assert math.isclose(core_lift_scale(d), math.sqrt(d + 2) / d, rel_tol=2**-52, abs_tol=0)
 
 
 def test_realify_identity_worked():
@@ -207,7 +232,7 @@ def test_realify_identity_sweep():
 def test_full_cycle_square():
     for g, d in square_fixtures():
         gram_c, q = lift_square(g)
-        psi = synthesis_from_signature(q, d // 2, scale=1.0 / math.sqrt(d - 1))
+        psi = synthesis_from_signature(q, d // 2)
         real = realify(psi)
         alpha = 1.0 / math.sqrt(d - 1)  # mu == 1 on these fixtures
         assert np.linalg.norm(gram(real) - alpha * g) <= 1e-9
@@ -216,8 +241,7 @@ def test_full_cycle_square():
 def test_full_cycle_core():
     for g, d in core_fixtures():
         q = lift_core(g)
-        scale = core_lift_scale(d)
-        psi = synthesis_from_signature(q, d // 2, scale)
+        psi = synthesis_from_signature(q, d // 2)
         real = realify(psi)
-        alpha = scale * beta_constant(d).imag  # mu == 1 on these fixtures
+        alpha = core_lift_scale(d) * beta_constant(d).imag  # mu == 1 on these fixtures
         assert np.linalg.norm(gram(real) - alpha * g) <= 1e-9

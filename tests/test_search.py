@@ -95,8 +95,8 @@ def test_continuous_success_test_is_the_exact_gate():
     miss[1, 2], miss[2, 1] = -square[1, 2], -square[2, 1]
     assert svd_certify_etf(miss, 16, loose) is not None
     assert certify_etf(miss, 16, loose) is None
-    assert _rounded_certificate(factor_gram(miss), 16, loose) is None
-    assert _rounded_certificate(factor_gram(square), 16, loose) == certify_etf(square, 16, loose)
+    assert _rounded_certificate(factor_gram(miss), 16) is None
+    assert _rounded_certificate(factor_gram(square), 16) == certify_etf(square, 16, loose)
 
 
 def test_continuous_search_deterministic():
