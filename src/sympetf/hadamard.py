@@ -299,7 +299,7 @@ _MAX_SEED_ORDER = 2048
 
 
 def seed_hadamard(order: int) -> np.ndarray:
-    """Skew Hadamard matrix of any power-of-two order up to 2048, built by doubling.
+    """Skew Hadamard matrix of any power-of-two order up to 2048, built by doubling [[1]].
 
     Other orders are reachable only through search, not through this
     generator.  The bound is checked before anything is allocated.  At
@@ -313,9 +313,7 @@ def seed_hadamard(order: int) -> np.ndarray:
         raise ValueError(f"seed orders are powers of two, got {order}")
     if order > _MAX_SEED_ORDER:
         raise ValueError(f"seed orders are limited to {_MAX_SEED_ORDER}, got {order}")
-    if order == 1:
-        return np.array([[1]], dtype=np.int64)
-    h = np.array([[1, 1], [-1, 1]], dtype=np.int64)
+    h = np.ones((1, 1), dtype=np.int64)
     while h.shape[0] < order:
         h = _double(h)
     if not is_skew_hadamard(h):

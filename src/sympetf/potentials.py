@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import gram, omega
-from .skewlinalg import check_skew
+from .skewlinalg import _check_even_dim, check_skew
 
 __all__ = [
     "frame_potential",
@@ -62,10 +62,11 @@ def potential_bound(d: int, n: int, p) -> float:
     At p = 1 the returned value is the tightness constant sqrt(n(n-1)/d),
     which is a valid bound but not a sharp one: by Cauchy-Schwarz on the d
     nonzero singular values, the sharp bound is n(n-1), attained at every
-    tight frame.
+    tight frame.  d must be even with 2 <= d <= n.
     """
     p = _check_order(p)
-    if not (2 <= d <= n):
+    _check_even_dim(d)
+    if d > n:
         raise ValueError(f"need n >= d >= 2, got d={d}, n={n}")
     if math.isinf(p):
         return 1.0
@@ -75,12 +76,20 @@ def potential_bound(d: int, n: int, p) -> float:
 
 
 def normalize_nuclear(g, d: int, n: int) -> np.ndarray:
-    """Rescale g so its nuclear norm equals sqrt(d*n*(n-1))."""
+    """Rescale g so its nuclear norm equals sqrt(d*n*(n-1)); d is even and n is g's order."""
     g = check_skew(g)
+    _check_gram_order(g, n)
+    _check_even_dim(d)
     nuc = _nuclear(g)
     if nuc == 0.0:
         raise ValueError("cannot normalize the zero matrix")
     return g * (math.sqrt(d * n * (n - 1)) / nuc)
+
+
+def _check_gram_order(g, n: int) -> None:
+    """n must be the order of g, a Gram matrix that has passed ``check_skew``."""
+    if np.shape(g)[0] != n:
+        raise ValueError(f"n={n} is not the order {np.shape(g)[0]} of the Gram matrix")
 
 
 def _nuclear(g: np.ndarray) -> float:
@@ -107,7 +116,8 @@ def _gradient(phi: np.ndarray, w: np.ndarray, p: float, om: np.ndarray) -> np.nd
 
 
 def potential_report(g, d: int, n: int, p) -> PotentialReport:
-    """Bundle value, bound, and slack for a Gram matrix already normalized."""
-    value = frame_potential(g, p)
+    """Bundle value, bound, and slack for a Gram matrix already normalized; n is its order."""
     bound = potential_bound(d, n, p)
+    value = frame_potential(g, p)
+    _check_gram_order(g, n)
     return PotentialReport(p=float(p), value=value, bound=bound, slack=value - bound)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .frames import _equiangularity, _gram, gram, omega
-from .potentials import _gradient, _nuclear, _value_and_weight
+from .potentials import _gradient, _nuclear, _value_and_weight, potential_bound
 from .skewlinalg import DEFAULT_TOL, ToleranceProfile, _canonical_factor, _check_even_dim
 from .tournaments import (_offdiag_square_sum, count_diamonds_formula, diamond_upper_bound,
                           random_tournament)
@@ -53,6 +53,8 @@ class SearchConfig:
     target_residual: float = 1e-6
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.restarts < 1 or self.max_iters < 1 or not 0 < self.step < math.inf:
             raise ValueError("restarts and max_iters must be >= 1 and step finite and > 0")
         if not self.target_residual >= 0:
@@ -135,7 +137,7 @@ def continuous_etf_search(d: int, n: int, p: float, cfg: SearchConfig) -> Search
     if not (1.0 < p < math.inf):
         raise ValueError(f"continuous search needs a finite order p > 1, got {p}")
 
-    bound = float(n * (n - 1))
+    bound = potential_bound(d, n, p)
     target_nuc = math.sqrt(d * n * (n - 1))
     om = omega(d)
 

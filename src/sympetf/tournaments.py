@@ -3,9 +3,11 @@
 A Seidel matrix is an integer skew-symmetric matrix with zero diagonal
 and +-1 off the diagonal; entry s_ij = 1 means vertex i dominates j.
 Diamonds are the 4-vertex subtournaments whose Seidel minor has
-determinant 9 (a vertex dominating, or dominated by, a 3-cycle).  All
-counting is exact integer arithmetic; floating point enters only where
-an equiangular Gram matrix is rounded to its Seidel matrix.
+determinant 9 (a vertex dominating, or dominated by, a 3-cycle).  Double
+regularity (S^2 = J - nI; Reid and Brown, JCTA 12, 1972), gamma and the
+diamond count are read off the exact square S^2.  All counting is exact
+integer arithmetic; floating point enters only where an equiangular Gram
+matrix is rounded to its Seidel matrix.
 """
 
 from __future__ import annotations
@@ -113,11 +115,8 @@ class DegreeStats:
 
 
 def degree_stats(s) -> DegreeStats:
-    return _degree_stats(check_seidel(s))
-
-
-def _degree_stats(s: np.ndarray) -> DegreeStats:
-    dominates = (s == 1).astype(np.int64)
+    """Degrees and common out-degrees from the 0/1 dominance mask D: D 1, D^T 1 and D D^T."""
+    dominates = (check_seidel(s) == 1).astype(np.int64)
     return DegreeStats(
         out_degrees=dominates.sum(axis=1),
         in_degrees=dominates.sum(axis=0),
@@ -126,16 +125,14 @@ def _degree_stats(s: np.ndarray) -> DegreeStats:
 
 
 def gamma(s, i: int, j: int) -> int:
-    """|N+(i) & N-(j)| + |N-(i) & N+(j)|, the disagreement count of a pair."""
+    """Disagreements |N+(i) & N-(j)| + |N-(i) & N+(j)| of a pair: (S^2)_ij = 2 gamma - (n - 2)."""
     s = check_seidel(s)
     n = s.shape[0]
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"vertex index out of range for n={n}")
     if i == j:
         raise ValueError("gamma requires two distinct vertices")
-    out_i, in_i = s[i] == 1, s[i] == -1
-    out_j, in_j = s[j] == 1, s[j] == -1
-    return int(np.count_nonzero(out_i & in_j) + np.count_nonzero(in_i & out_j))
+    return (n - 2 + int(s[i] @ s[:, j])) // 2
 
 
 def count_diamonds_bruteforce(s) -> int:
@@ -162,16 +159,11 @@ def count_diamonds_formula(s) -> int:
     """Diamond count from the square of the Seidel matrix.
 
     delta = n^2 (n-1)(n-2)/96 - (1/16) sum_{i<j} ((S^2)_ij)^2, evaluated in
-    exact integer arithmetic.  A fractional result means the input was not
-    a genuine Seidel matrix.
+    exact integer arithmetic; for a Seidel matrix the division by 96 is exact.
     """
     s2 = seidel_square(s)
     n = s2.shape[0]
-    num = n * n * (n - 1) * (n - 2) - 6 * _offdiag_square_sum(s2)
-    delta, rem = divmod(num, 96)
-    if rem != 0 or delta < 0:
-        raise InvalidSeidelError(f"closed form gave non-integer or negative count {num}/96")
-    return delta
+    return (n * n * (n - 1) * (n - 2) - 6 * _offdiag_square_sum(s2)) // 96
 
 
 def _offdiag_square_sum(s2: np.ndarray) -> int:
@@ -197,16 +189,12 @@ def diamond_upper_bound(n: int) -> Fraction:
 
 
 def is_doubly_regular(s) -> bool:
-    """All out-degrees (n-1)/2 and all common out-degrees (n-3)/4."""
+    """All out-degrees (n-1)/2 and all common out-degrees (n-3)/4, exactly when S^2 = J - nI."""
     s = check_seidel(s)
     n = s.shape[0]
     if n % 4 != 3:
         return False
-    stats = _degree_stats(s)
-    if np.any(stats.out_degrees != (n - 1) // 2):
-        return False
-    off = ~np.eye(n, dtype=bool)
-    return bool(np.all(stats.common_out[off] == (n - 3) // 4))
+    return np.array_equal(_unit_product(s, s), 1 - n * np.eye(n, dtype=np.int64))
 
 
 def switch(s, eps) -> np.ndarray:

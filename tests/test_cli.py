@@ -208,6 +208,16 @@ def test_search_budget_is_checked_at_the_boundary(tmp_path, argv):
     assert "RuntimeWarning" not in proc.stderr
 
 
+@pytest.mark.parametrize("mode", [("discrete", "--n", "8"), ("continuous", "--n", "3", "--dim", "2")],
+                         ids=["discrete", "continuous"])
+def test_negative_seed_is_a_one_line_usage_error_that_names_the_seed(tmp_path, mode):
+    # numpy's own refusal used to surface as "expected non-negative integer"
+    proc = run_module(tmp_path, "search", "--mode", *mode, "--seed", "-1")
+    assert proc.returncode == 2
+    assert_one_line_error(proc)
+    assert proc.stderr == "error: seed must be >= 0, got -1\n"
+
+
 def _address_space_cap():
     """A child preexec_fn capping its address space at 512 MiB, so a regression
     that allocates touches at most that much."""

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -294,6 +295,30 @@ def test_seed_hadamard():
         assert order in (1, 2) or order % 4 == 0
     with pytest.raises(ValueError):
         seed_hadamard(12)
+
+
+# sha256 of seed_hadamard(2**k).tobytes() for k = 0..10, recorded when the
+# doubling still started from the literal order-2 matrix
+SEED_DIGESTS = [
+    "7c9fa136d4413fa6173637e883b6998d32e1d675f88cddff9dcbcf331820f4b8",
+    "0f63820afc2d33f996531448d3c32b062f436f3a30889afdc299c735b13843bb",
+    "38a36a263932f7a7701761cc60929b6fc25b2e4aa43f7c27a63692da32442c5d",
+    "3df94246716557808e5d3b2f4f9d7530cdba638872ddbddc06bc769d5223cf38",
+    "65ee42b6327db3bd7e93a5ebc765e624dbfd4514f7e725ed300433c1168b64dc",
+    "63e1cb826e2d6e1cb8da3ae32312cd819002196c02fc887b4e70ac5bea6a3933",
+    "8b50ac5a4d5d37c8883fed0ac695f480d9d33cc7c2796cb83afe6d08e8b59d57",
+    "88d3ec9281eb3a451cc82a7a56fe4148ac5830aee8a89ac63b4efd99400e94cd",
+    "3cf6908b6af23a7a5e61a2baee27760b194c94ffa48a35ba741e1257cc191133",
+    "ffdebd84bf82319e0747838c5cfd81d02db7bf94ac941549f8eefa8d2da8b8cf",
+    "fa0825c77ea57c1f8e2a27c9e2ee57698dff8719ed4d87758bd80af21ef99588",
+]
+
+
+@pytest.mark.parametrize("k", range(len(SEED_DIGESTS)))
+def test_seed_hadamard_bytes_are_pinned(k):
+    h = seed_hadamard(2**k)
+    assert h.dtype == np.int64 and h.shape == (2**k, 2**k)
+    assert hashlib.sha256(h.tobytes()).hexdigest() == SEED_DIGESTS[k]
 
 
 def test_seed_hadamard_refuses_orders_beyond_its_bound_before_allocating():

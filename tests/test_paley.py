@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from etf_oracle import svd_certify_etf
-from tournament_oracles import flat_kernel
+from tournament_oracles import flat_kernel, gamma_by_masks, is_doubly_regular_by_degrees
 from sympetf import certify_etf
 from sympetf.complex_lift import beta_constant, lift_core, lift_square, signature_check
 from sympetf.errors import RoundingError
@@ -39,6 +39,7 @@ from sympetf.tournaments import (
     count_diamonds_formula,
     degree_stats,
     diamond_upper_bound,
+    gamma,
     is_doubly_regular,
     seidel_square,
     switch,
@@ -220,3 +221,27 @@ def test_signed_permutations_keep_conference_diamonds_and_gate_verdict(data):
         assert is_skew_conference(moved) == is_skew_conference(s) == (verdict == "accept")
         assert count_diamonds_formula(_core_at(moved, k)) == count_diamonds_formula(_core_at(s, 0))
         assert _gate_verdict(moved, loose) == _gate_verdict(s, loose) == verdict
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_gamma_and_double_regularity_match_the_oracles_on_moved_paley_tournaments(data):
+    # relabelling keeps a doubly regular tournament doubly regular and switching
+    # usually does not.  No one-flip miss is doubly regular for p >= 7: its
+    # flip partner D Q D would have row sums D Q d with |Q d|^2 = 8, but
+    # |Q d|^2 = p^2 - (sum d)^2 since Q Q^T = pI - J.
+    p = data.draw(st.sampled_from(PRIMES[:6]))
+    q = qr_tournament(p)
+    perm = np.array(data.draw(st.permutations(range(p))))
+    signs = np.array(data.draw(st.lists(st.sampled_from([-1, 1]), min_size=p, max_size=p)))
+    i, j = data.draw(st.lists(st.integers(0, p - 1), min_size=2, max_size=2, unique=True))
+    relabelled = q[np.ix_(perm, perm)]
+    moved = signs[:, None] * relabelled * signs[None, :]
+    miss = moved.copy()
+    miss[i, j], miss[j, i] = -moved[i, j], -moved[j, i]
+    assert is_doubly_regular(relabelled)
+    assert not is_doubly_regular(miss)
+    for s in (relabelled, moved, miss):
+        assert is_doubly_regular(s) == is_doubly_regular_by_degrees(s)
+        for a, b in ((i, j), (j, i), (0, p - 1)):
+            assert gamma(s, a, b) == gamma_by_masks(s, a, b)

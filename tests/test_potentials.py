@@ -59,6 +59,28 @@ def test_normalize_nuclear(conf4):
     np.testing.assert_allclose(normalize_nuclear(5.0 * omega(2), 2, 2), omega(2), atol=1e-14)
 
 
+def test_odd_dimension_is_refused_at_the_boundary(conf4):
+    g = conf4.astype(float)
+    for d in (3, 1):
+        with pytest.raises(ValueError, match=f"dimension must be even and >= 2, got {d}"):
+            potential_bound(d, 4, 2)
+        with pytest.raises(ValueError, match=f"dimension must be even and >= 2, got {d}"):
+            normalize_nuclear(g, d, 4)
+        with pytest.raises(ValueError, match=f"dimension must be even and >= 2, got {d}"):
+            potential_report(g, d, 4, 2)
+
+
+def test_n_must_be_the_order_of_the_gram(conf4):
+    # on the 4x4 H4 - I, n = 9 used to report a potential 60 below its own bound
+    g = conf4.astype(float)
+    for n in (9, 3):
+        with pytest.raises(ValueError, match=f"n={n} is not the order 4 of the Gram matrix"):
+            potential_report(g, 2, n, 2)
+    with pytest.raises(ValueError, match="n=100 is not the order 4 of the Gram matrix"):
+        normalize_nuclear(g, 2, 100)
+    assert potential_report(g, 4, 4, 2).slack == 0.0
+
+
 def test_normalize_nuclear_rejects_zero():
     with pytest.raises(ValueError):
         normalize_nuclear(np.zeros((3, 3)), 2, 3)

@@ -32,6 +32,11 @@ from sympetf.tournaments import (
 )
 
 
+def test_config_refuses_a_negative_seed():
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        SearchConfig(seed=-1)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(restarts=0)

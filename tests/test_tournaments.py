@@ -4,7 +4,9 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from tournament_oracles import flat_kernel
+from hypothesis import given, settings, strategies as st
+
+from tournament_oracles import flat_kernel, gamma_by_masks, is_doubly_regular_by_degrees
 from sympetf.errors import InvalidSeidelError, NotEquiangularError
 from sympetf.frames import gram
 from sympetf.tournaments import (
@@ -186,6 +188,56 @@ def test_is_doubly_regular(core3):
     assert not is_doubly_regular(TRANSITIVE3)
     rng = np.random.default_rng(31)
     assert not is_doubly_regular(random_tournament(5, rng))
+
+
+def tournament_stack(n, codes):
+    """The tournaments whose upper-triangle signs are the bits of ``codes``, as an int8 stack."""
+    stack = np.zeros((len(codes), n, n), dtype=np.int8)
+    for b, (i, j) in enumerate(combinations(range(n), 2)):
+        signs = np.where(codes >> b & 1, 1, -1).astype(np.int8)
+        stack[:, i, j] = signs
+        stack[:, j, i] = -signs
+    return stack
+
+
+@pytest.mark.parametrize("n, hits", [(3, 2), (7, 240)])
+def test_doubly_regular_is_the_seidel_square_identity_exhaustively(n, hits):
+    # every labelled tournament of order n: S^2 = J - nI exactly when the
+    # degree counts say doubly regular.  Entries of S^2 stay below n, so int8
+    # stacks of 2^16 tournaments (3 MiB each) carry the 2^21 of order 7.
+    pairs = n * (n - 1) // 2
+    target = (1 - n * np.eye(n, dtype=np.int64)).astype(np.int8)
+    regular = []
+    for start in range(0, 1 << pairs, 1 << 16):
+        stack = tournament_stack(n, np.arange(start, min(start + (1 << 16), 1 << pairs)))
+        by_square = np.all(stack @ stack == target, axis=(1, 2))
+        np.testing.assert_array_equal(by_square, is_doubly_regular_by_degrees(stack))
+        regular.extend(stack[by_square].astype(np.int64))
+    assert len(regular) == hits
+    # the library call agrees on every doubly regular tournament and on each
+    # of its one-flip near misses
+    for s in regular:
+        assert is_doubly_regular(s)
+        for i, j in combinations(range(n), 2):
+            miss = s.copy()
+            miss[i, j], miss[j, i] = -s[i, j], -s[j, i]
+            assert not is_doubly_regular(miss)
+    if n == 3:
+        for s in all_tournaments(3):
+            assert is_doubly_regular(s) == is_doubly_regular_by_degrees(s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 16), data=st.data())
+def test_gamma_and_double_regularity_match_the_degree_count_oracles(n, data):
+    signs = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=n * (n - 1) // 2,
+                               max_size=n * (n - 1) // 2))
+    s = np.zeros((n, n), dtype=np.int64)
+    s[np.triu_indices(n, 1)] = signs
+    s -= s.T
+    assert is_doubly_regular(s) == is_doubly_regular_by_degrees(s)
+    for i, j in combinations(range(n), 2):
+        assert gamma(s, i, j) == gamma(s, j, i) == gamma_by_masks(s, i, j)
 
 
 def test_switch_properties(core3):

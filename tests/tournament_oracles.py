@@ -9,6 +9,11 @@ closed form that ``search._flip_deltas`` evaluates for every edge at once.
 ``offdiag_square_sum`` sums ((S^2)_ij)^2 over the strict upper triangle
 directly, the check for the symmetric-square identity of
 ``tournaments._offdiag_square_sum``.
+``is_doubly_regular_by_degrees`` and ``gamma_by_masks`` decide double
+regularity from out-degree and common out-degree counts and count a
+pair's disagreements through boolean masks, the definitions that
+``tournaments.is_doubly_regular`` and ``tournaments.gamma`` now read off
+S^2 instead.
 """
 
 from typing import Optional
@@ -65,3 +70,30 @@ def offdiag_square_sum(s2: np.ndarray) -> int:
     """sum_{i<j} ((S^2)_ij)^2 gathered entry by entry from the strict upper triangle."""
     n = s2.shape[0]
     return int(np.sum(s2[np.triu_indices(n, k=1)] ** 2))
+
+
+def is_doubly_regular_by_degrees(s) -> np.ndarray:
+    """All out-degrees (n-1)/2 and all common out-degrees (n-3)/4, counted from 0/1 masks.
+
+    ``s`` is one Seidel matrix or a stack of them, shape (..., n, n); the
+    verdict has shape s.shape[:-2].  The counts stay below n, so int8 masks
+    keep a stack of every 7-vertex tournament small.
+    """
+    s = np.asarray(s)
+    n = s.shape[-1]
+    verdict = np.zeros(s.shape[:-2], dtype=bool)
+    if n % 4 != 3:
+        return verdict
+    dominates = (s == 1).astype(np.int8)
+    regular = np.all(dominates.sum(axis=-1) == (n - 1) // 2, axis=-1)
+    d = dominates[regular]  # common out-degrees only where every out-degree is right
+    common_out = d @ np.swapaxes(d, -1, -2)
+    verdict[regular] = np.all(common_out[..., ~np.eye(n, dtype=bool)] == (n - 3) // 4, axis=-1)
+    return verdict
+
+
+def gamma_by_masks(s: np.ndarray, i: int, j: int) -> int:
+    """|N+(i) & N-(j)| + |N-(i) & N+(j)| counted through four boolean masks."""
+    out_i, in_i = s[i] == 1, s[i] == -1
+    out_j, in_j = s[j] == 1, s[j] == -1
+    return int(np.count_nonzero(out_i & in_j) + np.count_nonzero(in_i & out_j))
