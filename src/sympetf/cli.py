@@ -9,7 +9,10 @@ diagnostics go to stderr.
 Each ``cmd_*`` writes its ``--out`` file, if any, and returns ``(ok,
 fields)``.  ``main`` alone prints the fields in order and maps the outcome
 to 0/1/2: ``ok`` to 0 or 1, a ``DomainError`` to 1, and usage, I/O,
-``MemoryError`` and ``FloatingPointError`` to 2.
+``MemoryError`` and ``FloatingPointError`` to 2.  Commands run under
+``np.errstate(over="raise", invalid="raise")``, so a float64 overflow, such
+as the frame operator of entries near 1e200, is that one error line and
+never a numpy warning.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from . import complex_lift, frames, hadamard, matio, search, tournaments
 from .errors import DomainError, FactorizationError, NotAFrameError
-from .skewlinalg import DEFAULT_TOL
+from .skewlinalg import DEFAULT_TOL, frobenius_norm
 
 class UsageError(Exception):
     pass
@@ -146,7 +149,7 @@ def cmd_factor(args) -> tuple[bool, dict]:
     phi = frames.factor_gram(g)
     if args.dim is not None and phi.shape[0] != args.dim:
         raise FactorizationError(f"factorization has dimension {phi.shape[0]}, expected {args.dim}")
-    residual = float(np.linalg.norm(frames.gram(phi) - g))
+    residual = frobenius_norm(frames.gram(phi) - g)
     matio.write_matrix(args.out, phi, "real")
     return True, {"d": phi.shape[0], "n": phi.shape[1], "residual": residual}
 
@@ -320,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        ok, fields = args.func(args)
+        with np.errstate(over="raise", invalid="raise"):  # an input past float64 range is one error line
+            ok, fields = args.func(args)
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2

@@ -160,15 +160,16 @@ def is_tight(g, d: int, tol: ToleranceProfile = DEFAULT_TOL) -> Optional[float]:
     """Return the tightness constant c if ``g`` is the Gram of a c-tight frame.
 
     Tightness of a rank-d skew Gram is the cubic identity g^3 = -c^2 g with
-    c read off as the largest singular value; returns None when either the
-    rank or the residual test fails.
+    c read off as the largest singular value, tested as h^3 = -h on h = g/c;
+    returns None when either the rank or the residual test fails.
     """
     g = check_skew(g, tol)
     s = np.linalg.svd(g, compute_uv=False)
     c = float(s[0])
     if c <= 0.0 or np.count_nonzero(s > tol.rank_rel_tol * c) != d:
         return None
-    residual = np.linalg.norm(g @ g @ g + c * c * g) / (c * c * np.linalg.norm(g))
+    h = g / c  # the identity on g / c cannot overflow: h^3 = -h
+    residual = np.linalg.norm(h @ h @ h + h) / np.linalg.norm(h)
     return c if residual <= tol.residual_rel_tol else None
 
 

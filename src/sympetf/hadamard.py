@@ -26,7 +26,8 @@ from .errors import (
     RoundingError,
 )
 from .frames import _equiangularity, gram
-from .skewlinalg import DEFAULT_TOL, ToleranceProfile, _check_even_dim, as_matrix, check_skew
+from .skewlinalg import (DEFAULT_TOL, ToleranceProfile, _check_even_dim, as_matrix, check_skew,
+                         frobenius_norm)
 from .tournaments import _as_int_square, _round_seidel, seidel_square
 
 __all__ = [
@@ -160,7 +161,7 @@ def etf_to_conference(
         raise NotEtfError(f"input is not the Gram matrix of {family}")
     mu, equiangular_residual = equi
     s = _round_seidel(g, mu, tol)
-    residual = float(np.linalg.norm(g - mu * s) / np.linalg.norm(g))
+    residual = frobenius_norm(g - mu * s) / frobenius_norm(g)
     if residual > tol.residual_rel_tol:
         raise RoundingError(f"distance {residual:.3e} to mu*S exceeds {tol.residual_rel_tol:.1e}")
     if n == d:

@@ -24,6 +24,7 @@ __all__ = [
     "DEFAULT_TOL",
     "SkewSpectralForm",
     "as_matrix",
+    "frobenius_norm",
     "rank_by_sv",
     "skew_spectral_form",
 ]
@@ -108,13 +109,32 @@ def check_skew(a: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray
     n, m = a.shape
     if n != m:
         raise NotSkewSymmetricError(f"matrix is {n}x{m}, not square")
-    scale = max(1.0, float(np.linalg.norm(a)))
-    asym = float(np.linalg.norm(a + a.T))
-    if asym > tol.entry_tol * scale:
+    unit = 1.0
+    with np.errstate(over="ignore"):
+        scale, asym = float(np.linalg.norm(a)), float(np.linalg.norm(a + a.T))
+    if max(scale, asym) == math.inf:  # a sum of squares overflowed: measure a / max|a|
+        unit = float(np.max(np.abs(a)))
+        b = a / unit
+        scale, asym = float(np.linalg.norm(b)), float(np.linalg.norm(b + b.T))
+    if asym > tol.entry_tol * max(1.0 / unit, scale):
         raise NotSkewSymmetricError(
-            f"asymmetry {asym:.3e} exceeds {tol.entry_tol:.1e} * {scale:.3e}"
+            f"asymmetry {unit * asym:.3e} exceeds {tol.entry_tol:.1e} * {max(1.0, unit * scale):.3e}"
         )
     return a
+
+
+def frobenius_norm(a: np.ndarray) -> float:
+    """``np.linalg.norm(a)``, measured on a / max|a| where its sum of squares over- or underflows.
+
+    Equal to numpy's value wherever that is finite and nonzero; for a finite
+    ``a``, finite wherever the norm is, and 0 only for a = 0.
+    """
+    with np.errstate(over="ignore"):
+        r = float(np.linalg.norm(a))
+    if 0.0 < r < math.inf:
+        return r
+    unit = float(np.max(np.abs(a)))
+    return unit * float(np.linalg.norm(a / unit)) if 0.0 < unit < math.inf else r
 
 
 def rank_by_sv(a, tol: ToleranceProfile = DEFAULT_TOL) -> int:

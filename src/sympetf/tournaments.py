@@ -42,6 +42,8 @@ def _as_int_square(a, error: type[Exception] = ValueError) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise error(f"expected a square matrix, got shape {a.shape}")
+    if a.dtype.kind in "fc" and not np.all(np.abs(a) < 2.0**63):  # past int64: the cast is undefined
+        raise error("entries are not integers")
     ai = a.astype(np.int64)
     if not np.array_equal(ai, a):
         raise error("entries are not integers")
@@ -51,7 +53,7 @@ def _as_int_square(a, error: type[Exception] = ValueError) -> np.ndarray:
 def check_seidel(s) -> np.ndarray:
     """Validate and return a Seidel adjacency matrix as an int64 array."""
     si = _as_int_square(s, InvalidSeidelError)
-    if not np.array_equal(si, -si.T):
+    if not np.array_equal(si, -si.T) or si.diagonal().any():  # -(-2**63) wraps to -2**63
         raise InvalidSeidelError("matrix is not skew-symmetric")
     if not np.all(np.abs(si[~np.eye(si.shape[0], dtype=bool)]) == 1):
         raise InvalidSeidelError("off-diagonal entries must be +-1")

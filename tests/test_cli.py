@@ -112,6 +112,46 @@ def test_malformed_input_exit_code_and_one_line_error(tmp_path, fixture, argv, c
     assert not (tmp_path / "out.symf").exists()
 
 
+# entries whose squares overflow float64: a skew 3 x 3 (a d = 2 core ETF Gram
+# at mu = 1e300) and a 2 x 2 that is not skew
+HUGE = {
+    "skew-1e300": "symf real 3 3\n0 1e300 -1e300\n-1e300 0 1e300\n1e300 -1e300 0\n",
+    "non-skew-1e155": "symf real 2 2\n0 1e155\n0 0\n",
+}
+HUGE_COMMANDS = [
+    ["verify", "tight", "in.symf", "--dim", "2"],
+    ["verify", "etf", "in.symf", "--dim", "2"],
+    ["factor", "in.symf", "--out", "out.symf"],
+    ["convert", "--from", "etf-core", "--to", "hadamard", "in.symf", "--out", "out.symf"],
+    ["convert", "--from", "etf-square", "--to", "complex-signature", "in.symf", "--out", "out.symf"],
+]
+
+
+@pytest.mark.parametrize("argv", HUGE_COMMANDS, ids=["verify-tight", "verify-etf", "factor", "etf-core-to-hadamard",
+                                                   "etf-square-to-complex-signature"])
+@pytest.mark.parametrize("fixture", HUGE)
+def test_entries_near_the_float64_limit_warn_nothing(tmp_path, fixture, argv):
+    (tmp_path / "in.symf").write_text(HUGE[fixture])
+    proc = run_module(tmp_path, *argv)
+    assert proc.returncode in (0, 1, 2)
+    assert proc.stderr.count("\n") <= 1 and "Warning" not in proc.stderr
+    assert "residual=inf" not in proc.stdout
+    if fixture == "non-skew-1e155":  # the skew check measures its norms without overflow
+        assert proc.returncode == 1 and proc.stderr.startswith("error: asymmetry 1.414e+155 ")
+
+
+@pytest.mark.parametrize("text, argv", [
+    ("symf real 2 1\n-1e200\n1e155\n", ["double", "--level", "frame", "in.symf", "--out", "out.symf"]),
+    ("symf real 2 2\n0 1e308\n-1e308 0\n", ["verify", "frame", "in.symf"]),
+], ids=["double-frame", "verify-frame"])
+def test_a_frame_operator_past_float64_range_is_one_usage_error(tmp_path, text, argv):
+    # the frame operator's entries (1e400, 1e616) have no float64 value
+    (tmp_path / "in.symf").write_text(text)
+    proc = run_module(tmp_path, *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: overflow encountered in matmul\n")
+    assert not (tmp_path / "out.symf").exists()
+
+
 def run_module(cwd, *argv, preexec_fn=None, stdout=subprocess.PIPE):
     """Run ``python -m sympetf`` on this checkout's sources in a child process."""
     paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]

@@ -159,11 +159,15 @@ def test_search_kernels_are_bit_identical_to_the_public_api(d, extra, p, seed, s
 )
 def test_canonical_factor_keeps_the_gram_and_is_the_factor_gram_bits(d, extra, seed, scale):
     # the search's canonical reset and factor_gram share skewlinalg._canonical_factor,
-    # so a reset phi is the factor_gram of its own Gram, bit for bit
+    # so a reset phi is the factor_gram of its own Gram, bit for bit; a Gaussian phi
+    # is not a least-norm factor, and the canonical factor is one, so it is kept
     n = d + extra
     phi = scale * np.random.default_rng(seed).normal(size=(d, n))
     g = _gram(phi, omega(d))
-    canon = _canonicalize(phi, g)
+    nuc = _nuclear(g)
+    canon = _canonicalize(phi, g, nuc)
     assert np.linalg.norm(gram(canon) - g) <= 1e-12 * np.linalg.norm(g)
     if skew_spectral_form(g).rank == d:
         assert canon.tobytes() == factor_gram(gram(phi)).tobytes()
+        assert float(np.vdot(canon, canon)) == pytest.approx(nuc, rel=1e-12)
+        assert _canonicalize(canon, g, nuc) is canon

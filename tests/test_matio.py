@@ -13,6 +13,7 @@ import contextlib
 import io
 import math
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -463,6 +464,10 @@ def test_cli_on_fuzzed_files_exits_0_1_or_2(text, command):
         path.write_text(text, encoding="utf-8", newline="")
         argv = [arg.format(out=Path(tmp) / "out.symf") for arg in command]
         argv.insert(2 if command[0] == "verify" else 1, str(path))
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # a numpy warning fails the run
             code = main(argv)
     assert code in (0, 1, 2)
+    assert err.getvalue().count("\n") <= 1

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import time
 import tracemalloc
 import warnings
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from etf_oracle import svd_certify_etf
+from test_exact_gate import count_calls
 from tournament_oracles import flip_delta, offdiag_square_sum
-from sympetf import certify_etf
+from sympetf import certify_etf, search
 from sympetf.frames import factor_gram, gram
 from sympetf.hadamard import is_skew_conference, seed_hadamard
 from sympetf.potentials import frame_potential
@@ -257,21 +259,22 @@ def test_discrete_search_golden_trajectories(n, seed, success, value, iters, ind
 
 # (d, n, seed, success, best_value, iterations_used, restart_index,
 #  restart_values, sha256 of best_object.tobytes()) of continuous_etf_search
-# at p=2, restarts=4, max_iters=2000, recorded after each trial step took
-# its rescaled Gram as c * gram(trial) instead of rebuilding it, and the
-# potential and gradient came from one W = |g|^(2p-2) * g.  That change kept
-# every case's success and restart_index (here and in the other orders
-# below) and moved best_value by at most 1.2e-12.  Hits and misses; float64
-# bits of numpy 2.4.6 / OpenBLAS 0.3.31 (x86-64).
+# at p=2, restarts=4, max_iters=2000, recorded after an accepted step began
+# to keep its factor while ||phi||_F^2 stays within a 1e-7 band above the
+# nuclear norm, resetting to the canonical factor only outside it.  That rule
+# is the old one in exact arithmetic: it kept every case's success and
+# restart_index (here and in the other orders below) and moved best_value by
+# at most 3.4e-9 (and some iterations_used by up to 237).  Hits and misses;
+# float64 bits of numpy 2.4.6 / OpenBLAS 0.3.31 (x86-64).
 GOLDEN_CONTINUOUS = [
-    (2, 3, 1, True, 6.000000002942097, 53, 2, (6.000000016896662, 6.0000000867635315, 6.000000002942097, 6.0000001140773245), "cac44c5d8cccb76129e808ed23dbdd3d51bdf0adea4ffe654c402e0663835241"),
-    (2, 3, 5, True, 6.0000000055853295, 54, 1, (6.000000095740795, 6.0000000055853295, 6.000000013516941, 6.0000005855175385), "075749f7d1fd37d2c1c2672c3d8321177e672a3c8a43936e4d6b63cddd21c987"),
-    (4, 4, 0, True, 12.000000008320002, 116, 0, (12.000000008320002, 12.000000899924999, 12.00000003247111, 12.000000121809016), "5eca6f406931105a0a714ff6ed127f0498ff0ceaef468bab242e4a545043abdb"),
-    (4, 4, 3, True, 12.000000022885509, 72, 0, (12.000000022885509, 12.00000018051968, 12.000000047966578, 12.000000749316442), "89eff70a370f2ea601dfd8a891efb0a81ca85341411139a2a233617a6d101fc8"),
-    (6, 7, 1, False, 45.50254854756656, 651, 2, (45.502548547566704, 45.50254854756666, 45.50254854756656, 48.344520139621174), "d78c05dab9ae2ad01874c0310c13234ada8ccfb78b738df68d073fab4b92ac60"),
-    (6, 7, 4, True, 42.00000041774803, 681, 2, (45.50254854756666, 45.5025485475664, 42.00000041774803, 50.83471912866712), "b2980b5902015af4459bfc64a0ec1f82c000289a9a70ff9f137d1c5626b85428"),
-    (8, 8, 2, True, 56.000000127745594, 236, 2, (63.03883399318558, 56.000000458610245, 56.000000127745594, 56.00000096955439), "496dfee4e22bea3b486665a17320feadd6c5788e69e9b2e36cf024a073c52fdb"),
-    (16, 16, 0, False, 257.9827149950788, 867, 0, (257.9827149950788, 264.0440492489397, 267.9848920786605, 258.94598515733816), "064e3c067bff007fd60728f7a3f88fe9aaa02783d21076841133115cb10a2ad1"),
+    (2, 3, 1, True, 6.0000000029542075, 53, 2, (6.000000017275769, 6.000000086838589, 6.0000000029542075, 6.000000114078276), "2b17127859610f320d3521b50124f422fa157fd1af2ed4558eae2610c454e1c9"),
+    (2, 3, 5, True, 6.000000005627713, 54, 1, (6.000000095741481, 6.000000005627713, 6.000000013763684, 6.00000059119288), "ddfc8646798fa58791a307396522d5b9a6cf5bc64ef694f712d0a4b10e2e0286"),
+    (4, 4, 0, True, 12.000000008332806, 116, 0, (12.000000008332806, 12.000000902986956, 12.000000032600955, 12.000000121948423), "49656e9e754b62590cd5b4629bec2ed4ab899499c4e649b2f7b7ccde00b80d3b"),
+    (4, 4, 3, True, 12.000000022902054, 72, 0, (12.000000022902054, 12.000000181283252, 12.000000047968332, 12.000000748491676), "df85c6ee4158696cc509cbfe0d4ecb735e8237770265dacb19de3cf829fbc83d"),
+    (6, 7, 1, False, 45.50254854756657, 657, 2, (45.502548547566796, 45.50254854756668, 45.50254854756657, 48.34452013962111), "e1962a7342058896b33551eb53693af88387aac99613eff4ba950a42979e614e"),
+    (6, 7, 4, True, 42.000000419228336, 660, 2, (45.50254854756666, 45.50254854756656, 42.000000419228336, 50.834719128667565), "39297a090801fa815feda8fd5294ead6608ac53ef2ffc031c06ca4680efaadd5"),
+    (8, 8, 2, True, 56.000000127695316, 236, 2, (63.03883399318556, 56.000000459007275, 56.000000127695316, 56.000000967985166), "7ec0ab52e6bb78a781eb07a705217d2998438bad35c210ca077b6fce763ee3c9"),
+    (16, 16, 0, False, 257.9827149950788, 858, 0, (257.9827149950788, 264.04404924893964, 267.98489207866015, 258.94598515733867), "f3db5ff7e04674a3876536532b0f3d8014a96f4f90d5dd9d8c2fc5e19480ab14"),
 ]
 
 
@@ -284,6 +287,7 @@ def test_continuous_search_golden_outcomes(d, n, seed, success, value, iters, in
     assert (out.restart_index, out.restart_values) == (index, values)
     assert out.best_object.dtype == np.float64 and out.best_object.shape == (d, n)
     assert hashlib.sha256(out.best_object.tobytes()).hexdigest() == digest
+    assert_least_norm(out.best_object, d, n)
 
 
 # (d, n, p, seed, success, best_value, iterations_used, restart_index,
@@ -291,10 +295,10 @@ def test_continuous_search_golden_outcomes(d, n, seed, success, value, iters, in
 # at orders p != 2, restarts=4, max_iters=2000, recorded with the same
 # search step as GOLDEN_CONTINUOUS, on the same platform.
 GOLDEN_CONTINUOUS_ORDERS = [
-    (2, 3, 1.5, 1, True, 6.0000000655690355, 51, 2, (6.000000384506449, 6.000000348169716, 6.0000000655690355, 6.000000242207274), "ce2244846c1597d68b09dbc8c9228f9ebb8679ad698f944a23986e2b52b63a3c"),
-    (4, 4, 3, 0, True, 12.000000004135666, 127, 3, (12.00000006947845, 12.000000351886897, 12.000000005133733, 12.000000004135666), "f6a66211caeec46b9d25fefb3b8002aa2f9ee0950fb92247b96aaf999c506ecc"),
-    (6, 7, 1.5, 2, True, 42.00000016018448, 1152, 3, (43.88902033554962, 42.000000419534004, 43.88902033554983, 42.00000016018448), "8b2c6e3a76e6c7af0f380dc05c7fd4cfe3fc43f5f1f074624bfeb8177891c012"),
-    (4, 5, 3, 1, False, 22.167678084414067, 396, 3, (22.16767808441427, 22.16767808441429, 22.167678084414295, 22.167678084414067), "b80caebeaf65165d0612599a716c17cbae017552412d805adebb2431aca2244e"),
+    (2, 3, 1.5, 1, True, 6.000000068953521, 51, 2, (6.0000003914457585, 6.000000351916004, 6.000000068953521, 6.000000242225046), "ca6542a822167ad0c6e66f5b0a293597576bd313a3937b0b4f064c802aa70795"),
+    (4, 4, 3, 0, True, 12.000000004145784, 127, 3, (12.000000069508772, 12.00000035208467, 12.000000005135824, 12.000000004145784), "82e8234f010a98aee98f324af72548535bb9257b44f45352021074b285307da7"),
+    (6, 7, 1.5, 2, True, 42.00000016030559, 1389, 3, (43.88902033555008, 42.000000423096054, 43.88902033555266, 42.00000016030559), "5e5047bb97015aed9beb4400d83092c25bf709943de560a0d53f908d8e36739e"),
+    (4, 5, 3, 1, False, 22.16767808441418, 394, 3, (22.167678084414355, 22.167678084414273, 22.167678084414295, 22.16767808441418), "5cb227cd7f2fef6433fcf94b35f0707c5ffde64a53daa820d6d3cd8d91c548ba"),
 ]
 
 
@@ -305,6 +309,32 @@ def test_continuous_search_golden_outcomes_other_orders(d, n, p, seed, success, 
     assert (out.success, out.best_value, out.iterations_used) == (success, value, iters)
     assert (out.restart_index, out.restart_values) == (index, values)
     assert hashlib.sha256(out.best_object.tobytes()).hexdigest() == digest
+    assert_least_norm(out.best_object, d, n)
+
+
+def assert_least_norm(phi, d, n):
+    """The reported factor lies in the least-norm band: ||phi||_F^2 <= (1 + 1e-7) ||gram(phi)||_*."""
+    assert float(np.vdot(phi, phi)) <= (1 + 1e-7) * math.sqrt(d * n * (n - 1))
+
+
+def test_an_accepted_step_resets_its_factor_only_outside_the_least_norm_band(monkeypatch):
+    accepted = count_calls(monkeypatch, search._canonicalize)
+    resets = count_calls(monkeypatch, search._canonical_factor)
+    out = continuous_etf_search(6, 7, 2, SearchConfig(seed=4, restarts=4, max_iters=2000))
+    assert out.success
+    assert 1 <= len(resets) < len(accepted)
+
+
+# Hits over seeds 0-15 at restarts=4, max_iters=2000, p=2, recorded before an
+# accepted step kept its factor inside the least-norm band; the band keeps them.
+CONTINUOUS_HITS = {(4, 4): 16, (6, 7): 8, (8, 8): 16}
+
+
+@pytest.mark.parametrize("d, n", CONTINUOUS_HITS, ids=[f"d{d}-n{n}" for d, n in CONTINUOUS_HITS])
+def test_continuous_search_hit_counts_over_sixteen_seeds(d, n):
+    hits = sum(continuous_etf_search(d, n, 2, SearchConfig(seed=seed, restarts=4, max_iters=2000)).success
+               for seed in range(16))
+    assert hits == CONTINUOUS_HITS[d, n]
 
 
 def test_discrete_search_finds_conference_matrices():

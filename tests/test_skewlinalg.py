@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from sympetf.hadamard import hadamard_to_etf_core, hadamard_to_etf_square
 from sympetf.skewlinalg import (
     DEFAULT_TOL,
     ToleranceProfile,
+    check_skew,
+    frobenius_norm,
     rank_by_sv,
     skew_spectral_form,
 )
@@ -54,6 +57,31 @@ def test_spectral_form_rejects_bad_input():
         skew_spectral_form(np.ones((2, 3)))
     with pytest.raises(NotSkewSymmetricError):
         skew_spectral_form(np.eye(3))
+
+
+def test_skew_check_and_norm_neither_overflow_nor_underflow():
+    big = np.array([[0.0, 1e155], [0.0, 0.0]])
+    skew = 1e300 * np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # not skew: before, inf > 1e-9 * inf let it through
+        with pytest.raises(NotSkewSymmetricError, match=r"^asymmetry 1\.414e\+155 exceeds 1\.0e-09 \* 1\.000e\+155$"):
+            check_skew(big)
+        # a + a.T overflows: the verdict holds, though the message's asymmetry reads inf
+        with pytest.raises(NotSkewSymmetricError, match=r"^asymmetry inf exceeds 1\.0e-09 \* 1\.414e\+308$"):
+            check_skew(np.array([[0.0, 1e308], [1e308, 0.0]]))
+        assert check_skew(skew) is not None
+        assert frobenius_norm(skew) == pytest.approx(math.sqrt(6.0) * 1e300, rel=1e-15)
+        assert frobenius_norm(np.full((2, 2), 1e308)) == math.inf
+        # numpy's sum of squares underflows to 0 here
+        assert frobenius_norm(1e-300 * skew) == pytest.approx(math.sqrt(6.0), rel=1e-15)
+        assert frobenius_norm(np.array([[0.0, 5e-324]])) == 5e-324
+        assert frobenius_norm(np.zeros((2, 3))) == 0.0
+    # where numpy's norm is finite and nonzero, the value is numpy's, bit for bit
+    rng = np.random.default_rng(3)
+    for scale in (1e-150, 1.0, 1e150):
+        a = scale * rng.normal(size=(5, 7))
+        assert frobenius_norm(a) == float(np.linalg.norm(a))
 
 
 def test_spectral_form_reconstruction_sweep():

@@ -1,3 +1,5 @@
+import math
+import warnings
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from tournament_oracles import flat_kernel, gamma_by_masks, is_doubly_regular_by_degrees
 from sympetf.errors import InvalidSeidelError, NotEquiangularError
 from sympetf.frames import gram
+from sympetf.hadamard import is_skew_hadamard
 from sympetf.tournaments import (
     check_seidel,
     count_diamonds_bruteforce,
@@ -74,6 +77,26 @@ def test_check_seidel_rejects_bad_matrices():
         check_seidel(np.array([[1, 1], [-1, 0]]))
     with pytest.raises(InvalidSeidelError):
         check_seidel(np.array([[0, 1], [1, 0]]))
+
+
+@pytest.mark.parametrize("s", [[[-(2**63)]], [[-(2**63), 1], [-1, 0]]], ids=["order-1", "order-2"])
+def test_check_seidel_rejects_the_int64_minimum_on_the_diagonal(s):
+    # -(-2**63) wraps to -2**63, so S = -S^T alone lets it through to S^2, whose cast overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidSeidelError, match="^matrix is not skew-symmetric$"):
+            check_seidel(np.array(s, dtype=np.int64))
+        assert not is_skew_hadamard(np.array(s, dtype=np.int64) + np.eye(len(s), dtype=np.int64))
+
+
+@pytest.mark.parametrize("value", [2.0**63, -(2.0**64), math.inf, math.nan])
+def test_int_validation_refuses_floats_no_int64_holds(value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidSeidelError, match="^entries are not integers$"):
+            check_seidel(np.array([[0.0, value], [-value, 0.0]]))
+        with pytest.raises(ValueError, match="^entries are not integers$"):
+            is_skew_hadamard(np.array([[1.0, value], [-value, 1.0]]))
 
 
 def test_seidel_from_gram(core3, phi_basic):
