@@ -20,6 +20,7 @@ from .skewlinalg import (
     DEFAULT_TOL,
     ToleranceProfile,
     as_matrix,
+    _antisymmetrize,
     _canonical_factor,
     _check_even_dim,
     check_skew,
@@ -77,8 +78,8 @@ def _analysis(phi: np.ndarray) -> np.ndarray:
 
 def _gram(phi: np.ndarray, om: np.ndarray) -> np.ndarray:
     """``gram`` of a checked phi given om = omega(d), which a loop builds once."""
-    g = phi.T @ om @ phi
-    return (g - g.T) / 2.0
+    g = phi.T @ om @ phi / 2.0  # halved first, so that g - g.T cannot overflow
+    return g - g.T
 
 
 def analysis(phi) -> np.ndarray:
@@ -132,8 +133,7 @@ def factor_gram(g, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     the input.  The result is canonical only up to symplectic equivalence;
     compare Grams, never synthesis matrices.
     """
-    g = check_skew(g, tol)
-    return _factor((g - g.T) / 2.0, tol)  # kill roundoff asymmetry first
+    return _factor(_antisymmetrize(check_skew(g, tol)), tol)
 
 
 def _factor(g: np.ndarray, tol: ToleranceProfile) -> np.ndarray:
@@ -150,10 +150,15 @@ def _equiangularity(g: np.ndarray) -> Optional[tuple[float, float]]:
     if n < 2:
         return None
     mods = np.abs(g[~np.eye(n, dtype=bool)])
-    mu = float(np.mean(mods))
+    with np.errstate(over="ignore"):
+        mu, unit = float(np.mean(mods)), 1.0
+    if mu == np.inf:  # the sum overflowed: measure mods / max|mods|
+        unit = float(np.max(mods))
+        mods = mods / unit
+        mu = float(np.mean(mods))
     if mu <= 0.0:
         return None
-    return mu, float(np.max(np.abs(mods - mu)) / mu)
+    return unit * mu, float(np.max(np.abs(mods - mu)) / mu)
 
 
 def is_tight(g, d: int, tol: ToleranceProfile = DEFAULT_TOL) -> Optional[float]:

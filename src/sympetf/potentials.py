@@ -96,6 +96,12 @@ def _nuclear(g: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(g, compute_uv=False)))
 
 
+def _rank_nuclear(g: np.ndarray, d: int) -> float:
+    """``_nuclear`` of g = gram(phi), d-row phi: sqrt of the top d eigenvalues of g.T @ g, clamped at 0.
+    Squaring g costs accuracy: 1e-15 relative on the search's near-tight Grams, 1e-11 at condition 4e5."""
+    return sum(math.sqrt(max(x, 0.0)) for x in np.linalg.eigvalsh(g.T @ g)[-d:].tolist())
+
+
 def potential_gradient(phi, p) -> np.ndarray:
     """Gradient of phi -> frame_potential(gram(phi), p) for finite p.
 

@@ -3,11 +3,11 @@
 Two searches and one exhaustive oracle:
 
 * ``continuous_etf_search``: projected gradient descent on the order-p
-  frame potential at Gram nuclear norm sqrt(d n (n-1)).  A trial step
-  builds one Gram and rescales it with the trial; one W = |g|^(2p-2) * g
-  gives its potential and, once accepted, the gradient at its canonical
-  reset, which keeps the Gram and runs only once the factor has left the
-  least-norm band.  A run succeeds only if the potential
+  frame potential at Gram nuclear norm sqrt(d n (n-1)).  A trial step is
+  rejected with no spectral call when Hoelder's bound rules it out; else one
+  rank-d ``eigvalsh`` gives its nuclear norm, and homogeneity its rescaled
+  potential and W = |g|^(2p-2) * g.  An accepted factor is reset only once
+  it leaves the least-norm band.  A run succeeds only if the potential
   reaches its ETF bound and the rounded Gram passes ``etf_to_conference``.
 * ``discrete_diamond_search``: single-edge-flip local search over
   tournaments minimizing sum_{i<j} ((S^2)_ij)^2, which is equivalent to
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .frames import _equiangularity, _gram, gram, omega
-from .potentials import _gradient, _nuclear, _value_and_weight, potential_bound
+from .potentials import _gradient, _rank_nuclear, _value_and_weight, potential_bound
 from .skewlinalg import DEFAULT_TOL, ToleranceProfile, _canonical_factor, _check_even_dim
 from .tournaments import (_offdiag_square_sum, count_diamonds_formula, diamond_upper_bound,
                           random_tournament)
@@ -95,16 +95,19 @@ def _outcome(restarts: list, iterations: int) -> SearchOutcome:
 def _renormalize(phi: np.ndarray, target: float, om: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(sqrt(c) phi, c g), g = gram(phi), c = target / nuclear norm of g; gram(sqrt(c) phi) = c g."""
     g = _gram(phi, om)
-    nuc = _nuclear(g)
-    if nuc == 0.0:
-        return phi, g
-    c = target / nuc
+    c = target / _rank_nuclear(g, phi.shape[0])  # phi is a Gaussian draw, so g is not zero
     return phi * math.sqrt(c), g * c
 
 
 # Relative width of the least-norm band that _canonicalize keeps.  Narrow on
 # purpose: at 1e-2, seeds 0-15 hit (8,8) 10 times instead of 16.
 _LEAST_NORM_BAND = 1e-7
+
+
+def _holder_rejects(raw_value: float, sq_norm: float, target: float, value: float, p: float) -> bool:
+    """Whether trial t, rescaled to nuclear norm ``target``, cannot beat ``value``: its potential is at least
+    raw_value (target / sq_norm)^(2p), as ||g||_* <= ||t||_F^2 = ``sq_norm`` (Hoelder), up to a 1e-9 margin."""
+    return raw_value * (target / sq_norm) ** (2.0 * p) >= value * (1.0 + 1e-9)
 
 
 def _canonicalize(phi: np.ndarray, g: np.ndarray, nuc: float) -> np.ndarray:
@@ -164,12 +167,17 @@ def continuous_etf_search(d: int, n: int, p: float, cfg: SearchConfig) -> Search
             iters += 1
             if not grad.any():
                 break
-            trial, g = _renormalize(phi - step * grad, target_nuc, om)
-            trial_value, w = _value_and_weight(g, p)
+            trial = phi - step * grad
+            g = _gram(trial, om)
+            raw_value, w = _value_and_weight(g, p)  # of the unscaled trial
+            trial_value = math.inf  # unless the trial, rescaled by c, may beat value
+            if not _holder_rejects(raw_value, np.vdot(trial, trial), target_nuc, value, p):
+                c = target_nuc / np.float64(_rank_nuclear(g, d))  # float64: an overflow of c ** 2p raises
+                trial_value = float(c ** (2.0 * p) * raw_value)  # the potential is homogeneous of degree 2p
             if trial_value < value:
-                # phi moves only here; its reset keeps the Gram g, whose W gives the gradient
-                phi, value = _canonicalize(trial, g, target_nuc), trial_value
-                grad = _gradient(phi, w, p, om)
+                # phi moves only here, to (sqrt(c) t, c g); its reset keeps c g, and W(c g) = c^(2p-1) W(g)
+                phi, value = _canonicalize(trial * math.sqrt(c), g * c, target_nuc), trial_value
+                grad = _gradient(phi, c ** (2.0 * p - 1.0) * w, p, om)
                 step *= 1.5
             else:
                 step *= 0.5

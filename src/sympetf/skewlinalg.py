@@ -137,6 +137,12 @@ def frobenius_norm(a: np.ndarray) -> float:
     return unit * float(np.linalg.norm(a / unit)) if 0.0 < unit < math.inf else r
 
 
+def _antisymmetrize(a: np.ndarray) -> np.ndarray:
+    """(a - a.T) / 2, which kills roundoff asymmetry; halved first, so no difference overflows."""
+    h = a / 2.0
+    return h - h.T
+
+
 def rank_by_sv(a, tol: ToleranceProfile = DEFAULT_TOL) -> int:
     """Numerical rank: number of singular values above rank_rel_tol * sigma_max."""
     a = as_matrix(a)
@@ -156,7 +162,7 @@ def skew_spectral_form(a, tol: ToleranceProfile = DEFAULT_TOL) -> SkewSpectralFo
     """
     a = check_skew(a, tol)
     n = a.shape[0]
-    lambdas, rows = _blocks((a - a.T) / 2.0, tol)  # kill roundoff asymmetry first
+    lambdas, rows = _blocks(_antisymmetrize(a), tol)
     rank = rows.shape[0]
     w = np.eye(n)  # the form of the zero matrix
     w[n - rank :] = rows

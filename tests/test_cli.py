@@ -112,10 +112,12 @@ def test_malformed_input_exit_code_and_one_line_error(tmp_path, fixture, argv, c
     assert not (tmp_path / "out.symf").exists()
 
 
-# entries whose squares overflow float64: a skew 3 x 3 (a d = 2 core ETF Gram
-# at mu = 1e300) and a 2 x 2 that is not skew
+# entries whose squares overflow float64: two skew 3 x 3 (a d = 2 core ETF Gram
+# at mu = 1e300 and at mu = 1e308, whose sums and differences overflow too)
+# and a 2 x 2 that is not skew
 HUGE = {
     "skew-1e300": "symf real 3 3\n0 1e300 -1e300\n-1e300 0 1e300\n1e300 -1e300 0\n",
+    "skew-1e308": "symf real 3 3\n0 1e308 -1e308\n-1e308 0 1e308\n1e308 -1e308 0\n",
     "non-skew-1e155": "symf real 2 2\n0 1e155\n0 0\n",
 }
 HUGE_COMMANDS = [
@@ -138,6 +140,19 @@ def test_entries_near_the_float64_limit_warn_nothing(tmp_path, fixture, argv):
     assert "residual=inf" not in proc.stdout
     if fixture == "non-skew-1e155":  # the skew check measures its norms without overflow
         assert proc.returncode == 1 and proc.stderr.startswith("error: asymmetry 1.414e+155 ")
+
+
+@pytest.mark.parametrize("argv, head", [
+    (["verify", "etf", "in.symf", "--dim", "2"], "verified=true\nd=2\nn=3\nmu=1e+308\n"),
+    (["convert", "--from", "etf-core", "--to", "hadamard", "in.symf", "--out", "out.symf"], "order=4\n"),
+    (["factor", "in.symf", "--out", "out.symf"], "d=2\nn=3\nresidual="),
+], ids=["verify-etf", "etf-core-to-hadamard", "factor"])
+def test_a_core_etf_gram_at_mu_1e308_verifies_converts_and_factors(tmp_path, argv, head):
+    # its mean modulus and its antisymmetrization (g - g.T) / 2 each pass through 2e308
+    (tmp_path / "in.symf").write_text(HUGE["skew-1e308"])
+    proc = run_module(tmp_path, *argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith(head)
 
 
 @pytest.mark.parametrize("text, argv", [

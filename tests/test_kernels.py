@@ -27,6 +27,7 @@ from sympetf.hadamard import (
 from sympetf.potentials import (
     _gradient,
     _nuclear,
+    _rank_nuclear,
     _value_and_weight,
     frame_potential,
     normalize_nuclear,
@@ -138,16 +139,47 @@ def test_search_kernels_are_bit_identical_to_the_public_api(d, extra, p, seed, s
     assert value == pytest.approx(float(np.sum(np.abs(g) ** (2.0 * p))), rel=1e-13)
     assert _gradient(phi, w, p, om).tobytes() == potential_gradient(phi, p).tobytes()
     assert _canonical_factor(g, DEFAULT_TOL).tobytes() == skew_spectral_form(g).factor().tobytes()
-    # the nuclear-norm kernel behind normalize_nuclear and the search's rescaling
+    # the nuclear-norm kernel behind normalize_nuclear
     nuc = float(np.sum(np.linalg.svd(g, compute_uv=False)))
     assert _nuclear(g) == nuc
-    # the rescaled pair (sqrt(c) phi, c g) comes from one Gram: the second is not rebuilt
+    # the rescaled pair (sqrt(c) phi, c g) comes from one Gram: the second is not rebuilt;
+    # the search measures its nuclear norm with the rank-d kernel
     scaled, scaled_g = _renormalize(phi, 6.0, om)
+    nuc = _rank_nuclear(g, d)
     assert scaled.tobytes() == (phi * math.sqrt(6.0 / nuc)).tobytes()
     assert scaled_g.tobytes() == (g * (6.0 / nuc)).tobytes()
     assert np.linalg.norm(gram(scaled) - scaled_g) <= 1e-12 * np.linalg.norm(scaled_g)
     target = math.sqrt(d * n * (n - 1))
-    assert normalize_nuclear(g, d, n).tobytes() == (g * (target / nuc)).tobytes()
+    assert normalize_nuclear(g, d, n).tobytes() == (g * (target / _nuclear(g))).tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    d=st.sampled_from((2, 4, 8, 16)),
+    extra=st.integers(0, 1),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(1e-3, 37.0),
+)
+def test_rank_nuclear_norm_matches_the_svd(d, extra, seed, scale):
+    # a Gram of a d-row phi has rank <= d, so the top d eigenvalues of g.T @ g carry its nuclear
+    # norm; squaring g costs accuracy on its small singular values, about 1e-11 relative at a
+    # condition number of 4e5, which a Gaussian phi reaches rarely, so the draws are fixed
+    phi = scale * np.random.default_rng(seed).normal(size=(d, d + extra))
+    g = _gram(phi, omega(d))
+    nuc = float(np.sum(np.linalg.svd(g, compute_uv=False)))
+    assert abs(_rank_nuclear(g, d) - nuc) <= 1e-11 * nuc
+
+
+@pytest.mark.parametrize("d, extra", [(4, 0), (4, 1), (8, 0), (16, 1)])
+def test_rank_nuclear_norm_of_a_rank_deficient_gram_is_finite_and_nonnegative(d, extra):
+    # a repeated row pair leaves a zero singular pair, whose roundoff may be a negative eigenvalue
+    phi = np.random.default_rng(d + extra).normal(size=(d, d + extra))
+    phi[2:4] = phi[0:2]
+    g = _gram(phi, omega(d))
+    with np.errstate(invalid="raise"):
+        nuc = _rank_nuclear(g, d)
+    assert math.isfinite(nuc) and nuc >= 0.0
+    assert nuc == pytest.approx(float(np.sum(np.linalg.svd(g, compute_uv=False))), rel=1e-6)
 
 
 @settings(max_examples=60, deadline=None)
