@@ -6,8 +6,8 @@ satisfying Q^2 = c Q + (n-1) I with c = (n - 2 d_c) sqrt((n-1)/(d_c (n-d_c))),
 and I + s Q is its Gram, with s = -1 over the quadratic's smaller root.
 
 Square symplectic ETF Grams lift through purely imaginary signatures
-Q = i C; cores lift through Q = beta A + conj(beta) A.T where A is the
-0/1 part of the conference core and beta is unimodular with real part
+Q = i C; cores through the closed form Q = Re(beta) (x x^T - I) + i Im(beta) S
+of the conference matrix [[0, x], [-x^T, S]], beta unimodular with real part
 -1/sqrt(d+2).  Both are built from the exact gate's conference matrix, so Q
 satisfies its quadratic as a theorem.  Realification stacks the real and
 imaginary parts of each row: Im(Psi^* Psi) = realify(Psi)^dagger realify(Psi).
@@ -106,22 +106,22 @@ def lift_square(g, tol: ToleranceProfile = DEFAULT_TOL) -> tuple[np.ndarray, np.
 
 
 def lift_core(g, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """Signature matrix of the (d/2)x(d+1) complex lift of a core ETF Gram.
+    """Signature matrix of the (d/2)x(d+1) complex lift of a core ETF Gram, in closed form.
 
     The Gram's conference matrix (``etf_to_conference``) has border x and
-    core S; S is switched by x into a normalized core K, split as
-    K = A - A.T, and assembled as D (beta A + conj(beta) A.T) D with the
-    switching D = diag(x) undone.  K is the Seidel matrix of a doubly
-    regular tournament, so Q satisfies its quadratic as a theorem.
+    core S.  The switched core K = S o x x^T is the Seidel matrix of a doubly
+    regular tournament, and with K = A - A.T, beta A + conj(beta) A.T equals
+    Re(beta) |K| + i Im(beta) K; undoing the switching gives
+    Q = Re(beta) (x x^T - I) + i Im(beta) S, with +0 on the diagonal.
     """
     d = np.shape(g)[0] - 1
     _, c = etf_to_conference(g, d, tol)
-    x = c[0, 1:]
-    switching = np.outer(x, x)
-    k = c[1:, 1:] * switching
-    a = (k == 1).astype(float)
-    beta = beta_constant(d)
-    return (beta * a + np.conj(beta) * a.T) * switching
+    x, beta = c[0, 1:], beta_constant(d)
+    q = np.empty((d + 1, d + 1), dtype=complex)
+    np.outer(x, beta.real * x, out=q.real)
+    np.fill_diagonal(q.real, 0.0)
+    np.multiply(beta.imag, c[1:, 1:], out=q.imag)
+    return q
 
 
 def synthesis_from_signature(q, d_c: int, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:

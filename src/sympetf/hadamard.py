@@ -18,17 +18,11 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import (
-    InvalidSeidelError,
-    NotEtfError,
-    NotSkewConferenceError,
-    NotSkewHadamardError,
-    RoundingError,
-)
+from .errors import NotEtfError, NotSkewConferenceError, NotSkewHadamardError, RoundingError
 from .frames import _equiangularity, gram
 from .skewlinalg import (DEFAULT_TOL, ToleranceProfile, _check_even_dim, as_matrix, check_skew,
                          frobenius_norm)
-from .tournaments import _as_int_square, _round_seidel, seidel_square
+from .tournaments import _as_int_square, _round_seidel, _unit_gram
 
 __all__ = [
     "is_skew_hadamard",
@@ -60,13 +54,11 @@ def is_skew_conference(c) -> bool:
 
 
 def _is_conference(c: np.ndarray) -> bool:
-    """C is a Seidel matrix with C C^T = -C^2 = (m-1) I; C + I is then skew Hadamard."""
-    try:
-        c2 = seidel_square(c)
-    except InvalidSeidelError:
-        return False
+    """|c_ij| <= 1, C = -C^T and C C^T = (m-1) I, so C + I is skew Hadamard: skewness forces a
+    zero diagonal, and then the diagonal m - 1 of C C^T forces +-1 off it."""
     m = c.shape[0]
-    return np.array_equal(c2, -(m - 1) * np.eye(m, dtype=np.int64))
+    return bool(c.min() >= -1 and c.max() <= 1 and np.array_equal(c, -c.T)
+                and np.array_equal(_unit_gram(c), (m - 1) * np.eye(m, dtype=np.int64)))
 
 
 def _is_skew_hadamard(h: np.ndarray) -> bool:
@@ -226,7 +218,7 @@ def etf_core_to_hadamard(g, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
 def double_hadamard(h) -> np.ndarray:
     """Order-2m skew Hadamard matrix [[H, H], [H - 2I, -H + 2I]]."""
     doubled = _double(_check_skew_hadamard(h))
-    if not is_skew_hadamard(doubled):
+    if not _is_skew_hadamard(doubled):
         raise NotSkewHadamardError("doubling failed the exact verification")
     return doubled
 
@@ -304,11 +296,10 @@ def seed_hadamard(order: int) -> np.ndarray:
 
     Other orders are reachable only through search, not through this
     generator.  The bound is checked before anything is allocated.  At
-    order m the peak, measured with ``tracemalloc``, is seven m x m arrays
-    of 8-byte entries, 56 m^2 bytes or 224 MiB at m = 2048: the int64
-    matrix, H - I and its int64 copy in ``check_seidel``, and the two
-    float64 copies and the float64 product of the exact check
-    ``_unit_product``.
+    order m the peak, measured with ``tracemalloc``, is five m x m arrays
+    of 8-byte entries, 40 m^2 bytes or 160 MiB at m = 2048: the int64
+    matrix, H - I, and the float64 copy, float64 product and int64 cast
+    of the exact check ``tournaments._unit_gram``.
     """
     if order < 1 or order & (order - 1) != 0:
         raise ValueError(f"seed orders are powers of two, got {order}")
@@ -317,6 +308,6 @@ def seed_hadamard(order: int) -> np.ndarray:
     h = np.ones((1, 1), dtype=np.int64)
     while h.shape[0] < order:
         h = _double(h)
-    if not is_skew_hadamard(h):
+    if not _is_skew_hadamard(h):
         raise NotSkewHadamardError("doubling failed the exact verification")
     return h

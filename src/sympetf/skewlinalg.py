@@ -138,9 +138,13 @@ def frobenius_norm(a: np.ndarray) -> float:
 
 
 def _antisymmetrize(a: np.ndarray) -> np.ndarray:
-    """(a - a.T) / 2, which kills roundoff asymmetry; halved first, so no difference overflows."""
-    h = a / 2.0
-    return h - h.T
+    """(a - a.T) / 2, which kills roundoff asymmetry, in one n x n array where nothing overflows."""
+    with np.errstate(over="ignore"):
+        h = a - a.T
+    if h.max() == math.inf:  # h is exactly antisymmetric, so an overflow shows as +inf
+        return a / 2.0 - a.T / 2.0
+    h *= 0.5
+    return h
 
 
 def rank_by_sv(a, tol: ToleranceProfile = DEFAULT_TOL) -> int:

@@ -3,11 +3,12 @@
 A Seidel matrix is an integer skew-symmetric matrix with zero diagonal
 and +-1 off the diagonal; entry s_ij = 1 means vertex i dominates j.
 Diamonds are the 4-vertex subtournaments whose Seidel minor has
-determinant 9 (a vertex dominating, or dominated by, a 3-cycle).  Double
-regularity (S^2 = J - nI; Reid and Brown, JCTA 12, 1972), gamma and the
-diamond count are read off the exact square S^2.  All counting is exact
-integer arithmetic; floating point enters only where an equiangular Gram
-matrix is rounded to its Seidel matrix.
+determinant 9 (a vertex dominating, or dominated by, a 3-cycle).  Every
+exact verdict is an identity of the Gram S S^T = -S^2 from the one kernel
+``_unit_gram``: double regularity is S S^T = nI - J (Reid and Brown, JCTA
+12, 1972), and the diamond count sums its squared entries.  All counting is
+exact integer arithmetic; floating point enters only where an equiangular
+Gram matrix is rounded to its Seidel matrix.
 """
 
 from __future__ import annotations
@@ -60,23 +61,23 @@ def check_seidel(s) -> np.ndarray:
     return si
 
 
-def _unit_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact a @ b, as int64, for matrices with entries in {-1, 0, 1}.
+def _unit_gram(a: np.ndarray) -> np.ndarray:
+    """Exact a @ a.T, as int64, for a matrix with entries in {-1, 0, 1}.
 
     Every product of two entries is -1, 0 or 1, so every partial sum of an
     inner product is an integer of magnitude at most the inner dimension,
     far below 2**53.  Such integers are exact float64 values, so a float64
     BLAS product is exact in any summation order, and so is its cast back
-    to int64.  Callers pass a Seidel matrix that ``check_seidel`` has
-    bounded, or a 0/1 mask of one.
+    to int64.  One float64 copy feeds both sides, and numpy hands f @ f.T
+    to the symmetric product.  Callers pass a matrix they have bounded.
     """
-    return (a.astype(float) @ b.astype(float)).astype(np.int64)
+    f = a.astype(float)
+    return (f @ f.T).astype(np.int64)
 
 
 def seidel_square(s) -> np.ndarray:
-    """S @ S of a Seidel matrix, exactly; it equals -S @ S.T since S is skew."""
-    s = check_seidel(s)
-    return _unit_product(s, s)
+    """S @ S of a Seidel matrix, exactly, read as -S @ S.T since S is skew."""
+    return -_unit_gram(check_seidel(s))
 
 
 def random_tournament(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -122,7 +123,7 @@ def degree_stats(s) -> DegreeStats:
     return DegreeStats(
         out_degrees=dominates.sum(axis=1),
         in_degrees=dominates.sum(axis=0),
-        common_out=_unit_product(dominates, dominates.T),
+        common_out=_unit_gram(dominates),
     )
 
 
@@ -161,18 +162,18 @@ def count_diamonds_formula(s) -> int:
     """Diamond count from the square of the Seidel matrix.
 
     delta = n^2 (n-1)(n-2)/96 - (1/16) sum_{i<j} ((S^2)_ij)^2, evaluated in
-    exact integer arithmetic; for a Seidel matrix the division by 96 is exact.
+    exact integer arithmetic on S S^T = -S^2; for a Seidel matrix the division by 96 is exact.
     """
-    s2 = seidel_square(s)
-    n = s2.shape[0]
-    return (n * n * (n - 1) * (n - 2) - 6 * _offdiag_square_sum(s2)) // 96
+    gram = _unit_gram(check_seidel(s))
+    n = gram.shape[0]
+    return (n * n * (n - 1) * (n - 2) - 6 * _offdiag_square_sum(gram)) // 96
 
 
 def _offdiag_square_sum(s2: np.ndarray) -> int:
     """sum_{i<j} ((S^2)_ij)^2 = (<S^2, S^2> - <diag S^2, diag S^2>) / 2, since S^2 is symmetric.
 
-    Exact for int64 and float64 S^2: each partial sum of either ``np.vdot``
-    is an integer of magnitude at most n^2 (n-1)^2 < 2**53 (n <= 9000).
+    The same for S S^T = -S^2.  Exact for int64 and float64 input: each partial
+    sum of either ``np.vdot`` is an integer of magnitude at most n^2 (n-1)^2 < 2**53 (n <= 9000).
     """
     return int(np.vdot(s2, s2) - np.vdot(s2.diagonal(), s2.diagonal())) // 2
 
@@ -191,12 +192,12 @@ def diamond_upper_bound(n: int) -> Fraction:
 
 
 def is_doubly_regular(s) -> bool:
-    """All out-degrees (n-1)/2 and all common out-degrees (n-3)/4, exactly when S^2 = J - nI."""
+    """All out-degrees (n-1)/2 and all common out-degrees (n-3)/4, exactly when S S^T = nI - J."""
     s = check_seidel(s)
     n = s.shape[0]
     if n % 4 != 3:
         return False
-    return np.array_equal(_unit_product(s, s), 1 - n * np.eye(n, dtype=np.int64))
+    return np.array_equal(_unit_gram(s), n * np.eye(n, dtype=np.int64) - 1)
 
 
 def switch(s, eps) -> np.ndarray:

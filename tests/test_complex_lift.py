@@ -1,8 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from tournament_oracles import lift_core_by_switching
+from sympetf import write_matrix
 from sympetf.complex_lift import (
     _lift_scale,
     beta_constant,
@@ -15,7 +18,8 @@ from sympetf.complex_lift import (
 )
 from sympetf.errors import NotEtfError, NotPsdError, RankMismatchError
 from sympetf.frames import gram, omega
-from sympetf.hadamard import hadamard_to_etf_core, hadamard_to_etf_square, seed_hadamard
+from sympetf.hadamard import (etf_to_conference, hadamard_to_etf_core, hadamard_to_etf_square,
+                              seed_hadamard)
 from sympetf.tournaments import switch
 
 
@@ -138,6 +142,38 @@ def test_lift_core_family():
         k = np.rint(q.imag / gamma_im).astype(np.int64)
         np.testing.assert_array_equal(k, np.rint(g).astype(np.int64))
         np.testing.assert_array_equal(k @ k @ k, -(d + 1) * k)
+
+
+def signed_permutation(s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """D P S P^T D: relabel and switch, which moves the gate's border off (1, ..., 1)."""
+    p = rng.permutation(s.shape[0])
+    d = rng.choice(np.array([-1.0, 1.0]), size=s.shape[0])
+    return d[:, None] * s[np.ix_(p, p)] * d[None, :]
+
+
+@pytest.mark.parametrize("m", [4, 8, 16, 32, 64, 128, 256, 512])
+def test_lift_core_is_bit_identical_to_the_switched_assembly(m):
+    # signed zeros included: the closed form writes +0 on the diagonal, as the assembly does
+    k = hadamard_to_etf_core(seed_hadamard(m))
+    rng = np.random.default_rng(m)
+    for g in (k, signed_permutation(k, rng), signed_permutation(k, rng)):
+        want = lift_core_by_switching(etf_to_conference(g, m - 2)[1], beta_constant(m - 2))
+        assert np.array_equal(lift_core(g).view(np.int64), want.view(np.int64))
+
+
+# sha256 of write_matrix(lift_core(hadamard_to_etf_core(seed_hadamard(m))), "complex"),
+# recorded when lift_core still assembled (beta A + conj(beta) A^T) o x x^T
+SIGNATURE_DIGESTS = {
+    64: "80d5b9c9f5182ebea86521fdec603a324e2ed928352a7e887e7e54850f75c726",
+    512: "2b6f22c6dffd82e376bea61e8f1bae5a1f1b285f037959bbc49a40a38fef4dd0",
+}
+
+
+@pytest.mark.parametrize("m", sorted(SIGNATURE_DIGESTS))
+def test_core_signature_file_bytes_are_pinned(tmp_path, m):
+    path = tmp_path / "sig.symf"
+    write_matrix(path, lift_core(hadamard_to_etf_core(seed_hadamard(m))), "complex")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SIGNATURE_DIGESTS[m]
 
 
 def test_lift_core_d2_entries(core3):

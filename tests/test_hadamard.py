@@ -1,12 +1,15 @@
 import hashlib
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from etf_oracle import svd_certify_etf
-from tournament_oracles import flat_kernel
+from tournament_oracles import flat_kernel, is_conference_by_seidel
 from sympetf import certify_etf
 from sympetf.complex_lift import lift_core
 from sympetf.errors import (
@@ -68,6 +71,100 @@ def test_is_skew_conference(conf4, core3):
     assert is_skew_conference(conf4)
     assert is_skew_conference(np.array([[0, 1], [-1, 0]]))
     assert not is_skew_conference(core3)
+
+
+INT64_MIN = np.iinfo(np.int64).min
+
+
+def assert_conference_verdicts_agree(c) -> bool:
+    """is_skew_conference(c) and is_skew_hadamard(c + I) both give the Seidel definition's verdict."""
+    c = np.asarray(c, dtype=np.int64)
+    want = is_conference_by_seidel(c)
+    assert is_skew_conference(c) == want
+    assert is_skew_hadamard(c + np.eye(c.shape[0], dtype=np.int64)) == want
+    return want
+
+
+def exhaustive_cases():
+    """Every 2x2 and 3x3 matrix over {-1, 0, 1}, and every 4x4 one with a skew
+    off-diagonal part over {-1, 0, 1} and at most one nonzero diagonal entry."""
+    for m in (2, 3):
+        yield from np.array(list(itertools.product((-1, 0, 1), repeat=m * m))).reshape(-1, m, m)
+    upper = np.triu_indices(4, k=1)
+    for vals in itertools.product((-1, 0, 1), repeat=6):
+        c = np.zeros((4, 4), dtype=np.int64)
+        c[upper] = vals
+        c -= c.T
+        for i, v in [(0, 0), *itertools.product(range(4), (-1, 1))]:
+            d = c.copy()
+            d[i, i] = v
+            yield d
+
+
+def test_conference_check_matches_the_seidel_definition_exhaustively():
+    hits = sum(assert_conference_verdicts_agree(c) for c in exhaustive_cases())
+    # the two of order 2, and of order 4 the 2^3 switchings of the two normalized ones
+    assert hits == 2 + 16
+
+
+@st.composite
+def bounded_int_matrices(draw):
+    """Square int64 matrices of order <= 8: arbitrary, skew, or a signed-permuted
+    seed conference matrix with up to two entries redrawn; entries lie in
+    [-2, 2] or are the int64 minimum, where -c.T wraps."""
+    entries = st.one_of(st.integers(-2, 2), st.just(INT64_MIN))
+    kind = draw(st.sampled_from(["any", "skew", "conference"]))
+    if kind == "conference":
+        m = draw(st.sampled_from([1, 2, 4, 8]))
+        c = seed_hadamard(m) - np.eye(m, dtype=np.int64)
+        perm = np.array(draw(st.permutations(range(m))))
+        signs = np.array(draw(st.lists(st.sampled_from([-1, 1]), min_size=m, max_size=m)))
+        c = signs[:, None] * c[np.ix_(perm, perm)] * signs[None, :]
+        for _ in range(draw(st.integers(0, 2))):
+            c[draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))] = draw(entries)
+        return c
+    m = draw(st.integers(1, 8))
+    c = draw(arrays(np.int64, (m, m), elements=entries))
+    if kind == "skew":
+        c = np.triu(c, 1)
+        c -= c.T
+    return c
+
+
+@settings(max_examples=400, deadline=None)
+@given(bounded_int_matrices())
+def test_conference_check_matches_the_seidel_definition_on_bounded_matrices(c):
+    assert_conference_verdicts_agree(c)
+
+
+def near_misses():
+    conf4 = seed_hadamard(4) - np.eye(4, dtype=np.int64)
+    cases = {}
+    for name, (i, j, vij, vji) in {
+        "zero-off-diagonal": (1, 2, 0, 0),
+        "two": (1, 2, 2, -2),
+        "minus-two": (1, 2, -2, 2),
+        "symmetric-pair": (1, 2, 1, 1),
+        "int64-min-off-diagonal": (1, 2, INT64_MIN, INT64_MIN),
+        "int64-min-on-diagonal": (1, 1, INT64_MIN, INT64_MIN),
+    }.items():
+        c = conf4.copy()
+        c[i, j], c[j, i] = vij, vji
+        cases[name] = c
+    # X (x) Y for X skew conference of order 4 and Y symmetric with Y Y^T = 5I:
+    # skew with C C^T = 15 I, so only the bound |c_ij| <= 1 refuses it
+    y = np.kron(np.eye(2, dtype=np.int64), np.array([[2, 1], [1, -2]]))
+    cases["weighted-kronecker"] = np.kron(conf4, y)
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(near_misses()))
+def test_conference_check_refuses_the_near_misses_of_the_seidel_definition(name):
+    c = near_misses()[name]
+    assert not assert_conference_verdicts_agree(c)
+    if name == "weighted-kronecker":
+        m = c.shape[0]
+        assert np.array_equal(c, -c.T) and np.array_equal(c @ c.T, (m - 1) * np.eye(m))
 
 
 def test_normalize_conference(conf4):

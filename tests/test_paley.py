@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from etf_oracle import svd_certify_etf
-from tournament_oracles import flat_kernel, gamma_by_masks, is_doubly_regular_by_degrees
+from tournament_oracles import (flat_kernel, gamma_by_masks, is_doubly_regular_by_degrees,
+                                lift_core_by_switching)
 from sympetf import certify_etf
 from sympetf.complex_lift import beta_constant, lift_core, lift_square, signature_check
 from sympetf.errors import RoundingError
@@ -146,6 +147,16 @@ def test_lift_core_matches_the_flat_kernel_reference_on_paley_cores(p):
     beta = beta_constant(p - 1)
     reference = (beta * a + np.conj(beta) * a.T) * np.outer(x, x)
     np.testing.assert_array_equal(lift_core(k.astype(float)), reference)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_lift_core_is_bit_identical_to_the_switched_assembly_on_paley_cores(p):
+    rng = np.random.default_rng(p)
+    for k in (qr_tournament(p), signed_permutation(qr_tournament(p), rng),
+              signed_permutation(qr_tournament(p), rng)):
+        g = k.astype(float)
+        want = lift_core_by_switching(etf_to_conference(g, p - 1)[1], beta_constant(p - 1))
+        assert np.array_equal(lift_core(g).view(np.int64), want.view(np.int64))
 
 
 # The square ETFs of the Paley orders p + 1 = 8, 12, 20, ..., 84 and 1020.

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from sympetf.hadamard import hadamard_to_etf_core, hadamard_to_etf_square
 from sympetf.skewlinalg import (
     DEFAULT_TOL,
     ToleranceProfile,
+    _antisymmetrize,
     check_skew,
     frobenius_norm,
     rank_by_sv,
@@ -176,3 +178,35 @@ def test_rank_invariant_under_orthogonal_conjugation():
         a = random_skew(rng, n)
         q, _ = np.linalg.qr(rng.normal(size=(n, n)))
         assert rank_by_sv(q @ a @ q.T) == rank_by_sv(a)
+
+
+def test_antisymmetrize_holds_one_array_at_its_peak():
+    a = np.random.default_rng(23).standard_normal((511, 511))
+    tracemalloc.start()
+    try:
+        h = _antisymmetrize(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the result itself and a few scalars; halving a first would hold a second n x n array
+    assert peak < 1.25 * a.nbytes
+    assert np.array_equal(h.view(np.int64), ((a - a.T) * 0.5).view(np.int64))
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 37.0, 1e300])
+def test_antisymmetrize_is_the_halved_difference_bit_for_bit(scale):
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 7, 64):
+        a = scale * rng.standard_normal((n, n))
+        assert np.array_equal(_antisymmetrize(a).view(np.int64), ((a - a.T) * 0.5).view(np.int64))
+
+
+def test_antisymmetrize_stays_finite_at_1e308():
+    rng = np.random.default_rng(9)
+    signs = rng.choice([-1.0, 1.0], size=(6, 6))
+    for a in (np.array([[0.0, 1e308], [-1e308, 0.0]]), 1e308 * signs, 1.7e308 * signs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = _antisymmetrize(a)
+        assert np.all(np.isfinite(h))
+        np.testing.assert_array_equal(h, a / 2.0 - a.T / 2.0)

@@ -14,13 +14,21 @@ regularity from out-degree and common out-degree counts and count a
 pair's disagreements through boolean masks, the definitions that
 ``tournaments.is_doubly_regular`` and ``tournaments.gamma`` now read off
 S^2 instead.
+``is_conference_by_seidel`` is the conference check's old definition, a
+Seidel matrix by ``check_seidel`` whose square is -(m-1) I, which
+``hadamard`` now decides as the one Gram identity C C^T = (m-1) I on a
+bounded skew matrix.  ``lift_core_by_switching`` assembles the core lift
+as (beta A + conj(beta) A^T) o x x^T from the 0/1 part A of the switched
+core, the form ``complex_lift.lift_core`` now writes in closed form.
 """
 
 from typing import Optional
 
 import numpy as np
 
+from sympetf.errors import InvalidSeidelError
 from sympetf.skewlinalg import DEFAULT_TOL, ToleranceProfile
+from sympetf.tournaments import check_seidel
 
 
 def flat_kernel(s, tol: ToleranceProfile = DEFAULT_TOL) -> Optional[np.ndarray]:
@@ -97,3 +105,24 @@ def gamma_by_masks(s: np.ndarray, i: int, j: int) -> int:
     out_i, in_i = s[i] == 1, s[i] == -1
     out_j, in_j = s[j] == 1, s[j] == -1
     return int(np.count_nonzero(out_i & in_j) + np.count_nonzero(in_i & out_j))
+
+
+def is_conference_by_seidel(c) -> bool:
+    """``check_seidel`` passes and S @ S == -(m-1) I, in numpy's int64 product."""
+    try:
+        s = check_seidel(c)
+    except InvalidSeidelError:
+        return False
+    m = s.shape[0]
+    return np.array_equal(s @ s, -(m - 1) * np.eye(m, dtype=np.int64))
+
+
+def lift_core_by_switching(c: np.ndarray, beta: complex) -> np.ndarray:
+    """(beta A + conj(beta) A^T) o x x^T for a conference matrix c = [[0, x], [-x^T, S]].
+
+    A is the 0/1 part of the switched core K = S o x x^T.
+    """
+    x = c[0, 1:]
+    switching = np.outer(x, x)
+    a = (c[1:, 1:] * switching == 1).astype(float)
+    return (beta * a + np.conj(beta) * a.T) * switching
