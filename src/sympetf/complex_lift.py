@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NotPsdError, RankMismatchError
 from .hadamard import etf_to_conference
-from .skewlinalg import DEFAULT_TOL, ToleranceProfile, _check_even_dim, as_matrix
+from .skewlinalg import DEFAULT_TOL, RANK_REL_TOL, ToleranceProfile, _check_even_dim, as_matrix
 
 __all__ = [
     "beta_constant",
@@ -124,22 +124,22 @@ def lift_core(g, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     return q
 
 
-def synthesis_from_signature(q, d_c: int, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
+def synthesis_from_signature(q, d_c: int) -> np.ndarray:
     """Factor gram_c = I + scale*Q into a d_c-by-n complex synthesis matrix.
 
     The scale (``_lift_scale``) puts the smallest eigenvalue of gram_c at
     zero with d_c positive ones left when Q is a signature for d_c;
     eigenvalues below the rank threshold are clipped to zero.
     """
-    q = _check_signature_structure(q, tol)
+    q = _check_signature_structure(q, DEFAULT_TOL)
     n = q.shape[0]
     gram_c = np.eye(n) + _lift_scale(n, d_c) * q
     evals, evecs = np.linalg.eigh(gram_c)
     # diag(q) is within entry_tol < 1 of zero and the scale is at most 1: trace > 0
     lam_max = float(evals[-1])
-    if evals[0] < -tol.residual_rel_tol * lam_max * n:
+    if evals[0] < -DEFAULT_TOL.residual_rel_tol * lam_max * n:
         raise NotPsdError(f"lifted Gram has negative eigenvalue {evals[0]:.3e}")
-    keep = evals > tol.rank_rel_tol * lam_max
+    keep = evals > RANK_REL_TOL * lam_max
     if int(np.count_nonzero(keep)) != d_c:
         raise RankMismatchError(f"lifted Gram has rank {int(np.count_nonzero(keep))}, expected {d_c}")
     return np.sqrt(evals[keep])[:, None] * evecs[:, keep].conj().T

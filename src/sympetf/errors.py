@@ -27,8 +27,8 @@ validator ``tournaments._as_int_square``) or a domain error (``check_skew``:
 raises or catches it).
 Exact checks that decide an answer derived in floating point are not
 validation; they always run.  ``hadamard.etf_to_conference`` is the one
-exact ETF gate: it raises ``NotEtfError`` for a wrong size or a Gram that
-is not equiangular, and ``RoundingError`` when g/mu misses a Seidel matrix
+exact ETF gate: it raises ``NotEtfError`` for an odd dimension, a wrong size
+or a Gram that is not equiangular, and ``RoundingError`` when g/mu misses a Seidel matrix
 S or S fails its conference check; ``certify_etf`` returns None for both.
 Its callers in ``hadamard`` and ``complex_lift`` raise the same, and
 ``tournaments.seidel_from_gram`` raises ``RoundingError`` too.

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import FactorizationError, NotAFrameError
 from .skewlinalg import (
     DEFAULT_TOL,
+    RANK_REL_TOL,
     ToleranceProfile,
     as_matrix,
     _antisymmetrize,
@@ -65,9 +66,9 @@ def _check_synthesis(phi) -> np.ndarray:
     return phi
 
 
-def _check_frame(phi, tol: ToleranceProfile) -> np.ndarray:
+def _check_frame(phi) -> np.ndarray:
     phi = _check_synthesis(phi)
-    if rank_by_sv(phi, tol) != phi.shape[0]:
+    if rank_by_sv(phi) != phi.shape[0]:
         raise NotAFrameError("columns do not span the symplectic space")
     return phi
 
@@ -99,33 +100,33 @@ def frame_operator(phi) -> np.ndarray:
     return phi @ _analysis(phi)
 
 
-def is_frame(phi, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
+def is_frame(phi) -> bool:
     """A synthesis matrix is a frame iff its columns span the whole space."""
     phi = _check_synthesis(phi)
-    return rank_by_sv(phi, tol) == phi.shape[0]
+    return rank_by_sv(phi) == phi.shape[0]
 
 
-def frame_bounds(phi, tol: ToleranceProfile = DEFAULT_TOL) -> FrameBounds:
+def frame_bounds(phi) -> FrameBounds:
     """Extremal frame bounds: min and max eigenvalue modulus of the frame operator.
 
     These equal the extreme nonzero singular values of the Gram matrix, which
     is how they are computed here.
     """
-    phi = _check_frame(phi, tol)
+    phi = _check_frame(phi)
     s = np.linalg.svd(_gram(phi, omega(phi.shape[0])), compute_uv=False)
     return FrameBounds(lower=float(s[phi.shape[0] - 1]), upper=float(s[0]))
 
 
-def dual_frame(phi, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
+def dual_frame(phi) -> np.ndarray:
     """Canonical dual frame F^{-1} @ phi with F the frame operator.
 
     Satisfies x = sum_i [phi_i, x] phi'_i = -sum_i [phi'_i, x] phi_i.
     """
-    phi = _check_frame(phi, tol)
+    phi = _check_frame(phi)
     return np.linalg.solve(phi @ _analysis(phi), phi)
 
 
-def factor_gram(g, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
+def factor_gram(g) -> np.ndarray:
     """Recover a synthesis matrix from a skew-symmetric Gram matrix.
 
     Returns phi = D @ U where U has orthonormal rows and D repeats the
@@ -133,12 +134,12 @@ def factor_gram(g, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     the input.  The result is canonical only up to symplectic equivalence;
     compare Grams, never synthesis matrices.
     """
-    return _factor(_antisymmetrize(check_skew(g, tol)), tol)
+    return _factor(_antisymmetrize(check_skew(g)))
 
 
-def _factor(g: np.ndarray, tol: ToleranceProfile) -> np.ndarray:
+def _factor(g: np.ndarray) -> np.ndarray:
     """``factor_gram`` of an exactly antisymmetric Gram, unchecked."""
-    phi = _canonical_factor(g, tol)
+    phi = _canonical_factor(g)
     if phi.shape[0] == 0:
         raise FactorizationError("zero matrix has no frame factorization")
     return phi
@@ -171,7 +172,7 @@ def is_tight(g, d: int, tol: ToleranceProfile = DEFAULT_TOL) -> Optional[float]:
     g = check_skew(g, tol)
     s = np.linalg.svd(g, compute_uv=False)
     c = float(s[0])
-    if c <= 0.0 or np.count_nonzero(s > tol.rank_rel_tol * c) != d:
+    if c <= 0.0 or np.count_nonzero(s > RANK_REL_TOL * c) != d:
         return None
     h = g / c  # the identity on g / c cannot overflow: h^3 = -h
     residual = np.linalg.norm(h @ h @ h + h) / np.linalg.norm(h)
@@ -196,12 +197,12 @@ def admissible_sizes(d: int) -> set[int]:
     return {d} if d % 4 == 0 else {d + 1}
 
 
-def symplectic_witness(phi, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
+def symplectic_witness(phi) -> np.ndarray:
     """Symplectic M with M @ psi = phi, where psi = factor_gram(gram(phi)).
 
     Since phi and psi share a Gram matrix, the unique solution of
     M @ psi = phi preserves the symplectic form.
     """
-    phi = _check_frame(phi, tol)
-    psi = _factor(_gram(phi, omega(phi.shape[0])), tol)
+    phi = _check_frame(phi)
+    psi = _factor(_gram(phi, omega(phi.shape[0])))
     return phi @ psi.T @ np.linalg.inv(psi @ psi.T)

@@ -136,7 +136,7 @@ def etf_to_conference(
 ) -> tuple[EtfCertificate, np.ndarray]:
     """The exact ETF gate: certificate and skew conference matrix of a Gram g.
 
-    g must be skew, of size n = d or d+1 and equiangular within entry_tol,
+    d must be even, and g skew, of size n = d or d+1 and equiangular within entry_tol,
     and g/mu must round entrywise within entry_tol to a Seidel matrix S with
     ||g - mu S||_F <= residual_rel_tol ||g||_F.  A square ETF gives S itself.
     A core has S^2 = x x^T - nI for a +-1 border x: x is row 0 of S^2 with n
@@ -145,6 +145,8 @@ def etf_to_conference(
     """
     g = check_skew(g, tol)
     n = g.shape[0]
+    if d % 2 != 0:
+        raise NotEtfError(f"an ETF Gram has an even symplectic dimension, got d={d}")
     if n not in (d, d + 1):
         raise NotEtfError(f"size mismatch: a d={d} ETF Gram has n = d or d+1, got n={n}")
     equi = _equiangularity(g)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .frames import _equiangularity, _gram, gram, omega
 from .potentials import _gradient, _rank_nuclear, _value_and_weight, potential_bound
-from .skewlinalg import DEFAULT_TOL, ToleranceProfile, _canonical_factor, _check_even_dim
+from .skewlinalg import RANK_REL_TOL, _canonical_factor, _check_even_dim
 from .tournaments import (_offdiag_square_sum, count_diamonds_formula, diamond_upper_bound,
                           random_tournament)
 from .hadamard import certify_etf, is_skew_conference
@@ -122,7 +122,7 @@ def _canonicalize(phi: np.ndarray, g: np.ndarray, nuc: float) -> np.ndarray:
     """
     if float(np.vdot(phi, phi)) <= (1.0 + _LEAST_NORM_BAND) * nuc:
         return phi
-    factor = _canonical_factor(g, DEFAULT_TOL)  # g = c * _gram(...) is exactly antisymmetric
+    factor = _canonical_factor(g)  # g = c * _gram(...) is exactly antisymmetric
     return factor if factor.shape[0] == phi.shape[0] else phi
 
 
@@ -278,7 +278,7 @@ def discrete_diamond_search(n: int, cfg: SearchConfig) -> SearchOutcome:
     return _outcome(restarts, total_flips)
 
 
-def gerzon_oracle(n: int, tol: ToleranceProfile = DEFAULT_TOL) -> int:
+def gerzon_oracle(n: int) -> int:
     """Minimum rank over all 2^(n(n-1)/2) Seidel sign patterns, n <= 6.
 
     Even orders always have odd determinant and hence full rank; odd orders
@@ -298,5 +298,5 @@ def gerzon_oracle(n: int, tol: ToleranceProfile = DEFAULT_TOL) -> int:
         mats[:, i, j] = signs
         mats[:, j, i] = -signs
     sv = np.linalg.svd(mats, compute_uv=False)
-    ranks = np.sum(sv > tol.rank_rel_tol * sv[:, :1], axis=1)
+    ranks = np.sum(sv > RANK_REL_TOL * sv[:, :1], axis=1)
     return int(ranks.min())

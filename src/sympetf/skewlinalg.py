@@ -1,5 +1,6 @@
-"""Dense numerical kernel: tolerances, singular-value rank, and the
-canonical spectral form of real skew-symmetric matrices.
+"""Dense numerical kernel: the tolerances a caller may set, the one rank
+threshold ``RANK_REL_TOL``, singular-value rank, and the canonical
+spectral form of real skew-symmetric matrices.
 
 The canonical form of a skew-symmetric ``a`` is an orthogonal ``w`` and
 positive block values ``lambdas`` (descending) with
@@ -22,6 +23,7 @@ from .errors import NotSkewSymmetricError
 __all__ = [
     "ToleranceProfile",
     "DEFAULT_TOL",
+    "RANK_REL_TOL",
     "SkewSpectralForm",
     "as_matrix",
     "frobenius_norm",
@@ -32,25 +34,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ToleranceProfile:
-    """Relative tolerances used by every verification routine.
+    """Relative tolerances of the routines that take a ``tol``.
 
-    rank_rel_tol: singular values below ``rank_rel_tol * sigma_max`` count as zero.
     residual_rel_tol: cap on relative residuals of algebraic identities.
     entry_tol: cap on entrywise deviations (skewness, integrality, equiangularity).
     """
 
-    rank_rel_tol: float = 1e-10
     residual_rel_tol: float = 1e-9
     entry_tol: float = 1e-9
 
     def __post_init__(self):
-        for name in ("rank_rel_tol", "residual_rel_tol", "entry_tol"):
+        for name in ("residual_rel_tol", "entry_tol"):
             v = getattr(self, name)
             if not (0.0 < v < 1.0):
                 raise ValueError(f"{name} must lie strictly between 0 and 1, got {v}")
 
 
 DEFAULT_TOL = ToleranceProfile()
+RANK_REL_TOL = 1e-10  # singular values at or below RANK_REL_TOL * sigma_max count as zero
 
 
 @dataclass(frozen=True)
@@ -78,14 +79,6 @@ class SkewSpectralForm:
             b[i + 1, i] = -lam
         return self.w.T @ b @ self.w
 
-    def factor(self) -> np.ndarray:
-        """The canonical rank-by-n factor D @ U whose symplectic Gram is the input.
-
-        U is the last ``rank`` rows of ``w`` and D repeats the square root
-        of each block value on both rows of its block.
-        """
-        return _scale_rows(self.lambdas, self.w[self.w.shape[0] - self.rank :, :])
-
 
 def _check_even_dim(d: int) -> None:
     """The one rule for a symplectic dimension: even and at least 2, else ValueError."""
@@ -94,8 +87,11 @@ def _check_even_dim(d: int) -> None:
 
 
 def as_matrix(a, dtype=float) -> np.ndarray:
-    """Coerce to a 2-d array of the given dtype and reject non-finite entries."""
-    m = np.asarray(a, dtype=dtype)
+    """Coerce to a 2-d array of the given dtype; reject non-finite entries, and complex ones for float."""
+    m = np.asarray(a)
+    if dtype is float and m.dtype.kind == "c":
+        raise ValueError("expected a real matrix, got complex entries")
+    m = m.astype(dtype, copy=False)
     if m.ndim != 2 or m.size == 0:
         raise ValueError(f"expected a nonempty 2-d matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -147,14 +143,14 @@ def _antisymmetrize(a: np.ndarray) -> np.ndarray:
     return h
 
 
-def rank_by_sv(a, tol: ToleranceProfile = DEFAULT_TOL) -> int:
-    """Numerical rank: number of singular values above rank_rel_tol * sigma_max."""
+def rank_by_sv(a) -> int:
+    """Numerical rank: number of singular values above RANK_REL_TOL * sigma_max."""
     a = as_matrix(a)
     s = np.linalg.svd(a, compute_uv=False)
-    return int(np.count_nonzero(s > tol.rank_rel_tol * s[0]))
+    return int(np.count_nonzero(s > RANK_REL_TOL * s[0]))
 
 
-def skew_spectral_form(a, tol: ToleranceProfile = DEFAULT_TOL) -> SkewSpectralForm:
+def skew_spectral_form(a) -> SkewSpectralForm:
     """Canonical spectral form of a real skew-symmetric matrix.
 
     Works through one Hermitian eigendecomposition of ``1j * a``: an
@@ -164,9 +160,9 @@ def skew_spectral_form(a, tol: ToleranceProfile = DEFAULT_TOL) -> SkewSpectralFo
     included, are orthonormal and span one 2x2 block of value l.  The
     kernel rows are a real orthonormal complement of those rows.
     """
-    a = check_skew(a, tol)
+    a = check_skew(a)
     n = a.shape[0]
-    lambdas, rows = _blocks(_antisymmetrize(a), tol)
+    lambdas, rows = _blocks(_antisymmetrize(a))
     rank = rows.shape[0]
     w = np.eye(n)  # the form of the zero matrix
     w[n - rank :] = rows
@@ -175,14 +171,14 @@ def skew_spectral_form(a, tol: ToleranceProfile = DEFAULT_TOL) -> SkewSpectralFo
     return SkewSpectralForm(w=w, lambdas=lambdas, rank=rank)
 
 
-def _blocks(a: np.ndarray, tol: ToleranceProfile) -> tuple[np.ndarray, np.ndarray]:
+def _blocks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(lambdas, block rows) of an exactly antisymmetric ``a``, unchecked.
 
     The block rows are the last ``rank`` rows of w; a caller that needs only the factor runs no QR.
     """
     n = a.shape[0]
     lam, z = np.linalg.eigh(1j * a)  # ascending, in +-l pairs
-    r = int(np.count_nonzero(lam > tol.rank_rel_tol * max(lam[-1], 0.0)))
+    r = int(np.count_nonzero(lam > RANK_REL_TOL * max(lam[-1], 0.0)))
     z = z[:, n - r :][:, ::-1]  # descending block values
     rows = np.empty((2 * r, n))
     rows[0::2] = math.sqrt(2.0) * z.imag.T
@@ -190,10 +186,8 @@ def _blocks(a: np.ndarray, tol: ToleranceProfile) -> tuple[np.ndarray, np.ndarra
     return lam[n - r :][::-1], rows
 
 
-def _scale_rows(lambdas: np.ndarray, u: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.repeat(lambdas, 2))[:, None] * u
-
-
-def _canonical_factor(a: np.ndarray, tol: ToleranceProfile) -> np.ndarray:
-    """``skew_spectral_form(a).factor()`` of an exactly antisymmetric float array, unchecked."""
-    return _scale_rows(*_blocks(a, tol))
+def _canonical_factor(a: np.ndarray) -> np.ndarray:
+    """Canonical factor D @ U, with Gram ``a``, of an exactly antisymmetric float array, unchecked:
+    U is the block rows (the form's last ``rank`` rows of w), D the root of each block value, twice."""
+    lambdas, rows = _blocks(a)
+    return np.sqrt(np.repeat(lambdas, 2))[:, None] * rows

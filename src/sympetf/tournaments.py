@@ -91,12 +91,12 @@ def random_tournament(n: int, rng: np.random.Generator) -> np.ndarray:
     return s
 
 
-def seidel_from_gram(g, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
+def seidel_from_gram(g) -> np.ndarray:
     """Scale an equiangular Gram matrix by 1/mu and round to a Seidel matrix."""
-    mu = is_equiangular(g, tol)
+    mu = is_equiangular(g)
     if mu is None:
         raise NotEquiangularError("Gram matrix is not equiangular")
-    return check_seidel(_round_seidel(np.asarray(g, dtype=float), mu, tol))
+    return check_seidel(_round_seidel(np.asarray(g, dtype=float), mu, DEFAULT_TOL))
 
 
 def _round_seidel(g: np.ndarray, mu: float, tol: ToleranceProfile) -> np.ndarray:

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from sympetf import EtfCertificate
-from sympetf.skewlinalg import DEFAULT_TOL, ToleranceProfile, check_skew
+from sympetf.skewlinalg import DEFAULT_TOL, RANK_REL_TOL, ToleranceProfile, check_skew
 
 
 def svd_certify_etf(g, d: int, tol: ToleranceProfile = DEFAULT_TOL) -> Optional[EtfCertificate]:
@@ -25,7 +25,7 @@ def svd_certify_etf(g, d: int, tol: ToleranceProfile = DEFAULT_TOL) -> Optional[
         return None
     s = np.linalg.svd(g, compute_uv=False)
     c = float(s[0])
-    if c <= 0.0 or np.count_nonzero(s > tol.rank_rel_tol * c) != d:
+    if c <= 0.0 or np.count_nonzero(s > RANK_REL_TOL * c) != d:
         return None
     t_res = float(np.linalg.norm(g @ g @ g + c * c * g) / (c * c * np.linalg.norm(g)))
     if t_res > tol.residual_rel_tol:

@@ -290,6 +290,18 @@ def test_etf_to_conference_names_a_size_mismatch(m, d):
         etf_to_conference(hadamard_to_etf_square(seed_hadamard(m)), d)
 
 
+@pytest.mark.parametrize("shape", ["square", "core"])
+def test_etf_to_conference_names_an_odd_dimension(conf4, core3, shape):
+    # at d = 3 the 3x3 core is a square Gram and conf4 a core Gram: both are equiangular and
+    # round to Seidel matrices, so only the dimension clause can refuse them, before any rounding
+    g = (core3 if shape == "square" else conf4).astype(float)
+    with pytest.raises(NotEtfError, match=r"even symplectic dimension, got d=3$"):
+        etf_to_conference(g, 3)
+    assert certify_etf(g, 3) is None
+    with pytest.raises(NotEtfError, match="d=3"):
+        (etf_to_hadamard_square if shape == "square" else etf_core_to_hadamard)(g)
+
+
 @pytest.mark.parametrize("m", [8, 16, 32, 64])
 def test_certified_near_misses_fail_the_exact_check(m):
     # one reversed edge keeps the Gram equiangular; a loose residual bound

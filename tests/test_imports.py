@@ -6,9 +6,13 @@ an import cycle behind ``__init__``'s fixed order.  So each module is
 loaded in a fresh interpreter under a bare package whose ``__init__`` has
 not run, and the package itself is imported the usual way.  A private
 function that only tests call is a test oracle and belongs under tests/.
+A public function takes a ``tol`` only where some caller sets one.
 """
 
 import ast
+import dataclasses
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -70,3 +74,26 @@ def test_every_private_function_is_used_by_the_package():
         and not any(stmt.name in _names(other) for _, other in statements if other is not stmt)
     ]
     assert unused == []
+
+
+SETS_TOL = {  # each is passed a tol by the CLI's --tol or by a tolerance study in tests/
+    "check_skew", "is_tight", "is_equiangular", "etf_to_conference", "certify_etf",
+    "etf_to_hadamard_square", "etf_core_to_hadamard", "double_frame", "lift_square",
+    "lift_core", "signature_check",
+}
+
+
+def test_tol_is_a_parameter_only_where_a_caller_sets_it():
+    from sympetf.skewlinalg import ToleranceProfile
+
+    takes_tol = set()
+    for name in MODULES:
+        if name == "__init__":
+            continue
+        module = importlib.import_module("sympetf." + name)
+        takes_tol |= {attr for attr, obj in vars(module).items()
+                      if not attr.startswith("_") and inspect.isfunction(obj)
+                      and obj.__module__ == module.__name__ and "tol" in inspect.signature(obj).parameters}
+    assert takes_tol == SETS_TOL
+    # the rank threshold is the constant skewlinalg.RANK_REL_TOL, not a setting
+    assert [f.name for f in dataclasses.fields(ToleranceProfile)] == ["residual_rel_tol", "entry_tol"]

@@ -7,11 +7,12 @@ import pytest
 
 from sympetf.errors import NotSkewSymmetricError
 from sympetf.frames import gram
-from sympetf.hadamard import hadamard_to_etf_core, hadamard_to_etf_square
+from sympetf.hadamard import certify_etf, hadamard_to_etf_core, hadamard_to_etf_square
 from sympetf.skewlinalg import (
-    DEFAULT_TOL,
+    RANK_REL_TOL,
     ToleranceProfile,
     _antisymmetrize,
+    as_matrix,
     check_skew,
     frobenius_norm,
     rank_by_sv,
@@ -28,7 +29,7 @@ def random_skew(rng, n):
 
 def test_tolerance_profile_rejects_bad_values():
     with pytest.raises(ValueError):
-        ToleranceProfile(rank_rel_tol=0.0)
+        ToleranceProfile(residual_rel_tol=0.0)
     with pytest.raises(ValueError):
         ToleranceProfile(entry_tol=1.5)
 
@@ -59,6 +60,23 @@ def test_spectral_form_rejects_bad_input():
         skew_spectral_form(np.ones((2, 3)))
     with pytest.raises(NotSkewSymmetricError):
         skew_spectral_form(np.eye(3))
+
+
+def test_complex_input_is_refused_where_a_real_matrix_is_asked(conf4):
+    # a complex array cast to float keeps its real part with only a ComplexWarning:
+    # conf4 + i*J would certify as the real conference Gram conf4
+    for z in (np.array([[1j, 0.0], [0.0, 1.0]]), conf4 + 1j * np.ones((4, 4)), np.eye(2, dtype=complex)):
+        with pytest.raises(ValueError, match="expected a real matrix, got complex entries"):
+            as_matrix(z)
+    with pytest.raises(ValueError, match="complex"):
+        gram([[1j, 0], [0, 1]])
+    with pytest.raises(ValueError, match="complex"):
+        certify_etf(conf4 + 1j * np.ones((4, 4)), 4)
+    with pytest.raises(ValueError, match="complex"):
+        skew_spectral_form(1j * conf4)
+    # a complex dtype still takes both
+    assert as_matrix(conf4, complex).dtype == complex
+    assert as_matrix(1j * conf4, complex)[0, 1] == 1j
 
 
 def test_skew_check_and_norm_neither_overflow_nor_underflow():
@@ -95,7 +113,7 @@ def test_spectral_form_reconstruction_sweep():
         scale = max(1.0, np.linalg.norm(a))
         assert np.linalg.norm(form.reconstruct() - a) <= 1e-9 * scale
         n_eye = np.linalg.norm(form.w @ form.w.T - np.eye(n))
-        assert n_eye <= n * DEFAULT_TOL.rank_rel_tol
+        assert n_eye <= n * RANK_REL_TOL
         # block values sorted descending and strictly positive
         assert np.all(form.lambdas > 0)
         assert np.all(np.diff(form.lambdas) <= 1e-15)
@@ -108,7 +126,7 @@ def test_lambdas_are_paired_singular_values():
         a = random_skew(rng, n)
         form = skew_spectral_form(a)
         s = np.linalg.svd(a, compute_uv=False)
-        s = s[s > DEFAULT_TOL.rank_rel_tol * max(s[0], 1e-300)]
+        s = s[s > RANK_REL_TOL * max(s[0], 1e-300)]
         assert form.rank == s.size
         np.testing.assert_allclose(np.repeat(form.lambdas, 2), s, atol=1e-10)
 
@@ -137,11 +155,11 @@ def test_spectral_form_of_rank_deficient_grams(scale):
         form = skew_spectral_form(g)
         ref = max(1.0, np.linalg.norm(g))
         s = np.linalg.svd(g, compute_uv=False)
-        s = s[s > DEFAULT_TOL.rank_rel_tol * s[0]]
+        s = s[s > RANK_REL_TOL * s[0]]
         assert form.rank == s.size == d
         np.testing.assert_allclose(np.repeat(form.lambdas, 2), s, atol=1e-10 * ref)
         assert np.linalg.norm(form.reconstruct() - g) <= 1e-9 * ref
-        assert np.linalg.norm(form.w @ form.w.T - np.eye(n)) <= n * DEFAULT_TOL.rank_rel_tol
+        assert np.linalg.norm(form.w @ form.w.T - np.eye(n)) <= n * RANK_REL_TOL
         assert np.linalg.norm(form.w[: n - form.rank] @ g) <= 1e-9 * ref
 
 

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from sympetf.errors import InvalidSeidelError
-from sympetf.skewlinalg import DEFAULT_TOL, ToleranceProfile
+from sympetf.skewlinalg import DEFAULT_TOL, RANK_REL_TOL, ToleranceProfile
 from sympetf.tournaments import check_seidel
 
 
@@ -38,7 +38,7 @@ def flat_kernel(s, tol: ToleranceProfile = DEFAULT_TOL) -> Optional[np.ndarray]:
     """
     s = np.asarray(s, dtype=np.int64)
     _, sv, vt = np.linalg.svd(s.astype(float))
-    if s.shape[0] - np.count_nonzero(sv > tol.rank_rel_tol * sv[0]) != 1:
+    if s.shape[0] - np.count_nonzero(sv > RANK_REL_TOL * sv[0]) != 1:
         return None
     v = vt[-1]
     mods = np.abs(v)
