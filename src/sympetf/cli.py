@@ -40,15 +40,15 @@ def _emit(key, value):
     print(f"{key}={value}")
 
 
-def _load(path, want=None):
+def _load(path, want):
     try:
         kind, mat = matio.read_matrix(path)
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    if want is not None and kind not in want:
+    if kind not in want:
         what = " or ".join(want)
         raise UsageError(f"{path}: expected {'an' if what[0] in 'aeiou' else 'a'} {what} matrix, got {kind}")
-    return kind, mat
+    return mat
 
 
 def _tolerances(args):
@@ -59,7 +59,7 @@ def _tolerances(args):
     return replace(DEFAULT_TOL, residual_rel_tol=args.tol)
 
 
-_CONDITIONAL = ("dim", "tol", "p", "step", "target_residual")  # flags some kind leaves unread
+_CONDITIONAL = ("dim", "tol", "p")  # flags some kind leaves unread
 
 
 def _reject_unread(args, reads, what):
@@ -79,8 +79,7 @@ def _require_even_dim(args):
 
 # Each verifier returns (verified, report fields).
 def _verify_frame(args):
-    _, mat = _load(args.file, ("real", "int"))
-    mat = mat.astype(float)
+    mat = _load(args.file, ("real", "int"))
     fields = {"d": mat.shape[0], "n": mat.shape[1]}
     try:  # rejects an odd number of rows with ValueError
         return True, {**fields, **frames.frame_bounds(mat)._asdict()}
@@ -90,27 +89,27 @@ def _verify_frame(args):
 
 def _verify_tight(args):
     d = _require_even_dim(args)
-    _, mat = _load(args.file, ("real", "int"))
-    c = frames.is_tight(mat.astype(float), d, _tolerances(args))
+    mat = _load(args.file, ("real", "int"))
+    c = frames.is_tight(mat, d, _tolerances(args))
     return c is not None, {} if c is None else {"c": c}
 
 
 def _verify_etf(args):
     d = _require_even_dim(args)
-    _, mat = _load(args.file, ("real", "int"))
-    cert = hadamard.certify_etf(mat.astype(float), d, _tolerances(args))  # None is a verdict, not an error
+    mat = _load(args.file, ("real", "int"))
+    cert = hadamard.certify_etf(mat, d, _tolerances(args))  # None is a verdict, not an error
     return cert is not None, {} if cert is None else asdict(cert)
 
 
 def _verify_exact(args, check, report_order=True):
-    _, mat = _load(args.file, ("int",))
+    mat = _load(args.file, ("int",))
     return check(mat), {"order": mat.shape[0]} if report_order else {}
 
 
 def _verify_signature(args):
     if args.dim is None or args.dim < 1:
         raise UsageError("--dim (the complex dimension) is required for signatures")
-    _, mat = _load(args.file, ("complex",))
+    mat = _load(args.file, ("complex",))
     if mat.shape[0] != mat.shape[1]:
         raise UsageError(f"{args.file}: expected a square matrix, got shape {mat.shape}")
     if args.dim >= mat.shape[0]:
@@ -144,13 +143,12 @@ def cmd_verify(args) -> tuple[bool, dict]:
 
 
 def cmd_factor(args) -> tuple[bool, dict]:
-    _, mat = _load(args.file, ("real", "int"))
-    g = mat.astype(float)
+    g = _load(args.file, ("real", "int"))
     phi = frames.factor_gram(g)
     if args.dim is not None and phi.shape[0] != args.dim:
         raise FactorizationError(f"factorization has dimension {phi.shape[0]}, expected {args.dim}")
     residual = frobenius_norm(frames.gram(phi) - g)
-    matio.write_matrix(args.out, phi, "real")
+    matio.write_matrix(args.out, phi)
     return True, {"d": phi.shape[0], "n": phi.shape[1], "residual": residual}
 
 
@@ -171,9 +169,8 @@ _CONVERT_REPORT = {"hadamard": ("order",), "etf-square": ("rows", "cols"),
 # the argparse choices.  Hadamard doubling is exact, and SearchConfig holds the budget defaults.
 _CONVERT_READS = {"etf-square": ("tol",), "etf-core": ("tol",), "hadamard": ()}
 _DOUBLE_READS = {"hadamard": (), "frame": ("tol",)}
-_BUDGET = ("seed", "restarts", "max_iters", "step", "target_residual")
-_SEARCH_READS = {"continuous": ("dim", "p", *_BUDGET, "out"),
-                 "discrete": ("seed", "restarts", "max_iters", "out")}
+_BUDGET = ("seed", "restarts", "max_iters")
+_SEARCH_READS = {"continuous": ("dim", "p", *_BUDGET, "out"), "discrete": (*_BUDGET, "out")}
 
 
 def cmd_convert(args) -> tuple[bool, dict]:
@@ -182,8 +179,7 @@ def cmd_convert(args) -> tuple[bool, dict]:
     convert = _CONVERSIONS.get((args.src, args.to))
     if convert is None:
         raise UsageError(f"conversion {args.src} -> {args.to} is not supported")
-    _, mat = _load(args.file, ("real", "int"))
-    out = convert(mat, tol)
+    out = convert(_load(args.file, ("real", "int")), tol)
     matio.write_matrix(args.out, out)
     return True, dict(zip(_CONVERT_REPORT[args.to], out.shape))
 
@@ -191,14 +187,12 @@ def cmd_convert(args) -> tuple[bool, dict]:
 def cmd_double(args) -> tuple[bool, dict]:
     _reject_unread(args, _DOUBLE_READS[args.level], f"double --level {args.level}")
     if args.level == "hadamard":
-        _, mat = _load(args.file, ("int",))
-        out = hadamard.double_hadamard(mat)
-        matio.write_matrix(args.out, out, "int")
+        out = hadamard.double_hadamard(_load(args.file, ("int",)))
+        matio.write_matrix(args.out, out)
         return True, {"order": out.shape[0]}
     tol = _tolerances(args)
-    _, mat = _load(args.file, ("real", "int"))
-    doubled = hadamard.double_frame(mat.astype(float), tol=tol)
-    matio.write_matrix(args.out, doubled, "real")
+    doubled = hadamard.double_frame(_load(args.file, ("real", "int")), tol=tol)
+    matio.write_matrix(args.out, doubled)
     return True, {"d": doubled.shape[0], "n": doubled.shape[1]}
 
 
@@ -211,7 +205,7 @@ _DIAMOND_COUNTERS = {
 
 
 def cmd_diamonds(args) -> tuple[bool, dict]:
-    _, mat = _load(args.file, ("int",))
+    mat = _load(args.file, ("int",))
     methods = (args.method,) if args.method else tuple(_DIAMOND_COUNTERS)
     counts = {method: _DIAMOND_COUNTERS[method](mat) for method in methods}
     fields = {} if args.method else {f"delta_{method}": c for method, c in counts.items()}
@@ -232,14 +226,12 @@ def cmd_search(args) -> tuple[bool, dict]:
     cfg = search.SearchConfig(**{k: v for k, v in vars(args).items() if k in _BUDGET and v is not None})
     if args.mode == "discrete":
         out = search.discrete_diamond_search(args.n, cfg)
-        obj_kind = "int"
     else:
         if args.dim is None:
             raise UsageError("--dim is required for continuous searches")
         out = search.continuous_etf_search(args.dim, args.n, 2.0 if args.p is None else args.p, cfg)
-        obj_kind = "real"
     if args.out:
-        matio.write_matrix(args.out, out.best_object, obj_kind)
+        matio.write_matrix(args.out, out.best_object)
     return out.success, {"success": out.success, "best_value": float(out.best_value),
                          "restart": out.restart_index, "iterations": out.iterations_used}
 
@@ -250,7 +242,7 @@ def cmd_gen(args) -> tuple[bool, dict]:
     except ValueError as exc:
         # well-formed request the generator cannot fulfil: domain failure
         raise DomainError(str(exc)) from exc
-    matio.write_matrix(args.out, h, "int")
+    matio.write_matrix(args.out, h)
     return True, {"order": h.shape[0]}
 
 
@@ -306,9 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help=f"default {cfg.seed}")
     p.add_argument("--restarts", type=int, help=f"default {cfg.restarts}")
     p.add_argument("--max-iters", type=int, help=f"default {cfg.max_iters}")
-    p.add_argument("--step", type=float, help=f"initial step (default {cfg.step}); continuous only")
-    p.add_argument("--target-residual", type=float, help="margin over the ETF bound (default "
-                   f"{cfg.target_residual}); continuous only")
     p.add_argument("--out")
     p.set_defaults(func=cmd_search)
 

@@ -5,8 +5,8 @@ bad dimensions, out-of-range orders, malformed parameters.  The classes
 below signal *domain* failures, where the input is well formed but does
 not have the mathematical structure an operation requires.  The CLI maps
 domain failures to exit code 1, and usage failures, ``MemoryError`` (a
-size no machine can hold) and ``FloatingPointError`` (input, a search
-step or an order so large that float64 overflows) to exit code 2.
+size no machine can hold) and ``FloatingPointError`` (input or an order
+so large that float64 overflows) to exit code 2.
 
 Validation runs once, at the public boundary: a public function checks
 its array arguments on entry and hands values it has checked or built

@@ -75,21 +75,15 @@ def potential_bound(d: int, n: int, p) -> float:
     return float(n * (n - 1))
 
 
-def normalize_nuclear(g, d: int, n: int) -> np.ndarray:
-    """Rescale g so its nuclear norm equals sqrt(d*n*(n-1)); d is even and n is g's order."""
+def normalize_nuclear(g, d: int) -> np.ndarray:
+    """Rescale g so its nuclear norm equals sqrt(d*n*(n-1)), n its order; d is even."""
     g = check_skew(g)
-    _check_gram_order(g, n)
     _check_even_dim(d)
+    n = g.shape[0]
     nuc = _nuclear(g)
     if nuc == 0.0:
         raise ValueError("cannot normalize the zero matrix")
     return g * (math.sqrt(d * n * (n - 1)) / nuc)
-
-
-def _check_gram_order(g, n: int) -> None:
-    """n must be the order of g, a Gram matrix that has passed ``check_skew``."""
-    if np.shape(g)[0] != n:
-        raise ValueError(f"n={n} is not the order {np.shape(g)[0]} of the Gram matrix")
 
 
 def _nuclear(g: np.ndarray) -> float:
@@ -121,9 +115,9 @@ def _gradient(phi: np.ndarray, w: np.ndarray, p: float, om: np.ndarray) -> np.nd
     return (-4.0 * p) * (om @ phi @ w)
 
 
-def potential_report(g, d: int, n: int, p) -> PotentialReport:
+def potential_report(g, d: int, p) -> PotentialReport:
     """Bundle value, bound, and slack for a Gram matrix already normalized; n is its order."""
-    bound = potential_bound(d, n, p)
+    g = check_skew(g)
+    bound = potential_bound(d, g.shape[0], p)
     value = frame_potential(g, p)
-    _check_gram_order(g, n)
     return PotentialReport(p=float(p), value=value, bound=bound, slack=value - bound)

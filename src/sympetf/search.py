@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -47,19 +48,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """A search's budget; the continuous search's first step and its stop margin are constants."""
+
     seed: int = 0
     restarts: int = 10
     max_iters: int = 2000
-    step: float = 0.05
-    target_residual: float = 1e-6
+    step: ClassVar[float] = 0.05
+    target_residual: ClassVar[float] = 1e-6
 
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.restarts < 1 or self.max_iters < 1 or not 0 < self.step < math.inf:
-            raise ValueError("restarts and max_iters must be >= 1 and step finite and > 0")
-        if not self.target_residual >= 0:
-            raise ValueError(f"target_residual must be >= 0, got {self.target_residual}")
+        if self.restarts < 1 or self.max_iters < 1:
+            raise ValueError("restarts and max_iters must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -137,7 +138,7 @@ def _rounded_certificate(phi: np.ndarray, d: int):
     return None if equi is None else certify_etf(np.rint(g / equi[0]), d)
 
 
-@np.errstate(over="raise", invalid="raise")  # a step or order too large for float64 fails at once
+@np.errstate(over="raise", invalid="raise")  # an order p too large for float64 fails at once
 def continuous_etf_search(d: int, n: int, p: float, cfg: SearchConfig) -> SearchOutcome:
     """Projected gradient descent on the order-p potential, with restarts.
 

@@ -105,17 +105,11 @@ def check_skew(a: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray
     n, m = a.shape
     if n != m:
         raise NotSkewSymmetricError(f"matrix is {n}x{m}, not square")
-    unit = 1.0
-    with np.errstate(over="ignore"):
-        scale, asym = float(np.linalg.norm(a)), float(np.linalg.norm(a + a.T))
-    if max(scale, asym) == math.inf:  # a sum of squares overflowed: measure a / max|a|
-        unit = float(np.max(np.abs(a)))
-        b = a / unit
-        scale, asym = float(np.linalg.norm(b)), float(np.linalg.norm(b + b.T))
-    if asym > tol.entry_tol * max(1.0 / unit, scale):
-        raise NotSkewSymmetricError(
-            f"asymmetry {unit * asym:.3e} exceeds {tol.entry_tol:.1e} * {max(1.0, unit * scale):.3e}"
-        )
+    with np.errstate(over="ignore"):  # an entry of a + a.T past float64 is an inf asymmetry
+        asym = frobenius_norm(a + a.T)
+    scale = max(1.0, frobenius_norm(a))
+    if asym > tol.entry_tol * scale:
+        raise NotSkewSymmetricError(f"asymmetry {asym:.3e} exceeds {tol.entry_tol:.1e} * {scale:.3e}")
     return a
 
 
@@ -123,13 +117,15 @@ def frobenius_norm(a: np.ndarray) -> float:
     """``np.linalg.norm(a)``, measured on a / max|a| where its sum of squares over- or underflows.
 
     Equal to numpy's value wherever that is finite and nonzero; for a finite
-    ``a``, finite wherever the norm is, and 0 only for a = 0.
+    real ``a``, finite wherever the norm is, and 0 only for a = 0.  max|a| is
+    read with no n x n temporary: a = 0 takes this path, as the a + a.T of an
+    exactly skew a and an exact residual do.
     """
     with np.errstate(over="ignore"):
         r = float(np.linalg.norm(a))
     if 0.0 < r < math.inf:
         return r
-    unit = float(np.max(np.abs(a)))
+    unit = max(float(a.max()), -float(a.min()))
     return unit * float(np.linalg.norm(a / unit)) if 0.0 < unit < math.inf else r
 
 

@@ -43,7 +43,9 @@ def _as_int_square(a, error: type[Exception] = ValueError) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise error(f"expected a square matrix, got shape {a.shape}")
-    if a.dtype.kind in "fc" and not np.all(np.abs(a) < 2.0**63):  # past int64: the cast is undefined
+    if a.dtype.kind == "c":  # refused before any cast, which would drop the imaginary parts
+        raise error("entries are complex, not integers")
+    if a.dtype.kind == "f" and not np.all(np.abs(a) < 2.0**63):  # past int64: the cast is undefined
         raise error("entries are not integers")
     ai = a.astype(np.int64)
     if not np.array_equal(ai, a):

@@ -229,7 +229,7 @@ def test_criterion_07_frame_potential_bounds():
     ok_sf2 = True
     sf1_values = []
     for g, d, n in _etf_fixture_grams():
-        gn = normalize_nuclear(g, d, n)
+        gn = normalize_nuclear(g, d)
         ok_sf2 &= abs(frame_potential(gn, 2) - n * (n - 1)) <= 1e-9
         sf1_values.append(
             (frame_potential(gn, 1), n * (n - 1), is_tight(gn, d), math.sqrt(n * (n - 1) / d), d)
@@ -243,7 +243,7 @@ def test_criterion_07_frame_potential_bounds():
         phi = rng.normal(size=(d, n))
         if not is_frame(phi):
             continue
-        g = normalize_nuclear(gram(phi), d, n)
+        g = normalize_nuclear(gram(phi), d)
         if is_equiangular(g) is not None:
             continue
         ok_random &= frame_potential(g, 2) > potential_bound(d, n, 2) + 1e-6
@@ -359,7 +359,7 @@ def test_criterion_11_searches():
     ok = True
     t0 = time.perf_counter()
     cont = continuous_etf_search(
-        2, 3, 2, SearchConfig(seed=1234, restarts=20, max_iters=2000, step=0.05)
+        2, 3, 2, SearchConfig(seed=1234, restarts=20, max_iters=2000)
     )
     cont_elapsed = time.perf_counter() - t0
     hits = sum(1 for v in cont.restart_values if v - 6.0 <= 1e-6)
@@ -376,7 +376,7 @@ def test_criterion_11_searches():
     ok &= disc_elapsed < 30.0
 
     forbidden = continuous_etf_search(
-        4, 5, 2, SearchConfig(seed=7, restarts=20, max_iters=3000, step=0.05)
+        4, 5, 2, SearchConfig(seed=7, restarts=20, max_iters=3000)
     )
     ok &= not forbidden.success
     ok &= min(forbidden.restart_values) - 20.0 >= 1e-3

@@ -245,22 +245,32 @@ def test_verify_etf_refuses_a_certified_near_miss(tmp_path, src, m):
 
 
 BUDGETS = [
-    ("--step", "nan"), ("--step", "inf"), ("--step", "-1"), ("--step", "1e300"),
-    ("--target-residual", "nan"), ("--target-residual", "-1"),
     ("--n", "16", "--dim", "16", "--p", "300", "--max-iters", "50"),
 ]
 
 
 @pytest.mark.parametrize("argv", BUDGETS, ids=["-".join(argv) for argv in BUDGETS])
 def test_search_budget_is_checked_at_the_boundary(tmp_path, argv):
-    # a NaN step used to run 0 iterations and a NaN residual could never be
-    # met; a step or an order p that overflows float64 is refused without
-    # numpy warnings.  argv comes last, so its --n and --dim win.
+    # an order p that overflows float64 is refused without numpy warnings.
+    # argv comes last, so its --n and --dim win.
     proc = run_module(tmp_path, "search", "--mode", "continuous", "--n", "3", "--dim", "2",
                       "--restarts", "2", *argv)
     assert proc.returncode == 2
     assert_one_line_error(proc)
     assert "RuntimeWarning" not in proc.stderr
+
+
+@pytest.mark.parametrize("flag", [("--step", "0.1"), ("--target-residual", "1e-3")],
+                         ids=["step", "target-residual"])
+@pytest.mark.parametrize("mode", [("discrete", "--n", "8"), ("continuous", "--n", "3", "--dim", "2")],
+                         ids=["discrete", "continuous"])
+def test_the_search_constants_are_not_flags(tmp_path, mode, flag):
+    # the first step and the stop margin are SearchConfig constants: argparse refuses them
+    proc = run_module(tmp_path, "search", "--mode", *mode, "--restarts", "2", "--out", "out.symf", *flag)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert proc.stderr.endswith(f"error: unrecognized arguments: {' '.join(flag)}\n")
+    assert not (tmp_path / "out.symf").exists()
 
 
 @pytest.mark.parametrize("mode", [("discrete", "--n", "8"), ("continuous", "--n", "3", "--dim", "2")],
@@ -516,7 +526,7 @@ UNREAD = [
        "convert --from hadamard") for to in ("etf-square", "etf-core")],
     *[(["search", "--mode", "discrete", "--n", "8", "--seed", "7", "--out", "{out}"], flag,
        "search --mode discrete")
-      for flag in (("--dim", "8"), ("--p", "2"), ("--step", "0.05"), ("--target-residual", "1e-6"))],
+      for flag in (("--dim", "8"), ("--p", "2"))],
 ]
 
 
@@ -552,7 +562,7 @@ def test_each_optional_flag_is_read_somewhere_and_policed_where_it_is_not():
 @pytest.mark.parametrize("argv, defaults", [
     (["--mode", "discrete", "--n", "8", "--seed", "7"], ["--restarts", "10", "--max-iters", "2000"]),
     (["--mode", "continuous", "--n", "3", "--dim", "2", "--restarts", "5"],
-     ["--seed", "0", "--p", "2", "--step", "0.05", "--target-residual", "1e-6"]),
+     ["--seed", "0", "--p", "2", "--max-iters", "2000"]),
 ], ids=["discrete", "continuous"])
 def test_search_flags_left_out_take_the_search_config_defaults(capsys, argv, defaults):
     reports = []

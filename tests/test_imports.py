@@ -6,7 +6,8 @@ an import cycle behind ``__init__``'s fixed order.  So each module is
 loaded in a fresh interpreter under a bare package whose ``__init__`` has
 not run, and the package itself is imported the usual way.  A private
 function that only tests call is a test oracle and belongs under tests/.
-A public function takes a ``tol`` only where some caller sets one.
+A public function takes a ``tol`` only where some caller sets one, and
+no value it can read off its arguments.
 """
 
 import ast
@@ -97,3 +98,15 @@ def test_tol_is_a_parameter_only_where_a_caller_sets_it():
     assert takes_tol == SETS_TOL
     # the rank threshold is the constant skewlinalg.RANK_REL_TOL, not a setting
     assert [f.name for f in dataclasses.fields(ToleranceProfile)] == ["residual_rel_tol", "entry_tol"]
+
+
+def test_the_search_budget_is_its_only_setting_and_the_potentials_read_n_off_the_gram():
+    from sympetf.potentials import normalize_nuclear, potential_report
+    from sympetf.search import SearchConfig
+
+    # the first step and the stop margin are constants, read as cfg.step and cfg.target_residual
+    assert [f.name for f in dataclasses.fields(SearchConfig)] == ["seed", "restarts", "max_iters"]
+    assert (SearchConfig.step, SearchConfig.target_residual) == (0.05, 1e-6)
+    assert SearchConfig().target_residual == 1e-6
+    assert list(inspect.signature(normalize_nuclear).parameters) == ["g", "d"]
+    assert list(inspect.signature(potential_report).parameters) == ["g", "d", "p"]

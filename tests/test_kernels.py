@@ -152,7 +152,7 @@ def test_search_kernels_are_bit_identical_to_the_public_api(d, extra, p, seed, s
     assert scaled_g.tobytes() == (g * (6.0 / nuc)).tobytes()
     assert np.linalg.norm(gram(scaled) - scaled_g) <= 1e-12 * np.linalg.norm(scaled_g)
     target = math.sqrt(d * n * (n - 1))
-    assert normalize_nuclear(g, d, n).tobytes() == (g * (target / _nuclear(g))).tobytes()
+    assert normalize_nuclear(g, d).tobytes() == (g * (target / _nuclear(g))).tobytes()
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

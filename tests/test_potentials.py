@@ -52,11 +52,11 @@ def test_potential_bound_values():
 
 
 def test_normalize_nuclear(conf4):
-    np.testing.assert_allclose(normalize_nuclear(omega(2), 2, 2), omega(2), atol=1e-14)
+    np.testing.assert_allclose(normalize_nuclear(omega(2), 2), omega(2), atol=1e-14)
     np.testing.assert_allclose(
-        normalize_nuclear(conf4.astype(float), 4, 4), conf4, atol=1e-12
+        normalize_nuclear(conf4.astype(float), 4), conf4, atol=1e-12
     )
-    np.testing.assert_allclose(normalize_nuclear(5.0 * omega(2), 2, 2), omega(2), atol=1e-14)
+    np.testing.assert_allclose(normalize_nuclear(5.0 * omega(2), 2), omega(2), atol=1e-14)
 
 
 def test_odd_dimension_is_refused_at_the_boundary(conf4):
@@ -65,25 +65,25 @@ def test_odd_dimension_is_refused_at_the_boundary(conf4):
         with pytest.raises(ValueError, match=f"dimension must be even and >= 2, got {d}"):
             potential_bound(d, 4, 2)
         with pytest.raises(ValueError, match=f"dimension must be even and >= 2, got {d}"):
-            normalize_nuclear(g, d, 4)
+            normalize_nuclear(g, d)
         with pytest.raises(ValueError, match=f"dimension must be even and >= 2, got {d}"):
-            potential_report(g, d, 4, 2)
+            potential_report(g, d, 2)
 
 
-def test_n_must_be_the_order_of_the_gram(conf4):
-    # on the 4x4 H4 - I, n = 9 used to report a potential 60 below its own bound
+def test_n_is_the_order_of_the_gram(conf4):
+    # n is read off the Gram: on the 4x4 H4 - I the bound is 4 * 3 at every even d,
+    # and the nuclear norm is scaled to sqrt(d * 4 * 3)
     g = conf4.astype(float)
-    for n in (9, 3):
-        with pytest.raises(ValueError, match=f"n={n} is not the order 4 of the Gram matrix"):
-            potential_report(g, 2, n, 2)
-    with pytest.raises(ValueError, match="n=100 is not the order 4 of the Gram matrix"):
-        normalize_nuclear(g, 2, 100)
-    assert potential_report(g, 4, 4, 2).slack == 0.0
+    for d in (2, 4):
+        assert potential_report(g, d, 2).bound == 12.0
+        nuc = np.sum(np.linalg.svd(normalize_nuclear(g, d), compute_uv=False))
+        assert abs(nuc - math.sqrt(d * 12)) <= 1e-12 * nuc
+    assert potential_report(g, 4, 2).slack == 0.0
 
 
 def test_normalize_nuclear_rejects_zero():
     with pytest.raises(ValueError):
-        normalize_nuclear(np.zeros((3, 3)), 2, 3)
+        normalize_nuclear(np.zeros((3, 3)), 2)
 
 
 def test_normalize_nuclear_target():
@@ -93,7 +93,7 @@ def test_normalize_nuclear_target():
         g = gram(rng.normal(size=(d, n)))
         if np.linalg.norm(g) == 0:
             continue
-        out = normalize_nuclear(g, d, n)
+        out = normalize_nuclear(g, d)
         nuc = np.sum(np.linalg.svd(out, compute_uv=False))
         target = math.sqrt(d * n * (n - 1))
         assert abs(nuc - target) <= 1e-10 * target
@@ -151,9 +151,9 @@ def test_bound_holds_on_random_normalized_grams():
         g = gram(phi)
         if np.linalg.norm(g) == 0:
             continue
-        g = normalize_nuclear(g, d, n)
+        g = normalize_nuclear(g, d)
         for p in (1, 2, 3, math.inf):
-            rep = potential_report(g, d, n, p)
+            rep = potential_report(g, d, p)
             assert rep.slack >= -1e-9 * max(1.0, rep.bound)
 
 
@@ -164,8 +164,8 @@ def test_equality_characterization_p2(conf4, core3):
         (core3.astype(float), 2, 3),
     ]
     for g, d, n in fixtures:
-        g = normalize_nuclear(g, d, n)
-        rep = potential_report(g, d, n, 2)
+        g = normalize_nuclear(g, d)
+        rep = potential_report(g, d, 2)
         assert abs(rep.slack) <= 1e-8
         assert certify_etf(g, d) is not None
     # random non-equiangular frames sit strictly above the bound
@@ -175,7 +175,7 @@ def test_equality_characterization_p2(conf4, core3):
         phi = rng.normal(size=(d, n))
         if not is_frame(phi):
             continue
-        g = normalize_nuclear(gram(phi), d, n)
+        g = normalize_nuclear(gram(phi), d)
         if is_equiangular(g) is not None:
             continue
         assert frame_potential(g, 2) > potential_bound(d, n, 2) + 1e-6

@@ -104,6 +104,21 @@ def test_skew_check_and_norm_neither_overflow_nor_underflow():
         assert frobenius_norm(a) == float(np.linalg.norm(a))
 
 
+def test_skew_check_of_an_exactly_skew_matrix_makes_one_temporary():
+    # a + a.T is then exactly 0, and frobenius_norm reads its max|.| with no second n x n array
+    a = np.triu(np.ones((256, 256)), 1)
+    a -= a.T
+    check_skew(a)
+    tracemalloc.start()
+    try:
+        assert check_skew(a) is a
+        assert frobenius_norm(np.zeros_like(a)) == 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * a.nbytes
+
+
 def test_spectral_form_reconstruction_sweep():
     rng = np.random.default_rng(7)
     for _ in range(500):

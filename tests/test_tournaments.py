@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from tournament_oracles import flat_kernel, gamma_by_masks, is_doubly_regular_by_degrees
 from sympetf.errors import InvalidSeidelError, NotEquiangularError
 from sympetf.frames import gram
-from sympetf.hadamard import is_skew_hadamard
+from sympetf.hadamard import is_skew_conference, is_skew_hadamard
 from sympetf.tournaments import (
     check_seidel,
     count_diamonds_bruteforce,
@@ -97,6 +97,25 @@ def test_int_validation_refuses_floats_no_int64_holds(value):
             check_seidel(np.array([[0.0, value], [-value, 0.0]]))
         with pytest.raises(ValueError, match="^entries are not integers$"):
             is_skew_hadamard(np.array([[1.0, value], [-value, 1.0]]))
+
+
+H2 = np.array([[1, 1], [-1, 1]], dtype=np.int64)
+EXACT_CHECKS = {"is_skew_hadamard": (is_skew_hadamard, H2, ValueError),
+                "is_skew_conference": (is_skew_conference, H2 - np.eye(2, dtype=np.int64), ValueError),
+                "check_seidel": (check_seidel, H2 - np.eye(2, dtype=np.int64), InvalidSeidelError)}
+
+
+@pytest.mark.parametrize("imag", [0.0, 1.0], ids=["zero-imaginary", "unit-imaginary"])
+@pytest.mark.parametrize("name", EXACT_CHECKS)
+def test_int_validation_refuses_complex_entries_before_any_cast(name, imag):
+    # the int64 cast used to drop the imaginary parts with a ComplexWarning, so H2 + 0j
+    # verified as skew Hadamard and H2 + 1j J was refused as "entries are not integers"
+    check, m, error = EXACT_CHECKS[name]
+    assert check(m) is not False  # True, or the validated Seidel matrix
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match="^entries are complex, not integers$"):
+            check(m + 1j * imag * np.ones((2, 2)))
 
 
 def test_seidel_from_gram(core3, phi_basic):
