@@ -89,15 +89,13 @@ def _verify_frame(args):
 
 def _verify_tight(args):
     d = _require_even_dim(args)
-    mat = _load(args.file, ("real", "int"))
-    c = frames.is_tight(mat, d, _tolerances(args))
+    c = frames.is_tight(_load(args.file, ("real", "int")), d, _tolerances(args))
     return c is not None, {} if c is None else {"c": c}
 
 
 def _verify_etf(args):
     d = _require_even_dim(args)
-    mat = _load(args.file, ("real", "int"))
-    cert = hadamard.certify_etf(mat, d, _tolerances(args))  # None is a verdict, not an error
+    cert = hadamard.certify_etf(_load(args.file, ("real", "int")), d, _tolerances(args))  # None is a verdict
     return cert is not None, {} if cert is None else asdict(cert)
 
 

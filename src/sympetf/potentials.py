@@ -117,7 +117,5 @@ def _gradient(phi: np.ndarray, w: np.ndarray, p: float, om: np.ndarray) -> np.nd
 
 def potential_report(g, d: int, p) -> PotentialReport:
     """Bundle value, bound, and slack for a Gram matrix already normalized; n is its order."""
-    g = check_skew(g)
-    bound = potential_bound(d, g.shape[0], p)
-    value = frame_potential(g, p)
+    value, bound = frame_potential(g, p), potential_bound(d, np.shape(g)[0], p)  # g is checked first
     return PotentialReport(p=float(p), value=value, bound=bound, slack=value - bound)

@@ -105,11 +105,16 @@ def check_skew(a: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray
     n, m = a.shape
     if n != m:
         raise NotSkewSymmetricError(f"matrix is {n}x{m}, not square")
-    with np.errstate(over="ignore"):  # an entry of a + a.T past float64 is an inf asymmetry
-        asym = frobenius_norm(a + a.T)
-    scale = max(1.0, frobenius_norm(a))
-    if asym > tol.entry_tol * scale:
-        raise NotSkewSymmetricError(f"asymmetry {asym:.3e} exceeds {tol.entry_tol:.1e} * {scale:.3e}")
+    b, unit, scale = a, 1.0, frobenius_norm(a)
+    if scale == math.inf:  # the bound would be inf too: compare in units of max|a|
+        unit = max(float(a.max()), -float(a.min()))
+        b = a / unit
+        scale = frobenius_norm(b)
+    with np.errstate(over="ignore"):  # an entry of b + b.T past float64 is an inf asymmetry
+        asym = frobenius_norm(b + b.T)
+    if asym > tol.entry_tol * max(1.0 / unit, scale):
+        raise NotSkewSymmetricError(f"asymmetry {unit * asym:.3e} exceeds {tol.entry_tol:.1e} * "
+                                    f"{max(1.0, unit * scale):.3e}")
     return a
 
 
@@ -119,8 +124,10 @@ def frobenius_norm(a: np.ndarray) -> float:
     Equal to numpy's value wherever that is finite and nonzero; for a finite
     real ``a``, finite wherever the norm is, and 0 only for a = 0.  max|a| is
     read with no n x n temporary: a = 0 takes this path, as the a + a.T of an
-    exactly skew a and an exact residual do.
+    exactly skew a and an exact residual do.  Complex input is refused.
     """
+    if np.iscomplexobj(a):
+        raise ValueError("expected a real matrix, got complex entries")
     with np.errstate(over="ignore"):
         r = float(np.linalg.norm(a))
     if 0.0 < r < math.inf:

@@ -90,6 +90,12 @@ def test_skew_check_and_norm_neither_overflow_nor_underflow():
         # a + a.T overflows: the verdict holds, though the message's asymmetry reads inf
         with pytest.raises(NotSkewSymmetricError, match=r"^asymmetry inf exceeds 1\.0e-09 \* 1\.414e\+308$"):
             check_skew(np.array([[0.0, 1e308], [1e308, 0.0]]))
+        # ||a|| itself passes float64: the bound is inf, so the comparison is made in units of max|a|
+        near_skew = np.array([[0.0, 1.5e308, 1.5e308], [-1.4e308, 0.0, 1.5e308], [-1.4e308, -1.4e308, 0.0]])
+        for a in (np.full((2, 2), 1e308), near_skew):
+            with pytest.raises(NotSkewSymmetricError, match=r"^asymmetry .* exceeds 1\.0e-09 \* inf$"):
+                check_skew(a)
+        assert check_skew(np.array([[0.0, 1.5e308, -1.5e308], [-1.5e308, 0.0, 1.5e308], [1.5e308, -1.5e308, 0.0]])) is not None
         assert check_skew(skew) is not None
         assert frobenius_norm(skew) == pytest.approx(math.sqrt(6.0) * 1e300, rel=1e-15)
         assert frobenius_norm(np.full((2, 2), 1e308)) == math.inf
@@ -97,6 +103,10 @@ def test_skew_check_and_norm_neither_overflow_nor_underflow():
         assert frobenius_norm(1e-300 * skew) == pytest.approx(math.sqrt(6.0), rel=1e-15)
         assert frobenius_norm(np.array([[0.0, 5e-324]])) == 5e-324
         assert frobenius_norm(np.zeros((2, 3))) == 0.0
+    # complex input fails loudly, on the rescaling path too
+    for z in (1e-300j * np.ones((2, 2)), np.zeros((2, 2), dtype=complex), 1j * np.ones((2, 2))):
+        with pytest.raises(ValueError, match="expected a real matrix, got complex entries"):
+            frobenius_norm(z)
     # where numpy's norm is finite and nonzero, the value is numpy's, bit for bit
     rng = np.random.default_rng(3)
     for scale in (1e-150, 1.0, 1e150):
