@@ -7,12 +7,12 @@ usage or I/O problem.  Reports are ``key=value`` lines on stdout;
 diagnostics go to stderr.
 
 Each ``cmd_*`` writes its ``--out`` file, if any, and returns ``(ok,
-fields)``.  ``main`` alone prints the fields in order and maps the outcome
-to 0/1/2: ``ok`` to 0 or 1, a ``DomainError`` to 1, and usage, I/O,
-``MemoryError`` and ``FloatingPointError`` to 2.  Commands run under
-``np.errstate(over="raise", invalid="raise")``, so a float64 overflow, such
-as the frame operator of entries near 1e200, is that one error line and
-never a numpy warning.
+fields)``.  ``main`` alone prints the fields in order, ``error`` on stderr,
+and maps the outcome to 0/1/2: ``ok`` to 0 or 1, a ``DomainError`` to 1,
+and usage, I/O, ``MemoryError`` and ``FloatingPointError`` to 2.  Commands
+run under ``np.errstate(over="raise", invalid="raise")``, so a float64
+overflow, such as the frame operator of entries near 1e200, is that one
+error line and never a numpy warning.
 """
 
 from __future__ import annotations
@@ -115,8 +115,7 @@ def _verify_signature(args):
     try:
         return complex_lift.signature_check(mat, args.dim, _tolerances(args)), {}
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return False, {}
+        return False, {"error": str(exc)}
 
 
 # kind -> (verifier(args), the optional flags it reads); the keys, in this order, are
@@ -208,8 +207,7 @@ def cmd_diamonds(args) -> tuple[bool, dict]:
     counts = {method: _DIAMOND_COUNTERS[method](mat) for method in methods}
     fields = {} if args.method else {f"delta_{method}": c for method, c in counts.items()}
     if len(set(counts.values())) > 1:
-        print("error: diamond counts disagree", file=sys.stderr)
-        return False, fields
+        return False, {**fields, "error": "diamond counts disagree"}
     fields["delta"] = delta = counts[methods[0]]
     n = mat.shape[0]
     if n % 2 == 1:
@@ -318,6 +316,8 @@ def main(argv=None) -> int:
     except (DomainError, UsageError, ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, DomainError) else 2
+    if "error" in fields:  # a verdict's diagnostic
+        print(f"error: {fields.pop('error')}", file=sys.stderr)
     try:
         for key, value in fields.items():
             _emit(key, value)

@@ -14,17 +14,17 @@ itself to private ``_`` kernels, which trust their arrays.  Calls into
 another module go through its public names, except that a public entry
 point may hand arrays it validated or built itself to another module's
 ``_`` kernel: ``search`` in its descent loop and with
-``tournaments._offdiag_square_sum``, ``hadamard.etf_to_conference`` with
-``frames._equiangularity`` and ``tournaments._round_seidel``, and
-``hadamard``'s exact checks, which hand int64 arrays to the one Gram kernel
-``tournaments._unit_gram``.  Boundary validators raise ``ValueError``
-(``as_matrix``, ``frames._check_synthesis``,
+``tournaments._offdiag_square_sum``, ``frames.factor_gram`` and
+``symplectic_witness`` with ``skewlinalg._canonical_factor``,
+``hadamard.etf_to_conference`` with ``frames._equiangularity`` and
+``tournaments._round_seidel``, and ``hadamard``'s exact checks, which hand
+int64 arrays to the one Gram kernel ``tournaments._unit_gram``.  Boundary
+validators raise ``ValueError`` (``as_matrix``, ``frames._check_synthesis``,
 ``complex_lift._check_signature_structure``, the one even-dimension rule
 ``skewlinalg._check_even_dim``, and for ``hadamard`` the one integer
 validator ``tournaments._as_int_square``) or a domain error (``check_skew``:
-``NotSkewSymmetricError``; ``tournaments.check_seidel``, which has
-``_as_int_square`` raise ``InvalidSeidelError``; nothing in ``hadamard``
-raises or catches it).
+``NotSkewSymmetricError``; ``tournaments.check_seidel``, which has ``_as_int_square``
+raise ``InvalidSeidelError``; nothing in ``hadamard`` raises or catches it).
 Exact checks that decide an answer derived in floating point are not
 validation; they always run.  ``hadamard.etf_to_conference`` is the one
 exact ETF gate: it raises ``NotEtfError`` for an odd dimension, a wrong size

@@ -21,7 +21,6 @@ from .skewlinalg import (
     RANK_REL_TOL,
     ToleranceProfile,
     as_matrix,
-    _antisymmetrize,
     _canonical_factor,
     _check_even_dim,
     check_skew,
@@ -132,14 +131,10 @@ def factor_gram(g) -> np.ndarray:
     Returns phi = D @ U where U has orthonormal rows and D repeats the
     square roots of the canonical block values, so that gram(phi) equals
     the input.  The result is canonical only up to symplectic equivalence;
-    compare Grams, never synthesis matrices.
+    compare Grams, never synthesis matrices.  A ``g`` skew within entry_tol
+    is factored as its lower-triangle completion, the only part read.
     """
-    return _factor(_antisymmetrize(check_skew(g)))
-
-
-def _factor(g: np.ndarray) -> np.ndarray:
-    """``factor_gram`` of an exactly antisymmetric Gram, unchecked."""
-    phi = _canonical_factor(g)
+    phi = _canonical_factor(check_skew(g))
     if phi.shape[0] == 0:
         raise FactorizationError("zero matrix has no frame factorization")
     return phi
@@ -204,5 +199,5 @@ def symplectic_witness(phi) -> np.ndarray:
     M @ psi = phi preserves the symplectic form.
     """
     phi = _check_frame(phi)
-    psi = _factor(_gram(phi, omega(phi.shape[0])))
+    psi = _canonical_factor(_gram(phi, omega(phi.shape[0])))  # a frame's Gram is not zero
     return phi @ psi.T @ np.linalg.inv(psi @ psi.T)

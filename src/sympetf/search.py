@@ -103,6 +103,7 @@ def _renormalize(phi: np.ndarray, target: float, om: np.ndarray) -> tuple[np.nda
 # Relative width of the least-norm band that _canonicalize keeps.  Narrow on
 # purpose: at 1e-2, seeds 0-15 hit (8,8) 10 times instead of 16.
 _LEAST_NORM_BAND = 1e-7
+_MAX_CONTINUOUS_N = 1024  # caps each n x n Gram at 8 MiB; checked before anything is allocated
 
 
 def _holder_rejects(raw_value: float, sq_norm: float, target: float, value: float, p: float) -> bool:
@@ -145,6 +146,8 @@ def continuous_etf_search(d: int, n: int, p: float, cfg: SearchConfig) -> Search
     Success means the potential came within ``cfg.target_residual`` of the
     ETF bound n(n-1) and the rounded Gram passed the exact gate.
     """
+    if n > _MAX_CONTINUOUS_N:
+        raise ValueError(f"continuous search is limited to n <= {_MAX_CONTINUOUS_N}, got {n}")
     _check_even_dim(d)
     if n < d or n > d + 1:
         raise ValueError(f"ETF sizes require n in {{d, d+1}}, got n={n}")

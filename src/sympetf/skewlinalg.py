@@ -136,16 +136,6 @@ def frobenius_norm(a: np.ndarray) -> float:
     return unit * float(np.linalg.norm(a / unit)) if 0.0 < unit < math.inf else r
 
 
-def _antisymmetrize(a: np.ndarray) -> np.ndarray:
-    """(a - a.T) / 2, which kills roundoff asymmetry, in one n x n array where nothing overflows."""
-    with np.errstate(over="ignore"):
-        h = a - a.T
-    if h.max() == math.inf:  # h is exactly antisymmetric, so an overflow shows as +inf
-        return a / 2.0 - a.T / 2.0
-    h *= 0.5
-    return h
-
-
 def rank_by_sv(a) -> int:
     """Numerical rank: number of singular values above RANK_REL_TOL * sigma_max."""
     a = as_matrix(a)
@@ -161,11 +151,13 @@ def skew_spectral_form(a) -> SkewSpectralForm:
     a @ x = l y, and the eigenvectors of -l are the conjugates, so the
     rows sqrt(2) y, sqrt(2) x of every positive eigenvalue, repeated ones
     included, are orthonormal and span one 2x2 block of value l.  The
-    kernel rows are a real orthonormal complement of those rows.
+    kernel rows are a real orthonormal complement of those rows.  ``eigh``
+    reads the lower triangle only, so an ``a`` skew within entry_tol has the
+    form of its lower-triangle completion.
     """
     a = check_skew(a)
     n = a.shape[0]
-    lambdas, rows = _blocks(_antisymmetrize(a))
+    lambdas, rows = _blocks(a)
     rank = rows.shape[0]
     w = np.eye(n)  # the form of the zero matrix
     w[n - rank :] = rows
@@ -175,12 +167,12 @@ def skew_spectral_form(a) -> SkewSpectralForm:
 
 
 def _blocks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lambdas, block rows) of an exactly antisymmetric ``a``, unchecked.
+    """(lambdas, block rows) of the skew matrix whose lower triangle is that of ``a``, unchecked.
 
     The block rows are the last ``rank`` rows of w; a caller that needs only the factor runs no QR.
     """
     n = a.shape[0]
-    lam, z = np.linalg.eigh(1j * a)  # ascending, in +-l pairs
+    lam, z = np.linalg.eigh(1j * a)  # reads the lower triangle only; ascending, in +-l pairs
     r = int(np.count_nonzero(lam > RANK_REL_TOL * max(lam[-1], 0.0)))
     z = z[:, n - r :][:, ::-1]  # descending block values
     rows = np.empty((2 * r, n))
@@ -190,7 +182,7 @@ def _blocks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _canonical_factor(a: np.ndarray) -> np.ndarray:
-    """Canonical factor D @ U, with Gram ``a``, of an exactly antisymmetric float array, unchecked:
+    """Canonical factor D @ U, unchecked, whose Gram is the lower-triangle completion of the float ``a``:
     U is the block rows (the form's last ``rank`` rows of w), D the root of each block value, twice."""
     lambdas, rows = _blocks(a)
     return np.sqrt(np.repeat(lambdas, 2))[:, None] * rows

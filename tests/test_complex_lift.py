@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from builders import signed_permutation
 from tournament_oracles import lift_core_by_switching
 from sympetf import write_matrix
 from sympetf.complex_lift import (
@@ -142,13 +143,6 @@ def test_lift_core_family():
         k = np.rint(q.imag / gamma_im).astype(np.int64)
         np.testing.assert_array_equal(k, np.rint(g).astype(np.int64))
         np.testing.assert_array_equal(k @ k @ k, -(d + 1) * k)
-
-
-def signed_permutation(s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """D P S P^T D: relabel and switch, which moves the gate's border off (1, ..., 1)."""
-    p = rng.permutation(s.shape[0])
-    d = rng.choice(np.array([-1.0, 1.0]), size=s.shape[0])
-    return d[:, None] * s[np.ix_(p, p)] * d[None, :]
 
 
 @pytest.mark.parametrize("m", [4, 8, 16, 32, 64, 128, 256, 512])

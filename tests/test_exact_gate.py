@@ -9,34 +9,16 @@ oracle it replaced give the same verdict.  d = 2046 is left out: the
 oracle's SVD alone takes seconds there.
 """
 
-import sys
-
 import numpy as np
 import pytest
 
+from builders import count_calls, paley_conference, signed_permutation
 from etf_oracle import svd_certify_etf
 from sympetf import certify_etf
 from sympetf.frames import _equiangularity, factor_gram
 from sympetf.hadamard import etf_to_conference, hadamard_to_etf_core, seed_hadamard
 from sympetf.search import SearchConfig, continuous_etf_search
 from sympetf.skewlinalg import DEFAULT_TOL, ToleranceProfile, _canonical_factor, check_skew
-from test_paley import paley_conference, signed_permutation
-
-
-def count_calls(monkeypatch, fn) -> list:
-    """Rebind ``fn`` to a counting wrapper wherever numpy.linalg or a sympetf module holds it."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return fn(*args, **kwargs)
-
-    owners = [np.linalg, *(m for name, m in sys.modules.items() if name.startswith("sympetf"))]
-    for owner in owners:
-        for attr, value in list(vars(owner).items()):
-            if value is fn:
-                monkeypatch.setattr(owner, attr, counted)
-    return calls
 
 
 def seed_core(m: int) -> np.ndarray:

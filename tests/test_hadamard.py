@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from builders import signed_permutation
 from etf_oracle import svd_certify_etf
 from tournament_oracles import flat_kernel, is_conference_by_seidel
 from sympetf import certify_etf
@@ -44,13 +45,6 @@ from sympetf.tournaments import (
 from sympetf.skewlinalg import DEFAULT_TOL, ToleranceProfile
 
 H2 = np.array([[1, 1], [-1, 1]], dtype=np.int64)
-
-
-def signed_permutation(s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """D P S P^T D: relabel and switch, which keeps every ETF and conference identity."""
-    p = rng.permutation(s.shape[0])
-    d = rng.choice(np.array([-1, 1], dtype=np.int64), size=s.shape[0])
-    return d[:, None] * s[np.ix_(p, p)] * d[None, :]
 
 
 def flip_pair(s: np.ndarray, i: int, j: int) -> np.ndarray:

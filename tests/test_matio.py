@@ -22,12 +22,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from builders import signed_permutation
 from sympetf import matio
 from sympetf.cli import main
 from sympetf.complex_lift import lift_core
 from sympetf.hadamard import hadamard_to_etf_core, seed_hadamard
 from sympetf.matio import KINDS, read_matrix, write_matrix
-from test_paley import signed_permutation
 
 
 def _reference_entry(kind, token):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from builders import paley_conference, qr_tournament, signed_permutation
 from etf_oracle import svd_certify_etf
 from tournament_oracles import (flat_kernel, gamma_by_masks, is_doubly_regular_by_degrees,
                                 lift_core_by_switching)
@@ -49,36 +50,12 @@ from sympetf.tournaments import (
 PRIMES = (7, 11, 19, 23, 31, 43, 47, 59, 67, 71, 79, 83, 1019)
 
 
-def qr_tournament(p: int) -> np.ndarray:
-    squares = np.zeros(p, dtype=bool)
-    squares[(np.arange(1, p) ** 2) % p] = True
-    diff = (np.arange(p)[None, :] - np.arange(p)[:, None]) % p
-    q = np.where(squares[diff], 1, -1).astype(np.int64)
-    np.fill_diagonal(q, 0)
-    return q
-
-
-def paley_conference(p: int) -> np.ndarray:
-    c = np.zeros((p + 1, p + 1), dtype=np.int64)
-    c[0, 1:] = 1
-    c[1:, 0] = -1
-    c[1:, 1:] = qr_tournament(p)
-    return c
-
-
 def flip_edge(s: np.ndarray, rng: np.random.Generator, lowest: int = 0) -> np.ndarray:
     """Reverse one edge i -> j (both signs of the pair), keeping a Seidel matrix."""
     i, j = rng.choice(np.arange(lowest, s.shape[0]), size=2, replace=False)
     out = s.copy()
     out[i, j], out[j, i] = -s[i, j], -s[j, i]
     return out
-
-
-def signed_permutation(s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """D P S P^T D: relabel and switch, which keeps every ETF and conference identity."""
-    p = rng.permutation(s.shape[0])
-    d = rng.choice(np.array([-1, 1], dtype=np.int64), size=s.shape[0])
-    return d[:, None] * s[np.ix_(p, p)] * d[None, :]
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from builders import count_calls
 from etf_oracle import svd_certify_etf
-from test_exact_gate import count_calls
 from tournament_oracles import flip_delta, offdiag_square_sum
 from sympetf import certify_etf, search
 from sympetf.frames import factor_gram, gram
 from sympetf.hadamard import is_skew_conference, seed_hadamard
 from sympetf.potentials import frame_potential
 from sympetf.search import (
+    _MAX_CONTINUOUS_N,
     _MAX_DISCRETE_N,
     SearchConfig,
     _flip_deltas,
@@ -400,6 +401,19 @@ def test_discrete_search_refuses_orders_above_its_bound_before_allocating(n):
     try:
         with pytest.raises(ValueError, match=f"n <= {_MAX_DISCRETE_N}, got {n}"):
             discrete_diamond_search(n, SearchConfig(restarts=1, max_iters=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("n", [_MAX_CONTINUOUS_N + 1, 10**8])
+def test_continuous_search_refuses_orders_above_its_bound_before_allocating(n):
+    # n = 10^8 would need an omega of 8 * 10^16 bytes; the bound is checked before it
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"continuous search is limited to n <= 1024, got {n}"):
+            continuous_etf_search(n - n % 2, n, 2.0, SearchConfig(restarts=1, max_iters=1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

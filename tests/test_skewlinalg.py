@@ -5,13 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
+from builders import paley_conference
 from sympetf.errors import NotSkewSymmetricError
-from sympetf.frames import gram
-from sympetf.hadamard import certify_etf, hadamard_to_etf_core, hadamard_to_etf_square
+from sympetf.frames import factor_gram, gram
+from sympetf.hadamard import certify_etf, hadamard_to_etf_core, hadamard_to_etf_square, seed_hadamard
 from sympetf.skewlinalg import (
     RANK_REL_TOL,
     ToleranceProfile,
-    _antisymmetrize,
     as_matrix,
     check_skew,
     frobenius_norm,
@@ -159,8 +159,6 @@ def test_lambdas_are_paired_singular_values():
 def test_spectral_form_handles_large_clusters():
     # conference-matrix Grams have a single singular value of full
     # multiplicity, the hardest case for the block pairing
-    from sympetf.hadamard import hadamard_to_etf_square, seed_hadamard
-
     for order in (4, 16, 32):
         g = hadamard_to_etf_square(seed_hadamard(order))
         form = skew_spectral_form(g)
@@ -193,8 +191,6 @@ def test_spectral_form_handles_paley_clusters(p):
     # orders p + 1 = 12, 20, 24, 44 are not powers of two: the square Gram has
     # the single block value sqrt(p) at full multiplicity, and the core Gram
     # the same value on every block plus a one-dimensional kernel
-    from test_paley import paley_conference
-
     h = paley_conference(p) + np.eye(p + 1, dtype=np.int64)
     for g, rank in ((hadamard_to_etf_square(h), p + 1), (hadamard_to_etf_core(h), p - 1)):
         n = g.shape[0]
@@ -223,33 +219,46 @@ def test_rank_invariant_under_orthogonal_conjugation():
         assert rank_by_sv(q @ a @ q.T) == rank_by_sv(a)
 
 
-def test_antisymmetrize_holds_one_array_at_its_peak():
-    a = np.random.default_rng(23).standard_normal((511, 511))
-    tracemalloc.start()
-    try:
-        h = _antisymmetrize(a)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the result itself and a few scalars; halving a first would hold a second n x n array
-    assert peak < 1.25 * a.nbytes
-    assert np.array_equal(h.view(np.int64), ((a - a.T) * 0.5).view(np.int64))
+def lower_completion(g: np.ndarray) -> np.ndarray:
+    """g with its strict upper triangle replaced by -(strict lower)^T."""
+    return np.tril(g) - np.tril(g, -1).T
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1.0, 37.0, 1e300])
-def test_antisymmetrize_is_the_halved_difference_bit_for_bit(scale):
+def test_factor_and_spectral_form_read_only_the_lower_triangle(scale):
+    # a Gram that check_skew accepts is factored as its lower-triangle completion,
+    # bit for bit: symmetric noise 1e-12 below the skew part changes nothing else
     rng = np.random.default_rng(5)
-    for n in (1, 2, 7, 64):
-        a = scale * rng.standard_normal((n, n))
-        assert np.array_equal(_antisymmetrize(a).view(np.int64), ((a - a.T) * 0.5).view(np.int64))
+    for n in (2, 7, 64):
+        a, b = rng.standard_normal((2, n, n))
+        g = scale * (a - a.T + 1e-12 * (b + b.T))
+        c = lower_completion(g)
+        assert not np.array_equal(g, c)
+        assert np.array_equal(factor_gram(g).view(np.int64), factor_gram(c).view(np.int64))
+        f, fc = skew_spectral_form(g), skew_spectral_form(c)
+        assert f.rank == fc.rank
+        assert np.array_equal(f.w.view(np.int64), fc.w.view(np.int64))
+        assert np.array_equal(f.lambdas.view(np.int64), fc.lambdas.view(np.int64))
 
 
-def test_antisymmetrize_stays_finite_at_1e308():
-    rng = np.random.default_rng(9)
-    signs = rng.choice([-1.0, 1.0], size=(6, 6))
-    for a in (np.array([[0.0, 1e308], [-1e308, 0.0]]), 1e308 * signs, 1.7e308 * signs):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            h = _antisymmetrize(a)
-        assert np.all(np.isfinite(h))
-        np.testing.assert_array_equal(h, a / 2.0 - a.T / 2.0)
+@pytest.mark.parametrize("g", [np.array([[0.0, 1e308], [-1e308, 0.0]]),
+                               1e308 * hadamard_to_etf_core(seed_hadamard(4))], ids=["J2", "core-m4"])
+def test_factor_gram_stays_finite_at_1e308(g):
+    # g - g.T would overflow here; the factor reads g's lower triangle alone
+    phi = factor_gram(g)
+    assert np.all(np.isfinite(phi))
+    assert frobenius_norm(gram(phi) / 1e308 - g / 1e308) <= 1e-12
+
+
+def test_factor_gram_makes_no_real_n_by_n_copy():
+    # 1j * g and the complex eigenvectors, 4 n^2 float64 in all; an
+    # antisymmetrized copy (g - g.T) / 2 would be a fifth
+    g = hadamard_to_etf_core(seed_hadamard(512))
+    tracemalloc.start()
+    try:
+        phi = factor_gram(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert phi.shape == (510, 511)
+    assert peak < 4.5 * g.nbytes
