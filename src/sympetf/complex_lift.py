@@ -21,17 +21,7 @@ import numpy as np
 
 from .errors import NotPsdError, RankMismatchError
 from .hadamard import etf_to_conference
-from .skewlinalg import DEFAULT_TOL, RANK_REL_TOL, ToleranceProfile, _check_even_dim, as_matrix
-
-__all__ = [
-    "beta_constant",
-    "core_lift_scale",
-    "signature_check",
-    "lift_square",
-    "lift_core",
-    "synthesis_from_signature",
-    "realify",
-]
+from .skewlinalg import DEFAULT_TOL, ToleranceProfile, _check_even_dim, _rank, as_matrix
 
 
 def _quadratic_c(n: int, d_c: int) -> float:
@@ -136,13 +126,12 @@ def synthesis_from_signature(q, d_c: int) -> np.ndarray:
     gram_c = np.eye(n) + _lift_scale(n, d_c) * q
     evals, evecs = np.linalg.eigh(gram_c)
     # diag(q) is within entry_tol < 1 of zero and the scale is at most 1: trace > 0
-    lam_max = float(evals[-1])
-    if evals[0] < -DEFAULT_TOL.residual_rel_tol * lam_max * n:
+    if evals[0] < -DEFAULT_TOL.residual_rel_tol * evals[-1] * n:
         raise NotPsdError(f"lifted Gram has negative eigenvalue {evals[0]:.3e}")
-    keep = evals > RANK_REL_TOL * lam_max
-    if int(np.count_nonzero(keep)) != d_c:
-        raise RankMismatchError(f"lifted Gram has rank {int(np.count_nonzero(keep))}, expected {d_c}")
-    return np.sqrt(evals[keep])[:, None] * evecs[:, keep].conj().T
+    r = int(_rank(evals))
+    if r != d_c:
+        raise RankMismatchError(f"lifted Gram has rank {r}, expected {d_c}")
+    return np.sqrt(evals[n - r :])[:, None] * evecs[:, n - r :].conj().T
 
 
 def realify(psi) -> np.ndarray:

@@ -6,7 +6,10 @@ below signal *domain* failures, where the input is well formed but does
 not have the mathematical structure an operation requires.  The CLI maps
 domain failures to exit code 1, and usage failures, ``MemoryError`` (a
 size no machine can hold) and ``FloatingPointError`` (input or an order
-so large that float64 overflows) to exit code 2.
+so large that float64 overflows) to exit code 2.  Besides numpy's own
+overflow, ``FloatingPointError`` comes from ``skewlinalg._rank``, the one
+rank count, when the largest value of a spectrum passes float64, and from
+``potentials.normalize_nuclear`` when the nuclear norm does.
 
 Validation runs once, at the public boundary: a public function checks
 its array arguments on entry and hands values it has checked or built
@@ -15,7 +18,9 @@ another module go through its public names, except that a public entry
 point may hand arrays it validated or built itself to another module's
 ``_`` kernel: ``search`` in its descent loop and with
 ``tournaments._offdiag_square_sum``, ``frames.factor_gram`` and
-``symplectic_witness`` with ``skewlinalg._canonical_factor``,
+``symplectic_witness`` with ``skewlinalg._canonical_factor``, ``frames.is_tight``,
+``complex_lift.synthesis_from_signature`` and ``search.gerzon_oracle``
+with ``skewlinalg._rank``,
 ``hadamard.etf_to_conference`` with ``frames._equiangularity`` and
 ``tournaments._round_seidel``, and ``hadamard``'s exact checks, which hand
 int64 arrays to the one Gram kernel ``tournaments._unit_gram``.  Boundary

@@ -18,30 +18,14 @@ import numpy as np
 from .errors import FactorizationError, NotAFrameError
 from .skewlinalg import (
     DEFAULT_TOL,
-    RANK_REL_TOL,
     ToleranceProfile,
     as_matrix,
     _canonical_factor,
     _check_even_dim,
+    _rank,
     check_skew,
     rank_by_sv,
 )
-
-__all__ = [
-    "omega",
-    "analysis",
-    "gram",
-    "frame_operator",
-    "is_frame",
-    "FrameBounds",
-    "frame_bounds",
-    "dual_frame",
-    "factor_gram",
-    "is_tight",
-    "is_equiangular",
-    "admissible_sizes",
-    "symplectic_witness",
-]
 
 
 class FrameBounds(NamedTuple):
@@ -167,7 +151,7 @@ def is_tight(g, d: int, tol: ToleranceProfile = DEFAULT_TOL) -> Optional[float]:
     g = check_skew(g, tol)
     s = np.linalg.svd(g, compute_uv=False)
     c = float(s[0])
-    if c <= 0.0 or np.count_nonzero(s > RANK_REL_TOL * c) != d:
+    if c <= 0.0 or _rank(s) != d:
         return None
     h = g / c  # the identity on g / c cannot overflow: h^3 = -h
     residual = np.linalg.norm(h @ h @ h + h) / np.linalg.norm(h)

@@ -14,7 +14,7 @@ their common modulus, and every rounded result is re-verified.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import inf, sqrt
 
 import numpy as np
 
@@ -23,26 +23,6 @@ from .frames import _equiangularity, gram
 from .skewlinalg import (DEFAULT_TOL, ToleranceProfile, _check_even_dim, as_matrix, check_skew,
                          frobenius_norm)
 from .tournaments import _as_int_square, _round_seidel, _unit_gram
-
-__all__ = [
-    "is_skew_hadamard",
-    "is_skew_conference",
-    "normalize_conference",
-    "core",
-    "EtfCertificate",
-    "etf_to_conference",
-    "certify_etf",
-    "etf_to_hadamard_square",
-    "hadamard_to_etf_square",
-    "hadamard_to_etf_core",
-    "etf_core_to_hadamard",
-    "double_hadamard",
-    "DoublingCoefficients",
-    "doubling_coefficients",
-    "default_b_matrix",
-    "double_frame",
-    "seed_hadamard",
-]
 
 
 def is_skew_hadamard(h) -> bool:
@@ -138,7 +118,8 @@ def etf_to_conference(
 
     d must be even, and g skew, of size n = d or d+1 and equiangular within entry_tol,
     and g/mu must round entrywise within entry_tol to a Seidel matrix S with
-    ||g - mu S||_F <= residual_rel_tol ||g||_F.  A square ETF gives S itself.
+    ||g - mu S||_F <= residual_rel_tol ||g||_F, measured as ||g/mu - S||_F / ||g/mu||_F
+    where ||g||_F passes float64.  A square ETF gives S itself.
     A core has S^2 = x x^T - nI for a +-1 border x: x is row 0 of S^2 with n
     added at entry 0 (x_0 = +1), read exactly, and S bordered by x has order
     n + 1.  One exact conference check decides; no float tightness test runs.
@@ -155,7 +136,11 @@ def etf_to_conference(
         raise NotEtfError(f"input is not the Gram matrix of {family}")
     mu, equiangular_residual = equi
     s = _round_seidel(g, mu, tol)
-    residual = frobenius_norm(g - mu * s) / frobenius_norm(g)
+    scale, unit = frobenius_norm(g), mu
+    if scale == inf:  # x / inf would read 0: measure g / mu, whose entries are near +-1
+        g, unit = g / mu, 1.0
+        scale = frobenius_norm(g)
+    residual = frobenius_norm(g - unit * s) / scale
     if residual > tol.residual_rel_tol:
         raise RoundingError(f"distance {residual:.3e} to mu*S exceeds {tol.residual_rel_tol:.1e}")
     if n == d:

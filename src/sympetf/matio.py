@@ -27,8 +27,6 @@ import warnings
 
 import numpy as np
 
-__all__ = ["read_matrix", "write_matrix", "format_real"]
-
 KINDS = ("real", "int", "complex")
 # the one home of the entry formats; 17 significant digits round-trip every float64
 _FORMATS = {"int": "%d", "real": "%.17g", "complex": "%.17g,%.17g"}

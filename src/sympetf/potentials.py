@@ -16,15 +16,6 @@ import numpy as np
 from .frames import gram, omega
 from .skewlinalg import _check_even_dim, check_skew
 
-__all__ = [
-    "frame_potential",
-    "potential_bound",
-    "normalize_nuclear",
-    "potential_gradient",
-    "PotentialReport",
-    "potential_report",
-]
-
 
 @dataclass(frozen=True)
 class PotentialReport:
@@ -83,6 +74,8 @@ def normalize_nuclear(g, d: int) -> np.ndarray:
     nuc = _nuclear(g)
     if nuc == 0.0:
         raise ValueError("cannot normalize the zero matrix")
+    if not math.isfinite(nuc):  # the scale would read as 0
+        raise FloatingPointError("nuclear norm past float64 range")
     return g * (math.sqrt(d * n * (n - 1)) / nuc)
 
 

@@ -32,18 +32,10 @@ import numpy as np
 
 from .frames import _equiangularity, _gram, gram, omega
 from .potentials import _gradient, _rank_nuclear, _value_and_weight, potential_bound
-from .skewlinalg import RANK_REL_TOL, _canonical_factor, _check_even_dim
+from .skewlinalg import _canonical_factor, _check_even_dim, _rank
 from .tournaments import (_offdiag_square_sum, count_diamonds_formula, diamond_upper_bound,
                           random_tournament)
 from .hadamard import certify_etf, is_skew_conference
-
-__all__ = [
-    "SearchConfig",
-    "SearchOutcome",
-    "continuous_etf_search",
-    "discrete_diamond_search",
-    "gerzon_oracle",
-]
 
 
 @dataclass(frozen=True)
@@ -301,6 +293,4 @@ def gerzon_oracle(n: int) -> int:
         signs = np.where(codes >> b & 1, 1.0, -1.0)
         mats[:, i, j] = signs
         mats[:, j, i] = -signs
-    sv = np.linalg.svd(mats, compute_uv=False)
-    ranks = np.sum(sv > RANK_REL_TOL * sv[:, :1], axis=1)
-    return int(ranks.min())
+    return int(_rank(np.linalg.svd(mats, compute_uv=False)).min())

@@ -1,5 +1,5 @@
 """Dense numerical kernel: the tolerances a caller may set, the one rank
-threshold ``RANK_REL_TOL``, singular-value rank, and the canonical
+rule ``_rank`` with its threshold ``RANK_REL_TOL``, and the canonical
 spectral form of real skew-symmetric matrices.
 
 The canonical form of a skew-symmetric ``a`` is an orthogonal ``w`` and
@@ -19,17 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotSkewSymmetricError
-
-__all__ = [
-    "ToleranceProfile",
-    "DEFAULT_TOL",
-    "RANK_REL_TOL",
-    "SkewSpectralForm",
-    "as_matrix",
-    "frobenius_norm",
-    "rank_by_sv",
-    "skew_spectral_form",
-]
 
 
 @dataclass(frozen=True)
@@ -51,7 +40,7 @@ class ToleranceProfile:
 
 
 DEFAULT_TOL = ToleranceProfile()
-RANK_REL_TOL = 1e-10  # singular values at or below RANK_REL_TOL * sigma_max count as zero
+RANK_REL_TOL = 1e-10  # spectral values at or below RANK_REL_TOL * the largest count as zero
 
 
 @dataclass(frozen=True)
@@ -136,11 +125,21 @@ def frobenius_norm(a: np.ndarray) -> float:
     return unit * float(np.linalg.norm(a / unit)) if 0.0 < unit < math.inf else r
 
 
+def _rank(values: np.ndarray):
+    """Count of ``values`` above RANK_REL_TOL times the largest, along the last axis.
+
+    Every rank count in the package is this one; a largest value past float64
+    raises FloatingPointError rather than reading as rank 0.
+    """
+    top = values.max(-1, keepdims=True)  # >= 0 for every caller's spectrum
+    if not np.isfinite(top).all():
+        raise FloatingPointError("spectrum past float64 range")
+    return (values > RANK_REL_TOL * top).sum(-1)
+
+
 def rank_by_sv(a) -> int:
     """Numerical rank: number of singular values above RANK_REL_TOL * sigma_max."""
-    a = as_matrix(a)
-    s = np.linalg.svd(a, compute_uv=False)
-    return int(np.count_nonzero(s > RANK_REL_TOL * s[0]))
+    return int(_rank(np.linalg.svd(as_matrix(a), compute_uv=False)))
 
 
 def skew_spectral_form(a) -> SkewSpectralForm:
@@ -173,7 +172,7 @@ def _blocks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     n = a.shape[0]
     lam, z = np.linalg.eigh(1j * a)  # reads the lower triangle only; ascending, in +-l pairs
-    r = int(np.count_nonzero(lam > RANK_REL_TOL * max(lam[-1], 0.0)))
+    r = int(_rank(lam))
     z = z[:, n - r :][:, ::-1]  # descending block values
     rows = np.empty((2 * r, n))
     rows[0::2] = math.sqrt(2.0) * z.imag.T

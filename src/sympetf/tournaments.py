@@ -22,21 +22,6 @@ from .errors import InvalidSeidelError, NotEquiangularError, RoundingError
 from .frames import is_equiangular
 from .skewlinalg import DEFAULT_TOL, ToleranceProfile
 
-__all__ = [
-    "check_seidel",
-    "seidel_square",
-    "random_tournament",
-    "seidel_from_gram",
-    "DegreeStats",
-    "degree_stats",
-    "gamma",
-    "count_diamonds_bruteforce",
-    "count_diamonds_formula",
-    "diamond_upper_bound",
-    "is_doubly_regular",
-    "switch",
-]
-
 
 def _as_int_square(a, error: type[Exception] = ValueError) -> np.ndarray:
     """A nonempty square matrix of integers, as int64; ``error`` names what it raises."""

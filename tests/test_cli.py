@@ -167,6 +167,32 @@ def test_a_frame_operator_past_float64_range_is_one_usage_error(tmp_path, text, 
     assert not (tmp_path / "out.symf").exists()
 
 
+# the d = 6 core ETF Gram at mu = 1e308, whose block value sqrt(7) * 1e308 (and norm) pass
+# float64 where HUGE's sqrt(3) * 1e308 does not, and a copy with one pair 1e-11 * mu off
+HUGE_CORE = 1e308 * hadamard_to_etf_core(seed_hadamard(8)).astype(float)
+HUGE_CORE_SHIFTED = HUGE_CORE.copy()
+HUGE_CORE_SHIFTED[[0, 1], [1, 0]] *= 1.0 + 1e-11
+OVERFLOW = "error: spectrum past float64 range\n"
+
+
+@pytest.mark.parametrize("g, argv, want", [
+    (HUGE_CORE, ["factor", "in.symf", "--out", "out.symf"], (2, "", OVERFLOW)),
+    (HUGE_CORE, ["verify", "tight", "in.symf", "--dim", "6"], (2, "", OVERFLOW)),
+    (HUGE_CORE, ["verify", "etf", "in.symf", "--dim", "6"], (0, "verified=true\nd=6\nn=7\nmu=1e+308\n", "")),
+    (HUGE_CORE_SHIFTED, ["verify", "etf", "in.symf", "--dim", "6"], (0, "verified=true\n", "")),
+    (HUGE_CORE_SHIFTED, ["verify", "etf", "in.symf", "--dim", "6", "--tol", "1e-14"], (1, "verified=false\n", "")),
+], ids=["factor", "verify-tight", "verify-etf", "verify-etf-shifted", "verify-etf-shifted-tol-1e-14"])
+def test_a_block_value_past_float64_is_an_overflow_and_the_gate_still_decides(tmp_path, g, argv, want):
+    # a spectrum read as rank 0 made factor "zero" and verify tight false (exit 1); a residual
+    # read as x / inf = 0 certified the shifted copy at --tol 1e-14
+    write_matrix(tmp_path / "in.symf", g)
+    proc = run_module(tmp_path, *argv)
+    code, head, err = want
+    assert (proc.returncode, proc.stderr) == (code, err)
+    assert proc.stdout.startswith(head)
+    assert not (tmp_path / "out.symf").exists()
+
+
 def run_module(cwd, *argv, preexec_fn=None, stdout=subprocess.PIPE):
     """Run ``python -m sympetf`` on this checkout's sources in a child process."""
     paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]

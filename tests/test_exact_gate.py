@@ -53,6 +53,19 @@ def test_factor_path_validates_once_and_runs_no_qr(monkeypatch):
     assert len(qr) == 0
 
 
+@pytest.mark.parametrize("mu", [1.0, 1e300, 1e308])
+def test_gate_residual_reads_the_same_where_the_norm_of_g_overflows(mu):
+    # at mu = 1e308 ||g||_F passes float64, and ||g - mu S|| / ||g|| would read 0
+    g = hadamard_to_etf_core(seed_hadamard(64)).astype(float)
+    g[0, 1] *= 1.0 + 1e-11
+    g[1, 0] *= 1.0 + 1e-11
+    at_one = certify_etf(g, 62).tightness_residual
+    assert at_one == pytest.approx(2.26e-13, rel=1e-3)
+    g *= mu
+    assert certify_etf(g, 62).tightness_residual == pytest.approx(at_one, rel=1e-4)
+    assert certify_etf(g, 62, ToleranceProfile(residual_rel_tol=1e-14)) is None
+
+
 LOOSE = ToleranceProfile(residual_rel_tol=1e-3, entry_tol=1e-3)
 STUDY = {
     "seed-core-d1022": lambda: (hadamard_to_etf_core(seed_hadamard(1024)), 1022),

@@ -7,7 +7,9 @@ loaded in a fresh interpreter under a bare package whose ``__init__`` has
 not run, and the package itself is imported the usual way.  A private
 function that only tests call is a test oracle and belongs under tests/.
 A public function takes a ``tol`` only where some caller sets one, and
-no value it can read off its arguments.
+no value it can read off its arguments.  ``__init__`` is the one export
+list: a module marks a name public by its missing underscore.  The rank
+threshold is read by the one rank rule alone.
 """
 
 import ast
@@ -65,9 +67,14 @@ def _names(node):
             yield sub.name
 
 
+def _statements():
+    """(module, top-level statement) over every module of the package."""
+    return [(path.stem, stmt) for path in sorted((SRC / "sympetf").glob("*.py"))
+            for stmt in ast.parse(path.read_text()).body]
+
+
 def test_every_private_function_is_used_by_the_package():
-    statements = [(path.stem, stmt) for path in sorted((SRC / "sympetf").glob("*.py"))
-                  for stmt in ast.parse(path.read_text()).body]
+    statements = _statements()
     unused = [
         f"{module}.{stmt.name}"
         for module, stmt in statements
@@ -75,6 +82,16 @@ def test_every_private_function_is_used_by_the_package():
         and not any(stmt.name in _names(other) for _, other in statements if other is not stmt)
     ]
     assert unused == []
+
+
+def test_no_module_declares_an_export_list():
+    assert [module for module, stmt in _statements() if "__all__" in _names(stmt)] == []
+
+
+def test_the_rank_threshold_is_read_only_by_its_definition_and_the_rank_rule():
+    readers = [(module, getattr(stmt, "name", type(stmt).__name__)) for module, stmt in _statements()
+               if "RANK_REL_TOL" in _names(stmt)]
+    assert readers == [("skewlinalg", "Assign"), ("skewlinalg", "_rank")]
 
 
 SETS_TOL = {  # each is passed a tol by the CLI's --tol or by a tolerance study in tests/

@@ -5,6 +5,7 @@ import pytest
 
 from sympetf import certify_etf
 from sympetf.frames import gram, is_equiangular, is_frame, omega
+from sympetf.hadamard import hadamard_to_etf_core, seed_hadamard
 from sympetf.potentials import (
     frame_potential,
     normalize_nuclear,
@@ -84,6 +85,13 @@ def test_n_is_the_order_of_the_gram(conf4):
 def test_normalize_nuclear_rejects_zero():
     with pytest.raises(ValueError):
         normalize_nuclear(np.zeros((3, 3)), 2)
+
+
+def test_normalize_nuclear_refuses_a_nuclear_norm_past_float64():
+    # read as inf, the scale would be 0: the zero matrix, reported with a value below the bound
+    g = 1e308 * hadamard_to_etf_core(seed_hadamard(64)).astype(float)
+    with pytest.raises(FloatingPointError, match="nuclear norm past float64 range"):
+        normalize_nuclear(g, 62)
 
 
 def test_normalize_nuclear_target():

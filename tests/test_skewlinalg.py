@@ -7,11 +7,12 @@ import pytest
 
 from builders import paley_conference
 from sympetf.errors import NotSkewSymmetricError
-from sympetf.frames import factor_gram, gram
+from sympetf.frames import factor_gram, gram, is_tight
 from sympetf.hadamard import certify_etf, hadamard_to_etf_core, hadamard_to_etf_square, seed_hadamard
 from sympetf.skewlinalg import (
     RANK_REL_TOL,
     ToleranceProfile,
+    _rank,
     as_matrix,
     check_skew,
     frobenius_norm,
@@ -208,6 +209,29 @@ def test_rank_by_sv_basics(conf4):
     g_basic = np.array([[0, 1, 1], [-1, 0, 0], [-1, 0, 0]], dtype=float)
     assert rank_by_sv(g_basic) == 2
     assert rank_by_sv(conf4.astype(float)) == 4
+
+
+def test_rank_counts_along_the_last_axis_and_refuses_a_top_past_float64():
+    values = np.array([[3.0, 1e-9, 0.0], [2.0, 1.0, 1e-11], [0.0, 0.0, 0.0]])
+    assert _rank(values).tolist() == [2, 2, 0]
+    assert [_rank(row) for row in values] == [2, 2, 0]
+    for top in (math.inf, math.nan):
+        with pytest.raises(FloatingPointError, match="spectrum past float64 range"):
+            _rank(np.array([[1.0, 0.0], [top, 1.0]]))
+
+
+RANK_COUNTS = {"rank_by_sv": rank_by_sv, "is_tight": lambda g: is_tight(g, g.shape[0] - 1),
+               "factor_gram": factor_gram, "skew_spectral_form": skew_spectral_form}
+
+
+@pytest.mark.parametrize("count", RANK_COUNTS)
+@pytest.mark.parametrize("m", [8, 64])
+def test_a_spectrum_past_float64_is_an_overflow_error_not_rank_zero(m, count):
+    # the core's block value sqrt(m - 1) * 1e308 has no float64 value; read as rank 0,
+    # it made the factor "zero", the form w = I and the Gram not tight
+    g = 1e308 * hadamard_to_etf_core(seed_hadamard(m)).astype(float)
+    with pytest.raises(FloatingPointError, match="spectrum past float64 range"):
+        RANK_COUNTS[count](g)
 
 
 def test_rank_invariant_under_orthogonal_conjugation():
