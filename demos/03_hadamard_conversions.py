@@ -4,7 +4,8 @@ A d-by-d ETF Gram scaled to unit modulus is a skew conference matrix, and
 adding the identity gives a skew Hadamard matrix of order d; conversely
 the core of a normalized order-(d+2) skew Hadamard matrix is the Gram of
 a d-by-(d+1) ETF.  Doubling constructs arbitrarily large orders at both
-the Hadamard and the frame level, consistently.
+the Hadamard and the frame level, consistently, and Paley's construction
+gives orders p + 1 for primes p = 3 mod 4, such as 12.
 """
 
 import numpy as np
@@ -40,6 +41,11 @@ h8_back = etf_core_to_hadamard(k)
 print("re-bordered core is skew Hadamard of order", h8_back.shape[0], ":", is_skew_hadamard(h8_back))
 
 print("\ndoubling chain on orders:", [seed_hadamard(m).shape[0] for m in (2, 4, 8, 16, 32)])
+
+# 12 = 11 + 1 with 11 prime and 3 mod 4: Paley's construction, no doubling
+h12 = seed_hadamard(12)
+print("\nPaley order 12 is skew Hadamard:", is_skew_hadamard(h12),
+      "and its core is a (10,11) ETF:", certify_etf(hadamard_to_etf_core(h12), 10))
 
 print("\nframe-level doubling from the identity frame:")
 phi = np.eye(2)

@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("gen", help="generate a power-of-two order skew Hadamard seed")
+    p = sub.add_parser("gen", help="generate a skew Hadamard seed: powers of two, Paley orders and doublings")
     p.add_argument("--hadamard-order", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)

@@ -8,8 +8,9 @@ domain failures to exit code 1, and usage failures, ``MemoryError`` (a
 size no machine can hold) and ``FloatingPointError`` (input or an order
 so large that float64 overflows) to exit code 2.  Besides numpy's own
 overflow, ``FloatingPointError`` comes from ``skewlinalg._rank``, the one
-rank count, when the largest value of a spectrum passes float64, and from
-``potentials.normalize_nuclear`` when the nuclear norm does.
+rank count, when the largest value of a spectrum passes float64, from
+``potentials.normalize_nuclear`` when the nuclear norm does, and from
+``hadamard.etf_to_conference`` when the tightness constant does.
 
 Validation runs once, at the public boundary: a public function checks
 its array arguments on entry and hands values it has checked or built

@@ -1,5 +1,5 @@
 """Skew Hadamard and skew conference matrices, their ETF conversions,
-and the doubling constructions.
+and the doubling and Paley constructions.
 
 A skew Hadamard matrix H of order m has +-1 entries, satisfies
 H @ H.T == m * I exactly, and H - I is skew-symmetric.  Equivalently
@@ -14,7 +14,7 @@ their common modulus, and every rounded result is re-verified.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, sqrt
+from math import inf, isfinite, isqrt, sqrt
 
 import numpy as np
 
@@ -154,7 +154,10 @@ def etf_to_conference(
         c[1:, 1:] = s
     if not _is_conference(c):
         raise RoundingError("rounded matrix failed the exact skew Hadamard check")
-    cert = EtfCertificate(d=d, n=n, mu=mu, c=mu * sqrt(n - 1 if n == d else n),
+    tightness = mu * sqrt(n - 1 if n == d else n)
+    if not isfinite(tightness):
+        raise FloatingPointError("tightness constant past float64 range")
+    cert = EtfCertificate(d=d, n=n, mu=mu, c=tightness,
                           equiangular_residual=equiangular_residual, tightness_residual=residual)
     return cert, c
 
@@ -278,23 +281,43 @@ def double_frame(phi, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
 _MAX_SEED_ORDER = 2048
 
 
-def seed_hadamard(order: int) -> np.ndarray:
-    """Skew Hadamard matrix of any power-of-two order up to 2048, built by doubling [[1]].
+def _paley(p: int) -> np.ndarray:
+    """I + [[0, 1^T], [-1, Q]] with Q_ab = chi(b - a), chi the quadratic character mod a
+    prime p = 3 mod 4: a skew Hadamard matrix of order p + 1 (R. E. A. C. Paley, J. Math.
+    Phys. 12, 1933).  chi(0) is read as 1, which is the identity's diagonal."""
+    chi = -np.ones(p, dtype=np.int64)
+    chi[np.arange(p) ** 2 % p] = 1
+    h = np.ones((p + 1, p + 1), dtype=np.int64)
+    h[1:, 0] = -1
+    h[1:, 1:] = chi[(np.arange(p)[None, :] - np.arange(p)[:, None]) % p]
+    return h
 
-    Other orders are reachable only through search, not through this
-    generator.  The bound is checked before anything is allocated.  At
-    order m the peak, measured with ``tracemalloc``, is five m x m arrays
-    of 8-byte entries, 40 m^2 bytes or 160 MiB at m = 2048: the int64
-    matrix, H - I, and the float64 copy, float64 product and int64 cast
-    of the exact check ``tournaments._unit_gram``.
+
+def _construct(m: int) -> np.ndarray | None:
+    """Order m from [[1]]: doubling at powers of two, else Paley where m = 0 mod 4 and m - 1
+    is prime, else doubling order m/2.  None where no rule reaches m; nothing is then built."""
+    if m == 1:
+        return np.ones((1, 1), dtype=np.int64)
+    if m & (m - 1) and m % 4 == 0 and all((m - 1) % k for k in range(2, isqrt(m - 1) + 1)):
+        return _paley(m - 1)
+    half = _construct(m // 2) if m % 2 == 0 else None
+    return None if half is None else _double(half)
+
+
+def seed_hadamard(order: int) -> np.ndarray:
+    """Skew Hadamard matrix of order up to 2048: a power of two or 2^k (p + 1) for a prime
+    p = 3 mod 4, built by ``_construct``; other orders raise ValueError.
+
+    The bound is checked before anything is allocated.  At order m the peak, measured with
+    ``tracemalloc``, is five m x m arrays of 8-byte entries, 40 m^2 bytes or 160 MiB at
+    m = 2048: the int64 matrix, H - I, and the float64 copy, float64 product and int64 cast
+    of the exact check ``tournaments._unit_gram``, which runs on every result.
     """
-    if order < 1 or order & (order - 1) != 0:
-        raise ValueError(f"seed orders are powers of two, got {order}")
     if order > _MAX_SEED_ORDER:
         raise ValueError(f"seed orders are limited to {_MAX_SEED_ORDER}, got {order}")
-    h = np.ones((1, 1), dtype=np.int64)
-    while h.shape[0] < order:
-        h = _double(h)
+    h = _construct(order) if order >= 1 else None
+    if h is None:
+        raise ValueError(f"no construction covers order {order}")
     if not _is_skew_hadamard(h):
-        raise NotSkewHadamardError("doubling failed the exact verification")
+        raise NotSkewHadamardError("construction failed the exact verification")
     return h

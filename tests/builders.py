@@ -1,35 +1,30 @@
-"""Test-side builders: the prime Paley construction, the signed permutation
+"""Test-side helpers: the orders the library builds, the signed permutation
 move, and a call counter.
 
-For a prime p = 3 mod 4, ``qr_tournament(p)`` is the quadratic-residue
-Seidel matrix Q, with Q_ij = 1 when j - i is a nonzero square mod p and -1
-otherwise, and ``paley_conference(p)`` borders it by a row of ones into a
-skew conference matrix of order p + 1 (R. E. A. C. Paley, J. Math. Phys.
-12, 1933).  Both return int64.  ``signed_permutation`` relabels and
-switches a matrix with int64 signs; a caller that needs float casts the
-result.  ``count_calls`` spies on a library function wherever it is bound.
+The constructions live in ``sympetf.hadamard.seed_hadamard`` only, and
+``covered_orders`` asks it which m = 4k it builds.  ``signed_permutation``
+relabels and switches a matrix with int64 signs; a caller that needs float
+casts the result.  ``count_calls`` spies on a library function wherever it
+is bound.
 """
 
 import sys
 
 import numpy as np
 
-
-def qr_tournament(p: int) -> np.ndarray:
-    squares = np.zeros(p, dtype=bool)
-    squares[(np.arange(1, p) ** 2) % p] = True
-    diff = (np.arange(p)[None, :] - np.arange(p)[:, None]) % p
-    q = np.where(squares[diff], 1, -1).astype(np.int64)
-    np.fill_diagonal(q, 0)
-    return q
+from sympetf.hadamard import seed_hadamard
 
 
-def paley_conference(p: int) -> np.ndarray:
-    c = np.zeros((p + 1, p + 1), dtype=np.int64)
-    c[0, 1:] = 1
-    c[1:, 0] = -1
-    c[1:, 1:] = qr_tournament(p)
-    return c
+def covered_orders(top: int) -> list[int]:
+    """The m = 4k <= top that ``seed_hadamard`` builds."""
+    covered = []
+    for m in range(4, top + 1, 4):
+        try:
+            seed_hadamard(m)
+        except ValueError:
+            continue
+        covered.append(m)
+    return covered
 
 
 def signed_permutation(s: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -10,6 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from builders import covered_orders
 from sympetf import cli
 from sympetf.cli import build_parser, main
 from sympetf import certify_etf
@@ -173,18 +174,21 @@ HUGE_CORE = 1e308 * hadamard_to_etf_core(seed_hadamard(8)).astype(float)
 HUGE_CORE_SHIFTED = HUGE_CORE.copy()
 HUGE_CORE_SHIFTED[[0, 1], [1, 0]] *= 1.0 + 1e-11
 OVERFLOW = "error: spectrum past float64 range\n"
+# c = sqrt(7) * 1e308 printed as inf with verified=true (exit 0) before
+TIGHTNESS_OVERFLOW = "error: tightness constant past float64 range\n"
 
 
 @pytest.mark.parametrize("g, argv, want", [
     (HUGE_CORE, ["factor", "in.symf", "--out", "out.symf"], (2, "", OVERFLOW)),
     (HUGE_CORE, ["verify", "tight", "in.symf", "--dim", "6"], (2, "", OVERFLOW)),
-    (HUGE_CORE, ["verify", "etf", "in.symf", "--dim", "6"], (0, "verified=true\nd=6\nn=7\nmu=1e+308\n", "")),
-    (HUGE_CORE_SHIFTED, ["verify", "etf", "in.symf", "--dim", "6"], (0, "verified=true\n", "")),
+    (HUGE_CORE, ["verify", "etf", "in.symf", "--dim", "6"], (2, "", TIGHTNESS_OVERFLOW)),
+    (HUGE_CORE_SHIFTED, ["verify", "etf", "in.symf", "--dim", "6"], (2, "", TIGHTNESS_OVERFLOW)),
     (HUGE_CORE_SHIFTED, ["verify", "etf", "in.symf", "--dim", "6", "--tol", "1e-14"], (1, "verified=false\n", "")),
 ], ids=["factor", "verify-tight", "verify-etf", "verify-etf-shifted", "verify-etf-shifted-tol-1e-14"])
 def test_a_block_value_past_float64_is_an_overflow_and_the_gate_still_decides(tmp_path, g, argv, want):
     # a spectrum read as rank 0 made factor "zero" and verify tight false (exit 1); a residual
-    # read as x / inf = 0 certified the shifted copy at --tol 1e-14
+    # read as x / inf = 0 certified the shifted copy at --tol 1e-14; the exact check still
+    # decides the shifted copy there, before the tightness constant overflows
     write_matrix(tmp_path / "in.symf", g)
     proc = run_module(tmp_path, *argv)
     code, head, err = want
@@ -641,15 +645,34 @@ def test_gen_cli(tmp_path, capsys):
     assert code == 0 and report["order"] == "16"
     _, h = read_matrix(out)
     assert is_skew_hadamard(h)
-    code, _, err = run(capsys, "gen", "--hadamard-order", "12", "--out", str(out))
-    assert code == 1 and "powers of two" in err
+    code, report, _ = run(capsys, "gen", "--hadamard-order", "12", "--out", str(out))
+    assert code == 0 and report["order"] == "12"
+    np.testing.assert_array_equal(read_matrix(out)[1], seed_hadamard(12))
+    code, _, err = run(capsys, "gen", "--hadamard-order", "188", "--out", str(out))
+    assert code == 1 and err == "error: no construction covers order 188\n"
+
+
+COVERED_TO_200 = covered_orders(200)
+
+
+@pytest.mark.parametrize("m", range(4, 201, 4))
+def test_gen_builds_every_covered_order_and_refuses_the_rest(tmp_path, capsys, m):
+    out = tmp_path / "h.symf"
+    code, report, err = run(capsys, "gen", "--hadamard-order", str(m), "--out", str(out))
+    if m not in COVERED_TO_200:
+        assert (code, report, err) == (1, {}, f"error: no construction covers order {m}\n")
+        assert not out.exists()
+        return
+    assert (code, report, err) == (0, {"order": str(m)}, "")
+    code, report, _ = run(capsys, "verify", "hadamard", str(out))
+    assert code == 0 and report["verified"] == "true"
 
 
 # ------------------------------------------------------------ transcript goldens
 #
 # Every command's exact stdout, stderr, exit code and --out bytes on small
 # inputs, recorded before the commands stopped printing their own reports.
-# Three cases changed on purpose since, each marked where it stands.
+# Four cases changed on purpose since, each marked where it stands.
 # Two floats come out of LAPACK: the factor residual and the continuous
 # best_value.  Their lines are pinned by key and position and bounded by
 # value, and the files they come with by their header line.
@@ -870,8 +893,12 @@ TRANSCRIPTS = [
     ('gen --hadamard-order 16 --out out.symf',
      0, 'order=16\n', '',
      '8b76a7673c8002f90b90dd36368947dc862e37a79f1c63b5c5a7b99d891435e5'),
+    # exit 1 before order 12 had Paley's construction
     ('gen --hadamard-order 12 --out out.symf',
-     1, '', 'error: seed orders are powers of two, got 12\n',
+     0, 'order=12\n', '',
+     '154033aab4d434780000ddb40a9371a81d6c9b9be114ddccfd0e58da60a54f9c'),
+    ('gen --hadamard-order 188 --out out.symf',
+     1, '', 'error: no construction covers order 188\n',
      None),
     ('gen --hadamard-order 16 --out missing/out.symf',
      2, '', "error: [Errno 2] No such file or directory: 'missing/out.symf'\n",

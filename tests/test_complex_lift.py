@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from builders import signed_permutation
+from builders import covered_orders, signed_permutation
 from tournament_oracles import lift_core_by_switching
-from sympetf import write_matrix
+from sympetf import certify_etf, write_matrix
 from sympetf.complex_lift import (
     _lift_scale,
     beta_constant,
@@ -275,3 +276,18 @@ def test_full_cycle_core():
         real = realify(psi)
         alpha = core_lift_scale(d) * beta_constant(d).imag  # mu == 1 on these fixtures
         assert np.linalg.norm(gram(real) - alpha * g) <= 1e-9
+
+
+@pytest.mark.parametrize("m", covered_orders(100))
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_realify_round_trip_on_every_covered_order(m, seed):
+    # lift a signed-permuted core, factor the lift and realify it: the real Gram is
+    # alpha * g, a d = m - 2 ETF again
+    d = m - 2
+    k = hadamard_to_etf_core(seed_hadamard(m)).astype(np.int64)
+    g = signed_permutation(k, np.random.default_rng(seed)).astype(float)
+    real = gram(realify(synthesis_from_signature(lift_core(g), d // 2)))
+    alpha = core_lift_scale(d) * beta_constant(d).imag
+    assert np.linalg.norm(real - alpha * g) <= 1e-9 * np.linalg.norm(alpha * g)
+    assert certify_etf(real, d) is not None

@@ -12,11 +12,13 @@ oracle's SVD alone takes seconds there.
 import numpy as np
 import pytest
 
-from builders import count_calls, paley_conference, signed_permutation
+from builders import count_calls, signed_permutation
 from etf_oracle import svd_certify_etf
 from sympetf import certify_etf
+from sympetf.errors import RoundingError
 from sympetf.frames import _equiangularity, factor_gram
-from sympetf.hadamard import etf_to_conference, hadamard_to_etf_core, seed_hadamard
+from sympetf.hadamard import (etf_to_conference, hadamard_to_etf_core, hadamard_to_etf_square,
+                              seed_hadamard)
 from sympetf.search import SearchConfig, continuous_etf_search
 from sympetf.skewlinalg import DEFAULT_TOL, ToleranceProfile, _canonical_factor, check_skew
 
@@ -28,7 +30,7 @@ def seed_core(m: int) -> np.ndarray:
 
 GATE_CASES = [
     pytest.param(0.37 * seed_core(64), 62, id="permuted-seed-core-m64"),
-    pytest.param(0.37 * paley_conference(43).astype(float), 44, id="paley-square-p43"),
+    pytest.param(0.37 * hadamard_to_etf_square(seed_hadamard(44)), 44, id="paley-square-p43"),
 ]
 
 
@@ -55,21 +57,28 @@ def test_factor_path_validates_once_and_runs_no_qr(monkeypatch):
 
 @pytest.mark.parametrize("mu", [1.0, 1e300, 1e308])
 def test_gate_residual_reads_the_same_where_the_norm_of_g_overflows(mu):
-    # at mu = 1e308 ||g||_F passes float64, and ||g - mu S|| / ||g|| would read 0
+    # at mu = 1e308 ||g||_F passes float64, and ||g - mu S|| / ||g|| would read 0.  The
+    # tightness constant sqrt(63) * mu passes it too, so there the certificate is an
+    # overflow and the residual is read off the refusal at residual_rel_tol = 1e-14
     g = hadamard_to_etf_core(seed_hadamard(64)).astype(float)
     g[0, 1] *= 1.0 + 1e-11
     g[1, 0] *= 1.0 + 1e-11
     at_one = certify_etf(g, 62).tightness_residual
     assert at_one == pytest.approx(2.26e-13, rel=1e-3)
     g *= mu
-    assert certify_etf(g, 62).tightness_residual == pytest.approx(at_one, rel=1e-4)
-    assert certify_etf(g, 62, ToleranceProfile(residual_rel_tol=1e-14)) is None
+    with pytest.raises(RoundingError, match=f"^distance {at_one:.3e} to mu"):
+        etf_to_conference(g, 62, ToleranceProfile(residual_rel_tol=1e-14))
+    if mu < 1e308:
+        assert certify_etf(g, 62).tightness_residual == pytest.approx(at_one, rel=1e-4)
+    else:
+        with pytest.raises(FloatingPointError, match="^tightness constant past float64 range$"):
+            certify_etf(g, 62)
 
 
 LOOSE = ToleranceProfile(residual_rel_tol=1e-3, entry_tol=1e-3)
 STUDY = {
     "seed-core-d1022": lambda: (hadamard_to_etf_core(seed_hadamard(1024)), 1022),
-    "paley-square-d1020": lambda: (paley_conference(1019).astype(float), 1020),
+    "paley-square-d1020": lambda: (hadamard_to_etf_square(seed_hadamard(1020)), 1020),
 }
 
 

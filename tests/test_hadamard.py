@@ -1,14 +1,16 @@
 import hashlib
 import itertools
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from builders import signed_permutation
+from builders import covered_orders, signed_permutation
 from etf_oracle import svd_certify_etf
 from tournament_oracles import flat_kernel, is_conference_by_seidel
 from sympetf import certify_etf
@@ -21,6 +23,7 @@ from sympetf.errors import (
 )
 from sympetf.frames import gram, omega
 from sympetf.hadamard import (
+    _paley,
     core,
     default_b_matrix,
     double_frame,
@@ -277,6 +280,14 @@ def test_etf_to_conference_square_and_errors(conf4):
         etf_to_conference(np.zeros((3, 3)), 2)
 
 
+def test_a_tightness_constant_past_float64_is_an_overflow():
+    # c = sqrt(7) * mu passes float64 at mu = 1e308; a certificate read c = inf before
+    k = hadamard_to_etf_core(seed_hadamard(8))
+    with pytest.raises(FloatingPointError, match="^tightness constant past float64 range$"):
+        etf_to_conference(1e308 * k, 6)
+    assert certify_etf(1e307 * k, 6).c == pytest.approx(math.sqrt(7) * 1e307, rel=1e-15)
+
+
 @pytest.mark.parametrize("m, d", [(8, 4), (8, 6), (16, 8), (4, 8)])
 def test_etf_to_conference_names_a_size_mismatch(m, d):
     # a genuine square ETF Gram offered at a dimension whose sizes exclude it
@@ -392,12 +403,21 @@ def test_double_frame_rejects_bad_b():
 def test_seed_hadamard():
     np.testing.assert_array_equal(seed_hadamard(1), [[1]])
     np.testing.assert_array_equal(seed_hadamard(2), H2)
-    for order in (4, 8, 16, 32):
+    for order in (4, 8, 12, 16, 20, 24, 32, 40, 44, 48):
         h = seed_hadamard(order)
         assert is_skew_hadamard(h)
-        assert order in (1, 2) or order % 4 == 0
-    with pytest.raises(ValueError):
-        seed_hadamard(12)
+    # Paley at 12 = 11 + 1, with no doubling; doubling at 40 = 2 * (19 + 1)
+    np.testing.assert_array_equal(seed_hadamard(12), _paley(11))
+    np.testing.assert_array_equal(seed_hadamard(40), double_hadamard(seed_hadamard(20)))
+    tracemalloc.start()  # an uncovered order is refused before anything is allocated
+    try:
+        for order in (0, -4, 3, 6, 28, 188, 2044):
+            with pytest.raises(ValueError, match=f"^no construction covers order {order}$"):
+                seed_hadamard(order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # sha256 of seed_hadamard(2**k).tobytes() for k = 0..10, recorded when the
@@ -434,6 +454,28 @@ def test_seed_hadamard_refuses_orders_beyond_its_bound_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+# 1020 = 1019 + 1 is Paley's, 1536 = 4 * (383 + 1) Paley's doubled twice
+@pytest.mark.parametrize("m", [1020, 1536])
+def test_seed_hadamard_peak_is_forty_bytes_per_entry(m):
+    # five m x m arrays of 8-byte entries (see the docstring), plus array headers
+    tracemalloc.start()
+    try:
+        seed_hadamard(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * m * m + 2**16
+
+
+def test_readme_lists_the_orders_seed_hadamard_cannot_build():
+    uncovered = sorted(set(range(4, 201, 4)) - set(covered_orders(200)))
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    phrase = r"\s+".join("The m = 4k <= 200 that `gen` cannot build yet are".split())
+    listed = re.search(phrase + r"\s+([\d,\s]+)\.", text)
+    assert listed is not None
+    assert [int(m) for m in listed[1].split(",")] == uncovered
 
 
 def test_seven_vertex_doubled_core_fixture():

@@ -6,15 +6,16 @@ square mod p and -1 otherwise, is skew.  Bordered by a row of ones it is
 a skew conference matrix of order p + 1 (R. E. A. C. Paley, J. Math.
 Phys. 12, 1933), and Q is the Seidel matrix of a doubly regular
 tournament, whose diamond count meets the bound exactly (Reid and Brown,
-JCTA 12, 1972).  The orders p + 1 = 12, 20, 24, 44, ... are not powers of
-two, so ``seed_hadamard`` cannot build them.
+JCTA 12, 1972).  ``seed_hadamard`` builds the orders p + 1 = 12, 20, 24,
+44, ... this way; at the powers of two p + 1 = 8 and 32 it doubles, so
+the tests read Paley's matrices there from ``hadamard._paley``.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from builders import paley_conference, qr_tournament, signed_permutation
+from builders import signed_permutation
 from etf_oracle import svd_certify_etf
 from tournament_oracles import (flat_kernel, gamma_by_masks, is_doubly_regular_by_degrees,
                                 lift_core_by_switching)
@@ -23,6 +24,7 @@ from sympetf.complex_lift import beta_constant, lift_core, lift_square, signatur
 from sympetf.errors import RoundingError
 from sympetf.frames import factor_gram, gram
 from sympetf.hadamard import (
+    _paley,
     core,
     double_frame,
     double_hadamard,
@@ -50,6 +52,20 @@ from sympetf.tournaments import (
 PRIMES = (7, 11, 19, 23, 31, 43, 47, 59, 67, 71, 79, 83, 1019)
 
 
+def paley(p: int) -> np.ndarray:
+    """Paley's skew Hadamard matrix of order p + 1, from ``seed_hadamard`` where that is not a
+    power of two."""
+    return seed_hadamard(p + 1) if (p + 1) & p else _paley(p)
+
+
+def paley_conference(p: int) -> np.ndarray:
+    return paley(p) - np.eye(p + 1, dtype=np.int64)
+
+
+def qr_tournament(p: int) -> np.ndarray:
+    return core(paley_conference(p))
+
+
 def flip_edge(s: np.ndarray, rng: np.random.Generator, lowest: int = 0) -> np.ndarray:
     """Reverse one edge i -> j (both signs of the pair), keeping a Seidel matrix."""
     i, j = rng.choice(np.arange(lowest, s.shape[0]), size=2, replace=False)
@@ -64,7 +80,11 @@ def test_bordered_qr_matrix_is_a_skew_conference_matrix(p):
     eye = np.eye(p + 1, dtype=np.int64)
     assert is_skew_conference(c)
     assert is_skew_hadamard(c + eye)
-    np.testing.assert_array_equal(core(c), qr_tournament(p))
+    np.testing.assert_array_equal(_paley(p), c + eye)
+    # Q_ab = 1 exactly where b - a is a nonzero square mod p
+    q = core(c)
+    np.testing.assert_array_equal(np.flatnonzero(q[0] == 1), sorted({b * b % p for b in range(1, p)}))
+    np.testing.assert_array_equal(q, [np.roll(q[0], a) for a in range(p)])
     # one reversed edge off the border keeps a Seidel matrix but breaks C C^T = pI
     miss = flip_edge(c, np.random.default_rng(p), lowest=1)
     assert not is_skew_conference(miss)
@@ -108,7 +128,7 @@ def test_exact_border_equals_flat_kernel_on_paley_cores(p):
 @pytest.mark.parametrize("p", PRIMES)
 def test_paley_core_round_trip_rebuilds_the_normalized_hadamard_matrix(p):
     eye = np.eye(p + 1, dtype=np.int64)
-    h = paley_conference(p) + eye
+    h = paley(p)
     np.testing.assert_array_equal(etf_core_to_hadamard(hadamard_to_etf_core(h)), h)
     shuffled = signed_permutation(h, np.random.default_rng(p))
     normalized, _ = normalize_conference(shuffled - eye)
@@ -141,7 +161,7 @@ def test_lift_core_is_bit_identical_to_the_switched_assembly_on_paley_cores(p):
 @pytest.mark.parametrize("p", PRIMES)
 def test_paley_square_round_trip_lift_and_doubling(p):
     eye = np.eye(p + 1, dtype=np.int64)
-    h = paley_conference(p) + eye
+    h = paley(p)
     for hh in (h, signed_permutation(h, np.random.default_rng(p))):
         np.testing.assert_array_equal(etf_to_hadamard_square(hadamard_to_etf_square(hh)), hh)
     gram_c, q = lift_square(hadamard_to_etf_square(h))

@@ -5,7 +5,6 @@ import warnings
 import numpy as np
 import pytest
 
-from builders import paley_conference
 from sympetf.errors import NotSkewSymmetricError
 from sympetf.frames import factor_gram, gram, is_tight
 from sympetf.hadamard import certify_etf, hadamard_to_etf_core, hadamard_to_etf_square, seed_hadamard
@@ -189,10 +188,11 @@ def test_spectral_form_of_rank_deficient_grams(scale):
 
 @pytest.mark.parametrize("p", [11, 19, 23, 43])
 def test_spectral_form_handles_paley_clusters(p):
-    # orders p + 1 = 12, 20, 24, 44 are not powers of two: the square Gram has
-    # the single block value sqrt(p) at full multiplicity, and the core Gram
-    # the same value on every block plus a one-dimensional kernel
-    h = paley_conference(p) + np.eye(p + 1, dtype=np.int64)
+    # seed_hadamard builds orders p + 1 = 12, 20, 24, 44 by Paley's construction, with
+    # no doubling: the square Gram has the single block value sqrt(p) at full
+    # multiplicity, and the core Gram the same value on every block plus a
+    # one-dimensional kernel
+    h = seed_hadamard(p + 1)
     for g, rank in ((hadamard_to_etf_square(h), p + 1), (hadamard_to_etf_core(h), p - 1)):
         n = g.shape[0]
         form = skew_spectral_form(g)
