@@ -19,7 +19,7 @@ another module go through its public names, except that a public entry
 point may hand arrays it validated or built itself to another module's
 ``_`` kernel: ``search`` in its descent loop and with
 ``tournaments._offdiag_square_sum``, ``frames.factor_gram`` and
-``symplectic_witness`` with ``skewlinalg._canonical_factor``, ``frames.is_tight``,
+``symplectic_witness`` with ``skewlinalg._tight_factor``, ``frames.is_tight``,
 ``complex_lift.synthesis_from_signature`` and ``search.gerzon_oracle``
 with ``skewlinalg._rank``,
 ``hadamard.etf_to_conference`` with ``frames._equiangularity`` and

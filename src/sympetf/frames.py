@@ -20,9 +20,9 @@ from .skewlinalg import (
     DEFAULT_TOL,
     ToleranceProfile,
     as_matrix,
-    _canonical_factor,
     _check_even_dim,
     _rank,
+    _tight_factor,
     check_skew,
     rank_by_sv,
 )
@@ -115,10 +115,14 @@ def factor_gram(g) -> np.ndarray:
     Returns phi = D @ U where U has orthonormal rows and D repeats the
     square roots of the canonical block values, so that gram(phi) equals
     the input.  The result is canonical only up to symplectic equivalence;
-    compare Grams, never synthesis matrices.  A ``g`` skew within entry_tol
-    is factored as its lower-triangle completion, the only part read.
+    compare Grams, never synthesis matrices.  An exactly skew tight ``g``
+    (g @ g = -c^2 P, as every ETF Gram and every Gram ``convert`` writes)
+    is factored with no eigensolver, by one QR of a sketch of its complex
+    structure g / c; any other ``g``, and one skew only within entry_tol,
+    is factored by one Hermitian eigendecomposition of its lower-triangle
+    completion, the only part read.
     """
-    phi = _canonical_factor(check_skew(g))
+    phi = _tight_factor(check_skew(g))
     if phi.shape[0] == 0:
         raise FactorizationError("zero matrix has no frame factorization")
     return phi
@@ -183,5 +187,5 @@ def symplectic_witness(phi) -> np.ndarray:
     M @ psi = phi preserves the symplectic form.
     """
     phi = _check_frame(phi)
-    psi = _canonical_factor(_gram(phi, omega(phi.shape[0])))  # a frame's Gram is not zero
+    psi = _tight_factor(_gram(phi, omega(phi.shape[0])))  # a frame's Gram is not zero
     return phi @ psi.T @ np.linalg.inv(psi @ psi.T)

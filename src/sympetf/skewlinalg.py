@@ -173,11 +173,16 @@ def _blocks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = a.shape[0]
     lam, z = np.linalg.eigh(1j * a)  # reads the lower triangle only; ascending, in +-l pairs
     r = int(_rank(lam))
-    z = z[:, n - r :][:, ::-1]  # descending block values
-    rows = np.empty((2 * r, n))
+    return lam[n - r :][::-1], _block_rows(z[:, n - r :][:, ::-1])  # descending block values
+
+
+def _block_rows(z: np.ndarray) -> np.ndarray:
+    """The rows sqrt(2) Im, sqrt(2) Re of each column of ``z``, orthonormal eigenvectors of 1j * a
+    at positive eigenvalues: one 2x2 block of a's form per column."""
+    rows = np.empty((2 * z.shape[1], z.shape[0]))
     rows[0::2] = math.sqrt(2.0) * z.imag.T
     rows[1::2] = math.sqrt(2.0) * z.real.T
-    return lam[n - r :][::-1], rows
+    return rows
 
 
 def _canonical_factor(a: np.ndarray) -> np.ndarray:
@@ -185,3 +190,58 @@ def _canonical_factor(a: np.ndarray) -> np.ndarray:
     U is the block rows (the form's last ``rank`` rows of w), D the root of each block value, twice."""
     lambdas, rows = _blocks(a)
     return np.sqrt(np.repeat(lambdas, 2))[:, None] * rows
+
+
+_TIGHT_SEED = 2011  # seeds the Gaussians of _tight_factor; any fixed value serves
+
+
+def _tight_factor(a: np.ndarray) -> np.ndarray:
+    """A factor of the checked ``a`` with no eigensolver where ``a`` is exactly skew and tight,
+    else ``_canonical_factor(a)``.
+
+    A tight a has a @ a = -l^2 P with P the projector onto its range, so
+    O = a / l is a complex structure there and (P + iO) / 2 projects onto
+    the eigenspace of ``1j * a`` at +l.  One power step reads l, and
+    ||a||_F^2 = 2k l^2 reads k.  The QR of (P + iO) R, for a Gaussian n x k
+    R, is an orthonormal basis of that eigenspace (Halko, Martinsson and
+    Tropp, SIAM Review 53, 2011), whose ``_block_rows`` are block rows as
+    in ``_blocks``.  Everything is measured on a / max|a|, and the factor
+    is kept only where its Gram is within residual_rel_tol of ``a``.  A
+    block value past float64 raises as in ``_rank``.
+    """
+    n = a.shape[0]
+    unit = max(float(a.max()), -float(a.min()))
+    if unit == 0.0 or not np.array_equal(a, -a.T):
+        return _canonical_factor(a)
+    h = a / unit
+    rng = np.random.default_rng(_TIGHT_SEED)
+    x = h @ rng.standard_normal(n)
+    x_norm, hx_norm, h_norm = float(np.linalg.norm(x)), float(np.linalg.norm(h @ x)), frobenius_norm(h)
+    if not h_norm * x_norm < 2.0 * math.sqrt(n) * hx_norm:  # a rank 2k <= n, read below, is < 4n
+        return _canonical_factor(a)
+    lam = hx_norm / x_norm
+    if unit * lam == math.inf:
+        raise FloatingPointError("spectrum past float64 range")
+    rank = (h_norm / lam) ** 2  # 2k for a tight a
+    k = round(rank / 2)
+    if k < 1 or abs(rank - 2 * k) > 1e-6:
+        return _canonical_factor(a)
+    ox = h @ rng.standard_normal((n, k))
+    ox /= lam  # O R
+    z = 1j * ox
+    z.real = h @ ox
+    z.real /= -lam  # P R = -O (O R)
+    del h, ox  # the QR holds two copies of z
+    q = np.linalg.qr(z)[0]
+    del z
+    rows = _block_rows(q)
+    del q
+    m = rows[0::2].T @ rows[1::2]
+    r = m - m.T  # the Gram of the rows
+    del m
+    r *= lam
+    r -= a / unit
+    if frobenius_norm(r) > DEFAULT_TOL.residual_rel_tol * h_norm:
+        return _canonical_factor(a)
+    rows *= math.sqrt(unit) * math.sqrt(lam)
+    return rows

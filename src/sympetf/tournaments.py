@@ -52,13 +52,15 @@ def _unit_gram(a: np.ndarray) -> np.ndarray:
     """Exact a @ a.T, as int64, for a matrix with entries in {-1, 0, 1}.
 
     Every product of two entries is -1, 0 or 1, so every partial sum of an
-    inner product is an integer of magnitude at most the inner dimension,
-    far below 2**53.  Such integers are exact float64 values, so a float64
+    inner product is an integer of magnitude at most the inner dimension.
+    Every caller's matrix is square, and the inner dimension of a square
+    matrix a process can hold is far below 2**24 (at 2**24 it would have
+    2**48 entries).  Such integers are exact float32 values, so a float32
     BLAS product is exact in any summation order, and so is its cast back
-    to int64.  One float64 copy feeds both sides, and numpy hands f @ f.T
+    to int64.  One float32 copy feeds both sides, and numpy hands f @ f.T
     to the symmetric product.  Callers pass a matrix they have bounded.
     """
-    f = a.astype(float)
+    f = a.astype(np.float32)
     return (f @ f.T).astype(np.int64)
 
 

@@ -2,10 +2,11 @@
 
 ``etf_to_conference`` validates once and decides by one exact conference
 check, so a call runs no SVD, one ``check_skew`` and one equiangularity
-measurement; the factor path runs no QR.  The tolerance study perturbs the
-m = 1024 seed core (d = 1022) and the p = 1019 Paley square (d = 1020) by
-eps * mu times a seeded skew Gaussian and checks that the gate and the SVD
-oracle it replaced give the same verdict.  d = 2046 is left out: the
+measurement; the factor path of a tight Gram runs one QR and no
+eigensolver.  The tolerance study perturbs the m = 1024 seed core
+(d = 1022) and the p = 1019 Paley square (d = 1020) by eps * mu times a
+seeded skew Gaussian and checks that the gate and the SVD oracle it
+replaced give the same verdict.  d = 2046 is left out: the
 oracle's SVD alone takes seconds there.
 """
 
@@ -44,15 +45,24 @@ def test_one_gate_call_runs_no_svd_one_skew_check_and_one_equiangularity(monkeyp
         "svd": 0, "check_skew": 1, "_equiangularity": 1}
 
 
-def test_factor_path_validates_once_and_runs_no_qr(monkeypatch):
-    qr, skew = count_calls(monkeypatch, np.linalg.qr), count_calls(monkeypatch, check_skew)
+def test_factor_path_validates_once_and_runs_one_qr_and_no_eigh(monkeypatch):
+    shapes, real_qr = [], np.linalg.qr
+
+    def qr(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return real_qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", qr)
+    skew, eigh = count_calls(monkeypatch, check_skew), count_calls(monkeypatch, np.linalg.eigh)
     factor = count_calls(monkeypatch, _canonical_factor)
-    phi = factor_gram(seed_core(16))  # n = d + 1, so the spectral form has a kernel row
+    # the core is tight, so it takes the route with no eigensolver: one QR of an
+    # n x d/2 sketch, where the spectral form would need a kernel row (n = d + 1)
+    phi = factor_gram(seed_core(16))
     assert phi.shape == (14, 15)
-    assert (len(qr), len(skew), len(factor)) == (0, 1, 1)
+    assert (shapes, len(skew), len(eigh), len(factor)) == ([(15, 7)], 1, 0, 0)
     continuous_etf_search(6, 7, 2.0, SearchConfig(seed=0, restarts=1, max_iters=50))
     assert len(factor) > 1  # the search's canonical reset ran on accepted steps
-    assert len(qr) == 0
+    assert len(shapes) == 1
 
 
 @pytest.mark.parametrize("mu", [1.0, 1e300, 1e308])

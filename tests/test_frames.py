@@ -155,18 +155,20 @@ def test_factor_gram_round_trips(gram_tight, conf4, core3):
 
 
 # (d, rows, cols, sha256 of factor_gram(core).tobytes()) on the core Grams
-# of seed_hadamard(d + 2), recorded after skew_spectral_form moved from an
-# SVD pairing loop to one Hermitian eigendecomposition (the Gram of each
-# factor matches its core to 3e-15 relative before and after), on numpy
-# 2.4.6 / OpenBLAS 0.3.31 (x86-64) with BLAS on one thread.  The bits
-# depend on the LAPACK and BLAS build and on the BLAS thread count (d = 510
-# differs on two threads), so a fresh interpreter computes them with BLAS
-# on one thread.
+# of seed_hadamard(d + 2).  The cores are tight, so these are the bits of
+# the route with no eigensolver (one QR of a sketched complex structure),
+# recorded when it replaced the Hermitian eigendecomposition: with the
+# route turned off the eigendecomposition's digests come back unchanged,
+# and the Gram of each new factor matches its core to 4.5e-16, 6.3e-16,
+# 2.6e-15 and 1.2e-14 relative.  Recorded on numpy 2.4.6 / OpenBLAS 0.3.31
+# (x86-64) with BLAS on one thread.  The bits depend on the LAPACK and BLAS
+# build and on the BLAS thread count, so a fresh interpreter computes them
+# with BLAS on one thread.
 GOLDEN_FACTORS = """\
-6 6 7 c8089ebaa07807fbfa2fa80165e82aa624be4bedcdcf70b368ee41a9f62ad3c4
-14 14 15 3ef8f5550c0937bbde197752e861c9f573ee18e7b9023e663bef870383d4f4c2
-62 62 63 066f32268004d186fdbaf994204395f553d623f0bb334b27b8751d80964fbb07
-510 510 511 d8e5d548c186a63a59c7ba8f2148a760bab5ee4f3b228d5e4c62baa3dfa8837a
+6 6 7 584a1bf04bc678d86deb4f73d01fbf48eaa547dfb9d5f96e0433066b0f38417c
+14 14 15 2be75e5f28a91dfeae38cee283ea01ab99651bfb44b4b9870478ed183785c9c0
+62 62 63 9079a808916535ee6dabcdda2783c82521205219f1b3127c0cdcdb6e09a93814
+510 510 511 3c23da209702c1cc45fb0ab76475235714e846d2a3bf81826d74d94687771ced
 """
 FACTOR_DIGESTS = """\
 import hashlib

@@ -192,9 +192,11 @@ def test_rank_nuclear_norm_of_a_rank_deficient_gram_is_finite_and_nonnegative(d,
     scale=st.sampled_from((1e-3, 1.0, 1e3)),
 )
 def test_canonical_factor_keeps_the_gram_and_is_the_factor_gram_bits(d, extra, seed, scale):
-    # the search's canonical reset and factor_gram share skewlinalg._canonical_factor,
-    # so a reset phi is the factor_gram of its own Gram, bit for bit; a Gaussian phi
-    # is not a least-norm factor, and the canonical factor is one, so it is kept
+    # the search's canonical reset is skewlinalg._canonical_factor, and factor_gram takes
+    # it too on a Gram that is not tight, so there a reset phi is the factor_gram of its
+    # own Gram, bit for bit.  At d = 2 every Gram is tight and factor_gram takes the route
+    # with no eigensolver: another least-norm factor of the same Gram.  A Gaussian phi is
+    # not a least-norm factor, and the canonical factor is one, so it is kept
     n = d + extra
     phi = scale * np.random.default_rng(seed).normal(size=(d, n))
     g = _gram(phi, omega(d))
@@ -202,6 +204,11 @@ def test_canonical_factor_keeps_the_gram_and_is_the_factor_gram_bits(d, extra, s
     canon = _canonicalize(phi, g, nuc)
     assert np.linalg.norm(gram(canon) - g) <= 1e-12 * np.linalg.norm(g)
     if skew_spectral_form(g).rank == d:
-        assert canon.tobytes() == factor_gram(gram(phi)).tobytes()
+        factor = factor_gram(gram(phi))
+        if d > 2:
+            assert canon.tobytes() == factor.tobytes()
+        else:
+            assert np.linalg.norm(gram(factor) - g) <= 1e-12 * np.linalg.norm(g)
+            assert float(np.vdot(factor, factor)) == pytest.approx(nuc, rel=1e-12)
         assert float(np.vdot(canon, canon)) == pytest.approx(nuc, rel=1e-12)
         assert _canonicalize(canon, g, nuc) is canon

@@ -4,13 +4,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from builders import count_calls
 from sympetf.errors import NotSkewSymmetricError
 from sympetf.frames import factor_gram, gram, is_tight
 from sympetf.hadamard import certify_etf, hadamard_to_etf_core, hadamard_to_etf_square, seed_hadamard
 from sympetf.skewlinalg import (
     RANK_REL_TOL,
     ToleranceProfile,
+    _canonical_factor,
     _rank,
     as_matrix,
     check_skew,
@@ -286,3 +289,50 @@ def test_factor_gram_makes_no_real_n_by_n_copy():
         tracemalloc.stop()
     assert phi.shape == (510, 511)
     assert peak < 4.5 * g.nbytes
+
+
+def tight_gram(rng, d: int, n: int, lam: float, first: float = 1.0) -> np.ndarray:
+    """Q^T (lam J + ... + lam J + 0) Q for a random orthogonal Q, antisymmetrized exactly;
+    the first block's value is lam * first."""
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    b = np.zeros((n, n))
+    for i in range(0, d, 2):
+        b[i, i + 1] = lam * (first if i == 0 else 1.0)
+    g = q.T @ b @ q
+    return g - g.T
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(d=st.sampled_from((2, 4, 8, 16)), extra=st.sampled_from((0, 1, 3)),
+       lam=st.sampled_from((1e-3, 1.0, 37.0)), seed=st.integers(0, 2**32 - 1))
+def test_a_tight_gram_is_factored_with_no_eigensolver_and_a_perturbed_one_by_eigh(d, extra, lam, seed):
+    n = d + extra
+    rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        eigh = count_calls(mp, np.linalg.eigh)
+        g = tight_gram(rng, d, n, lam)
+        phi = factor_gram(g)
+        assert len(eigh) == 0
+        assert phi.shape == (d, n)
+        assert frobenius_norm(gram(phi) - g) <= 1e-12 * frobenius_norm(g)
+        # orthogonal rows of squared norm lam: a least-norm factor
+        assert frobenius_norm(phi @ phi.T - lam * np.eye(d)) <= 1e-12 * lam * math.sqrt(d)
+    if d > 2:  # at d = 2 one block of any value is tight
+        g = tight_gram(rng, d, n, lam, first=1.0 + 1e-6)
+        assert factor_gram(g).tobytes() == _canonical_factor(g).tobytes()
+
+
+# Paley squares and cores at p = 11, 19, 43 and 1019, and the doubling seed at
+# m = 512, the order the pipeline benchmark factors
+FACTOR_CORPUS = [(kind, m) for m in (12, 20, 44, 1020, 512) for kind in ("square", "core")]
+
+
+@pytest.mark.parametrize("kind, m", FACTOR_CORPUS, ids=[f"{k}-m{m}" for k, m in FACTOR_CORPUS])
+def test_etf_grams_past_the_doubling_orders_factor_with_no_eigensolver(monkeypatch, kind, m):
+    to_etf = hadamard_to_etf_square if kind == "square" else hadamard_to_etf_core
+    g = to_etf(seed_hadamard(m)).astype(float)
+    eigh = count_calls(monkeypatch, np.linalg.eigh)
+    phi = factor_gram(g)
+    assert len(eigh) == 0
+    assert phi.shape == (m if kind == "square" else m - 2, g.shape[0])
+    assert frobenius_norm(gram(phi) - g) <= 1e-12 * frobenius_norm(g)

@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 from tournament_oracles import flat_kernel, gamma_by_masks, is_doubly_regular_by_degrees
 from sympetf.errors import InvalidSeidelError, NotEquiangularError
 from sympetf.frames import gram
-from sympetf.hadamard import is_skew_conference, is_skew_hadamard
+from sympetf.hadamard import is_skew_conference, is_skew_hadamard, seed_hadamard
 from sympetf.tournaments import (
+    _unit_gram,
     check_seidel,
     count_diamonds_bruteforce,
     count_diamonds_formula,
@@ -68,6 +69,17 @@ def test_random_tournament_matches_per_edge_draws():
             b = random_tournament_per_edge(n, rng_b)
             assert a.dtype == b.dtype
             assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", ["seed-hadamard", "random-signs-and-zeros"])
+def test_unit_gram_in_float32_is_the_float64_product_bit_for_bit(name):
+    # every partial sum is an integer of magnitude at most 2048, exact in float32 and float64
+    if name == "seed-hadamard":
+        a = seed_hadamard(2048)
+    else:
+        a = np.random.default_rng(2048).integers(-1, 2, size=(2048, 2048))
+    f = a.astype(float)
+    assert np.array_equal(_unit_gram(a), (f @ f.T).astype(np.int64))
 
 
 def test_check_seidel_rejects_bad_matrices():
