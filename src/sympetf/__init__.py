@@ -7,10 +7,8 @@ matrices, doubly regular tournaments, and complex ETF signature matrices.
 
 from .skewlinalg import (
     DEFAULT_TOL,
-    SkewSpectralForm,
     ToleranceProfile,
     rank_by_sv,
-    skew_spectral_form,
 )
 from .frames import (
     FrameBounds,
@@ -28,12 +26,10 @@ from .frames import (
     symplectic_witness,
 )
 from .potentials import (
-    PotentialReport,
     frame_potential,
     normalize_nuclear,
     potential_bound,
     potential_gradient,
-    potential_report,
 )
 from .tournaments import (
     DegreeStats,
@@ -51,7 +47,6 @@ from .hadamard import (
     DoublingCoefficients,
     EtfCertificate,
     certify_etf,
-    core,
     default_b_matrix,
     double_frame,
     double_hadamard,

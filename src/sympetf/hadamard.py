@@ -52,15 +52,6 @@ def _check_skew_hadamard(h) -> np.ndarray:
     return h
 
 
-def _check_conference(c) -> np.ndarray:
-    c = _as_int_square(c)
-    if c.shape[0] < 2:
-        raise ValueError("normalization and cores need order at least 2")
-    if not _is_conference(c):
-        raise NotSkewConferenceError("input is not a skew conference matrix")
-    return c
-
-
 def _normalize(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eps = c[0].copy()
     eps[0] = 1
@@ -82,15 +73,12 @@ def normalize_conference(c) -> tuple[np.ndarray, np.ndarray]:
     Returns the normalized matrix and the +-1 diagonal used, whose first
     entry is +1.  Normalizing twice is the identity.
     """
-    return _normalize(_check_conference(c))
-
-
-def core(c) -> np.ndarray:
-    """Lower-right block of a normalized skew conference matrix."""
-    c = _check_conference(c)
-    if np.any(c[0, 1:] != 1):
-        raise NotSkewConferenceError("conference matrix is not normalized")
-    return _core(c)
+    c = _as_int_square(c)
+    if c.shape[0] < 2:
+        raise ValueError("normalization needs order at least 2")
+    if not _is_conference(c):
+        raise NotSkewConferenceError("input is not a skew conference matrix")
+    return _normalize(c)
 
 
 @dataclass(frozen=True)

@@ -9,20 +9,11 @@ sqrt(d*n*(n-1)); ``normalize_nuclear`` performs that scaling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .frames import gram, omega
 from .skewlinalg import _check_even_dim, check_skew
-
-
-@dataclass(frozen=True)
-class PotentialReport:
-    p: float
-    value: float
-    bound: float
-    slack: float
 
 
 def _check_order(p) -> float:
@@ -107,8 +98,3 @@ def _gradient(phi: np.ndarray, w: np.ndarray, p: float, om: np.ndarray) -> np.nd
     """``potential_gradient`` at a finite checked p, given W of gram(phi) and om = omega(d)."""
     return (-4.0 * p) * (om @ phi @ w)
 
-
-def potential_report(g, d: int, p) -> PotentialReport:
-    """Bundle value, bound, and slack for a Gram matrix already normalized; n is its order."""
-    value, bound = frame_potential(g, p), potential_bound(d, np.shape(g)[0], p)  # g is checked first
-    return PotentialReport(p=float(p), value=value, bound=bound, slack=value - bound)

@@ -1,14 +1,14 @@
 """Dense numerical kernel: the tolerances a caller may set, the one rank
-rule ``_rank`` with its threshold ``RANK_REL_TOL``, and the canonical
-spectral form of real skew-symmetric matrices.
+rule ``_rank`` with its threshold ``RANK_REL_TOL``, and the block form of
+real skew-symmetric matrices.
 
-The canonical form of a skew-symmetric ``a`` is an orthogonal ``w`` and
-positive block values ``lambdas`` (descending) with
+``_blocks`` gives a skew-symmetric ``a`` of rank 2r its positive block
+values ``lambdas`` l_1 >= ... >= l_r and 2r orthonormal block rows U with
 
-    a = w.T @ blkdiag(0, l_1*J, ..., l_r*J) @ w,   J = [[0, 1], [-1, 0]],
+    a = U.T @ blkdiag(l_1*J, ..., l_r*J) @ U,   J = [[0, 1], [-1, 0]],
 
-where the zero block has size ``n - 2r``.  Gram factorization and the
-continuous search's canonical reset reduce to this decomposition.
+so the rank is always even.  Gram factorization and the continuous
+search's canonical reset reduce to this decomposition.
 """
 
 from __future__ import annotations
@@ -41,32 +41,6 @@ class ToleranceProfile:
 
 DEFAULT_TOL = ToleranceProfile()
 RANK_REL_TOL = 1e-10  # spectral values at or below RANK_REL_TOL * the largest count as zero
-
-
-@dataclass(frozen=True)
-class SkewSpectralForm:
-    """Canonical form of a skew-symmetric matrix.
-
-    ``w`` is n-by-n orthogonal, ``lambdas`` holds the r block values in
-    descending order (the positive eigenvalues of ``1j * a``, each a
-    nonzero singular value of ``a`` that occurs twice), and
-    ``rank == 2 * r``, so the rank is always even.
-    """
-
-    w: np.ndarray
-    lambdas: np.ndarray
-    rank: int
-
-    def reconstruct(self) -> np.ndarray:
-        """Return w.T @ blkdiag(0, l_1*J, ..., l_r*J) @ w."""
-        n = self.w.shape[0]
-        b = np.zeros((n, n))
-        off = n - self.rank
-        for k, lam in enumerate(self.lambdas):
-            i = off + 2 * k
-            b[i, i + 1] = lam
-            b[i + 1, i] = -lam
-        return self.w.T @ b @ self.w
 
 
 def _check_even_dim(d: int) -> None:
@@ -142,33 +116,14 @@ def rank_by_sv(a) -> int:
     return int(_rank(np.linalg.svd(as_matrix(a), compute_uv=False)))
 
 
-def skew_spectral_form(a) -> SkewSpectralForm:
-    """Canonical spectral form of a real skew-symmetric matrix.
-
-    Works through one Hermitian eigendecomposition of ``1j * a``: an
-    eigenvector x + iy of an eigenvalue l > 0 has a @ y = -l x and
-    a @ x = l y, and the eigenvectors of -l are the conjugates, so the
-    rows sqrt(2) y, sqrt(2) x of every positive eigenvalue, repeated ones
-    included, are orthonormal and span one 2x2 block of value l.  The
-    kernel rows are a real orthonormal complement of those rows.  ``eigh``
-    reads the lower triangle only, so an ``a`` skew within entry_tol has the
-    form of its lower-triangle completion.
-    """
-    a = check_skew(a)
-    n = a.shape[0]
-    lambdas, rows = _blocks(a)
-    rank = rows.shape[0]
-    w = np.eye(n)  # the form of the zero matrix
-    w[n - rank :] = rows
-    if 0 < rank < n:
-        w[: n - rank] = np.linalg.qr(rows.T, mode="complete")[0][:, rank:].T
-    return SkewSpectralForm(w=w, lambdas=lambdas, rank=rank)
-
-
 def _blocks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(lambdas, block rows) of the skew matrix whose lower triangle is that of ``a``, unchecked.
 
-    The block rows are the last ``rank`` rows of w; a caller that needs only the factor runs no QR.
+    One Hermitian eigendecomposition of ``1j * a``: an eigenvector x + iy of
+    an eigenvalue l > 0 has a @ y = -l x and a @ x = l y, and the
+    eigenvectors of -l are the conjugates, so the rows sqrt(2) y, sqrt(2) x
+    of every positive eigenvalue, repeated ones included, are orthonormal
+    and span one 2x2 block of value l.
     """
     n = a.shape[0]
     lam, z = np.linalg.eigh(1j * a)  # reads the lower triangle only; ascending, in +-l pairs
@@ -187,7 +142,7 @@ def _block_rows(z: np.ndarray) -> np.ndarray:
 
 def _canonical_factor(a: np.ndarray) -> np.ndarray:
     """Canonical factor D @ U, unchecked, whose Gram is the lower-triangle completion of the float ``a``:
-    U is the block rows (the form's last ``rank`` rows of w), D the root of each block value, twice."""
+    U is the block rows of ``_blocks``, D the root of each block value, twice."""
     lambdas, rows = _blocks(a)
     return np.sqrt(np.repeat(lambdas, 2))[:, None] * rows
 

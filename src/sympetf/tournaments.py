@@ -43,7 +43,8 @@ def check_seidel(s) -> np.ndarray:
     si = _as_int_square(s, InvalidSeidelError)
     if not np.array_equal(si, -si.T) or si.diagonal().any():  # -(-2**63) wraps to -2**63
         raise InvalidSeidelError("matrix is not skew-symmetric")
-    if not np.all(np.abs(si[~np.eye(si.shape[0], dtype=bool)]) == 1):
+    n = si.shape[0]  # with the diagonal zero, +-1 off it is entries in [-1, 1] and n(n-1) nonzero
+    if si.min() < -1 or si.max() > 1 or np.count_nonzero(si) != n * (n - 1):
         raise InvalidSeidelError("off-diagonal entries must be +-1")
     return si
 

@@ -56,7 +56,7 @@ def test_factor_path_validates_once_and_runs_one_qr_and_no_eigh(monkeypatch):
     skew, eigh = count_calls(monkeypatch, check_skew), count_calls(monkeypatch, np.linalg.eigh)
     factor = count_calls(monkeypatch, _canonical_factor)
     # the core is tight, so it takes the route with no eigensolver: one QR of an
-    # n x d/2 sketch, where the spectral form would need a kernel row (n = d + 1)
+    # n x d/2 sketch
     phi = factor_gram(seed_core(16))
     assert phi.shape == (14, 15)
     assert (shapes, len(skew), len(eigh), len(factor)) == ([(15, 7)], 1, 0, 0)

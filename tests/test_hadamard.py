@@ -24,7 +24,6 @@ from sympetf.errors import (
 from sympetf.frames import gram, omega
 from sympetf.hadamard import (
     _paley,
-    core,
     default_b_matrix,
     double_frame,
     double_hadamard,
@@ -179,11 +178,11 @@ def test_normalize_conference(conf4):
 
 
 def test_core(conf4, core3):
-    np.testing.assert_array_equal(core(conf4), core3)
-    order2 = np.array([[0, 1], [-1, 0]], dtype=np.int64)
-    np.testing.assert_array_equal(core(order2), [[0]])
-    with pytest.raises(NotSkewConferenceError):
-        core(conf4 * np.outer([1, -1, 1, 1], [1, -1, 1, 1]))
+    # the core is taken after normalization, so a switched matrix has the same core
+    eye = np.eye(4, dtype=np.int64)
+    np.testing.assert_array_equal(hadamard_to_etf_core(conf4 + eye), core3)
+    switched = conf4 * np.outer([1, -1, 1, 1], [1, -1, 1, 1])
+    np.testing.assert_array_equal(hadamard_to_etf_core(switched + eye), core3)
 
 
 def test_square_conversions(conf4):

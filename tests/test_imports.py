@@ -1,11 +1,15 @@
 """Every module of the package imports cleanly when it is the first one imported,
-and every private function of the package is used by the package.
+every private function of the package is used by the package, and every public
+name is used by the package or by a user's code.
 
 ``import sympetf.x`` always runs the package ``__init__`` first, which hides
 an import cycle behind ``__init__``'s fixed order.  So each module is
 loaded in a fresh interpreter under a bare package whose ``__init__`` has
 not run, and the package itself is imported the usual way.  A private
 function that only tests call is a test oracle and belongs under tests/.
+A name that ``__init__`` exports is read by some other module of the
+package, a demo, the acceptance test or the benchmark: one that only the
+unit tests read is dead code with a test of its own.
 A public function takes a ``tol`` only where some caller sets one, and
 no value it can read off its arguments.  ``__init__`` is the one export
 list: a module marks a name public by its missing underscore.  The rank
@@ -23,8 +27,13 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-MODULES = sorted(p.stem for p in (SRC / "sympetf").glob("*.py") if p.stem != "__main__")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+PACKAGE = sorted((SRC / "sympetf").glob("*.py"))
+MODULES = sorted(p.stem for p in PACKAGE if p.stem != "__main__")
+# the code that reads the public names: the package past its export list, and its users
+USERS = ([p for p in PACKAGE if p.stem != "__init__"] + sorted((ROOT / "demos").glob("*.py"))
+         + [ROOT / "tests" / "test_acceptance.py"] + sorted((ROOT / "bench").glob("*.py")))
 
 FIRST_IMPORT = """\
 import importlib, sys, types
@@ -67,14 +76,13 @@ def _names(node):
             yield sub.name
 
 
-def _statements():
-    """(module, top-level statement) over every module of the package."""
-    return [(path.stem, stmt) for path in sorted((SRC / "sympetf").glob("*.py"))
-            for stmt in ast.parse(path.read_text()).body]
+def _statements(paths):
+    """(module, top-level statement) over every file of ``paths``."""
+    return [(path.stem, stmt) for path in paths for stmt in ast.parse(path.read_text()).body]
 
 
 def test_every_private_function_is_used_by_the_package():
-    statements = _statements()
+    statements = _statements(PACKAGE)
     unused = [
         f"{module}.{stmt.name}"
         for module, stmt in statements
@@ -84,12 +92,27 @@ def test_every_private_function_is_used_by_the_package():
     assert unused == []
 
 
+def _defines(stmt, name):
+    """Whether a top-level statement is the definition of ``name``."""
+    targets = getattr(stmt, "targets", [])
+    return getattr(stmt, "name", None) == name or any(getattr(t, "id", None) == name for t in targets)
+
+
+def test_every_public_name_is_read_outside_its_definition_and_the_export_list():
+    exported = [alias.asname or alias.name for _, stmt in _statements([SRC / "sympetf" / "__init__.py"])
+                if isinstance(stmt, ast.ImportFrom) for alias in stmt.names]
+    statements = _statements(USERS)
+    unread = [name for name in exported
+              if not any(name in _names(stmt) for _, stmt in statements if not _defines(stmt, name))]
+    assert unread == []
+
+
 def test_no_module_declares_an_export_list():
-    assert [module for module, stmt in _statements() if "__all__" in _names(stmt)] == []
+    assert [module for module, stmt in _statements(PACKAGE) if "__all__" in _names(stmt)] == []
 
 
 def test_the_rank_threshold_is_read_only_by_its_definition_and_the_rank_rule():
-    readers = [(module, getattr(stmt, "name", type(stmt).__name__)) for module, stmt in _statements()
+    readers = [(module, getattr(stmt, "name", type(stmt).__name__)) for module, stmt in _statements(PACKAGE)
                if "RANK_REL_TOL" in _names(stmt)]
     assert readers == [("skewlinalg", "Assign"), ("skewlinalg", "_rank")]
 
@@ -118,7 +141,7 @@ def test_tol_is_a_parameter_only_where_a_caller_sets_it():
 
 
 def test_the_search_budget_is_its_only_setting_and_the_potentials_read_n_off_the_gram():
-    from sympetf.potentials import normalize_nuclear, potential_report
+    from sympetf.potentials import normalize_nuclear
     from sympetf.search import SearchConfig
 
     # the first step and the stop margin are constants, read as cfg.step and cfg.target_residual
@@ -126,4 +149,3 @@ def test_the_search_budget_is_its_only_setting_and_the_potentials_read_n_off_the
     assert (SearchConfig.step, SearchConfig.target_residual) == (0.05, 1e-6)
     assert SearchConfig().target_residual == 1e-6
     assert list(inspect.signature(normalize_nuclear).parameters) == ["g", "d"]
-    assert list(inspect.signature(potential_report).parameters) == ["g", "d", "p"]

@@ -11,7 +11,6 @@ from sympetf.potentials import (
     normalize_nuclear,
     potential_bound,
     potential_gradient,
-    potential_report,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -67,8 +66,6 @@ def test_odd_dimension_is_refused_at_the_boundary(conf4):
             potential_bound(d, 4, 2)
         with pytest.raises(ValueError, match=f"dimension must be even and >= 2, got {d}"):
             normalize_nuclear(g, d)
-        with pytest.raises(ValueError, match=f"dimension must be even and >= 2, got {d}"):
-            potential_report(g, d, 2)
 
 
 def test_n_is_the_order_of_the_gram(conf4):
@@ -76,10 +73,10 @@ def test_n_is_the_order_of_the_gram(conf4):
     # and the nuclear norm is scaled to sqrt(d * 4 * 3)
     g = conf4.astype(float)
     for d in (2, 4):
-        assert potential_report(g, d, 2).bound == 12.0
+        assert potential_bound(d, g.shape[0], 2) == 12.0
         nuc = np.sum(np.linalg.svd(normalize_nuclear(g, d), compute_uv=False))
         assert abs(nuc - math.sqrt(d * 12)) <= 1e-12 * nuc
-    assert potential_report(g, 4, 2).slack == 0.0
+    assert frame_potential(g, 2) - potential_bound(4, 4, 2) == 0.0
 
 
 def test_normalize_nuclear_rejects_zero():
@@ -161,8 +158,8 @@ def test_bound_holds_on_random_normalized_grams():
             continue
         g = normalize_nuclear(g, d)
         for p in (1, 2, 3, math.inf):
-            rep = potential_report(g, d, p)
-            assert rep.slack >= -1e-9 * max(1.0, rep.bound)
+            bound = potential_bound(d, n, p)
+            assert frame_potential(g, p) - bound >= -1e-9 * max(1.0, bound)
 
 
 def test_equality_characterization_p2(conf4, core3):
@@ -173,8 +170,7 @@ def test_equality_characterization_p2(conf4, core3):
     ]
     for g, d, n in fixtures:
         g = normalize_nuclear(g, d)
-        rep = potential_report(g, d, 2)
-        assert abs(rep.slack) <= 1e-8
+        assert abs(frame_potential(g, 2) - potential_bound(d, n, 2)) <= 1e-8
         assert certify_etf(g, d) is not None
     # random non-equiangular frames sit strictly above the bound
     rng = np.random.default_rng(21)

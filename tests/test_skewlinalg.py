@@ -13,13 +13,13 @@ from sympetf.hadamard import certify_etf, hadamard_to_etf_core, hadamard_to_etf_
 from sympetf.skewlinalg import (
     RANK_REL_TOL,
     ToleranceProfile,
+    _blocks,
     _canonical_factor,
     _rank,
     as_matrix,
     check_skew,
     frobenius_norm,
     rank_by_sv,
-    skew_spectral_form,
 )
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -30,6 +30,17 @@ def random_skew(rng, n):
     return (a - a.T) / 2.0
 
 
+# a spectral form below is the block values and block rows of ``_blocks``
+def reconstruct(a):
+    """gram of the canonical factor of ``a``; the zero matrix at rank 0, where there is no factor."""
+    phi = _canonical_factor(a)
+    return gram(phi) if phi.size else np.zeros_like(a)
+
+
+def assert_orthonormal_rows(rows, tol):
+    assert np.linalg.norm(rows @ rows.T - np.eye(rows.shape[0])) <= tol
+
+
 def test_tolerance_profile_rejects_bad_values():
     with pytest.raises(ValueError):
         ToleranceProfile(residual_rel_tol=0.0)
@@ -38,31 +49,30 @@ def test_tolerance_profile_rejects_bad_values():
 
 
 def test_spectral_form_of_omega_block():
-    form = skew_spectral_form(J2)
-    assert form.rank == 2
-    np.testing.assert_allclose(form.lambdas, [1.0], atol=1e-14)
-    np.testing.assert_allclose(form.reconstruct(), J2, atol=1e-14)
+    lambdas, rows = _blocks(J2)
+    assert rows.shape == (2, 2)
+    np.testing.assert_allclose(lambdas, [1.0], atol=1e-14)
+    np.testing.assert_allclose(reconstruct(J2), J2, atol=1e-14)
 
 
 def test_spectral_form_of_tight_gram(gram_tight):
     # spectrum of this Gram is {0, +-i}: one block of value 1
-    form = skew_spectral_form(gram_tight)
-    assert form.rank == 2
-    np.testing.assert_allclose(form.lambdas, [1.0], atol=1e-12)
-
-
-def test_spectral_form_of_zero_matrix():
-    form = skew_spectral_form(np.zeros((4, 4)))
-    assert form.rank == 0
-    assert form.lambdas.size == 0
-    np.testing.assert_array_equal(form.w, np.eye(4))
+    lambdas, rows = _blocks(gram_tight)
+    assert rows.shape[0] == 2
+    np.testing.assert_allclose(lambdas, [1.0], atol=1e-12)
 
 
 def test_spectral_form_rejects_bad_input():
     with pytest.raises(NotSkewSymmetricError):
-        skew_spectral_form(np.ones((2, 3)))
+        factor_gram(np.ones((2, 3)))
     with pytest.raises(NotSkewSymmetricError):
-        skew_spectral_form(np.eye(3))
+        factor_gram(np.eye(3))
+
+
+def test_spectral_form_of_zero_matrix():
+    lambdas, rows = _blocks(np.zeros((4, 4)))
+    assert lambdas.size == 0
+    assert rows.shape == (0, 4)
 
 
 def test_complex_input_is_refused_where_a_real_matrix_is_asked(conf4):
@@ -76,7 +86,7 @@ def test_complex_input_is_refused_where_a_real_matrix_is_asked(conf4):
     with pytest.raises(ValueError, match="complex"):
         certify_etf(conf4 + 1j * np.ones((4, 4)), 4)
     with pytest.raises(ValueError, match="complex"):
-        skew_spectral_form(1j * conf4)
+        factor_gram(1j * conf4)
     # a complex dtype still takes both
     assert as_matrix(conf4, complex).dtype == complex
     assert as_matrix(1j * conf4, complex)[0, 1] == 1j
@@ -137,14 +147,13 @@ def test_spectral_form_reconstruction_sweep():
     for _ in range(500):
         n = int(rng.integers(1, 13))
         a = random_skew(rng, n)
-        form = skew_spectral_form(a)
+        lambdas, rows = _blocks(a)
         scale = max(1.0, np.linalg.norm(a))
-        assert np.linalg.norm(form.reconstruct() - a) <= 1e-9 * scale
-        n_eye = np.linalg.norm(form.w @ form.w.T - np.eye(n))
-        assert n_eye <= n * RANK_REL_TOL
+        assert np.linalg.norm(reconstruct(a) - a) <= 1e-9 * scale
+        assert_orthonormal_rows(rows, n * RANK_REL_TOL)
         # block values sorted descending and strictly positive
-        assert np.all(form.lambdas > 0)
-        assert np.all(np.diff(form.lambdas) <= 1e-15)
+        assert np.all(lambdas > 0)
+        assert np.all(np.diff(lambdas) <= 1e-15)
 
 
 def test_lambdas_are_paired_singular_values():
@@ -152,11 +161,11 @@ def test_lambdas_are_paired_singular_values():
     for _ in range(50):
         n = int(rng.integers(2, 11))
         a = random_skew(rng, n)
-        form = skew_spectral_form(a)
+        lambdas, rows = _blocks(a)
         s = np.linalg.svd(a, compute_uv=False)
         s = s[s > RANK_REL_TOL * max(s[0], 1e-300)]
-        assert form.rank == s.size
-        np.testing.assert_allclose(np.repeat(form.lambdas, 2), s, atol=1e-10)
+        assert rows.shape[0] == s.size
+        np.testing.assert_allclose(np.repeat(lambdas, 2), s, atol=1e-10)
 
 
 def test_spectral_form_handles_large_clusters():
@@ -164,29 +173,27 @@ def test_spectral_form_handles_large_clusters():
     # multiplicity, the hardest case for the block pairing
     for order in (4, 16, 32):
         g = hadamard_to_etf_square(seed_hadamard(order))
-        form = skew_spectral_form(g)
-        assert form.rank == order
-        np.testing.assert_allclose(form.lambdas, math.sqrt(order - 1), atol=1e-12)
-        assert np.linalg.norm(form.reconstruct() - g) <= 1e-12 * np.linalg.norm(g)
-        assert np.linalg.norm(form.w @ form.w.T - np.eye(order)) <= 1e-12
+        lambdas, rows = _blocks(g)
+        assert rows.shape[0] == order
+        np.testing.assert_allclose(lambdas, math.sqrt(order - 1), atol=1e-12)
+        assert np.linalg.norm(reconstruct(g) - g) <= 1e-12 * np.linalg.norm(g)
+        assert_orthonormal_rows(rows, 1e-12)
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
 def test_spectral_form_of_rank_deficient_grams(scale):
-    # gram(phi) of a d-by-n phi with d <= n - 2 has a kernel of dimension
-    # n - d >= 2, which the form completes with real orthonormal rows
+    # gram(phi) of a d-by-n phi with d <= n - 2 has a kernel of dimension n - d >= 2
     rng = np.random.default_rng(13)
     for d, n in ((2, 4), (2, 7), (4, 6), (4, 9), (6, 8), (6, 13), (8, 16)):
         g = gram(scale * rng.normal(size=(d, n)))
-        form = skew_spectral_form(g)
+        lambdas, rows = _blocks(g)
         ref = max(1.0, np.linalg.norm(g))
         s = np.linalg.svd(g, compute_uv=False)
         s = s[s > RANK_REL_TOL * s[0]]
-        assert form.rank == s.size == d
-        np.testing.assert_allclose(np.repeat(form.lambdas, 2), s, atol=1e-10 * ref)
-        assert np.linalg.norm(form.reconstruct() - g) <= 1e-9 * ref
-        assert np.linalg.norm(form.w @ form.w.T - np.eye(n)) <= n * RANK_REL_TOL
-        assert np.linalg.norm(form.w[: n - form.rank] @ g) <= 1e-9 * ref
+        assert rows.shape[0] == s.size == d
+        np.testing.assert_allclose(np.repeat(lambdas, 2), s, atol=1e-10 * ref)
+        assert np.linalg.norm(reconstruct(g) - g) <= 1e-9 * ref
+        assert_orthonormal_rows(rows, n * RANK_REL_TOL)
 
 
 @pytest.mark.parametrize("p", [11, 19, 23, 43])
@@ -197,13 +204,11 @@ def test_spectral_form_handles_paley_clusters(p):
     # one-dimensional kernel
     h = seed_hadamard(p + 1)
     for g, rank in ((hadamard_to_etf_square(h), p + 1), (hadamard_to_etf_core(h), p - 1)):
-        n = g.shape[0]
-        form = skew_spectral_form(g)
-        assert form.rank == rank
-        np.testing.assert_allclose(form.lambdas, math.sqrt(p), atol=1e-12)
-        assert np.linalg.norm(form.reconstruct() - g) <= 1e-12 * np.linalg.norm(g)
-        assert np.linalg.norm(form.w @ form.w.T - np.eye(n)) <= 1e-12
-        assert np.linalg.norm(form.w[: n - rank] @ g) <= 1e-12 * np.linalg.norm(g)
+        lambdas, rows = _blocks(g)
+        assert rows.shape[0] == rank
+        np.testing.assert_allclose(lambdas, math.sqrt(p), atol=1e-12)
+        assert np.linalg.norm(reconstruct(g) - g) <= 1e-12 * np.linalg.norm(g)
+        assert_orthonormal_rows(rows, 1e-12)
 
 
 def test_rank_by_sv_basics(conf4):
@@ -224,14 +229,14 @@ def test_rank_counts_along_the_last_axis_and_refuses_a_top_past_float64():
 
 
 RANK_COUNTS = {"rank_by_sv": rank_by_sv, "is_tight": lambda g: is_tight(g, g.shape[0] - 1),
-               "factor_gram": factor_gram, "skew_spectral_form": skew_spectral_form}
+               "factor_gram": factor_gram, "_canonical_factor": _canonical_factor}
 
 
 @pytest.mark.parametrize("count", RANK_COUNTS)
 @pytest.mark.parametrize("m", [8, 64])
 def test_a_spectrum_past_float64_is_an_overflow_error_not_rank_zero(m, count):
     # the core's block value sqrt(m - 1) * 1e308 has no float64 value; read as rank 0,
-    # it made the factor "zero", the form w = I and the Gram not tight
+    # it made the factor "zero" and the Gram not tight
     g = 1e308 * hadamard_to_etf_core(seed_hadamard(m)).astype(float)
     with pytest.raises(FloatingPointError, match="spectrum past float64 range"):
         RANK_COUNTS[count](g)
@@ -262,10 +267,8 @@ def test_factor_and_spectral_form_read_only_the_lower_triangle(scale):
         c = lower_completion(g)
         assert not np.array_equal(g, c)
         assert np.array_equal(factor_gram(g).view(np.int64), factor_gram(c).view(np.int64))
-        f, fc = skew_spectral_form(g), skew_spectral_form(c)
-        assert f.rank == fc.rank
-        assert np.array_equal(f.w.view(np.int64), fc.w.view(np.int64))
-        assert np.array_equal(f.lambdas.view(np.int64), fc.lambdas.view(np.int64))
+        for got, want in zip(_blocks(g), _blocks(c)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("g", [np.array([[0.0, 1e308], [-1e308, 0.0]]),

@@ -101,6 +101,17 @@ def test_check_seidel_rejects_the_int64_minimum_on_the_diagonal(s):
         assert not is_skew_hadamard(np.array(s, dtype=np.int64) + np.eye(len(s), dtype=np.int64))
 
 
+@pytest.mark.parametrize("pair", [(2, -2), (-(2**63), -(2**63)), (0, 0)], ids=["two", "int64-wrap", "zero"])
+def test_check_seidel_refuses_an_off_diagonal_pair_other_than_plus_minus_one(pair):
+    # the 3-cycle with one pair replaced; -(-2**63) wraps, so that pair passes S = -S^T
+    s = np.array([[0, 1, -1], [-1, 0, 1], [1, -1, 0]], dtype=np.int64)
+    s[0, 1], s[1, 0] = pair
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidSeidelError, match=r"^off-diagonal entries must be \+-1$"):
+            check_seidel(s)
+
+
 @pytest.mark.parametrize("value", [2.0**63, -(2.0**64), math.inf, math.nan])
 def test_int_validation_refuses_floats_no_int64_holds(value):
     with warnings.catch_warnings():
