@@ -18,13 +18,14 @@ itself to private ``_`` kernels, which trust their arrays.  Calls into
 another module go through its public names, except that a public entry
 point may hand arrays it validated or built itself to another module's
 ``_`` kernel: ``search`` in its descent loop and with
-``tournaments._offdiag_square_sum``, ``frames.factor_gram`` and
+``tournaments._offdiag_square_sum``, ``frames`` and ``search`` with the
+symplectic Gram kernel ``skewlinalg._gram``, ``frames.factor_gram`` and
 ``symplectic_witness`` with ``skewlinalg._tight_factor``, ``frames.is_tight``,
 ``complex_lift.synthesis_from_signature`` and ``search.gerzon_oracle``
 with ``skewlinalg._rank``,
 ``hadamard.etf_to_conference`` with ``frames._equiangularity`` and
 ``tournaments._round_seidel``, and ``hadamard``'s exact checks, which hand
-int64 arrays to the one Gram kernel ``tournaments._unit_gram``.  Boundary
+int64 arrays to the one exact Gram kernel ``tournaments._unit_gram``.  Boundary
 validators raise ``ValueError`` (``as_matrix``, ``frames._check_synthesis``,
 ``complex_lift._check_signature_structure``, the one even-dimension rule
 ``skewlinalg._check_even_dim``, and for ``hadamard`` the one integer

@@ -16,16 +16,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import FactorizationError, NotAFrameError
-from .skewlinalg import (
-    DEFAULT_TOL,
-    ToleranceProfile,
-    as_matrix,
-    _check_even_dim,
-    _rank,
-    _tight_factor,
-    check_skew,
-    rank_by_sv,
-)
+from .skewlinalg import (DEFAULT_TOL, ToleranceProfile, _check_even_dim, _gram, _rank, _tight_factor,
+                         as_matrix, check_skew, rank_by_sv)
 
 
 class FrameBounds(NamedTuple):
@@ -60,21 +52,14 @@ def _analysis(phi: np.ndarray) -> np.ndarray:
     return phi.T @ omega(phi.shape[0])
 
 
-def _gram(phi: np.ndarray, om: np.ndarray) -> np.ndarray:
-    """``gram`` of a checked phi given om = omega(d), which a loop builds once."""
-    g = phi.T @ om @ phi / 2.0  # halved first, so that g - g.T cannot overflow
-    return g - g.T
-
-
 def analysis(phi) -> np.ndarray:
     """Adjoint of the synthesis operator: phi.T @ omega."""
     return _analysis(_check_synthesis(phi))
 
 
 def gram(phi) -> np.ndarray:
-    """Skew-symmetric Gram matrix analysis(phi) @ phi, antisymmetrized exactly."""
-    phi = _check_synthesis(phi)
-    return _gram(phi, omega(phi.shape[0]))
+    """Gram matrix analysis(phi) @ phi, skew-symmetric bit for bit."""
+    return _gram(_check_synthesis(phi))
 
 
 def frame_operator(phi) -> np.ndarray:
@@ -96,7 +81,7 @@ def frame_bounds(phi) -> FrameBounds:
     is how they are computed here.
     """
     phi = _check_frame(phi)
-    s = np.linalg.svd(_gram(phi, omega(phi.shape[0])), compute_uv=False)
+    s = np.linalg.svd(_gram(phi), compute_uv=False)
     return FrameBounds(lower=float(s[phi.shape[0] - 1]), upper=float(s[0]))
 
 
@@ -187,5 +172,5 @@ def symplectic_witness(phi) -> np.ndarray:
     M @ psi = phi preserves the symplectic form.
     """
     phi = _check_frame(phi)
-    psi = _tight_factor(_gram(phi, omega(phi.shape[0])))  # a frame's Gram is not zero
+    psi = _tight_factor(_gram(phi))  # a frame's Gram is not zero
     return phi @ psi.T @ np.linalg.inv(psi @ psi.T)

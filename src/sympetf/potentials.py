@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .frames import gram, omega
+from .frames import gram
 from .skewlinalg import _check_even_dim, check_skew
 
 
@@ -89,12 +89,15 @@ def potential_gradient(phi, p) -> np.ndarray:
     p = _check_order(p)
     if math.isinf(p):
         raise ValueError("gradient is defined for finite orders only")
-    g = gram(phi)
-    phi = np.asarray(phi, dtype=float)
-    return _gradient(phi, _value_and_weight(g, p)[1], p, omega(phi.shape[0]))
+    return _gradient(np.asarray(phi, dtype=float), _value_and_weight(gram(phi), p)[1], p)
 
 
-def _gradient(phi: np.ndarray, w: np.ndarray, p: float, om: np.ndarray) -> np.ndarray:
-    """``potential_gradient`` at a finite checked p, given W of gram(phi) and om = omega(d)."""
-    return (-4.0 * p) * (om @ phi @ w)
+def _gradient(phi: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
+    """``potential_gradient`` at a finite checked p, given W of gram(phi).  omega @ y is a signed
+    swap of row pairs: y[2i+1] in row 2i and -y[2i] in row 2i+1."""
+    y = (-4.0 * p) * (phi @ w)
+    grad = np.empty_like(y)
+    grad[0::2] = y[1::2]
+    grad[1::2] = -y[0::2]
+    return grad
 

@@ -30,9 +30,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from .frames import _equiangularity, _gram, gram, omega
+from .frames import _equiangularity, gram
 from .potentials import _gradient, _rank_nuclear, _value_and_weight, potential_bound
-from .skewlinalg import _canonical_factor, _check_even_dim, _rank
+from .skewlinalg import _canonical_factor, _check_even_dim, _gram, _rank
 from .tournaments import (_offdiag_square_sum, count_diamonds_formula, diamond_upper_bound,
                           random_tournament)
 from .hadamard import certify_etf, is_skew_conference
@@ -85,9 +85,9 @@ def _outcome(restarts: list, iterations: int) -> SearchOutcome:
     )
 
 
-def _renormalize(phi: np.ndarray, target: float, om: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _renormalize(phi: np.ndarray, target: float) -> tuple[np.ndarray, np.ndarray]:
     """(sqrt(c) phi, c g), g = gram(phi), c = target / nuclear norm of g; gram(sqrt(c) phi) = c g."""
-    g = _gram(phi, om)
+    g = _gram(phi)
     c = target / _rank_nuclear(g, phi.shape[0])  # phi is a Gaussian draw, so g is not zero
     return phi * math.sqrt(c), g * c
 
@@ -148,15 +148,14 @@ def continuous_etf_search(d: int, n: int, p: float, cfg: SearchConfig) -> Search
 
     bound = potential_bound(d, n, p)
     target_nuc = math.sqrt(d * n * (n - 1))
-    om = omega(d)
 
     restarts = []
     total_iters = 0
     for r in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, r])
-        phi, g = _renormalize(rng.normal(size=(d, n)), target_nuc, om)
+        phi, g = _renormalize(rng.normal(size=(d, n)), target_nuc)
         value, w = _value_and_weight(g, p)
-        grad = _gradient(phi, w, p, om)
+        grad = _gradient(phi, w, p)
         step = cfg.step
         iters = 0
         while iters < cfg.max_iters and step > 1e-14:
@@ -164,7 +163,7 @@ def continuous_etf_search(d: int, n: int, p: float, cfg: SearchConfig) -> Search
             if not grad.any():
                 break
             trial = phi - step * grad
-            g = _gram(trial, om)
+            g = _gram(trial)
             raw_value, w = _value_and_weight(g, p)  # of the unscaled trial
             trial_value = math.inf  # unless the trial, rescaled by c, may beat value
             if not _holder_rejects(raw_value, np.vdot(trial, trial), target_nuc, value, p):
@@ -173,7 +172,7 @@ def continuous_etf_search(d: int, n: int, p: float, cfg: SearchConfig) -> Search
             if trial_value < value:
                 # phi moves only here, to (sqrt(c) t, c g); its reset keeps c g, and W(c g) = c^(2p-1) W(g)
                 phi, value = _canonicalize(trial * math.sqrt(c), g * c, target_nuc), trial_value
-                grad = _gradient(phi, c ** (2.0 * p - 1.0) * w, p, om)
+                grad = _gradient(phi, c ** (2.0 * p - 1.0) * w, p)
                 step *= 1.5
             else:
                 step *= 0.5

@@ -8,7 +8,8 @@ values ``lambdas`` l_1 >= ... >= l_r and 2r orthonormal block rows U with
     a = U.T @ blkdiag(l_1*J, ..., l_r*J) @ U,   J = [[0, 1], [-1, 0]],
 
 so the rank is always even.  Gram factorization and the continuous
-search's canonical reset reduce to this decomposition.
+search's canonical reset reduce to this decomposition.  ``_gram`` is the one
+kernel of a frame's Gram phi.T @ omega(d) @ phi, read off the row pairs of phi.
 """
 
 from __future__ import annotations
@@ -116,6 +117,13 @@ def rank_by_sv(a) -> int:
     return int(_rank(np.linalg.svd(as_matrix(a), compute_uv=False)))
 
 
+def _gram(phi: np.ndarray) -> np.ndarray:
+    """phi.T @ omega(d) @ phi of a d-row phi, unchecked: A.T @ B - B.T @ A with A and B its even
+    and odd rows, as omega swaps each row pair with a sign.  m - m.T is exactly skew."""
+    m = phi[0::2].T @ phi[1::2]
+    return m - m.T
+
+
 def _blocks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(lambdas, block rows) of the skew matrix whose lower triangle is that of ``a``, unchecked.
 
@@ -191,9 +199,7 @@ def _tight_factor(a: np.ndarray) -> np.ndarray:
     del z
     rows = _block_rows(q)
     del q
-    m = rows[0::2].T @ rows[1::2]
-    r = m - m.T  # the Gram of the rows
-    del m
+    r = _gram(rows)
     r *= lam
     r -= a / unit
     if frobenius_norm(r) > DEFAULT_TOL.residual_rel_tol * h_norm:

@@ -32,8 +32,8 @@ def _as_int_square(a, error: type[Exception] = ValueError) -> np.ndarray:
         raise error("entries are complex, not integers")
     if a.dtype.kind == "f" and not np.all(np.abs(a) < 2.0**63):  # past int64: the cast is undefined
         raise error("entries are not integers")
-    ai = a.astype(np.int64)
-    if not np.array_equal(ai, a):
+    ai = a.astype(np.int64, copy=False)  # int64 input is returned itself: callers only read it
+    if ai is not a and not np.array_equal(ai, a):
         raise error("entries are not integers")
     return ai
 

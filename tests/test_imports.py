@@ -13,7 +13,9 @@ unit tests read is dead code with a test of its own.
 A public function takes a ``tol`` only where some caller sets one, and
 no value it can read off its arguments.  ``__init__`` is the one export
 list: a module marks a name public by its missing underscore.  The rank
-threshold is read by the one rank rule alone.
+threshold is read by the one rank rule alone, the symplectic Gram has the one
+kernel ``skewlinalg._gram``, and the dense omega matrix is built only for the
+public operators and passed to no kernel.
 """
 
 import ast
@@ -115,6 +117,25 @@ def test_the_rank_threshold_is_read_only_by_its_definition_and_the_rank_rule():
     readers = [(module, getattr(stmt, "name", type(stmt).__name__)) for module, stmt in _statements(PACKAGE)
                if "RANK_REL_TOL" in _names(stmt)]
     assert readers == [("skewlinalg", "Assign"), ("skewlinalg", "_rank")]
+
+
+def test_skewlinalg_alone_defines_the_gram_kernel():
+    assert [module for module, stmt in _statements(PACKAGE)
+            if isinstance(stmt, ast.FunctionDef) and stmt.name == "_gram"] == ["skewlinalg"]
+
+
+def test_no_function_takes_an_omega_matrix():
+    # omega acts as a signed swap of row pairs, so no kernel is handed the dense d x d matrix
+    takes_om = [f"{module}.{node.name}" for module, stmt in _statements(PACKAGE) for node in ast.walk(stmt)
+                if isinstance(node, ast.FunctionDef) and "om" in [a.arg for a in ast.walk(node.args)
+                                                                  if isinstance(a, ast.arg)]]
+    assert takes_om == []
+
+
+def test_the_dense_omega_is_read_only_by_the_analysis_operator_and_the_export_list():
+    readers = [(module, getattr(stmt, "name", type(stmt).__name__)) for module, stmt in _statements(PACKAGE)
+               if "omega" in _names(stmt) and not _defines(stmt, "omega")]
+    assert readers == [("__init__", "ImportFrom"), ("frames", "_analysis")]
 
 
 SETS_TOL = {  # each is passed a tol by the CLI's --tol or by a tolerance study in tests/

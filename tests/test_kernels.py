@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from etf_oracle import svd_certify_etf
 from sympetf import certify_etf
-from sympetf.frames import _gram, factor_gram, gram, is_equiangular, is_tight, omega
+from sympetf.frames import factor_gram, gram, is_equiangular, is_tight, omega
 from sympetf.hadamard import (
     hadamard_to_etf_core,
     hadamard_to_etf_square,
@@ -38,6 +38,8 @@ from sympetf.skewlinalg import (
     ToleranceProfile,
     _blocks,
     _canonical_factor,
+    _gram,
+    frobenius_norm,
 )
 
 ORDERS = (8, 16, 32, 64)
@@ -129,14 +131,13 @@ def test_search_kernels_are_bit_identical_to_the_public_api(d, extra, p, seed, s
     # return the very bits its validating public wrapper returns
     n = d + extra
     phi = scale * np.random.default_rng(seed).normal(size=(d, n))
-    om = omega(d)
-    g = _gram(phi, om)
+    g = _gram(phi)
     assert g.tobytes() == gram(phi).tobytes()
     # one W = |g|^(2p-2) * g gives the search both the potential and the gradient
     value, w = _value_and_weight(g, p)
     assert np.float64(value).tobytes() == np.float64(frame_potential(g, p)).tobytes()
     assert value == pytest.approx(float(np.sum(np.abs(g) ** (2.0 * p))), rel=1e-13)
-    assert _gradient(phi, w, p, om).tobytes() == potential_gradient(phi, p).tobytes()
+    assert _gradient(phi, w, p).tobytes() == potential_gradient(phi, p).tobytes()
     lambdas, rows = _blocks(g)
     rows = np.sqrt(np.repeat(lambdas, 2))[:, None] * rows
     assert _canonical_factor(g).tobytes() == rows.tobytes()
@@ -145,13 +146,39 @@ def test_search_kernels_are_bit_identical_to_the_public_api(d, extra, p, seed, s
     assert _nuclear(g) == nuc
     # the rescaled pair (sqrt(c) phi, c g) comes from one Gram: the second is not rebuilt;
     # the search measures its nuclear norm with the rank-d kernel
-    scaled, scaled_g = _renormalize(phi, 6.0, om)
+    scaled, scaled_g = _renormalize(phi, 6.0)
     nuc = _rank_nuclear(g, d)
     assert scaled.tobytes() == (phi * math.sqrt(6.0 / nuc)).tobytes()
     assert scaled_g.tobytes() == (g * (6.0 / nuc)).tobytes()
     assert np.linalg.norm(gram(scaled) - scaled_g) <= 1e-12 * np.linalg.norm(scaled_g)
     target = math.sqrt(d * n * (n - 1))
     assert normalize_nuclear(g, d).tobytes() == (g * (target / _nuclear(g))).tobytes()
+
+
+def dense_gram(phi):
+    """The reference Gram: the product with the dense d x d omega(d)."""
+    return phi.T @ omega(phi.shape[0]) @ phi
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    half=st.integers(1, 16),
+    cols=st.sampled_from(("1", "d", "d+1", "2d")),
+    exponent=st.floats(-3.0, 100.0),
+    p=st.sampled_from((1.5, 2.0, 3.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gram_kernel_and_gradient_match_the_dense_omega_products(half, cols, exponent, p, seed):
+    # _gram and _gradient apply omega as a signed swap of row pairs; the reference multiplies by omega(d)
+    d = 2 * half
+    n = {"1": 1, "d": d, "d+1": d + 1, "2d": 2 * d}[cols]
+    phi = 10.0**exponent * np.random.default_rng(seed).normal(size=(d, n))
+    g = _gram(phi)
+    assert np.array_equal(g, -g.T)
+    assert np.max(np.abs(g - dense_gram(phi))) <= 4 * np.spacing(float(np.vdot(phi, phi)))
+    if 4 * p * exponent < 250:  # else the potential sum |g_ij|^(2p) may pass float64
+        want = (-4.0 * p) * (omega(d) @ phi @ _value_and_weight(g, p)[1])
+        assert frobenius_norm(potential_gradient(phi, p) - want) <= 1e-14 * frobenius_norm(want)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -166,7 +193,7 @@ def test_rank_nuclear_norm_matches_the_svd(d, extra, seed, scale):
     # norm; squaring g costs accuracy on its small singular values, about 1e-11 relative at a
     # condition number of 4e5, which a Gaussian phi reaches rarely, so the draws are fixed
     phi = scale * np.random.default_rng(seed).normal(size=(d, d + extra))
-    g = _gram(phi, omega(d))
+    g = _gram(phi)
     nuc = float(np.sum(np.linalg.svd(g, compute_uv=False)))
     assert abs(_rank_nuclear(g, d) - nuc) <= 1e-11 * nuc
 
@@ -176,7 +203,7 @@ def test_rank_nuclear_norm_of_a_rank_deficient_gram_is_finite_and_nonnegative(d,
     # a repeated row pair leaves a zero singular pair, whose roundoff may be a negative eigenvalue
     phi = np.random.default_rng(d + extra).normal(size=(d, d + extra))
     phi[2:4] = phi[0:2]
-    g = _gram(phi, omega(d))
+    g = _gram(phi)
     with np.errstate(invalid="raise"):
         nuc = _rank_nuclear(g, d)
     assert math.isfinite(nuc) and nuc >= 0.0
@@ -198,7 +225,7 @@ def test_canonical_factor_keeps_the_gram_and_is_the_factor_gram_bits(d, extra, s
     # not a least-norm factor, and the canonical factor is one, so it is kept
     n = d + extra
     phi = scale * np.random.default_rng(seed).normal(size=(d, n))
-    g = _gram(phi, omega(d))
+    g = _gram(phi)
     nuc = _nuclear(g)
     canon = _canonicalize(phi, g, nuc)
     assert np.linalg.norm(gram(canon) - g) <= 1e-12 * np.linalg.norm(g)

@@ -256,24 +256,23 @@ def test_discrete_search_golden_trajectories(n, seed, success, value, iters, ind
 
 # (d, n, seed, success, best_value, iterations_used, restart_index,
 #  restart_values, sha256 of best_object.tobytes()) of continuous_etf_search
-# at p=2, restarts=4, max_iters=2000, recorded after the trial step began to
-# measure the nuclear norm by a rank-d eigvalsh of g.T @ g and to scale the
-# trial's potential and W by homogeneity.  That step is the old one in exact
-# arithmetic: here and in the other orders below it kept every case's success,
-# moved best_value by at most 1.1e-13, and moved one restart_index, in
-# d4-n5-p3-seed1, a miss whose restarts end within 2e-13 of each other.  The
-# rows were first recorded after an accepted step began to keep its factor
-# within a 1e-7 band above the nuclear norm.  Hits and misses; float64 bits of
-# numpy 2.4.6 / OpenBLAS 0.3.31 (x86-64).
+# at p=2, restarts=4, max_iters=2000, recorded after the Gram and the gradient
+# began to apply omega as a signed swap of row pairs (skewlinalg._gram and
+# potentials._gradient) instead of a product with the dense omega(d).  That is
+# the old step in exact arithmetic: here and in the other orders below every
+# case kept its success and restart_index, best_value moved by at most
+# 1.2e-13, and iteration counts moved (d6-n7-seed1 684 -> 665,
+# d6-n7-p1.5-seed2 1377 -> 1454).  Hits and misses; float64 bits of numpy
+# 2.4.6 / OpenBLAS 0.3.31 (x86-64), with BLAS on 1 thread.
 GOLDEN_CONTINUOUS = [
-    (2, 3, 1, True, 6.000000002954212, 53, 2, (6.000000017275769, 6.000000086838586, 6.000000002954212, 6.000000114078276), "6848e83d7ca22e04885b2e850d739899a7524f8b7dc41a2d2ed335bd734a5e6d"),
-    (2, 3, 5, True, 6.00000000562771, 54, 1, (6.000000095741473, 6.00000000562771, 6.000000013763691, 6.000000591192881), "5d6a73c6ff2427c9e4103dd0916a1890bc077f84e51a224a95a9d9107af0ba2c"),
-    (4, 4, 0, True, 12.000000008332801, 116, 0, (12.000000008332801, 12.000000902986958, 12.000000032600958, 12.000000121948425), "075419094aeceef49caf003920a895f248e608d3893ff135c66afcd5dbe2359f"),
-    (4, 4, 3, True, 12.000000022902057, 72, 0, (12.000000022902057, 12.000000181283239, 12.000000047968346, 12.000000748491669), "6ed18e4fd27e8bf3a40dbc29a4853f817e8892e1e2693a5aec41e7f8eb44d8ff"),
-    (6, 7, 1, False, 45.50254854756662, 684, 2, (45.5025485475667, 45.50254854756664, 45.50254854756662, 48.344520139621096), "90b24678cae3b304d53c3c0543dff3b43b2f21d58d1ee9f8b2ac61e1bc0dd4c4"),
-    (6, 7, 4, True, 42.00000041922834, 678, 2, (45.50254854756663, 45.50254854756663, 42.00000041922834, 50.83471912866743), "9feed0175b36d3f2f3da1cd2a076f8ee537d5bdcf4e95fd1ffd90d6976046d60"),
-    (8, 8, 2, True, 56.00000012769535, 236, 2, (63.038833993185584, 56.000000459007246, 56.00000012769535, 56.00000096798522), "2adb9287900e3a4bb0699964cf0dabf488f0ced9d38019f780cda6394e939d73"),
-    (16, 16, 0, False, 257.9827149950788, 867, 0, (257.9827149950788, 264.04404924893936, 267.98489207866123, 258.94598515733844), "369dd3fba56d66bcc8f2fb8be7f7e8f2dce29d9c5d8764a65e8157929ded0172"),
+    (2, 3, 1, True, 6.0000000029542075, 53, 2, (6.000000017275771, 6.000000086838582, 6.0000000029542075, 6.000000114078274), "d36891dd9280139d6fdc07f36fd0e77267f2d054701fca41de06d0c86cd20fb9"),
+    (2, 3, 5, True, 6.000000005627706, 54, 1, (6.000000095741475, 6.000000005627706, 6.00000001376369, 6.000000591192883), "5e5c2917916ab64d84f1f3ab57665a8ae372f22f851ad29efe631e4e90217f9b"),
+    (4, 4, 0, True, 12.000000008332812, 116, 0, (12.000000008332812, 12.000000902986958, 12.000000032600951, 12.00000012194843), "89e322ecc7b9361bee9bc3b5c08fae128453b5fdc346fa540dd6e82bd03b400d"),
+    (4, 4, 3, True, 12.000000022902059, 72, 0, (12.000000022902059, 12.000000181283259, 12.000000047968358, 12.000000748491672), "410c2c3af25e062fc14b26ffe30072376f927f0be4af41805ea2e47ef958435e"),
+    (6, 7, 1, False, 45.50254854756662, 665, 2, (45.50254854756673, 45.50254854756667, 45.50254854756662, 48.3445201396211), "a4f3f97e8c8b0d781bdcfd23e05bf818e44a2e793c4c6cd3ed5b54d1df6d3cbf"),
+    (6, 7, 4, True, 42.000000419228364, 664, 2, (45.502548547566626, 45.50254854756665, 42.000000419228364, 50.83471912866738), "257a0938be89390d9de533e5349d38c647dd803e915dbc30b6f54a0e34f7decd"),
+    (8, 8, 2, True, 56.00000012769533, 238, 2, (63.03883399318557, 56.000000459007246, 56.00000012769533, 56.00000096798521), "b33942ba104d4b1d1296c5003f461f06c375a85b591a73ecd6e293e7e756d37b"),
+    (16, 16, 0, False, 257.9827149950787, 856, 0, (257.9827149950787, 264.04404924893976, 267.98489207866083, 258.9459851573388), "a69317059a6b5432f58410abee22537d82981d8f8ad2238180e934d01b345b2f"),
 ]
 
 
@@ -294,10 +293,10 @@ def test_continuous_search_golden_outcomes(d, n, seed, success, value, iters, in
 # at orders p != 2, restarts=4, max_iters=2000, recorded with the same
 # search step as GOLDEN_CONTINUOUS, on the same platform.
 GOLDEN_CONTINUOUS_ORDERS = [
-    (2, 3, 1.5, 1, True, 6.000000068953526, 51, 2, (6.000000391445757, 6.000000351916003, 6.000000068953526, 6.000000242225049), "3a741c0a29cd187f61923bd7a682f68cf2b9fc4187331d49ad479142ae7eca3b"),
-    (4, 4, 3, 0, True, 12.00000000414581, 127, 3, (12.000000069508777, 12.00000035208466, 12.000000005135837, 12.00000000414581), "3f3b0fd9b843ae835c826a73f5bbb00e966cbda85b814944e7c8bf6c2fbfe676"),
-    (6, 7, 1.5, 2, True, 42.00000016030564, 1377, 3, (43.88902033555019, 42.000000423096054, 43.88902033555278, 42.00000016030564), "7f49da29ee6cebbb62dd19e798c919d2dcfe3aa35fb693900a7aed64574d765f"),
-    (4, 5, 3, 1, False, 22.167678084414288, 403, 2, (22.167678084414348, 22.167678084414295, 22.167678084414288, 22.16767808441429), "aca873acbcc3aad8152c0cf53318ea61cfd8000d9ccc7520b32afc4f9fd06af8"),
+    (2, 3, 1.5, 1, True, 6.000000068953524, 51, 2, (6.000000391445761, 6.000000351916005, 6.000000068953524, 6.00000024222505), "ad8dafad1a230bc02fccf2666dd43909908e08d40292cad982f6690f611b0a77"),
+    (4, 4, 3, 0, True, 12.000000004145818, 127, 3, (12.000000069508776, 12.000000352084655, 12.000000005135837, 12.000000004145818), "48d2d80b058c4a03e424b2d1d9886f9f9eb1c902ac358916aa736ec842e2b23b"),
+    (6, 7, 1.5, 2, True, 42.000000160305646, 1454, 3, (43.88902033555005, 42.000000423096104, 43.88902033554968, 42.000000160305646), "3472acea5599607374503c98fac85ccb23cf4e8bfdf9deed4026073c24bd8f0f"),
+    (4, 5, 3, 1, False, 22.167678084414288, 401, 2, (22.167678084414366, 22.16767808441431, 22.167678084414288, 22.167678084414295), "330c3b138260ef6a0b16638ae9f47614ab5bf5685162ecd24232cd3808b579af"),
 ]
 
 

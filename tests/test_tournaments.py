@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from tournament_oracles import flat_kernel, gamma_by_masks, is_doubly_regular_by_degrees
 from sympetf.errors import InvalidSeidelError, NotEquiangularError
 from sympetf.frames import gram
-from sympetf.hadamard import is_skew_conference, is_skew_hadamard, seed_hadamard
+from sympetf.hadamard import (double_hadamard, is_skew_conference, is_skew_hadamard, normalize_conference,
+                              seed_hadamard)
 from sympetf.tournaments import (
     _unit_gram,
     check_seidel,
@@ -139,6 +140,24 @@ def test_int_validation_refuses_complex_entries_before_any_cast(name, imag):
         warnings.simplefilter("error")
         with pytest.raises(error, match="^entries are complex, not integers$"):
             check(m + 1j * imag * np.ones((2, 2)))
+
+
+def test_int64_input_is_left_bit_identical_and_check_seidel_returns_it_uncopied():
+    # _as_int_square returns int64 input itself, not a copy; every caller builds a new
+    # array before it writes, so none of them may change the caller's matrix
+    rng = np.random.default_rng(5)
+    s = random_tournament(7, rng)
+    eps = rng.choice(np.array([-1, 1], dtype=np.int64), size=8)
+    h = seed_hadamard(8)
+    c = eps[:, None] * (h - np.eye(8, dtype=np.int64)) * eps[None, :]  # not normalized: work to do
+    calls = {"check_seidel": (check_seidel, s), "count_diamonds_formula": (count_diamonds_formula, s),
+             "switch": (lambda a: switch(a, eps[:7]), s), "is_skew_hadamard": (is_skew_hadamard, h),
+             "normalize_conference": (normalize_conference, c), "double_hadamard": (double_hadamard, h)}
+    for name, (call, a) in calls.items():
+        before = a.copy()
+        call(a)
+        assert a.dtype == np.int64 and a.tobytes() == before.tobytes(), name
+    assert np.shares_memory(check_seidel(s), s)
 
 
 def test_seidel_from_gram(core3, phi_basic):
