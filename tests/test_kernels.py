@@ -155,11 +155,6 @@ def test_search_kernels_are_bit_identical_to_the_public_api(d, extra, p, seed, s
     assert normalize_nuclear(g, d).tobytes() == (g * (target / _nuclear(g))).tobytes()
 
 
-def dense_gram(phi):
-    """The reference Gram: the product with the dense d x d omega(d)."""
-    return phi.T @ omega(phi.shape[0]) @ phi
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     half=st.integers(1, 16),
@@ -175,7 +170,7 @@ def test_gram_kernel_and_gradient_match_the_dense_omega_products(half, cols, exp
     phi = 10.0**exponent * np.random.default_rng(seed).normal(size=(d, n))
     g = _gram(phi)
     assert np.array_equal(g, -g.T)
-    assert np.max(np.abs(g - dense_gram(phi))) <= 4 * np.spacing(float(np.vdot(phi, phi)))
+    assert np.max(np.abs(g - phi.T @ omega(d) @ phi)) <= 4 * np.spacing(float(np.vdot(phi, phi)))
     if 4 * p * exponent < 250:  # else the potential sum |g_ij|^(2p) may pass float64
         want = (-4.0 * p) * (omega(d) @ phi @ _value_and_weight(g, p)[1])
         assert frobenius_norm(potential_gradient(phi, p) - want) <= 1e-14 * frobenius_norm(want)
