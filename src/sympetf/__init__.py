@@ -40,7 +40,6 @@ from .tournaments import (
     gamma,
     is_doubly_regular,
     random_tournament,
-    seidel_from_gram,
     switch,
 )
 from .hadamard import (
@@ -60,6 +59,7 @@ from .hadamard import (
     is_skew_hadamard,
     normalize_conference,
     seed_hadamard,
+    seidel_from_gram,
 )
 from .complex_lift import (
     beta_constant,

@@ -23,9 +23,9 @@ symplectic Gram kernel ``skewlinalg._gram``, ``frames.factor_gram`` and
 ``symplectic_witness`` with ``skewlinalg._tight_factor``, ``frames.is_tight``,
 ``complex_lift.synthesis_from_signature`` and ``search.gerzon_oracle``
 with ``skewlinalg._rank``,
-``hadamard.etf_to_conference`` with ``frames._equiangularity`` and
-``tournaments._round_seidel``, and ``hadamard``'s exact checks, which hand
-int64 arrays to the one exact Gram kernel ``tournaments._unit_gram``.  Boundary
+``hadamard.etf_to_conference`` with ``frames._equiangularity``, and
+``hadamard``'s exact checks, which hand int64 arrays to the one exact Gram
+kernel ``tournaments._unit_gram``.  Boundary
 validators raise ``ValueError`` (``as_matrix``, ``frames._check_synthesis``,
 ``complex_lift._check_signature_structure``, the one even-dimension rule
 ``skewlinalg._check_even_dim``, and for ``hadamard`` the one integer
@@ -38,7 +38,7 @@ exact ETF gate: it raises ``NotEtfError`` for an odd dimension, a wrong size
 or a Gram that is not equiangular, and ``RoundingError`` when g/mu misses a Seidel matrix
 S or S fails its conference check; ``certify_etf`` returns None for both.
 Its callers in ``hadamard`` and ``complex_lift`` raise the same, and
-``tournaments.seidel_from_gram`` raises ``RoundingError`` too.
+``hadamard.seidel_from_gram`` raises ``RoundingError`` too.
 """
 
 

@@ -114,20 +114,23 @@ def factor_gram(g) -> np.ndarray:
 
 
 def _equiangularity(g: np.ndarray) -> Optional[tuple[float, float]]:
-    """(mu, max |(|g_ij| - mu)| / mu) over i != j with mu the mean modulus, or None."""
+    """(mu, max |(|g_ij| - mu)| / mu) over i != j with mu the mean modulus, or None.
+
+    The moduli are measured, in place, in units of 2^e, the power of two just
+    above their maximum.  Their sum then cannot overflow, and the scaling is
+    exact for every modulus above 2^-1021 times the maximum, so then mu scales
+    with g bit for bit and the residual does not change.
+    """
     n = g.shape[0]
     if n < 2:
         return None
     mods = np.abs(g[~np.eye(n, dtype=bool)])
-    with np.errstate(over="ignore"):
-        mu, unit = float(np.mean(mods)), 1.0
-    if mu == np.inf:  # the sum overflowed: measure mods / max|mods|
-        unit = float(np.max(mods))
-        mods = mods / unit
-        mu = float(np.mean(mods))
+    e = int(np.frexp(mods.max())[1])
+    np.ldexp(mods, -e, out=mods)
+    mu = float(np.mean(mods))
     if mu <= 0.0:
         return None
-    return unit * mu, float(np.max(np.abs(mods - mu)) / mu)
+    return float(np.ldexp(mu, e)), float(np.max(np.abs(mods - mu)) / mu)
 
 
 def is_tight(g, d: int, tol: ToleranceProfile = DEFAULT_TOL) -> Optional[float]:

@@ -6,23 +6,26 @@ H @ H.T == m * I exactly, and H - I is skew-symmetric.  Equivalently
 C = H - I is a skew conference matrix.  Square ETF Gram matrices in
 symplectic dimension d are exactly the positive multiples of order-d
 skew conference matrices; cores of normalized conference matrices give
-the d-by-(d+1) family.  All structural checks here are exact integer
-arithmetic; floating point appears only when scaling Gram matrices by
-their common modulus, and every rounded result is re-verified.
+the d-by-(d+1) family; a square or core Gram is mu times a Seidel matrix,
+and ``seidel_from_gram`` reads that tournament off it.  All structural
+checks here are exact integer arithmetic.  Floating point appears only in
+g/mu, the Gram in units of its common modulus, which ``_round_seidel``, the
+package's one float-to-integer step, rounds; every rounded result is re-verified.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, isfinite, isqrt, sqrt
+from math import isfinite, isqrt, sqrt
 
 import numpy as np
 
-from .errors import NotEtfError, NotSkewConferenceError, NotSkewHadamardError, RoundingError
-from .frames import _equiangularity, gram
+from .errors import (NotEquiangularError, NotEtfError, NotSkewConferenceError, NotSkewHadamardError,
+                     RoundingError)
+from .frames import _equiangularity, gram, is_equiangular
 from .skewlinalg import (DEFAULT_TOL, ToleranceProfile, _check_even_dim, as_matrix, check_skew,
                          frobenius_norm)
-from .tournaments import _as_int_square, _round_seidel, _unit_gram
+from .tournaments import _as_int_square, _unit_gram, check_seidel
 
 
 def is_skew_hadamard(h) -> bool:
@@ -58,10 +61,6 @@ def _normalize(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return c * np.outer(eps, eps), eps
 
 
-def _core(c: np.ndarray) -> np.ndarray:
-    return c[1:, 1:].copy()
-
-
 def _double(h: np.ndarray) -> np.ndarray:
     eye2 = 2 * np.eye(h.shape[0], dtype=np.int64)
     return np.block([[h, h], [h - eye2, -h + eye2]])
@@ -88,7 +87,7 @@ class EtfCertificate:
     ``mu`` is the common off-diagonal Gram modulus and ``c`` the tightness
     constant, mu*sqrt(n-1) if n == d and mu*sqrt(n) if n == d+1.  The
     residuals are max | |g_ij| - mu | / mu over i != j (equiangular) and
-    ||g - mu S||_F / ||g||_F with S the rounded Seidel matrix (tightness).
+    ||g/mu - S||_F / ||g/mu||_F with S the rounded Seidel matrix (tightness).
     """
 
     d: int
@@ -99,15 +98,23 @@ class EtfCertificate:
     tightness_residual: float
 
 
+def _round_seidel(h: np.ndarray, tol: ToleranceProfile) -> np.ndarray:
+    """h rounded to an int64 S with entries in {-1, 0, 1}, each within entry_tol; h is left holding h - S."""
+    s = np.rint(h)
+    h -= s
+    if np.max(np.abs(h)) > tol.entry_tol or np.max(np.abs(s)) > 1:
+        raise RoundingError("scaled entries do not round to 0 or +-1")
+    return s.astype(np.int64)
+
+
 def etf_to_conference(
     g, d: int, tol: ToleranceProfile = DEFAULT_TOL
 ) -> tuple[EtfCertificate, np.ndarray]:
     """The exact ETF gate: certificate and skew conference matrix of a Gram g.
 
     d must be even, and g skew, of size n = d or d+1 and equiangular within entry_tol,
-    and g/mu must round entrywise within entry_tol to a Seidel matrix S with
-    ||g - mu S||_F <= residual_rel_tol ||g||_F, measured as ||g/mu - S||_F / ||g/mu||_F
-    where ||g||_F passes float64.  A square ETF gives S itself.
+    and h = g/mu must round entrywise within entry_tol to a Seidel matrix S with
+    ||h - S||_F <= residual_rel_tol ||h||_F.  A square ETF gives S itself.
     A core has S^2 = x x^T - nI for a +-1 border x: x is row 0 of S^2 with n
     added at entry 0 (x_0 = +1), read exactly, and S bordered by x has order
     n + 1.  One exact conference check decides; no float tightness test runs.
@@ -123,12 +130,11 @@ def etf_to_conference(
         family = "a square ETF" if n == d else "a d-by-(d+1) ETF"
         raise NotEtfError(f"input is not the Gram matrix of {family}")
     mu, equiangular_residual = equi
-    s = _round_seidel(g, mu, tol)
-    scale, unit = frobenius_norm(g), mu
-    if scale == inf:  # x / inf would read 0: measure g / mu, whose entries are near +-1
-        g, unit = g / mu, 1.0
-        scale = frobenius_norm(g)
-    residual = frobenius_norm(g - unit * s) / scale
+    h = g / mu  # entries near +-1, whatever the scale of g
+    scale = frobenius_norm(h)
+    s = _round_seidel(h, tol)
+    residual = frobenius_norm(h) / scale  # of h - S
+    del h  # freed before the exact check's own n x n arrays
     if residual > tol.residual_rel_tol:
         raise RoundingError(f"distance {residual:.3e} to mu*S exceeds {tol.residual_rel_tol:.1e}")
     if n == d:
@@ -158,6 +164,14 @@ def certify_etf(g, d: int, tol: ToleranceProfile = DEFAULT_TOL) -> EtfCertificat
         return None
 
 
+def seidel_from_gram(g) -> np.ndarray:
+    """Scale an equiangular Gram matrix by 1/mu and round to a Seidel matrix."""
+    mu = is_equiangular(g)
+    if mu is None:
+        raise NotEquiangularError("Gram matrix is not equiangular")
+    return check_seidel(_round_seidel(np.asarray(g, dtype=float) / mu, DEFAULT_TOL))
+
+
 def etf_to_hadamard_square(g, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """I + g/mu for a certified d-by-d ETF Gram matrix g."""
     return _etf_to_hadamard(g, np.shape(g)[0], tol)
@@ -182,7 +196,7 @@ def hadamard_to_etf_core(h) -> np.ndarray:
     if m < 4:
         raise ValueError(f"core extraction needs order >= 4, got {m}")
     normalized, _ = _normalize(h - np.eye(m, dtype=np.int64))
-    return _core(normalized).astype(float)
+    return normalized[1:, 1:].astype(float)
 
 
 def etf_core_to_hadamard(g, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:

@@ -8,7 +8,8 @@ Two searches and one exhaustive oracle:
   rank-d ``eigvalsh`` gives its nuclear norm, and homogeneity its rescaled
   potential and W = |g|^(2p-2) * g.  An accepted factor is reset only once
   it leaves the least-norm band.  A run succeeds only if the potential
-  reaches its ETF bound and the rounded Gram passes ``etf_to_conference``.
+  reaches its ETF bound and its Gram passes ``etf_to_conference`` with
+  tolerances that leave the verdict to the rounding and the exact check.
 * ``discrete_diamond_search``: single-edge-flip local search over
   tournaments minimizing sum_{i<j} ((S^2)_ij)^2, which is equivalent to
   maximizing the diamond count.  Its only state is S; each step scores
@@ -30,9 +31,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .frames import _equiangularity, gram
 from .potentials import _gradient, _rank_nuclear, _value_and_weight, potential_bound
-from .skewlinalg import _canonical_factor, _check_even_dim, _gram, _rank
+from .skewlinalg import ToleranceProfile, _canonical_factor, _check_even_dim, _gram, _rank
 from .tournaments import (_offdiag_square_sum, count_diamonds_formula, diamond_upper_bound,
                           random_tournament)
 from .hadamard import certify_etf, is_skew_conference
@@ -120,15 +120,11 @@ def _canonicalize(phi: np.ndarray, g: np.ndarray, nuc: float) -> np.ndarray:
     return factor if factor.shape[0] == phi.shape[0] else phi
 
 
-def _rounded_certificate(phi: np.ndarray, d: int):
-    """Round the Gram to its nearest Seidel pattern and pass that through the exact gate.
-
-    There is no entry_tol gate on the rounding: search hits sit about 1e-4 off equiangular.
-    The rounded Gram is integer and antisymmetric, so no tolerance can change the verdict.
-    """
-    g = gram(phi)
-    equi = _equiangularity(g)
-    return None if equi is None else certify_etf(np.rint(g / equi[0]), d)
+# The success test's tolerances: entry_tol = 1/2 sends every |g_ij| / mu in (1/2, 3/2) to +-1
+# (search hits sit about 1e-4 off equiangular), and the exact check decides.  Those ratios have
+# mean 1, so ||g/mu - S||_F^2 = ||g/mu||_F^2 - n(n-1) <= n(n-1)/4 < ||g/mu||_F^2 / 4: the
+# residual bound 1/2 never binds.
+_ROUNDING_ONLY = ToleranceProfile(residual_rel_tol=0.5, entry_tol=0.5)
 
 
 @np.errstate(over="raise", invalid="raise")  # an order p too large for float64 fails at once
@@ -136,7 +132,7 @@ def continuous_etf_search(d: int, n: int, p: float, cfg: SearchConfig) -> Search
     """Projected gradient descent on the order-p potential, with restarts.
 
     Success means the potential came within ``cfg.target_residual`` of the
-    ETF bound n(n-1) and the rounded Gram passed the exact gate.
+    ETF bound n(n-1) and the Gram passed the exact gate under ``_ROUNDING_ONLY``.
     """
     if n > _MAX_CONTINUOUS_N:
         raise ValueError(f"continuous search is limited to n <= {_MAX_CONTINUOUS_N}, got {n}")
@@ -179,7 +175,8 @@ def continuous_etf_search(d: int, n: int, p: float, cfg: SearchConfig) -> Search
             if value - bound <= cfg.target_residual:
                 break
         total_iters += iters
-        succeeded = value - bound <= cfg.target_residual and _rounded_certificate(phi, d) is not None
+        succeeded = (value - bound <= cfg.target_residual
+                     and certify_etf(_gram(phi), d, _ROUNDING_ONLY) is not None)
         restarts.append((succeeded, value, phi, r))
     return _outcome(restarts, total_iters)
 

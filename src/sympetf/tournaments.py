@@ -6,9 +6,9 @@ Diamonds are the 4-vertex subtournaments whose Seidel minor has
 determinant 9 (a vertex dominating, or dominated by, a 3-cycle).  Every
 exact verdict is an identity of the Gram S S^T = -S^2 from the one kernel
 ``_unit_gram``: double regularity is S S^T = nI - J (Reid and Brown, JCTA
-12, 1972), and the diamond count sums its squared entries.  All counting is
-exact integer arithmetic; floating point enters only where an equiangular
-Gram matrix is rounded to its Seidel matrix.
+12, 1972), and the diamond count sums its squared entries.  Everything here
+is exact integer arithmetic; an equiangular Gram is rounded to its Seidel
+matrix by ``hadamard.seidel_from_gram``, beside the ETF gate.
 """
 
 from __future__ import annotations
@@ -18,9 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidSeidelError, NotEquiangularError, RoundingError
-from .frames import is_equiangular
-from .skewlinalg import DEFAULT_TOL, ToleranceProfile
+from .errors import InvalidSeidelError
 
 
 def _as_int_square(a, error: type[Exception] = ValueError) -> np.ndarray:
@@ -65,11 +63,6 @@ def _unit_gram(a: np.ndarray) -> np.ndarray:
     return (f @ f.T).astype(np.int64)
 
 
-def seidel_square(s) -> np.ndarray:
-    """S @ S of a Seidel matrix, exactly, read as -S @ S.T since S is skew."""
-    return -_unit_gram(check_seidel(s))
-
-
 def random_tournament(n: int, rng: np.random.Generator) -> np.ndarray:
     """Uniformly random tournament on n vertices."""
     if n < 1:
@@ -78,23 +71,6 @@ def random_tournament(n: int, rng: np.random.Generator) -> np.ndarray:
     # one draw per edge: a boolean mask assigns in row-major upper-triangle order
     s[~np.tri(n, dtype=bool)] = 2 * rng.integers(0, 2, size=n * (n - 1) // 2) - 1
     s -= s.T
-    return s
-
-
-def seidel_from_gram(g) -> np.ndarray:
-    """Scale an equiangular Gram matrix by 1/mu and round to a Seidel matrix."""
-    mu = is_equiangular(g)
-    if mu is None:
-        raise NotEquiangularError("Gram matrix is not equiangular")
-    return check_seidel(_round_seidel(np.asarray(g, dtype=float), mu, DEFAULT_TOL))
-
-
-def _round_seidel(g: np.ndarray, mu: float, tol: ToleranceProfile) -> np.ndarray:
-    """g / mu rounded to an int64 matrix with entries in {-1, 0, 1}, each within entry_tol."""
-    scaled = g / mu
-    s = np.rint(scaled).astype(np.int64)
-    if np.max(np.abs(scaled - s)) > tol.entry_tol or np.any(np.abs(s) > 1):
-        raise RoundingError("scaled entries do not round to 0 or +-1")
     return s
 
 

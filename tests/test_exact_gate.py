@@ -12,6 +12,7 @@ oracle's SVD alone takes seconds there.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from builders import count_calls, signed_permutation
 from etf_oracle import svd_certify_etf
@@ -65,14 +66,20 @@ def test_factor_path_validates_once_and_runs_one_qr_and_no_eigh(monkeypatch):
     assert len(shapes) == 1
 
 
-@pytest.mark.parametrize("mu", [1.0, 1e300, 1e308])
-def test_gate_residual_reads_the_same_where_the_norm_of_g_overflows(mu):
-    # at mu = 1e308 ||g||_F passes float64, and ||g - mu S|| / ||g|| would read 0.  The
-    # tightness constant sqrt(63) * mu passes it too, so there the certificate is an
-    # overflow and the residual is read off the refusal at residual_rel_tol = 1e-14
+def near_miss_core() -> np.ndarray:
+    """The m = 64 seed core with one skew pair scaled by 1 + 1e-11, which the default tolerances accept."""
     g = hadamard_to_etf_core(seed_hadamard(64)).astype(float)
     g[0, 1] *= 1.0 + 1e-11
     g[1, 0] *= 1.0 + 1e-11
+    return g
+
+
+@pytest.mark.parametrize("mu", [1.0, 1e300, 1e308])
+def test_gate_residual_reads_the_same_where_the_norm_of_g_overflows(mu):
+    # at mu = 1e308 ||g||_F passes float64, so ||g - mu S|| / ||g|| would read 0; the gate reads g / mu.  The
+    # tightness constant sqrt(63) * mu passes it too, so there the certificate is an
+    # overflow and the residual is read off the refusal at residual_rel_tol = 1e-14
+    g = near_miss_core()
     at_one = certify_etf(g, 62).tightness_residual
     assert at_one == pytest.approx(2.26e-13, rel=1e-3)
     g *= mu
@@ -83,6 +90,32 @@ def test_gate_residual_reads_the_same_where_the_norm_of_g_overflows(mu):
     else:
         with pytest.raises(FloatingPointError, match="^tightness constant past float64 range$"):
             certify_etf(g, 62)
+
+
+NEAR_MISS = near_miss_core()
+NEAR_MISS_CERT, NEAR_MISS_CONF = etf_to_conference(NEAR_MISS, 62)
+
+
+@settings(max_examples=80, deadline=None)
+@given(k=st.integers(-1000, 1023))
+@example(k=-1000)
+@example(k=-531)
+@example(k=1020)
+@example(k=1023)
+def test_gate_verdict_scales_exactly_with_a_power_of_two(k):
+    # g / mu has the same bits at every scale 2^k, so the residuals and the conference
+    # matrix do too, and mu scales exactly; past k = 1020 the tightness constant overflows
+    g = np.ldexp(NEAR_MISS, k)
+    if NEAR_MISS_CERT.c * 2.0**k == np.inf:
+        with pytest.raises(FloatingPointError, match="^tightness constant past float64 range$"):
+            certify_etf(g, 62)
+        return
+    cert, conf = etf_to_conference(g, 62)
+    assert cert.mu == np.ldexp(NEAR_MISS_CERT.mu, k)
+    assert cert.c == np.ldexp(NEAR_MISS_CERT.c, k)
+    assert cert.tightness_residual == NEAR_MISS_CERT.tightness_residual
+    assert cert.equiangular_residual == NEAR_MISS_CERT.equiangular_residual
+    assert np.array_equal(conf, NEAR_MISS_CONF)
 
 
 LOOSE = ToleranceProfile(residual_rel_tol=1e-3, entry_tol=1e-3)

@@ -12,10 +12,12 @@ package, a demo, the acceptance test or the benchmark: one that only the
 unit tests read is dead code with a test of its own.
 A public function takes a ``tol`` only where some caller sets one, and
 no value it can read off its arguments.  ``__init__`` is the one export
-list: a module marks a name public by its missing underscore.  The rank
+list: a module marks a name public by its missing underscore, and every
+public function or class of a module is read like an exported name.  The rank
 threshold is read by the one rank rule alone, the symplectic Gram has the one
-kernel ``skewlinalg._gram``, and the dense omega matrix is built only for the
-public operators and passed to no kernel.
+kernel ``skewlinalg._gram``, the dense omega matrix is built only for the
+public operators and passed to no kernel, and ``hadamard._round_seidel`` is
+the one float-to-integer rounding.
 """
 
 import ast
@@ -103,8 +105,10 @@ def _defines(stmt, name):
 def test_every_public_name_is_read_outside_its_definition_and_the_export_list():
     exported = [alias.asname or alias.name for _, stmt in _statements([SRC / "sympetf" / "__init__.py"])
                 if isinstance(stmt, ast.ImportFrom) for alias in stmt.names]
+    defined = [stmt.name for _, stmt in _statements(PACKAGE)
+               if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_")]
     statements = _statements(USERS)
-    unread = [name for name in exported
+    unread = [name for name in dict.fromkeys(exported + defined)
               if not any(name in _names(stmt) for _, stmt in statements if not _defines(stmt, name))]
     assert unread == []
 
@@ -138,7 +142,22 @@ def test_the_dense_omega_is_read_only_by_the_analysis_operator_and_the_export_li
     assert readers == [("__init__", "ImportFrom"), ("frames", "_analysis")]
 
 
-SETS_TOL = {  # each is passed a tol by the CLI's --tol or by a tolerance study in tests/
+def test_hadamard_alone_rounds_floats_to_seidel_entries():
+    # every float -> +-1 step of the package is the one rounding kernel beside the ETF gate
+    readers = [(module, getattr(stmt, "name", type(stmt).__name__)) for module, stmt in _statements(PACKAGE)
+               if "rint" in _names(stmt)]
+    assert readers == [("hadamard", "_round_seidel")]
+
+
+def test_tournaments_imports_only_the_error_types_from_the_package():
+    tree = ast.parse((SRC / "sympetf" / "tournaments.py").read_text())
+    imported = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+    assert imported == ["errors"]
+
+
+# each is passed a tol by the CLI's --tol, by a tolerance study in tests/, or, for
+# certify_etf, by the continuous search's rounding profile search._ROUNDING_ONLY
+SETS_TOL = {
     "check_skew", "is_tight", "is_equiangular", "etf_to_conference", "certify_etf",
     "etf_to_hadamard_square", "etf_core_to_hadamard", "double_frame", "lift_square",
     "lift_core", "signature_check",

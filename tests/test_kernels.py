@@ -90,7 +90,8 @@ def _certificate_matches_public_checks(g, d, tol):
     n = g.shape[0]
     off = ~np.eye(n, dtype=bool)
     eq_res = np.max(np.abs(np.abs(g[off]) - mu)) / mu
-    t_res = np.linalg.norm(g - mu * np.rint(g / mu)) / np.linalg.norm(g)
+    h = g / mu
+    t_res = np.linalg.norm(h - np.rint(h)) / np.linalg.norm(h)
     assert (cert.d, cert.n) == (d, n)
     assert cert.mu == mu
     assert cert.c == mu * math.sqrt(n - 1 if n == d else n)

@@ -39,12 +39,13 @@ from sympetf.hadamard import (
 )
 from sympetf.skewlinalg import ToleranceProfile
 from sympetf.tournaments import (
+    _unit_gram,
+    check_seidel,
     count_diamonds_formula,
     degree_stats,
     diamond_upper_bound,
     gamma,
     is_doubly_regular,
-    seidel_square,
     switch,
 )
 
@@ -108,7 +109,7 @@ def test_qr_tournament_is_doubly_regular_and_meets_the_diamond_bound(p):
 def test_exact_products_match_int64_products(p):
     c, q = paley_conference(p), qr_tournament(p)
     for s in (c, q, flip_edge(c, np.random.default_rng(p), lowest=1)):
-        np.testing.assert_array_equal(seidel_square(s), s @ s)
+        np.testing.assert_array_equal(-_unit_gram(check_seidel(s)), s @ s)
     dominates = (q == 1).astype(np.int64)
     np.testing.assert_array_equal(degree_stats(q).common_out, dominates @ dominates.T)
 

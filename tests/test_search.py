@@ -13,14 +13,13 @@ from etf_oracle import svd_certify_etf
 from tournament_oracles import flip_delta, offdiag_square_sum
 from sympetf import certify_etf, search
 from sympetf.frames import factor_gram, gram
-from sympetf.hadamard import is_skew_conference, seed_hadamard
+from sympetf.hadamard import hadamard_to_etf_core, hadamard_to_etf_square, is_skew_conference, seed_hadamard
 from sympetf.potentials import frame_potential
 from sympetf.search import (
     _MAX_CONTINUOUS_N,
     _MAX_DISCRETE_N,
     SearchConfig,
     _flip_deltas,
-    _rounded_certificate,
     continuous_etf_search,
     discrete_diamond_search,
     gerzon_oracle,
@@ -28,10 +27,11 @@ from sympetf.search import (
 from sympetf.skewlinalg import ToleranceProfile
 from sympetf.tournaments import (
     _offdiag_square_sum,
+    _unit_gram,
+    check_seidel,
     count_diamonds_formula,
     diamond_upper_bound,
     random_tournament,
-    seidel_square,
 )
 
 
@@ -99,8 +99,40 @@ def test_continuous_success_test_is_the_exact_gate():
     miss[1, 2], miss[2, 1] = -square[1, 2], -square[2, 1]
     assert svd_certify_etf(miss, 16, loose) is not None
     assert certify_etf(miss, 16, loose) is None
-    assert _rounded_certificate(factor_gram(miss), 16) is None
-    assert _rounded_certificate(factor_gram(square), 16) == certify_etf(square, 16, loose)
+    assert certify_etf(gram(factor_gram(miss)), 16, search._ROUNDING_ONLY) is None
+    # the Gram of the factor itself is certified, so its float fields are near, not at, the exact ones
+    cert = certify_etf(gram(factor_gram(square)), 16, search._ROUNDING_ONLY)
+    assert (cert.d, cert.n) == (16, 16)
+    assert cert.mu == pytest.approx(1.0, rel=1e-12)
+    assert cert.c == pytest.approx(math.sqrt(15), rel=1e-12)
+    assert cert.equiangular_residual < 1e-12 and cert.tightness_residual < 1e-12
+
+
+def _scaled_pairs(g: np.ndarray, spread: float, seed: int) -> np.ndarray:
+    """g with each skew pair (i, j), (j, i) scaled by its own factor in [1 - spread, 1 + spread]."""
+    a = np.random.default_rng(seed).uniform(1.0 - spread, 1.0 + spread, size=g.shape)
+    upper = np.triu(a, 1)
+    return g * (upper + upper.T)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.sampled_from((4, 8, 16)),
+    kind=st.sampled_from(("square", "core")),
+    spread=st.floats(0.0, 0.7),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rounding_only_gate_decides_as_the_gate_on_the_rounded_gram(m, kind, spread, seed):
+    # the reference is the search's earlier success test: round g / mu with mu the mean
+    # off-diagonal modulus, then certify the integer matrix at the default tolerances
+    h = seed_hadamard(m)
+    g, d = (hadamard_to_etf_square(h), m) if kind == "square" else (hadamard_to_etf_core(h), m - 2)
+    g = _scaled_pairs(g, spread, seed)
+    mu = np.mean(np.abs(g[~np.eye(g.shape[0], dtype=bool)]))
+    accepted = certify_etf(g, d, search._ROUNDING_ONLY) is not None
+    assert accepted == (certify_etf(np.rint(g / mu), d) is not None)
+    if spread < 0.2:  # every |g_ij| / mu lies in (2/3, 3/2), so every sign survives the rounding
+        assert accepted
 
 
 def test_continuous_search_deterministic():
@@ -169,7 +201,7 @@ def test_flip_deltas_exact_at_the_size_bound():
     n = _MAX_DISCRETE_N
     rng = np.random.default_rng(1024)
     s = random_tournament(n, rng)
-    s2 = seidel_square(s)
+    s2 = -_unit_gram(check_seidel(s))
     iu = np.triu_indices(n, k=1)
     deltas = _flip_deltas(s.astype(float), flip_mask(n), np.empty((n, n)))
     picks = [(int(iu[0][k]), int(iu[1][k])) for k in rng.choice(len(iu[0]), size=200, replace=False)]
@@ -214,7 +246,7 @@ def test_offdiag_square_sum_exact_at_the_discrete_size_bound():
 
 
 def test_offdiag_square_sum_exact_for_int64_at_order_2048():
-    s2 = seidel_square(random_tournament(2048, np.random.default_rng(8)))
+    s2 = -_unit_gram(check_seidel(random_tournament(2048, np.random.default_rng(8))))
     assert s2.dtype == np.int64
     assert _offdiag_square_sum(s2) == offdiag_square_sum(s2)
 

@@ -12,7 +12,7 @@ from tournament_oracles import flat_kernel, gamma_by_masks, is_doubly_regular_by
 from sympetf.errors import InvalidSeidelError, NotEquiangularError
 from sympetf.frames import gram
 from sympetf.hadamard import (double_hadamard, is_skew_conference, is_skew_hadamard, normalize_conference,
-                              seed_hadamard)
+                              seed_hadamard, seidel_from_gram)
 from sympetf.tournaments import (
     _unit_gram,
     check_seidel,
@@ -23,7 +23,6 @@ from sympetf.tournaments import (
     gamma,
     is_doubly_regular,
     random_tournament,
-    seidel_from_gram,
     switch,
 )
 
