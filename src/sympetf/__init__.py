@@ -46,7 +46,6 @@ from .hadamard import (
     DoublingCoefficients,
     EtfCertificate,
     certify_etf,
-    default_b_matrix,
     double_frame,
     double_hadamard,
     doubling_coefficients,

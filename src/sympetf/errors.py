@@ -9,8 +9,9 @@ size no machine can hold) and ``FloatingPointError`` (input or an order
 so large that float64 overflows) to exit code 2.  Besides numpy's own
 overflow, ``FloatingPointError`` comes from ``skewlinalg._rank``, the one
 rank count, when the largest value of a spectrum passes float64, from
-``potentials.normalize_nuclear`` when the nuclear norm does, and from
-``hadamard.etf_to_conference`` when the tightness constant does.
+``potentials.normalize_nuclear`` when the nuclear norm does, from
+``hadamard.etf_to_conference`` when the tightness constant does, and from
+``hadamard.doubling_coefficients`` when the coefficients do.
 
 Validation runs once, at the public boundary: a public function checks
 its array arguments on entry and hands values it has checked or built
@@ -19,11 +20,11 @@ another module go through its public names, except that a public entry
 point may hand arrays it validated or built itself to another module's
 ``_`` kernel: ``search`` in its descent loop and with
 ``tournaments._offdiag_square_sum``, ``frames`` and ``search`` with the
-symplectic Gram kernel ``skewlinalg._gram``, ``frames.factor_gram`` and
+symplectic Gram kernel ``skewlinalg._gram``, ``frames`` and ``potentials`` with
+the row kernel of omega ``skewlinalg._omega_rows``, ``frames.factor_gram`` and
 ``symplectic_witness`` with ``skewlinalg._tight_factor``, ``frames.is_tight``,
-``complex_lift.synthesis_from_signature`` and ``search.gerzon_oracle``
-with ``skewlinalg._rank``,
-``hadamard.etf_to_conference`` with ``frames._equiangularity``, and
+``complex_lift.synthesis_from_signature`` and ``search.gerzon_oracle`` with
+``skewlinalg._rank``, ``hadamard.etf_to_conference`` with ``frames._equiangularity``, and
 ``hadamard``'s exact checks, which hand int64 arrays to the one exact Gram
 kernel ``tournaments._unit_gram``.  Boundary
 validators raise ``ValueError`` (``as_matrix``, ``frames._check_synthesis``,

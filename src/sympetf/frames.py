@@ -6,7 +6,8 @@ synthesis operator of the frame given by its columns; its adjoint with
 respect to the symplectic form on the target and the Euclidean form on
 the source is ``analysis(phi) = phi.T @ omega(d)``.  The Gram matrix
 ``analysis(phi) @ phi`` is always real skew-symmetric, so tightness and
-equiangularity are decided entirely by skew linear algebra.
+equiangularity are decided entirely by skew linear algebra.  No dense omega(d)
+is multiplied: omega acts on rows through ``skewlinalg._omega_rows``.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import FactorizationError, NotAFrameError
-from .skewlinalg import (DEFAULT_TOL, ToleranceProfile, _check_even_dim, _gram, _rank, _tight_factor,
-                         as_matrix, check_skew, rank_by_sv)
+from .skewlinalg import (DEFAULT_TOL, ToleranceProfile, _check_even_dim, _gram, _omega_rows, _rank,
+                         _tight_factor, as_matrix, check_skew, rank_by_sv)
 
 
 class FrameBounds(NamedTuple):
@@ -28,11 +29,7 @@ class FrameBounds(NamedTuple):
 def omega(d: int) -> np.ndarray:
     """Standard symplectic form matrix: direct sum of d/2 blocks [[0,1],[-1,0]]."""
     _check_even_dim(d)
-    w = np.zeros((d, d))
-    for i in range(0, d, 2):
-        w[i, i + 1] = 1.0
-        w[i + 1, i] = -1.0
-    return w
+    return _omega_rows(np.eye(d))
 
 
 def _check_synthesis(phi) -> np.ndarray:
@@ -49,7 +46,8 @@ def _check_frame(phi) -> np.ndarray:
 
 
 def _analysis(phi: np.ndarray) -> np.ndarray:
-    return phi.T @ omega(phi.shape[0])
+    # phi.T @ omega(d) = (-omega(d) @ phi).T, in C order: the BLAS products that read it round by layout
+    return np.ascontiguousarray(_omega_rows(-phi).T)
 
 
 def analysis(phi) -> np.ndarray:

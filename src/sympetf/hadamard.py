@@ -23,8 +23,7 @@ import numpy as np
 from .errors import (NotEquiangularError, NotEtfError, NotSkewConferenceError, NotSkewHadamardError,
                      RoundingError)
 from .frames import _equiangularity, gram, is_equiangular
-from .skewlinalg import (DEFAULT_TOL, ToleranceProfile, _check_even_dim, as_matrix, check_skew,
-                         frobenius_norm)
+from .skewlinalg import DEFAULT_TOL, ToleranceProfile, as_matrix, check_skew, frobenius_norm
 from .tournaments import _as_int_square, _unit_gram, check_seidel
 
 
@@ -237,31 +236,16 @@ def doubling_coefficients(d: int) -> DoublingCoefficients:
     root = sqrt(a * a * m * m + 1.0)
     y = -a * m / root
     z = root / (a * m)
-    coeffs = DoublingCoefficients(a=a, b=b, y=y, z=z, d=d)
-    checks = (
-        abs(a * a * m - y * y - 1.0),
-        abs(a * b - 1.0 / m),
-        abs(y * z + 1.0),
-        abs(b * b - z * z + 1.0),
-    )
-    if max(checks) > 1e-12:
-        raise ArithmeticError(f"doubling coefficient identities violated: {checks}")
-    return coeffs
-
-
-def default_b_matrix(d: int) -> np.ndarray:
-    """Direct sum of d/2 copies of diag(1, -1); satisfies B.T @ omega @ B == -omega."""
-    _check_even_dim(d)
-    b = np.ones(d)
-    b[1::2] = -1.0
-    return np.diag(b)
+    if not all(isfinite(v) for v in (a, b, y, z)):  # 4 m^2 is inf past d ~ 6.7e153
+        raise FloatingPointError("doubling coefficients past float64 range")
+    return DoublingCoefficients(a=a, b=b, y=y, z=z, d=d)
 
 
 def double_frame(phi, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """Double a d-by-d ETF synthesis matrix, gated by ``etf_to_conference``, into a 2d-by-2d one.
 
-    With mu the common Gram modulus, G the Gram, (a, b_c, y, z) the doubling
-    coefficients and B = ``default_b_matrix(d)``, the doubled frame
+    With mu the common Gram modulus, G the Gram, (a, b_c, y, z) the doubling coefficients
+    and B = diag(1, -1, ..., 1, -1), the odd-row flip (B.T @ omega @ B = -omega), the doubled frame
 
         F = [[a/mu * phi @ G, b_c * phi], [y * B @ phi, z * B @ phi]]
 
@@ -273,10 +257,11 @@ def double_frame(phi, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     if g.shape[0] != d:
         raise NotEtfError("input is not the synthesis matrix of a square ETF")
     cert, _ = etf_to_conference(g, d, tol)
-    b = default_b_matrix(d)
     cf = doubling_coefficients(d)
+    b_phi = phi + 0.0  # B @ phi, a zero entry +0 as in the dense product
+    np.subtract(0.0, phi[1::2], out=b_phi[1::2])
     top = np.hstack([(cf.a / cert.mu) * (phi @ g), cf.b * phi])
-    bottom = np.hstack([cf.y * (b @ phi), cf.z * (b @ phi)])
+    bottom = np.hstack([cf.y * b_phi, cf.z * b_phi])
     return np.vstack([top, bottom])
 
 
@@ -311,9 +296,9 @@ def seed_hadamard(order: int) -> np.ndarray:
     p = 3 mod 4, built by ``_construct``; other orders raise ValueError.
 
     The bound is checked before anything is allocated.  At order m the peak, measured with
-    ``tracemalloc``, is five m x m arrays of 8-byte entries, 40 m^2 bytes or 160 MiB at
-    m = 2048: the int64 matrix, H - I, and the float64 copy, float64 product and int64 cast
-    of the exact check ``tournaments._unit_gram``, which runs on every result.
+    ``tracemalloc``, is 33 m^2 bytes or 132 MiB at m = 2048, in the exact check run on every
+    result: the int64 matrix, H - I, their int64 ``tournaments._unit_gram`` and the (m - 1) I it
+    must equal, and the bool array of that comparison (float32 inside ``_unit_gram``: 32 m^2).
     """
     if order > _MAX_SEED_ORDER:
         raise ValueError(f"seed orders are limited to {_MAX_SEED_ORDER}, got {order}")

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .frames import gram
-from .skewlinalg import _check_even_dim, check_skew
+from .skewlinalg import _check_even_dim, _omega_rows, check_skew
 
 
 def _check_order(p) -> float:
@@ -93,11 +93,6 @@ def potential_gradient(phi, p) -> np.ndarray:
 
 
 def _gradient(phi: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
-    """``potential_gradient`` at a finite checked p, given W of gram(phi).  omega @ y is a signed
-    swap of row pairs: y[2i+1] in row 2i and -y[2i] in row 2i+1."""
-    y = (-4.0 * p) * (phi @ w)
-    grad = np.empty_like(y)
-    grad[0::2] = y[1::2]
-    grad[1::2] = -y[0::2]
-    return grad
+    """``potential_gradient`` at a finite checked p, given W of gram(phi)."""
+    return _omega_rows((-4.0 * p) * (phi @ w))
 

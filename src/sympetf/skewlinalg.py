@@ -8,8 +8,9 @@ values ``lambdas`` l_1 >= ... >= l_r and 2r orthonormal block rows U with
     a = U.T @ blkdiag(l_1*J, ..., l_r*J) @ U,   J = [[0, 1], [-1, 0]],
 
 so the rank is always even.  Gram factorization and the continuous
-search's canonical reset reduce to this decomposition.  ``_gram`` is the one
-kernel of a frame's Gram phi.T @ omega(d) @ phi, read off the row pairs of phi.
+search's canonical reset reduce to this decomposition.  The symplectic form
+acts on row pairs: ``_omega_rows`` is the one product omega(d) @ y, and ``_gram``
+the one kernel of a frame's Gram phi.T @ omega(d) @ phi.
 """
 
 from __future__ import annotations
@@ -115,6 +116,15 @@ def _rank(values: np.ndarray):
 def rank_by_sv(a) -> int:
     """Numerical rank: number of singular values above RANK_REL_TOL * sigma_max."""
     return int(_rank(np.linalg.svd(as_matrix(a), compute_uv=False)))
+
+
+def _omega_rows(y: np.ndarray) -> np.ndarray:
+    """omega(d) @ y of a d-row y, unchecked: row 2i is y[2i+1] and row 2i+1 is -y[2i], formed as
+    y + 0.0 and 0.0 - y so that a zero entry is +0, as in the dense product."""
+    w = np.empty(y.shape)
+    np.add(y[1::2], 0.0, out=w[0::2])
+    np.subtract(0.0, y[0::2], out=w[1::2])
+    return w
 
 
 def _gram(phi: np.ndarray) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Test-side helpers: the orders the library builds, the signed permutation
-move, and a call counter.
+move, a call counter, and the dense symplectic form.
 
 The constructions live in ``sympetf.hadamard.seed_hadamard`` only, and
 ``covered_orders`` asks it which m = 4k it builds.  ``signed_permutation``
 relabels and switches a matrix with int64 signs; a caller that needs float
 casts the result.  ``count_calls`` spies on a library function wherever it
-is bound.
+is bound.  ``dense_omega`` builds omega(d) entry by entry, a reference
+independent of the row kernel that ``sympetf.frames.omega`` runs.
 """
 
 import sys
@@ -49,3 +50,12 @@ def count_calls(monkeypatch, fn) -> list:
             if value is fn:
                 monkeypatch.setattr(owner, attr, counted)
     return calls
+
+
+def dense_omega(d: int) -> np.ndarray:
+    """The d x d direct sum of d/2 blocks [[0, 1], [-1, 0]], written one entry at a time."""
+    w = np.zeros((d, d))
+    for i in range(0, d, 2):
+        w[i, i + 1] = 1.0
+        w[i + 1, i] = -1.0
+    return w

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from builders import covered_orders, signed_permutation
+from builders import covered_orders, dense_omega, signed_permutation
 from etf_oracle import svd_certify_etf
 from tournament_oracles import flat_kernel, is_conference_by_seidel
 from sympetf import certify_etf
@@ -21,10 +21,9 @@ from sympetf.errors import (
     NotSkewHadamardError,
     RoundingError,
 )
-from sympetf.frames import gram, omega
+from sympetf.frames import factor_gram, gram, omega
 from sympetf.hadamard import (
     _paley,
-    default_b_matrix,
     double_frame,
     double_hadamard,
     doubling_coefficients,
@@ -339,7 +338,8 @@ def test_doubling_coefficients():
     cf2 = doubling_coefficients(2)
     assert abs(cf2.a - math.sqrt((math.sqrt(5.0) + 1.0) / 2.0)) <= 1e-14
     assert abs(cf2.a - 1.272019649514069) <= 1e-12
-    for d in (2, 4, 8, 16):
+    # the four identities of DoublingCoefficients at every size a frame can have, and far past it
+    for d in [*range(2, 4097, 2), *(10**k for k in range(6, 16))]:
         cf = doubling_coefficients(d)
         assert abs(cf.a * cf.b - 1.0 / (d - 1)) <= 1e-14
         assert abs(cf.y * cf.z + 1.0) <= 1e-12
@@ -349,14 +349,31 @@ def test_doubling_coefficients():
         doubling_coefficients(1)
 
 
-def test_default_b_matrix():
-    np.testing.assert_array_equal(default_b_matrix(2), np.diag([1.0, -1.0]))
+def test_doubling_coefficients_past_float64_raise():
+    # 4 (d - 1)^2 overflows to inf, and inf / inf would leave NaN coefficients
+    with pytest.raises(FloatingPointError, match="doubling coefficients past float64 range"):
+        doubling_coefficients(10**200)
+
+
+def test_double_frame_flips_the_odd_rows_by_an_anti_symplectic_b():
+    # B = diag(1, -1, ..., 1, -1): B.T @ omega @ B = -omega, and each 2 x 2 block has det -1
     for d in (2, 4, 6):
-        b = default_b_matrix(d)
-        w = omega(d)
+        b = np.diag(np.tile([1.0, -1.0], d // 2))
+        w = dense_omega(d)
         np.testing.assert_array_equal(b.T @ w @ b, -w)
         for i in range(0, d, 2):
             assert np.linalg.det(b[i : i + 2, i : i + 2]) == -1.0
+    # the lower block rows of the doubled frame are y * B @ phi and z * B @ phi, bit for bit,
+    # signed zeros included: the chain from I_2 has exact zeros, the factored seeds none
+    frames = [np.eye(2), double_frame(np.eye(2)), double_frame(double_frame(np.eye(2)))]
+    frames += [factor_gram(hadamard_to_etf_square(seed_hadamard(m))) for m in (4, 8, 12)]
+    for phi in frames:
+        d = phi.shape[0]
+        cf = doubling_coefficients(d)
+        b_phi = np.diag(np.tile([1.0, -1.0], d // 2)) @ phi
+        lower = double_frame(phi)[d:]
+        for got, want in ((lower[:, :d], cf.y * b_phi), (lower[:, d:], cf.z * b_phi)):
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_double_frame_basic():
@@ -457,15 +474,15 @@ def test_seed_hadamard_refuses_orders_beyond_its_bound_before_allocating():
 
 # 1020 = 1019 + 1 is Paley's, 1536 = 4 * (383 + 1) Paley's doubled twice
 @pytest.mark.parametrize("m", [1020, 1536])
-def test_seed_hadamard_peak_is_forty_bytes_per_entry(m):
-    # five m x m arrays of 8-byte entries (see the docstring), plus array headers
+def test_seed_hadamard_peak_is_thirty_three_bytes_per_entry(m):
+    # four m x m arrays of 8-byte entries and one of 1-byte entries (see the docstring), plus array headers
     tracemalloc.start()
     try:
         seed_hadamard(m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 40 * m * m + 2**16
+    assert peak <= 33 * m * m + 2**16
 
 
 def test_readme_lists_the_orders_seed_hadamard_cannot_build():

@@ -15,9 +15,10 @@ no value it can read off its arguments.  ``__init__`` is the one export
 list: a module marks a name public by its missing underscore, and every
 public function or class of a module is read like an exported name.  The rank
 threshold is read by the one rank rule alone, the symplectic Gram has the one
-kernel ``skewlinalg._gram``, the dense omega matrix is built only for the
-public operators and passed to no kernel, and ``hadamard._round_seidel`` is
-the one float-to-integer rounding.
+kernel ``skewlinalg._gram``, omega acts on rows through the one kernel
+``skewlinalg._omega_rows`` and the doubling's B is an odd-row flip, so the dense
+omega matrix is built for users alone and no dense B is built, and
+``hadamard._round_seidel`` is the one float-to-integer rounding.
 """
 
 import ast
@@ -136,10 +137,24 @@ def test_no_function_takes_an_omega_matrix():
     assert takes_om == []
 
 
-def test_the_dense_omega_is_read_only_by_the_analysis_operator_and_the_export_list():
+def test_the_dense_omega_is_read_only_by_the_export_list():
     readers = [(module, getattr(stmt, "name", type(stmt).__name__)) for module, stmt in _statements(PACKAGE)
                if "omega" in _names(stmt) and not _defines(stmt, "omega")]
-    assert readers == [("__init__", "ImportFrom"), ("frames", "_analysis")]
+    assert readers == [("__init__", "ImportFrom")]
+
+
+def test_skewlinalg_alone_defines_the_omega_row_kernel():
+    assert [module for module, stmt in _statements(PACKAGE)
+            if isinstance(stmt, ast.FunctionDef) and stmt.name == "_omega_rows"] == ["skewlinalg"]
+
+
+def test_frames_potentials_and_hadamard_build_no_dense_omega_or_b():
+    # omega is applied by _omega_rows and the doubling's B = diag(1, -1, ...) by flipping odd rows,
+    # so past omega's own definition no statement builds either d x d matrix to multiply by
+    builders = [(module, getattr(stmt, "name", type(stmt).__name__)) for module, stmt in _statements(PACKAGE)
+                if module in ("frames", "potentials", "hadamard") and not _defines(stmt, "omega")
+                and {"omega", "diag", "default_b_matrix"} & set(_names(stmt))]
+    assert builders == []
 
 
 def test_hadamard_alone_rounds_floats_to_seidel_entries():

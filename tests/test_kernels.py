@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from builders import dense_omega
 from etf_oracle import svd_certify_etf
 from sympetf import certify_etf
-from sympetf.frames import factor_gram, gram, is_equiangular, is_tight, omega
+from sympetf.frames import (analysis, dual_frame, factor_gram, frame_operator, gram, is_equiangular, is_frame,
+                            is_tight, omega)
 from sympetf.hadamard import (
     hadamard_to_etf_core,
     hadamard_to_etf_square,
@@ -39,6 +41,7 @@ from sympetf.skewlinalg import (
     _blocks,
     _canonical_factor,
     _gram,
+    _omega_rows,
     frobenius_norm,
 )
 
@@ -165,16 +168,50 @@ def test_search_kernels_are_bit_identical_to_the_public_api(d, extra, p, seed, s
     seed=st.integers(0, 2**32 - 1),
 )
 def test_gram_kernel_and_gradient_match_the_dense_omega_products(half, cols, exponent, p, seed):
-    # _gram and _gradient apply omega as a signed swap of row pairs; the reference multiplies by omega(d)
+    # _gram and _gradient apply omega to row pairs; the reference multiplies by the dense omega
     d = 2 * half
     n = {"1": 1, "d": d, "d+1": d + 1, "2d": 2 * d}[cols]
     phi = 10.0**exponent * np.random.default_rng(seed).normal(size=(d, n))
     g = _gram(phi)
     assert np.array_equal(g, -g.T)
-    assert np.max(np.abs(g - phi.T @ omega(d) @ phi)) <= 4 * np.spacing(float(np.vdot(phi, phi)))
+    w = dense_omega(d)
+    assert np.max(np.abs(g - phi.T @ w @ phi)) <= 4 * np.spacing(float(np.vdot(phi, phi)))
     if 4 * p * exponent < 250:  # else the potential sum |g_ij|^(2p) may pass float64
-        want = (-4.0 * p) * (omega(d) @ phi @ _value_and_weight(g, p)[1])
+        want = (-4.0 * p) * (w @ phi @ _value_and_weight(g, p)[1])
         assert frobenius_norm(potential_gradient(phi, p) - want) <= 1e-14 * frobenius_norm(want)
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    """The float64 entries as int64 words, so that +0 and -0 compare unequal."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    half=st.integers(1, 8),
+    extra=st.integers(0, 9),
+    zeros=st.floats(0.0, 0.9),
+    fortran=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_kernels_are_the_dense_omega_products_bit_for_bit(half, extra, zeros, fortran, seed):
+    # omega(d), analysis, frame_operator and dual_frame against products with the dense omega, on
+    # frames with planted +0 and -0 entries (double_frame's dense B is checked in test_hadamard.py)
+    d = 2 * half
+    rng = np.random.default_rng(seed)
+    phi = rng.normal(size=(d, d + extra))
+    phi[rng.random(phi.shape) < zeros] = 0.0
+    phi[rng.random(phi.shape) < zeros / 2] = -0.0
+    if fortran:
+        phi = np.asfortranarray(phi)
+    w = dense_omega(d)
+    assert np.array_equal(bits(omega(d)), bits(w))
+    assert np.array_equal(bits(_omega_rows(phi)), bits(w @ phi))
+    a = analysis(phi)
+    assert a.flags.c_contiguous and np.array_equal(bits(a), bits(phi.T @ w))
+    assert np.array_equal(bits(frame_operator(phi)), bits(phi @ (phi.T @ w)))
+    if is_frame(phi):
+        assert np.array_equal(bits(dual_frame(phi)), bits(np.linalg.solve(phi @ (phi.T @ w), phi)))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
