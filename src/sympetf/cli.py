@@ -6,10 +6,11 @@ failed (not verified, no factorization, search missed), and 2 means a
 usage or I/O problem.  Reports are ``key=value`` lines on stdout;
 diagnostics go to stderr.
 
-Each ``cmd_*`` writes its ``--out`` file, if any, and returns ``(ok,
-fields)``.  ``main`` alone prints the fields in order, ``error`` on stderr,
-and maps the outcome to 0/1/2: ``ok`` to 0 or 1, a ``DomainError`` to 1,
-and usage, I/O, ``MemoryError`` and ``FloatingPointError`` to 2.  Commands
+Each ``cmd_*`` returns ``(ok, fields, matrix)`` and has no side effect.
+``main`` alone writes the matrix, unless None, to ``--out``, then prints
+the fields in order, ``error`` on stderr, and maps the outcome to 0/1/2:
+``ok`` to 0 or 1, a ``DomainError`` to 1, and usage (``ValueError``), I/O,
+``MemoryError`` and ``FloatingPointError`` to 2.  Commands and the write
 run under ``np.errstate(over="raise", invalid="raise")``, so a float64
 overflow, such as the frame operator of entries near 1e200, is that one
 error line and never a numpy warning.
@@ -28,9 +29,6 @@ from . import complex_lift, frames, hadamard, matio, search, tournaments
 from .errors import DomainError, FactorizationError, NotAFrameError
 from .skewlinalg import DEFAULT_TOL, frobenius_norm
 
-class UsageError(Exception):
-    pass
-
 
 def _emit(key, value):
     if isinstance(value, bool):
@@ -44,10 +42,10 @@ def _load(path, want):
     try:
         kind, mat = matio.read_matrix(path)
     except (OSError, ValueError) as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     if kind not in want:
         what = " or ".join(want)
-        raise UsageError(f"{path}: expected {'an' if what[0] in 'aeiou' else 'a'} {what} matrix, got {kind}")
+        raise ValueError(f"{path}: expected {'an' if what[0] in 'aeiou' else 'a'} {what} matrix, got {kind}")
     return mat
 
 
@@ -55,25 +53,22 @@ def _tolerances(args):
     if args.tol is None:
         return DEFAULT_TOL
     if not (0.0 < args.tol < 1.0):
-        raise UsageError("--tol must lie strictly between 0 and 1")
+        raise ValueError("--tol must lie strictly between 0 and 1")
     return replace(DEFAULT_TOL, residual_rel_tol=args.tol)
 
 
-_CONDITIONAL = ("dim", "tol", "p")  # flags some kind leaves unread
-
-
-def _reject_unread(args, reads, what):
-    """Refuse each conditional flag that was given although ``what`` does not read it."""
-    for flag in _CONDITIONAL:
-        if flag not in reads and getattr(args, flag, None) is not None:
-            raise UsageError(f"--{flag.replace('_', '-')} does not apply to {what}")
+def _reject_unread(args, table, choice, what):
+    """Refuse each flag given that another choice in ``table`` reads and ``choice`` does not."""
+    for flag in dict.fromkeys(f for flags in table.values() for f in flags):
+        if flag not in table[choice] and getattr(args, flag, None) is not None:
+            raise ValueError(f"--{flag.replace('_', '-')} does not apply to {what}")
 
 
 def _require_even_dim(args):
     if args.dim is None:
-        raise UsageError("--dim is required for this kind")
+        raise ValueError("--dim is required for this kind")
     if args.dim < 2 or args.dim % 2 != 0:
-        raise UsageError(f"--dim must be even and >= 2, got {args.dim}")
+        raise ValueError(f"--dim must be even and >= 2, got {args.dim}")
     return args.dim
 
 
@@ -106,14 +101,15 @@ def _verify_exact(args, check, report_order=True):
 
 def _verify_signature(args):
     if args.dim is None or args.dim < 1:
-        raise UsageError("--dim (the complex dimension) is required for signatures")
+        raise ValueError("--dim (the complex dimension) is required for signatures")
     mat = _load(args.file, ("complex",))
     if mat.shape[0] != mat.shape[1]:
-        raise UsageError(f"{args.file}: expected a square matrix, got shape {mat.shape}")
+        raise ValueError(f"{args.file}: expected a square matrix, got shape {mat.shape}")
     if args.dim >= mat.shape[0]:
-        raise UsageError(f"--dim must be below the signature order {mat.shape[0]}, got {args.dim}")
+        raise ValueError(f"--dim must be below the signature order {mat.shape[0]}, got {args.dim}")
+    tol = _tolerances(args)  # outside the try: a bad --tol is a usage error, not a verdict
     try:
-        return complex_lift.signature_check(mat, args.dim, _tolerances(args)), {}
+        return complex_lift.signature_check(mat, args.dim, tol), {}
     except ValueError as exc:
         return False, {"error": str(exc)}
 
@@ -132,21 +128,20 @@ _VERIFIERS = {
 }
 
 
-def cmd_verify(args) -> tuple[bool, dict]:
-    verify, reads = _VERIFIERS[args.kind]
-    _reject_unread(args, reads, f"verify {args.kind}")
-    ok, fields = verify(args)
-    return ok, {"verified": ok, **fields}
+def cmd_verify(args) -> tuple[bool, dict, None]:
+    reads = {kind: flags for kind, (_, flags) in _VERIFIERS.items()}
+    _reject_unread(args, reads, args.kind, f"verify {args.kind}")
+    ok, fields = _VERIFIERS[args.kind][0](args)
+    return ok, {"verified": ok, **fields}, None
 
 
-def cmd_factor(args) -> tuple[bool, dict]:
+def cmd_factor(args) -> tuple[bool, dict, np.ndarray]:
     g = _load(args.file, ("real", "int"))
     phi = frames.factor_gram(g)
     if args.dim is not None and phi.shape[0] != args.dim:
         raise FactorizationError(f"factorization has dimension {phi.shape[0]}, expected {args.dim}")
     residual = frobenius_norm(frames.gram(phi) - g)
-    matio.write_matrix(args.out, phi)
-    return True, {"d": phi.shape[0], "n": phi.shape[1], "residual": residual}
+    return True, {"d": phi.shape[0], "n": phi.shape[1], "residual": residual}, phi
 
 
 # (--from, --to) -> conversion(matrix read, tol), looked up at call time as in
@@ -170,27 +165,24 @@ _BUDGET = ("seed", "restarts", "max_iters")
 _SEARCH_READS = {"continuous": ("dim", "p", *_BUDGET, "out"), "discrete": (*_BUDGET, "out")}
 
 
-def cmd_convert(args) -> tuple[bool, dict]:
-    _reject_unread(args, _CONVERT_READS[args.src], f"convert --from {args.src}")
+def cmd_convert(args) -> tuple[bool, dict, np.ndarray]:
+    _reject_unread(args, _CONVERT_READS, args.src, f"convert --from {args.src}")
     tol = _tolerances(args)
     convert = _CONVERSIONS.get((args.src, args.to))
     if convert is None:
-        raise UsageError(f"conversion {args.src} -> {args.to} is not supported")
+        raise ValueError(f"conversion {args.src} -> {args.to} is not supported")
     out = convert(_load(args.file, ("real", "int")), tol)
-    matio.write_matrix(args.out, out)
-    return True, dict(zip(_CONVERT_REPORT[args.to], out.shape))
+    return True, dict(zip(_CONVERT_REPORT[args.to], out.shape)), out
 
 
-def cmd_double(args) -> tuple[bool, dict]:
-    _reject_unread(args, _DOUBLE_READS[args.level], f"double --level {args.level}")
+def cmd_double(args) -> tuple[bool, dict, np.ndarray]:
+    _reject_unread(args, _DOUBLE_READS, args.level, f"double --level {args.level}")
     if args.level == "hadamard":
         out = hadamard.double_hadamard(_load(args.file, ("int",)))
-        matio.write_matrix(args.out, out)
-        return True, {"order": out.shape[0]}
+        return True, {"order": out.shape[0]}, out
     tol = _tolerances(args)
     doubled = hadamard.double_frame(_load(args.file, ("real", "int")), tol=tol)
-    matio.write_matrix(args.out, doubled)
-    return True, {"d": doubled.shape[0], "n": doubled.shape[1]}
+    return True, {"d": doubled.shape[0], "n": doubled.shape[1]}, doubled
 
 
 # --method -> diamond counter, looked up at call time as in _VERIFIERS; without
@@ -201,45 +193,43 @@ _DIAMOND_COUNTERS = {
 }
 
 
-def cmd_diamonds(args) -> tuple[bool, dict]:
+def cmd_diamonds(args) -> tuple[bool, dict, None]:
     mat = _load(args.file, ("int",))
     methods = (args.method,) if args.method else tuple(_DIAMOND_COUNTERS)
     counts = {method: _DIAMOND_COUNTERS[method](mat) for method in methods}
     fields = {} if args.method else {f"delta_{method}": c for method, c in counts.items()}
     if len(set(counts.values())) > 1:
-        return False, {**fields, "error": "diamond counts disagree"}
+        return False, {**fields, "error": "diamond counts disagree"}, None
     fields["delta"] = delta = counts[methods[0]]
     n = mat.shape[0]
     if n % 2 == 1:
         bound = tournaments.diamond_upper_bound(n)
         fields["bound"] = bound if bound.denominator > 1 else bound.numerator
         fields["saturated"] = delta == bound
-    return True, fields
+    return True, fields, None
 
 
-def cmd_search(args) -> tuple[bool, dict]:
-    _reject_unread(args, _SEARCH_READS[args.mode], f"search --mode {args.mode}")
+def cmd_search(args) -> tuple[bool, dict, np.ndarray | None]:
+    _reject_unread(args, _SEARCH_READS, args.mode, f"search --mode {args.mode}")
     cfg = search.SearchConfig(**{k: v for k, v in vars(args).items() if k in _BUDGET and v is not None})
     if args.mode == "discrete":
         out = search.discrete_diamond_search(args.n, cfg)
     else:
         if args.dim is None:
-            raise UsageError("--dim is required for continuous searches")
+            raise ValueError("--dim is required for continuous searches")
         out = search.continuous_etf_search(args.dim, args.n, 2.0 if args.p is None else args.p, cfg)
-    if args.out:
-        matio.write_matrix(args.out, out.best_object)
-    return out.success, {"success": out.success, "best_value": float(out.best_value),
-                         "restart": out.restart_index, "iterations": out.iterations_used}
+    fields = {"success": out.success, "best_value": float(out.best_value),
+              "restart": out.restart_index, "iterations": out.iterations_used}
+    return out.success, fields, out.best_object if args.out else None
 
 
-def cmd_gen(args) -> tuple[bool, dict]:
+def cmd_gen(args) -> tuple[bool, dict, np.ndarray]:
     try:
         h = hadamard.seed_hadamard(args.hadamard_order)
     except ValueError as exc:
         # well-formed request the generator cannot fulfil: domain failure
         raise DomainError(str(exc)) from exc
-    matio.write_matrix(args.out, h)
-    return True, {"order": h.shape[0]}
+    return True, {"order": h.shape[0]}, h
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,11 +299,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         with np.errstate(over="raise", invalid="raise"):  # an input past float64 range is one error line
-            ok, fields = args.func(args)
+            ok, fields, out = args.func(args)
+            if out is not None:
+                matio.write_matrix(args.out, out)
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, UsageError, ValueError, OSError, FloatingPointError) as exc:
+    except (DomainError, ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, DomainError) else 2
     if "error" in fields:  # a verdict's diagnostic
@@ -329,11 +321,3 @@ def main(argv=None) -> int:
         os.close(devnull)
         return 2
     return 0 if ok else 1
-
-
-def console_main() -> None:
-    sys.exit(main())
-
-
-if __name__ == "__main__":
-    sys.exit(main())

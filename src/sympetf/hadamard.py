@@ -230,6 +230,8 @@ class DoublingCoefficients:
 def doubling_coefficients(d: int) -> DoublingCoefficients:
     if d < 2:
         raise ValueError(f"doubling needs dimension >= 2, got {d}")
+    if d >= 2**1023:  # 4 m^2 is inf long before, and from 2**1024 on d converts to no float
+        raise FloatingPointError("doubling coefficients past float64 range")
     m = d - 1
     a = sqrt((sqrt(4.0 * m * m + 1.0) + 2.0 * d - 3.0) / (2.0 * m * m))
     b = 1.0 / (a * m)

@@ -38,16 +38,8 @@ _INT64 = range(-(2**63), 2**63)
 _TABLE_CAP = 64
 
 
-def _tokens(kind: str, values: np.ndarray) -> list[str]:
-    """The text of each entry of a 1-d array."""
-    fmt = _FORMATS[kind]
-    if kind == "complex":
-        return [fmt % (z.real, z.imag) for z in values.tolist()]
-    return [fmt % x for x in values.tolist()]
-
-
 def format_real(x: float) -> str:
-    return _tokens("real", np.array([x], dtype=float))[0]
+    return _FORMATS["real"] % x
 
 
 def _distinct(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -78,7 +70,12 @@ def _table_lines(kind: str, a: np.ndarray) -> list[str] | None:
         values = np.empty((re.size, im.size), dtype=complex)
         values.real, values.imag = re[:, None], im
         values, codes = values.ravel(), re_codes * im.size + im_codes
-    table = np.array(_tokens(kind, values), dtype=object)
+    fmt = _FORMATS[kind]
+    if kind == "complex":
+        tokens = [fmt % (z.real, z.imag) for z in values.tolist()]
+    else:
+        tokens = [fmt % x for x in values.tolist()]
+    table = np.array(tokens, dtype=object)
     return [" ".join(table[row].tolist()) for row in codes]
 
 

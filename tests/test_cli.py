@@ -1,6 +1,7 @@
 import argparse
 import ast
 import hashlib
+import importlib
 import os
 import subprocess
 import sys
@@ -604,7 +605,7 @@ def test_each_optional_flag_is_read_somewhere_and_policed_where_it_is_not():
         read_by_all = set.intersection(*map(set, table.values()))
         assert read_by_some == optional, command  # no name the parser lacks, no flag read nowhere
         conditional |= read_by_some - read_by_all
-    assert conditional == set(cli._CONDITIONAL)
+    assert conditional == {"dim", "tol", "p"}
 
 
 @pytest.mark.parametrize("argv, defaults", [
@@ -911,25 +912,78 @@ def test_transcript_golden(tmp_path, monkeypatch, capsys, argv, code, out, err, 
     assert _transcript(tmp_path, monkeypatch, capsys, argv) == (code, out, err, digest)
 
 
+def _called_name(call):
+    return call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
+
+
 def test_only_main_prints_reports_and_picks_exit_codes():
-    # every cmd_* returns (ok, fields) and main alone turns them into stdout, the
-    # stderr line of a verdict's "error" field and an exit code
+    # every cmd_* returns (ok, fields, matrix) and main alone turns them into the --out
+    # file, stdout, the stderr line of a verdict's "error" field and an exit code
     tree = ast.parse(Path(cli.__file__).read_text())
     printers = {"_emit", "main"}
-    prints = 0
+    prints, writers = 0, []
     functions = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef)]
     for name, node in ((fn.name, node) for fn in functions for node in ast.walk(fn)):
         if name.startswith("cmd_") and isinstance(node, ast.Return):
             value = node.value
             assert not (isinstance(value, ast.Constant) and type(value.value) is int), name
-        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+        if not isinstance(node, ast.Call):
             continue
-        assert not (name.startswith("cmd_") and node.func.id == "_emit"), name
-        if node.func.id == "print":
+        assert not (name.startswith("cmd_") and _called_name(node) in ("_emit", "write_matrix")), name
+        if _called_name(node) == "write_matrix":
+            writers.append(name)
+        if _called_name(node) == "print" and isinstance(node.func, ast.Name):
             prints += 1
             assert name in printers, name
-    assert prints == sum(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "print"
-                         for n in ast.walk(tree))  # none outside a function
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    assert prints == sum(isinstance(n.func, ast.Name) and n.func.id == "print" for n in calls)  # none outside a function
+    assert writers == ["main"]
+    assert sum(_called_name(n) == "write_matrix" for n in calls) == 1  # none outside a function
+    # one entry point, one exception for usage errors, and the flag policy read off the tables
+    defined = {target.id for stmt in tree.body if isinstance(stmt, ast.Assign)
+               for target in stmt.targets if isinstance(target, ast.Name)}
+    defined |= {stmt.name for stmt in tree.body if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))}
+    assert defined.isdisjoint({"UsageError", "_CONDITIONAL", "console_main"})
+    assert not [stmt for stmt in tree.body if isinstance(stmt, ast.If)
+                and "__name__" in {n.id for n in ast.walk(stmt.test) if isinstance(n, ast.Name)}]
+
+
+def test_the_console_script_and_python_m_call_main():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    script = tomllib.loads((root / "pyproject.toml").read_text())["project"]["scripts"]["sympetf"]
+    module, _, attr = script.partition(":")
+    assert getattr(importlib.import_module(module), attr) is cli.main
+    # __main__ imports main from .cli and exits with what it returns
+    tree = ast.parse((Path(cli.__file__).parent / "__main__.py").read_text())
+    imported = {(stmt.module, alias.name) for stmt in tree.body if isinstance(stmt, ast.ImportFrom)
+                for alias in stmt.names}
+    assert imported == {("cli", "main")}
+    calls = {_called_name(n) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    assert "main" in calls and calls <= {"main", "SystemExit", "exit"}
+
+
+@pytest.mark.parametrize("argv", [
+    "gen --hadamard-order 16",
+    "convert --from hadamard --to etf-square h8.symf",
+    "double --level hadamard h8.symf",
+    "double --level frame eye2.symf",
+    "factor sq8.symf",
+    "search --mode discrete --n 8 --seed 7",
+])
+def test_a_failed_out_write_is_one_error_line_and_no_report(tmp_path, monkeypatch, capsys, argv):
+    # the README contract: exit 2, one error line, nothing on stdout and no file
+    code, out, err, _ = _transcript(tmp_path, monkeypatch, capsys, f"{argv} --out missing/out.symf")
+    assert (code, out) == (2, "")
+    assert err == "error: [Errno 2] No such file or directory: 'missing/out.symf'\n"
+    assert not (tmp_path / "missing").exists()
+
+
+def test_a_tol_out_of_range_is_a_usage_error_for_signatures_too(tmp_path, monkeypatch, capsys):
+    # signature_check's ValueError is a verdict; --tol is checked before it runs
+    argv = "verify signature sig8.symf --dim 4 --tol 2"
+    assert _transcript(tmp_path, monkeypatch, capsys, argv) == (
+        2, "", "error: --tol must lie strictly between 0 and 1\n", None)
 
 
 def test_gen_beyond_the_seed_bound_is_a_one_line_domain_error(tmp_path):

@@ -350,9 +350,11 @@ def test_doubling_coefficients():
 
 
 def test_doubling_coefficients_past_float64_raise():
-    # 4 (d - 1)^2 overflows to inf, and inf / inf would leave NaN coefficients
-    with pytest.raises(FloatingPointError, match="doubling coefficients past float64 range"):
-        doubling_coefficients(10**200)
+    # at 10**200, 4 (d - 1)^2 overflows to inf, and inf / inf would leave NaN coefficients;
+    # at 10**400, d - 1 converts to no float at all, which was an OverflowError
+    for d in (10**200, 10**400):
+        with pytest.raises(FloatingPointError, match="^doubling coefficients past float64 range$"):
+            doubling_coefficients(d)
 
 
 def test_double_frame_flips_the_odd_rows_by_an_anti_symplectic_b():

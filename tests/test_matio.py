@@ -19,7 +19,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from builders import signed_permutation
@@ -154,6 +154,21 @@ def test_write_read_write_is_byte_identical(case):
         assert back.tobytes() == mat.tobytes()  # bit for bit, -0.0 and subnormals included
         write_matrix(second, back, kind2)
         assert first.read_bytes() == second.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-0.0)
+@example(5e-324)
+@example(1.7976931348623157e308)
+@example(-1.7976931348623157e308)
+def test_format_real_round_trips_and_is_the_writers_token(x):
+    token = matio.format_real(x)
+    assert np.array(float(token)).view(np.int64) == np.array(x).view(np.int64)  # -0.0 keeps its sign
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.symf"
+        write_matrix(path, np.array([[x]]), "real")
+        assert path.read_text() == f"symf real 1 1\n{token}\n"
 
 
 @st.composite
