@@ -15,6 +15,7 @@ package's one float-to-integer step, rounds; every rounded result is re-verified
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import isfinite, isqrt, sqrt
 
@@ -282,31 +283,37 @@ def _paley(p: int) -> np.ndarray:
     return h
 
 
-def _construct(m: int) -> np.ndarray | None:
-    """Order m from [[1]]: doubling at powers of two, else Paley where m = 0 mod 4 and m - 1
-    is prime, else doubling order m/2.  None where no rule reaches m; nothing is then built."""
-    if m == 1:
-        return np.ones((1, 1), dtype=np.int64)
-    if m & (m - 1) and m % 4 == 0 and all((m - 1) % k for k in range(2, isqrt(m - 1) + 1)):
-        return _paley(m - 1)
-    half = _construct(m // 2) if m % 2 == 0 else None
-    return None if half is None else _double(half)
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % k for k in range(2, isqrt(n) + 1))
+
+
+def _plan(m: int) -> tuple[str, int, int] | None:
+    """The one coverage rule, in integers: halving m k times reaches the seed 1, ("seed", 1, k), or
+    first an order p + 1 = 0 mod 4, not a power of two, with p prime (so p = 3 mod 4), Paley's
+    ("paley", p, k).  m is that base doubled k times; any other m plans to None."""
+    doublings = 0
+    while m > 1 and m % 2 == 0:
+        if m & (m - 1) and m % 4 == 0 and _is_prime(m - 1):
+            return "paley", m - 1, doublings
+        m, doublings = m // 2, doublings + 1
+    return ("seed", 1, doublings) if m == 1 else None
 
 
 def seed_hadamard(order: int) -> np.ndarray:
-    """Skew Hadamard matrix of order up to 2048: a power of two or 2^k (p + 1) for a prime
-    p = 3 mod 4, built by ``_construct``; other orders raise ValueError.
-
-    The bound is checked before anything is allocated.  At order m the peak, measured with
-    ``tracemalloc``, is 33 m^2 bytes or 132 MiB at m = 2048, in the exact check run on every
-    result: the int64 matrix, H - I, their int64 ``tournaments._unit_gram`` and the (m - 1) I it
-    must equal, and the bool array of that comparison (float32 inside ``_unit_gram``: 32 m^2).
-    """
+    """Skew Hadamard matrix of order up to 2048, built as ``_plan`` says; other orders raise ValueError
+    and non-integers TypeError, before anything is allocated.  At order m the peak, measured with
+    ``tracemalloc``, is 33 m^2 bytes or 132 MiB at m = 2048, in the exact check run on every result:
+    the int64 matrix, H - I, their int64 ``tournaments._unit_gram`` and the (m - 1) I it must equal,
+    and the bool array of that comparison (float32 inside ``_unit_gram``: 32 m^2)."""
+    order = operator.index(order)
     if order > _MAX_SEED_ORDER:
         raise ValueError(f"seed orders are limited to {_MAX_SEED_ORDER}, got {order}")
-    h = _construct(order) if order >= 1 else None
-    if h is None:
+    if (plan := _plan(order)) is None:
         raise ValueError(f"no construction covers order {order}")
+    rule, parameter, doublings = plan
+    h = _paley(parameter) if rule == "paley" else np.ones((1, 1), dtype=np.int64)
+    for _ in range(doublings):
+        h = _double(h)
     if not _is_skew_hadamard(h):
         raise NotSkewHadamardError("construction failed the exact verification")
     return h

@@ -1,31 +1,25 @@
 """Test-side helpers: the orders the library builds, the signed permutation
 move, a call counter, and the dense symplectic form.
 
-The constructions live in ``sympetf.hadamard.seed_hadamard`` only, and
-``covered_orders`` asks it which m = 4k it builds.  ``signed_permutation``
-relabels and switches a matrix with int64 signs; a caller that needs float
-casts the result.  ``count_calls`` spies on a library function wherever it
-is bound.  ``dense_omega`` builds omega(d) entry by entry, a reference
-independent of the row kernel that ``sympetf.frames.omega`` runs.
+The coverage rule lives in ``sympetf.hadamard._plan`` only, and
+``covered_orders`` reads it there without building a matrix.
+``signed_permutation`` relabels and switches a matrix with int64 signs; a
+caller that needs float casts the result.  ``count_calls`` spies on a
+library function wherever it is bound.  ``dense_omega`` builds omega(d)
+entry by entry, a reference independent of the row kernel that
+``sympetf.frames.omega`` runs.
 """
 
 import sys
 
 import numpy as np
 
-from sympetf.hadamard import seed_hadamard
+from sympetf.hadamard import _plan
 
 
 def covered_orders(top: int) -> list[int]:
-    """The m = 4k <= top that ``seed_hadamard`` builds."""
-    covered = []
-    for m in range(4, top + 1, 4):
-        try:
-            seed_hadamard(m)
-        except ValueError:
-            continue
-        covered.append(m)
-    return covered
+    """The m = 4k <= top that ``_plan`` covers, which ``seed_hadamard`` builds up to order 2048."""
+    return [m for m in range(4, top + 1, 4) if _plan(m) is not None]
 
 
 def signed_permutation(s: np.ndarray, rng: np.random.Generator) -> np.ndarray:

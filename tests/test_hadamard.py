@@ -24,6 +24,7 @@ from sympetf.errors import (
 from sympetf.frames import factor_gram, gram, omega
 from sympetf.hadamard import (
     _paley,
+    _plan,
     double_frame,
     double_hadamard,
     doubling_coefficients,
@@ -427,15 +428,25 @@ def test_seed_hadamard():
     # Paley at 12 = 11 + 1, with no doubling; doubling at 40 = 2 * (19 + 1)
     np.testing.assert_array_equal(seed_hadamard(12), _paley(11))
     np.testing.assert_array_equal(seed_hadamard(40), double_hadamard(seed_hadamard(20)))
-    tracemalloc.start()  # an uncovered order is refused before anything is allocated
+    np.testing.assert_array_equal(seed_hadamard(np.int64(12)), _paley(11))
+    tracemalloc.start()  # an uncovered or non-integer order is refused before anything is allocated
     try:
         for order in (0, -4, 3, 6, 28, 188, 2044):
             with pytest.raises(ValueError, match=f"^no construction covers order {order}$"):
                 seed_hadamard(order)
+        for order in (8.0, np.float64(16), "8"):
+            with pytest.raises(TypeError):
+                seed_hadamard(order)
         peak = tracemalloc.get_traced_memory()[1]
+        # the plan is integer arithmetic alone, at a covered order and at an uncovered one
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        plans = _plan(2048), _plan(2044)
+        plan_peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+    assert plans == (("seed", 1, 11), None) and plan_peak < 4096
 
 
 # sha256 of seed_hadamard(2**k).tobytes() for k = 0..10, recorded when the
@@ -453,6 +464,46 @@ SEED_DIGESTS = [
     "ffdebd84bf82319e0747838c5cfd81d02db7bf94ac941549f8eefa8d2da8b8cf",
     "fa0825c77ea57c1f8e2a27c9e2ee57698dff8719ed4d87758bd80af21ef99588",
 ]
+
+
+# the m = 4k <= 2048 that no rule of ``_plan`` covers, recorded when coverage was still
+# learned by building every order
+UNCOVERED_TO_2048 = [
+    28, 36, 52, 56, 76, 92, 100, 112, 116, 124, 148, 156, 172, 184, 188, 196, 204, 220, 232,
+    236, 244, 248, 260, 268, 276, 292, 296, 300, 316, 324, 340, 344, 356, 364, 372, 376, 388,
+    392, 396, 404, 408, 412, 428, 436, 452, 460, 472, 476, 484, 496, 508, 516, 520, 532, 536,
+    540, 552, 556, 580, 584, 592, 596, 604, 612, 628, 636, 652, 668, 676, 680, 688, 700, 708,
+    712, 716, 724, 732, 748, 756, 764, 772, 776, 780, 784, 792, 796, 804, 808, 816, 820, 836,
+    844, 852, 856, 868, 872, 876, 892, 900, 904, 916, 924, 932, 940, 944, 952, 956, 964, 980,
+    988, 996, 1004, 1012, 1016, 1028, 1036, 1044, 1060, 1068, 1072, 1076, 1080, 1084, 1100,
+    1108, 1112, 1116, 1132, 1140, 1148, 1156, 1160, 1168, 1180, 1184, 1192, 1196, 1204, 1208,
+    1212, 1220, 1228, 1236, 1244, 1252, 1256, 1268, 1272, 1276, 1300, 1316, 1324, 1332, 1336,
+    1340, 1348, 1352, 1356, 1360, 1364, 1372, 1376, 1380, 1388, 1396, 1404, 1412, 1416, 1420,
+    1432, 1436, 1444, 1464, 1468, 1476, 1492, 1496, 1508, 1516, 1528, 1540, 1548, 1552, 1556,
+    1564, 1588, 1592, 1596, 1604, 1612, 1616, 1632, 1636, 1640, 1644, 1652, 1660, 1672, 1676,
+    1684, 1688, 1692, 1704, 1708, 1712, 1716, 1732, 1736, 1740, 1744, 1752, 1756, 1764, 1772,
+    1780, 1796, 1800, 1804, 1808, 1820, 1828, 1836, 1844, 1852, 1860, 1864, 1876, 1884, 1888,
+    1892, 1900, 1904, 1912, 1916, 1924, 1928, 1940, 1948, 1956, 1960, 1964, 1972, 1976, 1992,
+    1996, 2008, 2020, 2024, 2032, 2036, 2044,
+]
+
+
+def test_plan_covers_exactly_the_recorded_orders():
+    assert [m for m in range(4, 2049, 4) if _plan(m) is None] == UNCOVERED_TO_2048
+    assert [_plan(m) for m in (0, -4, 3, 6)] == [None] * 4
+    assert [_plan(m) for m in (1, 8, 12, 40, 1536)] == [
+        ("seed", 1, 0), ("seed", 1, 3), ("paley", 11, 0), ("paley", 19, 1), ("paley", 383, 2)]
+
+
+def test_seed_hadamard_bytes_to_512_are_pinned():
+    # one sha256 over the bytes of every order up to 512 that is built, in increasing order,
+    # recorded when each order was still built by one recursion that planned as it built
+    built = [m for m in range(1, 513) if _plan(m) is not None]
+    digest = hashlib.sha256()
+    for m in built:
+        digest.update(seed_hadamard(m).tobytes())
+    assert len(built) == 79
+    assert digest.hexdigest() == "ba357b650ef5d08d3e198ff06ff1beeffd17246aa9c5721f326ed9447e0c149f"
 
 
 @pytest.mark.parametrize("k", range(len(SEED_DIGESTS)))
@@ -488,12 +539,16 @@ def test_seed_hadamard_peak_is_thirty_three_bytes_per_entry(m):
 
 
 def test_readme_lists_the_orders_seed_hadamard_cannot_build():
-    uncovered = sorted(set(range(4, 201, 4)) - set(covered_orders(200)))
+    covered = covered_orders(200)
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     phrase = r"\s+".join("The m = 4k <= 200 that `gen` cannot build yet are".split())
     listed = re.search(phrase + r"\s+([\d,\s]+)\.", text)
     assert listed is not None
-    assert [int(m) for m in listed[1].split(",")] == uncovered
+    assert [int(m) for m in listed[1].split(",")] == sorted(set(range(4, 201, 4)) - set(covered))
+    # the examples past the powers of two: every covered order up to 96 that is not one
+    listed = re.search(r"such an order\s+\(([\d,\s]+),\s+\.\.\.\)", text)
+    assert listed is not None
+    assert [int(m) for m in listed[1].split(",")] == [m for m in covered if m <= 96 and m & (m - 1)]
 
 
 def test_seven_vertex_doubled_core_fixture():

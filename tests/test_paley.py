@@ -7,8 +7,8 @@ a skew conference matrix of order p + 1 (R. E. A. C. Paley, J. Math.
 Phys. 12, 1933), and Q is the Seidel matrix of a doubly regular
 tournament, whose diamond count meets the bound exactly (Reid and Brown,
 JCTA 12, 1972).  ``seed_hadamard`` builds the orders p + 1 = 12, 20, 24,
-44, ... this way; at the powers of two p + 1 = 8 and 32 it doubles, so
-the tests read Paley's matrices there from ``hadamard._paley``.
+44, ... this way; at the powers of two p + 1 = 8 and 32 ``hadamard._plan``
+doubles, so the tests read Paley's matrices there from ``hadamard._paley``.
 """
 
 import numpy as np
@@ -25,6 +25,7 @@ from sympetf.errors import RoundingError
 from sympetf.frames import factor_gram, gram
 from sympetf.hadamard import (
     _paley,
+    _plan,
     double_frame,
     double_hadamard,
     etf_core_to_hadamard,
@@ -53,9 +54,8 @@ PRIMES = (7, 11, 19, 23, 31, 43, 47, 59, 67, 71, 79, 83, 1019)
 
 
 def paley(p: int) -> np.ndarray:
-    """Paley's skew Hadamard matrix of order p + 1, from ``seed_hadamard`` where that is not a
-    power of two."""
-    return seed_hadamard(p + 1) if (p + 1) & p else _paley(p)
+    """Paley's skew Hadamard matrix of order p + 1, from ``seed_hadamard`` where its plan is Paley's."""
+    return seed_hadamard(p + 1) if _plan(p + 1) == ("paley", p, 0) else _paley(p)
 
 
 def paley_conference(p: int) -> np.ndarray:
