@@ -7,9 +7,12 @@ Two searches and one exhaustive oracle:
   rejected with no spectral call when Hoelder's bound rules it out; else one
   rank-d ``eigvalsh`` gives its nuclear norm, and homogeneity its rescaled
   potential and W = |g|^(2p-2) * g.  An accepted factor is reset only once
-  it leaves the least-norm band.  A run succeeds only if the potential
-  reaches its ETF bound and its Gram passes ``etf_to_conference`` with
-  tolerances that leave the verdict to the rounding and the exact check.
+  it leaves the least-norm band.  A restart ends when the potential reaches
+  its target, when it has stalled (fell by at most 1e-12 relative over 10
+  iterations), after ``max_iters`` iterations or when the step underflows
+  1e-14.  A run succeeds only if the potential reaches its ETF bound and its
+  Gram passes ``etf_to_conference`` with tolerances that leave the verdict
+  to the rounding and the exact check.
 * ``discrete_diamond_search``: single-edge-flip local search over
   tournaments minimizing sum_{i<j} ((S^2)_ij)^2, which is equivalent to
   maximizing the diamond count.  Its only state is S; each step scores
@@ -95,6 +98,11 @@ def _renormalize(phi: np.ndarray, target: float) -> tuple[np.ndarray, np.ndarray
 # Relative width of the least-norm band that _canonicalize keeps.  Narrow on
 # purpose: at 1e-2, seeds 0-15 hit (8,8) 10 times instead of 16.
 _LEAST_NORM_BAND = 1e-7
+# A restart ends once its potential fell by at most _STALL_REL * value over the last _STALL_ITERS
+# iterations; a miss would only halve its step down to 1e-14.  On the 5120 restarts of bench seeds
+# 1-8 it ended no hit and moved a miss's final value by at most 1.1e-11 relative (7e-10 at 1e-10).
+_STALL_ITERS = 10
+_STALL_REL = 1e-12
 _MAX_CONTINUOUS_N = 1024  # caps each n x n Gram at 8 MiB; checked before anything is allocated
 
 
@@ -131,8 +139,12 @@ _ROUNDING_ONLY = ToleranceProfile(residual_rel_tol=0.5, entry_tol=0.5)
 def continuous_etf_search(d: int, n: int, p: float, cfg: SearchConfig) -> SearchOutcome:
     """Projected gradient descent on the order-p potential, with restarts.
 
-    Success means the potential came within ``cfg.target_residual`` of the
-    ETF bound n(n-1) and the Gram passed the exact gate under ``_ROUNDING_ONLY``.
+    A restart ends at its target (the potential within ``cfg.target_residual``
+    of the ETF bound n(n-1)), on a stall (see ``_STALL_ITERS``), after
+    ``cfg.max_iters`` iterations or once the step falls to 1e-14.  The stall stop
+    ends only restarts that would miss, but a miss's ``restart_index`` may differ
+    from a run without it: misses ending within about 1e-11 can swap places.
+    Success means the target was reached and the Gram passed the exact gate.
     """
     if n > _MAX_CONTINUOUS_N:
         raise ValueError(f"continuous search is limited to n <= {_MAX_CONTINUOUS_N}, got {n}")
@@ -153,7 +165,7 @@ def continuous_etf_search(d: int, n: int, p: float, cfg: SearchConfig) -> Search
         value, w = _value_and_weight(g, p)
         grad = _gradient(phi, w, p)
         step = cfg.step
-        iters = 0
+        iters, checkpoint = 0, math.inf
         while iters < cfg.max_iters and step > 1e-14:
             iters += 1
             if not grad.any():
@@ -174,6 +186,10 @@ def continuous_etf_search(d: int, n: int, p: float, cfg: SearchConfig) -> Search
                 step *= 0.5
             if value - bound <= cfg.target_residual:
                 break
+            if iters % _STALL_ITERS == 0:
+                if checkpoint - value <= _STALL_REL * value:
+                    break
+                checkpoint = value
         total_iters += iters
         succeeded = (value - bound <= cfg.target_residual
                      and certify_etf(_gram(phi), d, _ROUNDING_ONLY) is not None)
