@@ -18,15 +18,15 @@ its array arguments on entry and hands values it has checked or built
 itself to private ``_`` kernels, which trust their arrays.  Calls into
 another module go through its public names, except that a public entry
 point may hand arrays it validated or built itself to another module's
-``_`` kernel: ``search`` in its descent loop and with
-``tournaments._offdiag_square_sum``, ``frames`` and ``search`` with the
+``_`` kernel: ``search`` in its descent loop and with ``tournaments._offdiag_square_sum``
+of its float64 Seidel matrix, ``frames`` and ``search`` with the
 symplectic Gram kernel ``skewlinalg._gram``, ``frames`` and ``potentials`` with
 the row kernel of omega ``skewlinalg._omega_rows``, ``frames.factor_gram`` and
 ``symplectic_witness`` with ``skewlinalg._tight_factor``, ``frames.is_tight``,
 ``complex_lift.synthesis_from_signature`` and ``search.gerzon_oracle`` with
 ``skewlinalg._rank``, ``hadamard.etf_to_conference`` with ``frames._equiangularity``, and
-``hadamard``'s exact checks, which hand int64 arrays to the one exact Gram
-kernel ``tournaments._unit_gram``.  Boundary
+``hadamard``'s exact checks, which read C C^T - (m-1) I as the residual of
+the one exact +-1 identity kernel ``tournaments._unit_gram``.  Boundary
 validators raise ``ValueError`` (``as_matrix``, ``frames._check_synthesis``,
 ``complex_lift._check_signature_structure``, the one even-dimension rule
 ``skewlinalg._check_even_dim``, and for ``hadamard`` the one integer

@@ -39,9 +39,8 @@ def is_skew_conference(c) -> bool:
 def _is_conference(c: np.ndarray) -> bool:
     """|c_ij| <= 1, C = -C^T and C C^T = (m-1) I, so C + I is skew Hadamard: skewness forces a
     zero diagonal, and then the diagonal m - 1 of C C^T forces +-1 off it."""
-    m = c.shape[0]
     return bool(c.min() >= -1 and c.max() <= 1 and np.array_equal(c, -c.T)
-                and np.array_equal(_unit_gram(c), (m - 1) * np.eye(m, dtype=np.int64)))
+                and not _unit_gram(c, c.shape[0] - 1, 0).any())
 
 
 def _is_skew_hadamard(h: np.ndarray) -> bool:
@@ -302,9 +301,9 @@ def _plan(m: int) -> tuple[str, int, int] | None:
 def seed_hadamard(order: int) -> np.ndarray:
     """Skew Hadamard matrix of order up to 2048, built as ``_plan`` says; other orders raise ValueError
     and non-integers TypeError, before anything is allocated.  At order m the peak, measured with
-    ``tracemalloc``, is 33 m^2 bytes or 132 MiB at m = 2048, in the exact check run on every result:
-    the int64 matrix, H - I, their int64 ``tournaments._unit_gram`` and the (m - 1) I it must equal,
-    and the bool array of that comparison (float32 inside ``_unit_gram``: 32 m^2)."""
+    ``tracemalloc``, is 25 m^2 bytes or 100 MiB at m = 2048, in the exact check run on every result:
+    the int64 H and H - I, with the int64 -(H - I)^T and bool comparison of its skewness test (25 m^2),
+    then with the float32 copy of H - I and residual inside ``tournaments._unit_gram`` (24 m^2)."""
     order = operator.index(order)
     if order > _MAX_SEED_ORDER:
         raise ValueError(f"seed orders are limited to {_MAX_SEED_ORDER}, got {order}")

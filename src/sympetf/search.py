@@ -262,7 +262,7 @@ def discrete_diamond_search(n: int, cfg: SearchConfig) -> SearchOutcome:
     for r in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, r])
         s = random_tournament(n, rng).astype(float)
-        q = _offdiag_square_sum(s @ s)  # exact for the reason given in _flip_deltas
+        q = _offdiag_square_sum(s)
         plateau_moves = 0
         flips = 0
         while flips < cfg.max_iters:

@@ -4,11 +4,11 @@ A Seidel matrix is an integer skew-symmetric matrix with zero diagonal
 and +-1 off the diagonal; entry s_ij = 1 means vertex i dominates j.
 Diamonds are the 4-vertex subtournaments whose Seidel minor has
 determinant 9 (a vertex dominating, or dominated by, a 3-cycle).  Every
-exact verdict is an identity of the Gram S S^T = -S^2 from the one kernel
-``_unit_gram``: double regularity is S S^T = nI - J (Reid and Brown, JCTA
-12, 1972), and the diamond count sums its squared entries.  Everything here
-is exact integer arithmetic; an equiangular Gram is rounded to its Seidel
-matrix by ``hadamard.seidel_from_gram``, beside the ETF gate.
+exact verdict, here and in ``hadamard``, reads the residual a a^T - alpha I - beta J
+of the one +-1 identity kernel ``_unit_gram``: S S^T = nI - J is double regularity
+(Reid and Brown, JCTA 12, 1972), C C^T = (m-1) I a conference matrix, and the
+diamond count sums the squares of S S^T - (n-1) I.  All of it is exact integer
+arithmetic; ``hadamard.seidel_from_gram`` rounds an equiangular Gram to its Seidel matrix.
 """
 
 from __future__ import annotations
@@ -47,20 +47,20 @@ def check_seidel(s) -> np.ndarray:
     return si
 
 
-def _unit_gram(a: np.ndarray) -> np.ndarray:
-    """Exact a @ a.T, as int64, for a matrix with entries in {-1, 0, 1}.
+def _unit_gram(a: np.ndarray, alpha: int, beta: int) -> np.ndarray:
+    """Exact residual a @ a.T - alpha I - beta J, as float32, of a square a with entries in {-1, 0, 1}.
 
-    Every product of two entries is -1, 0 or 1, so every partial sum of an
-    inner product is an integer of magnitude at most the inner dimension.
-    Every caller's matrix is square, and the inner dimension of a square
-    matrix a process can hold is far below 2**24 (at 2**24 it would have
-    2**48 entries).  Such integers are exact float32 values, so a float32
-    BLAS product is exact in any summation order, and so is its cast back
-    to int64.  One float32 copy feeds both sides, and numpy hands f @ f.T
-    to the symmetric product.  Callers pass a matrix they have bounded.
+    Each partial sum of the product is an integer of magnitude at most the order n, and each entry of
+    the residual one of at most n + |alpha| + |beta| <= 3n for every caller, far below 2**24 for any n
+    a process can hold (at 2**24, a has 2**48 entries).  Such integers are exact float32 values, so the
+    float32 BLAS product and both shifts are exact in any order.  One float32 copy feeds both sides,
+    and numpy hands f @ f.T to the symmetric product.  Callers pass a matrix they have bounded.
     """
     f = a.astype(np.float32)
-    return (f @ f.T).astype(np.int64)
+    r = f @ f.T
+    r -= beta
+    r.flat[:: r.shape[0] + 1] -= alpha
+    return r
 
 
 def random_tournament(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -89,7 +89,7 @@ def degree_stats(s) -> DegreeStats:
     return DegreeStats(
         out_degrees=dominates.sum(axis=1),
         in_degrees=dominates.sum(axis=0),
-        common_out=_unit_gram(dominates),
+        common_out=_unit_gram(dominates, 0, 0).astype(np.int64),
     )
 
 
@@ -128,20 +128,19 @@ def count_diamonds_formula(s) -> int:
     """Diamond count from the square of the Seidel matrix.
 
     delta = n^2 (n-1)(n-2)/96 - (1/16) sum_{i<j} ((S^2)_ij)^2, evaluated in
-    exact integer arithmetic on S S^T = -S^2; for a Seidel matrix the division by 96 is exact.
+    exact integer arithmetic; for a Seidel matrix the division by 96 is exact.
     """
-    gram = _unit_gram(check_seidel(s))
-    n = gram.shape[0]
-    return (n * n * (n - 1) * (n - 2) - 6 * _offdiag_square_sum(gram)) // 96
+    s = check_seidel(s)
+    n = s.shape[0]
+    return (n * n * (n - 1) * (n - 2) - 6 * _offdiag_square_sum(s)) // 96
 
 
-def _offdiag_square_sum(s2: np.ndarray) -> int:
-    """sum_{i<j} ((S^2)_ij)^2 = (<S^2, S^2> - <diag S^2, diag S^2>) / 2, since S^2 is symmetric.
-
-    The same for S S^T = -S^2.  Exact for int64 and float64 input: each partial
-    sum of either ``np.vdot`` is an integer of magnitude at most n^2 (n-1)^2 < 2**53 (n <= 9000).
-    """
-    return int(np.vdot(s2, s2) - np.vdot(s2.diagonal(), s2.diagonal())) // 2
+def _offdiag_square_sum(s: np.ndarray) -> int:
+    """sum_{i<j} ((S^2)_ij)^2 of a Seidel S: half the squared norm of S S^T - (n-1) I = -S^2 - (n-1) I,
+    which is symmetric with a zero diagonal.  Its squares are summed in float64, exactly: each partial
+    sum is an integer of magnitude at most n^2 (n-1)^2 < 2**53 (n <= 9000)."""
+    r = _unit_gram(s, s.shape[0] - 1, 0)
+    return int(np.einsum("ij,ij->", r, r, dtype=np.float64)) // 2
 
 
 def diamond_upper_bound(n: int) -> Fraction:
@@ -163,7 +162,7 @@ def is_doubly_regular(s) -> bool:
     n = s.shape[0]
     if n % 4 != 3:
         return False
-    return np.array_equal(_unit_gram(s), n * np.eye(n, dtype=np.int64) - 1)
+    return not _unit_gram(s, n, -1).any()
 
 
 def switch(s, eps) -> np.ndarray:

@@ -376,6 +376,17 @@ def test_verify_etf(tmp_path, capsys, conf4):
     assert code == 2 and "even" in err
 
 
+def test_verify_etf_refuses_a_core_whose_diagonal_misses_zero(tmp_path, capsys):
+    # 2e-8 on the diagonal is skew and equiangular within the default tolerances, and only the
+    # Seidel rounding refuses it: a verdict, exit 1
+    g = hadamard_to_etf_core(seed_hadamard(64))
+    g[5, 5] = 2e-8
+    path = tmp_path / "core.symf"
+    write_matrix(path, g, "real")
+    code, report, err = run(capsys, "verify", "etf", str(path), "--dim", "62")
+    assert (code, report, err) == (1, {"verified": "false"}, "")
+
+
 def test_verify_hadamard_failure(tmp_path, capsys):
     path = tmp_path / "ones.symf"
     write_matrix(path, np.ones((4, 4), dtype=np.int64), "int")

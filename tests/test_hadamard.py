@@ -21,7 +21,7 @@ from sympetf.errors import (
     NotSkewHadamardError,
     RoundingError,
 )
-from sympetf.frames import factor_gram, gram, omega
+from sympetf.frames import factor_gram, gram, is_equiangular, omega
 from sympetf.hadamard import (
     _paley,
     _plan,
@@ -44,7 +44,7 @@ from sympetf.tournaments import (
     is_doubly_regular,
     switch,
 )
-from sympetf.skewlinalg import DEFAULT_TOL, ToleranceProfile
+from sympetf.skewlinalg import DEFAULT_TOL, ToleranceProfile, check_skew
 
 H2 = np.array([[1, 1], [-1, 1]], dtype=np.int64)
 
@@ -324,6 +324,20 @@ def test_certified_near_misses_fail_the_exact_check(m):
             convert(g, loose)
 
 
+# a diagonal entry keeps the core Gram skew within entry_tol and equiangular (only the off-diagonal
+# moduli are compared), so the rounding alone refuses it: at 2e-8 mu by its entry_tol of 1e-9, and at 1.5 mu,
+# within the entry_tol 1/2 of the continuous search's profile, because it rounds to 2
+@pytest.mark.parametrize("entry, tol", [(2e-8, DEFAULT_TOL), (1.5, ToleranceProfile(0.5, 0.5))],
+                         ids=["off-zero", "rounds-to-two"])
+def test_a_diagonal_entry_fails_the_seidel_rounding(entry, tol):
+    g = 3.0 * hadamard_to_etf_core(seed_hadamard(64))  # mu = 3
+    g[5, 5] = entry * 3.0
+    assert check_skew(g, tol) is g and is_equiangular(g, tol) == 3.0
+    with pytest.raises(RoundingError, match=r"^scaled entries do not round to 0 or \+-1$"):
+        etf_to_conference(g, 62, tol)
+    assert certify_etf(g, 62, tol) is None
+
+
 def test_double_hadamard_chain():
     h = H2
     for _ in range(3):
@@ -527,15 +541,16 @@ def test_seed_hadamard_refuses_orders_beyond_its_bound_before_allocating():
 
 # 1020 = 1019 + 1 is Paley's, 1536 = 4 * (383 + 1) Paley's doubled twice
 @pytest.mark.parametrize("m", [1020, 1536])
-def test_seed_hadamard_peak_is_thirty_three_bytes_per_entry(m):
-    # four m x m arrays of 8-byte entries and one of 1-byte entries (see the docstring), plus array headers
+def test_seed_hadamard_peak_is_twenty_five_bytes_per_entry(m):
+    # three m x m arrays of 8-byte entries and one of 1-byte entries in the skewness test (see the
+    # docstring), plus the 64 KiB that np.array_equal holds beside them and array headers
     tracemalloc.start()
     try:
         seed_hadamard(m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 33 * m * m + 2**16
+    assert peak <= 25 * m * m + 2**17
 
 
 def test_readme_lists_the_orders_seed_hadamard_cannot_build():

@@ -17,8 +17,11 @@ public function or class of a module is read like an exported name.  The rank
 threshold is read by the one rank rule alone, the symplectic Gram has the one
 kernel ``skewlinalg._gram``, omega acts on rows through the one kernel
 ``skewlinalg._omega_rows`` and the doubling's B is an odd-row flip, so the dense
-omega matrix is built for users alone and no dense B is built, and
-``hadamard._round_seidel`` is the one float-to-integer rounding.
+omega matrix is built for users alone and no dense B is built,
+``hadamard._round_seidel`` is the one float-to-integer rounding, and
+``tournaments._unit_gram`` is the one kernel of the exact +-1 identities: its
+residual is the only float32 array, and no identity is decided by comparing a
+product with a built identity matrix.
 """
 
 import ast
@@ -162,6 +165,17 @@ def test_hadamard_alone_rounds_floats_to_seidel_entries():
     readers = [(module, getattr(stmt, "name", type(stmt).__name__)) for module, stmt in _statements(PACKAGE)
                if "rint" in _names(stmt)]
     assert readers == [("hadamard", "_round_seidel")]
+
+
+def test_unit_gram_alone_forms_the_exact_identities():
+    # each exact a a^T = alpha I + beta J reads the residual of the one float32 kernel, so float32 is
+    # read nowhere else and no statement compares against a target built from an identity matrix
+    readers = [(module, getattr(stmt, "name", type(stmt).__name__)) for module, stmt in _statements(PACKAGE)
+               if "float32" in _names(stmt)]
+    assert readers == [("tournaments", "_unit_gram")]
+    built_targets = [(module, getattr(stmt, "name", type(stmt).__name__)) for module, stmt in _statements(PACKAGE)
+                     if {"array_equal", "eye"} <= set(_names(stmt))]
+    assert built_targets == []
 
 
 def test_tournaments_imports_only_the_error_types_from_the_package():

@@ -109,7 +109,7 @@ def test_qr_tournament_is_doubly_regular_and_meets_the_diamond_bound(p):
 def test_exact_products_match_int64_products(p):
     c, q = paley_conference(p), qr_tournament(p)
     for s in (c, q, flip_edge(c, np.random.default_rng(p), lowest=1)):
-        np.testing.assert_array_equal(-_unit_gram(check_seidel(s)), s @ s)
+        np.testing.assert_array_equal(-_unit_gram(check_seidel(s), 0, 0), s @ s)
     dominates = (q == 1).astype(np.int64)
     np.testing.assert_array_equal(degree_stats(q).common_out, dominates @ dominates.T)
 

@@ -186,14 +186,14 @@ def flip_mask(n):
 def test_closed_form_flip_deltas_match_oracle_and_recomputation(s):
     n = s.shape[0]
     s2 = s @ s
-    q = _offdiag_square_sum(s2)
+    q = _offdiag_square_sum(s)
     deltas = _flip_deltas(s.astype(float), flip_mask(n), np.empty((n, n)))
     assert np.all(deltas[np.tri(n, dtype=bool)] == np.inf)
     for i, j in zip(*np.triu_indices(n, k=1)):
         assert deltas[i, j] == flip_delta(s, s2, i, j)
         flipped = s.copy()
         flipped[i, j], flipped[j, i] = s[j, i], s[i, j]
-        assert _offdiag_square_sum(flipped @ flipped) - q == deltas[i, j]
+        assert _offdiag_square_sum(flipped) - q == deltas[i, j]
 
 
 def test_flip_deltas_exact_at_the_size_bound():
@@ -201,7 +201,7 @@ def test_flip_deltas_exact_at_the_size_bound():
     n = _MAX_DISCRETE_N
     rng = np.random.default_rng(1024)
     s = random_tournament(n, rng)
-    s2 = -_unit_gram(check_seidel(s))
+    s2 = -_unit_gram(check_seidel(s), 0, 0).astype(np.int64)
     iu = np.triu_indices(n, k=1)
     deltas = _flip_deltas(s.astype(float), flip_mask(n), np.empty((n, n)))
     picks = [(int(iu[0][k]), int(iu[1][k])) for k in rng.choice(len(iu[0]), size=200, replace=False)]
@@ -232,23 +232,24 @@ def test_flip_deltas_reuse_one_buffer_across_flips(n):
 @settings(max_examples=60, deadline=None)
 @given(tournaments())
 def test_offdiag_square_sum_matches_the_upper_triangle_oracle(s):
-    s2 = s @ s
-    expected = offdiag_square_sum(s2)
-    assert _offdiag_square_sum(s2) == expected
-    assert _offdiag_square_sum(s2.astype(float)) == expected
+    # the kernel takes S itself, as int64 (count_diamonds_formula) or float64 (the search)
+    expected = offdiag_square_sum(s @ s)
+    assert _offdiag_square_sum(s) == expected
+    assert _offdiag_square_sum(s.astype(float)) == expected
 
 
 def test_offdiag_square_sum_exact_at_the_discrete_size_bound():
-    # the float64 S^2 the search builds for q0 at its largest order
+    # the float64 S the search hands it for q0 at its largest order; the oracle sums int64 squares
+    # of S^2 from float64 BLAS, exact as its partial sums are integers below 2**53
     s = random_tournament(_MAX_DISCRETE_N, np.random.default_rng(7)).astype(float)
-    s2 = s @ s
-    assert _offdiag_square_sum(s2) == offdiag_square_sum(s2)
+    assert _offdiag_square_sum(s) == offdiag_square_sum((s @ s).astype(np.int64))
 
 
 def test_offdiag_square_sum_exact_for_int64_at_order_2048():
-    s2 = -_unit_gram(check_seidel(random_tournament(2048, np.random.default_rng(8))))
-    assert s2.dtype == np.int64
-    assert _offdiag_square_sum(s2) == offdiag_square_sum(s2)
+    s = check_seidel(random_tournament(2048, np.random.default_rng(8)))
+    assert s.dtype == np.int64
+    f = s.astype(float)
+    assert _offdiag_square_sum(s) == offdiag_square_sum((f @ f).astype(np.int64))
 
 
 # (n, seed, success, best_value, iterations_used, restart_index,

@@ -13,6 +13,7 @@ from sympetf.hadamard import certify_etf, hadamard_to_etf_core, hadamard_to_etf_
 from sympetf.skewlinalg import (
     RANK_REL_TOL,
     ToleranceProfile,
+    _TIGHT_SEED,
     _blocks,
     _canonical_factor,
     _rank,
@@ -323,6 +324,28 @@ def test_a_tight_gram_is_factored_with_no_eigensolver_and_a_perturbed_one_by_eig
     if d > 2:  # at d = 2 one block of any value is tight
         g = tight_gram(rng, d, n, lam, first=1.0 + 1e-6)
         assert factor_gram(g).tobytes() == _canonical_factor(g).tobytes()
+
+
+def test_a_gram_whose_power_step_misses_its_top_block_is_factored_by_eigh(monkeypatch):
+    # an exactly skew Gram with a unit block in a plane orthogonal to the Gaussian r of the power
+    # step and a 1e-3 block in a generic plane orthogonal to that one: h @ r sees the 1e-3 block
+    # alone, so ||h||_F ||x|| < 2 sqrt(n) ||h @ x|| fails and _tight_factor hands a to eigh before any QR
+    n = 9
+    r = np.random.default_rng(_TIGHT_SEED).standard_normal(n)
+    rng = np.random.default_rng(0)
+    q = np.linalg.qr(np.column_stack([r, rng.standard_normal((n, n - 1))]))[0]
+    u, v = q[:, 1], q[:, 2]
+    p, w = (np.delete(q, [1, 2], axis=1) @ np.linalg.qr(rng.standard_normal((n - 2, 2)))[0]).T
+    g = np.outer(u, v) - np.outer(v, u) + 1e-3 * (np.outer(p, w) - np.outer(w, p))
+    g = np.triu(g, 1) - np.triu(g, 1).T
+    h = g / np.abs(g).max()
+    x = h @ r
+    assert not frobenius_norm(h) * np.linalg.norm(x) < 2.0 * math.sqrt(n) * np.linalg.norm(h @ x)
+    eigh, qr = count_calls(monkeypatch, np.linalg.eigh), count_calls(monkeypatch, np.linalg.qr)
+    phi = factor_gram(g)
+    assert (len(eigh), len(qr)) == (1, 0)
+    assert phi.shape == (4, n)
+    assert frobenius_norm(gram(phi) - g) <= 1e-14 * frobenius_norm(g)
 
 
 # Paley squares and cores at p = 11, 19, 43 and 1019, and the doubling seed at

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tournament_oracles import flat_kernel, gamma_by_masks, is_doubly_regular_by_degrees
 from sympetf.errors import InvalidSeidelError, NotEquiangularError
 from sympetf.frames import gram
-from sympetf.hadamard import (double_hadamard, is_skew_conference, is_skew_hadamard, normalize_conference,
-                              seed_hadamard, seidel_from_gram)
+from sympetf.hadamard import (_paley, _plan, double_hadamard, is_skew_conference, is_skew_hadamard,
+                              normalize_conference, seed_hadamard, seidel_from_gram)
 from sympetf.tournaments import (
     _unit_gram,
     check_seidel,
@@ -71,15 +72,73 @@ def test_random_tournament_matches_per_edge_draws():
             assert a.tobytes() == b.tobytes()
 
 
+# the (alpha, beta) of every caller of _unit_gram at order n: a conference matrix and the diamond
+# count's S S^T = (n-1) I off its diagonal, double regularity's S S^T = nI - J, and degree_stats' D D^T
+def package_shifts(n):
+    return ((n - 1, 0), (n, -1), (0, 0))
+
+
 @pytest.mark.parametrize("name", ["seed-hadamard", "random-signs-and-zeros"])
 def test_unit_gram_in_float32_is_the_float64_product_bit_for_bit(name):
-    # every partial sum is an integer of magnitude at most 2048, exact in float32 and float64
+    # every partial sum is an integer of magnitude at most 2048, and every shifted entry one of at
+    # most 4097, exact in float32 and float64
     if name == "seed-hadamard":
         a = seed_hadamard(2048)
     else:
         a = np.random.default_rng(2048).integers(-1, 2, size=(2048, 2048))
     f = a.astype(float)
-    assert np.array_equal(_unit_gram(a), (f @ f.T).astype(np.int64))
+    gram = f @ f.T
+    n = a.shape[0]
+    for alpha, beta in package_shifts(n):
+        r = _unit_gram(a, alpha, beta)
+        assert r.dtype == np.float32
+        assert np.array_equal(r, gram - alpha * np.eye(n) - beta)
+
+
+def int64_residual(a, alpha, beta):
+    n = a.shape[0]
+    return a @ a.T - alpha * np.eye(n, dtype=np.int64) - beta * np.ones((n, n), dtype=np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 64).flatmap(lambda n: arrays(np.int64, (n, n), elements=st.integers(-1, 1))))
+def test_unit_gram_is_the_int64_residual_of_any_sign_and_zero_matrix(a):
+    for alpha, beta in package_shifts(a.shape[0]):
+        r = _unit_gram(a, alpha, beta)
+        assert r.dtype == np.float32
+        assert np.array_equal(r, int64_residual(a, alpha, beta))
+
+
+def identities_to_64():
+    """(matrix, alpha, beta) whose residual is zero: skew conference matrices C C^T = (m-1) I up
+    to order 64, and quadratic residue tournaments S S^T = pI - J for p = 3 mod 4 below 64."""
+    cases = [(seed_hadamard(m) - np.eye(m, dtype=np.int64), m - 1, 0) for m in range(4, 65, 4)
+             if _plan(m) is not None]
+    return cases + [(_paley(p)[1:, 1:] - np.eye(p, dtype=np.int64), p, -1)
+                    for p in (7, 11, 19, 23, 31, 43, 47, 59)]
+
+
+IDENTITIES = identities_to_64()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(range(len(IDENTITIES))), st.data())
+def test_a_planted_symmetric_sign_flip_shows_in_the_residual(k, data):
+    # negating a_ij and a_ji changes (a a^T)_ik by -2 a_ij a_kj for each k outside {i, j}; at (i, j)
+    # itself both changed terms meet the zero diagonal, so the residual is nonzero exactly on the
+    # rest of rows and columns i and j
+    a, alpha, beta = IDENTITIES[k]
+    n = a.shape[0]
+    assert not _unit_gram(a, alpha, beta).any()
+    i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    flipped = a.copy()
+    flipped[i, j], flipped[j, i] = -a[i, j], -a[j, i]
+    r = _unit_gram(flipped, alpha, beta)
+    assert np.array_equal(r, int64_residual(flipped, alpha, beta))
+    changed = np.zeros((n, n), dtype=bool)
+    changed[[i, j], :] = changed[:, [i, j]] = True
+    changed[np.ix_([i, j], [i, j])] = False
+    assert np.array_equal(r != 0, changed)
 
 
 def test_check_seidel_rejects_bad_matrices():
