@@ -1,16 +1,16 @@
-"""Skew Hadamard and skew conference matrices, their ETF conversions,
-and the doubling and Paley constructions.
+"""Skew Hadamard and skew conference matrices, their ETF conversions, and the doubling and
+Paley constructions.
 
-A skew Hadamard matrix H of order m has +-1 entries, satisfies
-H @ H.T == m * I exactly, and H - I is skew-symmetric.  Equivalently
-C = H - I is a skew conference matrix.  Square ETF Gram matrices in
-symplectic dimension d are exactly the positive multiples of order-d
-skew conference matrices; cores of normalized conference matrices give
-the d-by-(d+1) family; a square or core Gram is mu times a Seidel matrix,
-and ``seidel_from_gram`` reads that tournament off it.  All structural
-checks here are exact integer arithmetic.  Floating point appears only in
-g/mu, the Gram in units of its common modulus, which ``_round_seidel``, the
-package's one float-to-integer step, rounds; every rounded result is re-verified.
+A skew Hadamard matrix H of order m has +-1 entries, satisfies H @ H.T == m * I exactly, and
+H - I is skew-symmetric.  Equivalently C = H - I is a skew conference matrix.  The module
+works on C: an H that enters becomes C once, every construction builds C, and I is added
+back to an H that leaves.  Square ETF Gram matrices in symplectic dimension d are exactly
+the positive multiples of order-d skew conference matrices; cores of normalized conference
+matrices give the d-by-(d+1) family; a square or core Gram is mu times a Seidel matrix, and
+``seidel_from_gram`` reads that tournament off it.  All structural checks here are exact
+integer arithmetic.  Floating point appears only in g/mu, the Gram in units of its common
+modulus, which ``_round_seidel``, the package's one float-to-integer step, rounds; every
+rounded result is re-verified.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .tournaments import _as_int_square, _unit_gram, check_seidel
 
 
 def is_skew_hadamard(h) -> bool:
-    return _is_skew_hadamard(_as_int_square(h))
+    return _is_conference(_conference_of(h))
 
 
 def is_skew_conference(c) -> bool:
@@ -43,15 +43,17 @@ def _is_conference(c: np.ndarray) -> bool:
                 and not _unit_gram(c, c.shape[0] - 1, 0).any())
 
 
-def _is_skew_hadamard(h: np.ndarray) -> bool:
-    return _is_conference(h - np.eye(h.shape[0], dtype=np.int64))
+def _conference_of(h) -> np.ndarray:
+    """C = H - I, the one step from an input H to the C that every check and conversion reads."""
+    h = _as_int_square(h)
+    return h - np.eye(h.shape[0], dtype=np.int64)
 
 
 def _check_skew_hadamard(h) -> np.ndarray:
-    h = _as_int_square(h)
-    if not _is_skew_hadamard(h):
+    c = _conference_of(h)
+    if not _is_conference(c):
         raise NotSkewHadamardError("input is not a skew Hadamard matrix")
-    return h
+    return c
 
 
 def _normalize(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -60,9 +62,10 @@ def _normalize(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return c * np.outer(eps, eps), eps
 
 
-def _double(h: np.ndarray) -> np.ndarray:
-    eye2 = 2 * np.eye(h.shape[0], dtype=np.int64)
-    return np.block([[h, h], [h - eye2, -h + eye2]])
+def _double(c: np.ndarray) -> np.ndarray:
+    """[[C, C + I], [C - I, -C]], a skew conference matrix of order 2m if C is one of order m."""
+    eye = np.eye(c.shape[0], dtype=np.int64)
+    return np.block([[c, c + eye], [c - eye, -c]])
 
 
 def normalize_conference(c) -> tuple[np.ndarray, np.ndarray]:
@@ -184,18 +187,15 @@ def _etf_to_hadamard(g, d: int, tol: ToleranceProfile) -> np.ndarray:
 
 def hadamard_to_etf_square(h) -> np.ndarray:
     """H - I, the Gram matrix of an order-d square ETF."""
-    h = _check_skew_hadamard(h)
-    return (h - np.eye(h.shape[0], dtype=np.int64)).astype(float)
+    return _check_skew_hadamard(h).astype(float)
 
 
 def hadamard_to_etf_core(h) -> np.ndarray:
     """Core of the normalized conference matrix of H, an (m-2)x(m-1) ETF Gram."""
-    h = _check_skew_hadamard(h)
-    m = h.shape[0]
-    if m < 4:
-        raise ValueError(f"core extraction needs order >= 4, got {m}")
-    normalized, _ = _normalize(h - np.eye(m, dtype=np.int64))
-    return normalized[1:, 1:].astype(float)
+    c = _check_skew_hadamard(h)
+    if len(c) < 4:
+        raise ValueError(f"core extraction needs order >= 4, got {len(c)}")
+    return _normalize(c)[0][1:, 1:].astype(float)
 
 
 def etf_core_to_hadamard(g, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
@@ -207,11 +207,12 @@ def etf_core_to_hadamard(g, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
 
 
 def double_hadamard(h) -> np.ndarray:
-    """Order-2m skew Hadamard matrix [[H, H], [H - 2I, -H + 2I]]."""
-    doubled = _double(_check_skew_hadamard(h))
-    if not _is_skew_hadamard(doubled):
+    """Order-2m skew Hadamard matrix [[H, H], [H - 2I, -H + 2I]], which is I + ``_double(H - I)``."""
+    c = _double(_check_skew_hadamard(h))
+    if not _is_conference(c):
         raise NotSkewHadamardError("doubling failed the exact verification")
-    return doubled
+    np.fill_diagonal(c, 1)
+    return c
 
 
 @dataclass(frozen=True)
@@ -251,7 +252,7 @@ def double_frame(phi, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
 
         F = [[a/mu * phi @ G, b_c * phi], [y * B @ phi, z * B @ phi]]
 
-    has Gram [[G, G + mu*I], [G - mu*I, -G]] and certifies as a 2d ETF.
+    has Gram [[G, G + mu*I], [G - mu*I, -G]] = mu * ``_double(G/mu)`` and certifies as a 2d ETF.
     """
     phi = as_matrix(phi)
     d = phi.shape[0]
@@ -271,15 +272,14 @@ _MAX_SEED_ORDER = 2048
 
 
 def _paley(p: int) -> np.ndarray:
-    """I + [[0, 1^T], [-1, Q]] with Q_ab = chi(b - a), chi the quadratic character mod a
-    prime p = 3 mod 4: a skew Hadamard matrix of order p + 1 (R. E. A. C. Paley, J. Math.
-    Phys. 12, 1933).  chi(0) is read as 1, which is the identity's diagonal."""
-    chi = -np.ones(p, dtype=np.int64)
-    chi[np.arange(p) ** 2 % p] = 1
-    h = np.ones((p + 1, p + 1), dtype=np.int64)
-    h[1:, 0] = -1
-    h[1:, 1:] = chi[(np.arange(p)[None, :] - np.arange(p)[:, None]) % p]
-    return h
+    """[[0, 1^T], [-1, Q]] with Q_ab = chi(b - a), chi the quadratic character mod a prime p = 3 mod 4
+    by Euler's criterion: a skew conference matrix of order p + 1 (R. E. A. C. Paley, J. Math. Phys. 12,
+    1933).  Row a of Q, chi rolled right by a, is a window of chi written twice: no p x p temporary."""
+    chi = np.array([0] + [1 if pow(a, p // 2, p) == 1 else -1 for a in range(1, p)], dtype=np.int64)
+    c = np.zeros((p + 1, p + 1), dtype=np.int64)
+    c[0, 1:], c[1:, 0] = 1, -1
+    c[1:, 1:] = np.lib.stride_tricks.sliding_window_view(np.tile(chi, 2), p)[p:0:-1]
+    return c
 
 
 def _is_prime(n: int) -> bool:
@@ -300,19 +300,20 @@ def _plan(m: int) -> tuple[str, int, int] | None:
 
 def seed_hadamard(order: int) -> np.ndarray:
     """Skew Hadamard matrix of order up to 2048, built as ``_plan`` says; other orders raise ValueError
-    and non-integers TypeError, before anything is allocated.  At order m the peak, measured with
-    ``tracemalloc``, is 25 m^2 bytes or 100 MiB at m = 2048, in the exact check run on every result:
-    the int64 H and H - I, with the int64 -(H - I)^T and bool comparison of its skewness test (25 m^2),
-    then with the float32 copy of H - I and residual inside ``tournaments._unit_gram`` (24 m^2)."""
+    and non-integers TypeError, before anything is allocated.  C = H - I is built from ``_paley`` or [[0]],
+    doubled, checked exactly once, and I is set in place.  The ``tracemalloc`` peak is 18 m^2 bytes (72 MiB
+    at m = 2048) in the last doubling (C of order m/2, I, three blocks and the result, all int64), and at a
+    Paley order 17 m^2 in the exact check's skewness test (the int64 C and -C^T and a bool array)."""
     order = operator.index(order)
     if order > _MAX_SEED_ORDER:
         raise ValueError(f"seed orders are limited to {_MAX_SEED_ORDER}, got {order}")
     if (plan := _plan(order)) is None:
         raise ValueError(f"no construction covers order {order}")
     rule, parameter, doublings = plan
-    h = _paley(parameter) if rule == "paley" else np.ones((1, 1), dtype=np.int64)
+    c = _paley(parameter) if rule == "paley" else np.zeros((1, 1), dtype=np.int64)
     for _ in range(doublings):
-        h = _double(h)
-    if not _is_skew_hadamard(h):
+        c = _double(c)
+    if not _is_conference(c):
         raise NotSkewHadamardError("construction failed the exact verification")
-    return h
+    np.fill_diagonal(c, 1)
+    return c

@@ -168,8 +168,6 @@ def continuous_etf_search(d: int, n: int, p: float, cfg: SearchConfig) -> Search
         iters, checkpoint = 0, math.inf
         while iters < cfg.max_iters and step > 1e-14:
             iters += 1
-            if not grad.any():
-                break
             trial = phi - step * grad
             g = _gram(trial)
             raw_value, w = _value_and_weight(g, p)  # of the unscaled trial

@@ -14,6 +14,7 @@ import pytest
 from builders import covered_orders
 from sympetf import cli
 from sympetf.cli import build_parser, main
+from sympetf.complex_lift import signature_check
 from sympetf import certify_etf
 from sympetf.frames import factor_gram, gram, omega
 from sympetf.hadamard import (
@@ -995,6 +996,29 @@ def test_a_tol_out_of_range_is_a_usage_error_for_signatures_too(tmp_path, monkey
     argv = "verify signature sig8.symf --dim 4 --tol 2"
     assert _transcript(tmp_path, monkeypatch, capsys, argv) == (
         2, "", "error: --tol must lie strictly between 0 and 1\n", None)
+
+
+@pytest.mark.parametrize("argv, err", [
+    ("verify tight sq8.symf", "error: --dim is required for this kind\n"),
+    ("verify etf sq8.symf", "error: --dim is required for this kind\n"),
+    ("verify signature sig8.symf", "error: --dim (the complex dimension) is required for signatures\n"),
+])
+def test_a_missing_dim_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, err):
+    assert _transcript(tmp_path, monkeypatch, capsys, argv) == (2, "", err, None)
+
+
+@pytest.mark.parametrize("shift, scale, clause", [
+    (1.0, 1.0, "signature matrix must have zero diagonal"),
+    (0.0, 2.0, "off-diagonal signature entries must be unimodular"),
+])
+def test_a_signature_off_the_structure_states_its_clause(tmp_path, monkeypatch, capsys, shift, scale, clause):
+    # self-adjoint, so the first clause passes: scale * iC + shift * I for the order-8 conference matrix
+    q = scale * 1j * (seed_hadamard(8) - np.eye(8, dtype=np.int64)) + shift * np.eye(8)
+    with pytest.raises(ValueError, match=f"^{clause}$"):
+        signature_check(q, 1)
+    write_matrix(tmp_path / "q.symf", q, "complex")
+    assert _transcript(tmp_path, monkeypatch, capsys, "verify signature q.symf --dim 1") == (
+        1, "verified=false\n", f"error: {clause}\n", None)
 
 
 def test_gen_beyond_the_seed_bound_is_a_one_line_domain_error(tmp_path):

@@ -197,6 +197,10 @@ def test_is_tight(gram_tight, conf4, phi_basic):
     assert is_tight(gram_tight, 3) is None
 
 
+def test_a_one_by_one_gram_has_no_common_modulus():
+    assert is_equiangular(np.zeros((1, 1))) is None
+
+
 def test_is_equiangular(conf4, phi_basic):
     assert abs(is_equiangular(conf4.astype(float)) - 1.0) <= 1e-12
     assert is_equiangular(gram(phi_basic)) is None

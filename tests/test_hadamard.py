@@ -23,6 +23,7 @@ from sympetf.errors import (
 )
 from sympetf.frames import factor_gram, gram, is_equiangular, omega
 from sympetf.hadamard import (
+    _double,
     _paley,
     _plan,
     double_frame,
@@ -175,6 +176,11 @@ def test_normalize_conference(conf4):
     assert eps2[0] == 1
     with pytest.raises(NotSkewConferenceError):
         normalize_conference(np.zeros((3, 3), dtype=np.int64))
+
+
+def test_normalization_needs_order_two():
+    with pytest.raises(ValueError, match="^normalization needs order at least 2$"):
+        normalize_conference([[0]])
 
 
 def test_core(conf4, core3):
@@ -427,6 +433,21 @@ def test_double_frame_chain_and_consistency():
     assert cert is not None and cert.n == 16
 
 
+@pytest.mark.parametrize("d", [2] + covered_orders(64))
+def test_double_frame_gram_is_mu_times_the_doubled_conference_matrix(d):
+    # the exact form of the float check above: the gate reads _double(C) off the doubled frame
+    phi = factor_gram(hadamard_to_etf_square(seed_hadamard(d)))
+    c = etf_to_conference(gram(phi), d)[1]
+    np.testing.assert_array_equal(etf_to_conference(gram(double_frame(phi)), 2 * d)[1], _double(c))
+
+
+def test_double_frame_refuses_a_core_frame():
+    phi = factor_gram(hadamard_to_etf_core(seed_hadamard(8)))
+    assert phi.shape == (6, 7)
+    with pytest.raises(NotEtfError, match="^input is not the synthesis matrix of a square ETF$"):
+        double_frame(phi)
+
+
 def test_double_frame_rejects_bad_b():
     # gram(I_4) = omega(4) is tight but not equiangular, so doubling must refuse
     with pytest.raises(NotEtfError):
@@ -440,9 +461,9 @@ def test_seed_hadamard():
         h = seed_hadamard(order)
         assert is_skew_hadamard(h)
     # Paley at 12 = 11 + 1, with no doubling; doubling at 40 = 2 * (19 + 1)
-    np.testing.assert_array_equal(seed_hadamard(12), _paley(11))
+    np.testing.assert_array_equal(seed_hadamard(12), _paley(11) + np.eye(12, dtype=np.int64))
     np.testing.assert_array_equal(seed_hadamard(40), double_hadamard(seed_hadamard(20)))
-    np.testing.assert_array_equal(seed_hadamard(np.int64(12)), _paley(11))
+    np.testing.assert_array_equal(seed_hadamard(np.int64(12)), _paley(11) + np.eye(12, dtype=np.int64))
     tracemalloc.start()  # an uncovered or non-integer order is refused before anything is allocated
     try:
         for order in (0, -4, 3, 6, 28, 188, 2044):
@@ -540,17 +561,18 @@ def test_seed_hadamard_refuses_orders_beyond_its_bound_before_allocating():
 
 
 # 1020 = 1019 + 1 is Paley's, 1536 = 4 * (383 + 1) Paley's doubled twice
-@pytest.mark.parametrize("m", [1020, 1536])
-def test_seed_hadamard_peak_is_twenty_five_bytes_per_entry(m):
-    # three m x m arrays of 8-byte entries and one of 1-byte entries in the skewness test (see the
-    # docstring), plus the 64 KiB that np.array_equal holds beside them and array headers
+@pytest.mark.parametrize(("m", "per_entry"), [(1020, 17), (1536, 18)])
+def test_seed_hadamard_peak_is_at_most_eighteen_bytes_per_entry(m, per_entry):
+    # at 1020 two m x m arrays of 8-byte entries and one of 1-byte entries in the skewness test, at
+    # 1536 the last doubling's five arrays of order m/2 and its result (see the docstring), plus the
+    # 64 KiB that np.array_equal holds beside them and array headers
     tracemalloc.start()
     try:
         seed_hadamard(m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 25 * m * m + 2**17
+    assert peak <= per_entry * m * m + 2**17
 
 
 def test_readme_lists_the_orders_seed_hadamard_cannot_build():

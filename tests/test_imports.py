@@ -21,7 +21,9 @@ omega matrix is built for users alone and no dense B is built,
 ``hadamard._round_seidel`` is the one float-to-integer rounding, and
 ``tournaments._unit_gram`` is the one kernel of the exact +-1 identities: its
 residual is the only float32 array, and no identity is decided by comparing a
-product with a built identity matrix.
+product with a built identity matrix.  ``hadamard`` works on conference matrices:
+each skew Hadamard input becomes C = H - I in one step, and I is added back
+only to a skew Hadamard output.
 """
 
 import ast
@@ -176,6 +178,19 @@ def test_unit_gram_alone_forms_the_exact_identities():
     built_targets = [(module, getattr(stmt, "name", type(stmt).__name__)) for module, stmt in _statements(PACKAGE)
                      if {"array_equal", "eye"} <= set(_names(stmt))]
     assert built_targets == []
+
+
+def test_hadamard_forms_h_minus_i_once_per_input_and_adds_i_only_on_output():
+    # checks, conversions and constructions all read C: the identity is built only where an H
+    # becomes C and by the doubling [[C, C + I], [C - I, -C]], and set on the diagonal only where
+    # an H is returned
+    def readers(name):
+        return [getattr(stmt, "name", type(stmt).__name__) for module, stmt in _statements(PACKAGE)
+                if module == "hadamard" and name in _names(stmt)]
+
+    assert readers("eye") == ["_conference_of", "_double"]
+    assert readers("_conference_of") == ["is_skew_hadamard", "_check_skew_hadamard"]
+    assert readers("fill_diagonal") == ["_etf_to_hadamard", "double_hadamard", "seed_hadamard"]
 
 
 def test_tournaments_imports_only_the_error_types_from_the_package():

@@ -8,7 +8,7 @@ Phys. 12, 1933), and Q is the Seidel matrix of a doubly regular
 tournament, whose diamond count meets the bound exactly (Reid and Brown,
 JCTA 12, 1972).  ``seed_hadamard`` builds the orders p + 1 = 12, 20, 24,
 44, ... this way; at the powers of two p + 1 = 8 and 32 ``hadamard._plan``
-doubles, so the tests read Paley's matrices there from ``hadamard._paley``.
+doubles, so the tests read Paley's conference matrices there from ``hadamard._paley``.
 """
 
 import numpy as np
@@ -55,7 +55,9 @@ PRIMES = (7, 11, 19, 23, 31, 43, 47, 59, 67, 71, 79, 83, 1019)
 
 def paley(p: int) -> np.ndarray:
     """Paley's skew Hadamard matrix of order p + 1, from ``seed_hadamard`` where its plan is Paley's."""
-    return seed_hadamard(p + 1) if _plan(p + 1) == ("paley", p, 0) else _paley(p)
+    if _plan(p + 1) == ("paley", p, 0):
+        return seed_hadamard(p + 1)
+    return _paley(p) + np.eye(p + 1, dtype=np.int64)
 
 
 def paley_conference(p: int) -> np.ndarray:
@@ -80,7 +82,7 @@ def test_bordered_qr_matrix_is_a_skew_conference_matrix(p):
     eye = np.eye(p + 1, dtype=np.int64)
     assert is_skew_conference(c)
     assert is_skew_hadamard(c + eye)
-    np.testing.assert_array_equal(_paley(p), c + eye)
+    np.testing.assert_array_equal(_paley(p), c)
     # Q_ab = 1 exactly where b - a is a nonzero square mod p
     q = c[1:, 1:]
     np.testing.assert_array_equal(np.flatnonzero(q[0] == 1), sorted({b * b % p for b in range(1, p)}))

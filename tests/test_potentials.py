@@ -109,6 +109,11 @@ def test_gradient_zero_for_single_column():
     np.testing.assert_array_equal(potential_gradient(phi, 2), np.zeros((2, 1)))
 
 
+def test_gradient_refuses_an_infinite_order():
+    with pytest.raises(ValueError, match="^gradient is defined for finite orders only$"):
+        potential_gradient(np.eye(2), math.inf)
+
+
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(4)
     count = 0

@@ -460,6 +460,11 @@ def test_discrete_search_deterministic():
     np.testing.assert_array_equal(a.best_object, b.best_object)
 
 
+def test_discrete_search_needs_two_vertices():
+    with pytest.raises(ValueError, match="^need at least two vertices, got 1$"):
+        discrete_diamond_search(1, SearchConfig(restarts=1, max_iters=1))
+
+
 @pytest.mark.parametrize("n", [_MAX_DISCRETE_N + 1, 10**8])
 def test_discrete_search_refuses_orders_above_its_bound_before_allocating(n):
     tracemalloc.start()

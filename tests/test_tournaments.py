@@ -114,7 +114,7 @@ def identities_to_64():
     to order 64, and quadratic residue tournaments S S^T = pI - J for p = 3 mod 4 below 64."""
     cases = [(seed_hadamard(m) - np.eye(m, dtype=np.int64), m - 1, 0) for m in range(4, 65, 4)
              if _plan(m) is not None]
-    return cases + [(_paley(p)[1:, 1:] - np.eye(p, dtype=np.int64), p, -1)
+    return cases + [(_paley(p)[1:, 1:], p, -1)
                     for p in (7, 11, 19, 23, 31, 43, 47, 59)]
 
 
@@ -171,7 +171,7 @@ def test_check_seidel_refuses_an_off_diagonal_pair_other_than_plus_minus_one(pai
             check_seidel(s)
 
 
-@pytest.mark.parametrize("value", [2.0**63, -(2.0**64), math.inf, math.nan])
+@pytest.mark.parametrize("value", [2.0**63, -(2.0**64), math.inf, math.nan, 0.5])
 def test_int_validation_refuses_floats_no_int64_holds(value):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -179,6 +179,11 @@ def test_int_validation_refuses_floats_no_int64_holds(value):
             check_seidel(np.array([[0.0, value], [-value, 0.0]]))
         with pytest.raises(ValueError, match="^entries are not integers$"):
             is_skew_hadamard(np.array([[1.0, value], [-value, 1.0]]))
+
+
+def test_random_tournament_needs_a_vertex():
+    with pytest.raises(ValueError, match="^need at least one vertex$"):
+        random_tournament(0, np.random.default_rng(0))
 
 
 H2 = np.array([[1, 1], [-1, 1]], dtype=np.int64)
