@@ -6,12 +6,11 @@ below signal *domain* failures, where the input is well formed but does
 not have the mathematical structure an operation requires.  The CLI maps
 domain failures to exit code 1, and usage failures, ``MemoryError`` (a
 size no machine can hold) and ``FloatingPointError`` (input or an order
-so large that float64 overflows) to exit code 2.  Besides numpy's own
-overflow, ``FloatingPointError`` comes from ``skewlinalg._rank``, the one
-rank count, when the largest value of a spectrum passes float64, from
-``potentials.normalize_nuclear`` when the nuclear norm does, from
-``hadamard.etf_to_conference`` when the tightness constant does, and from
-``hadamard.doubling_coefficients`` when the coefficients do.
+so large that float64 overflows) to exit code 2.  Besides numpy's own overflow,
+``FloatingPointError`` comes from ``skewlinalg._rank``, the one rank count, when the largest
+value of a spectrum passes float64, from ``frames.is_tight`` and ``hadamard.etf_to_conference``
+when the tightness constant does, from ``potentials.normalize_nuclear`` when the nuclear norm
+does, and from ``hadamard.doubling_coefficients`` when the coefficients do.
 
 Validation runs once, at the public boundary: a public function checks
 its array arguments on entry and hands values it has checked or built
@@ -22,7 +21,7 @@ point may hand arrays it validated or built itself to another module's
 of its float64 Seidel matrix, ``frames`` and ``search`` with the
 symplectic Gram kernel ``skewlinalg._gram``, ``frames`` and ``potentials`` with
 the row kernel of omega ``skewlinalg._omega_rows``, ``frames.factor_gram`` and
-``symplectic_witness`` with ``skewlinalg._tight_factor``, ``frames.is_tight``,
+``symplectic_witness`` with ``skewlinalg._tight_factor``,
 ``complex_lift.synthesis_from_signature`` and ``search.gerzon_oracle`` with
 ``skewlinalg._rank``, ``hadamard.etf_to_conference`` with ``frames._equiangularity``, and
 ``hadamard``'s exact checks, which read C C^T - (m-1) I as the residual of

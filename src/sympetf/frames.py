@@ -12,13 +12,14 @@ is multiplied: omega acts on rows through ``skewlinalg._omega_rows``.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import FactorizationError, NotAFrameError
-from .skewlinalg import (DEFAULT_TOL, ToleranceProfile, _check_even_dim, _gram, _omega_rows, _rank,
-                         _tight_factor, as_matrix, check_skew, rank_by_sv)
+from .skewlinalg import (DEFAULT_TOL, ToleranceProfile, _check_even_dim, _gram, _omega_rows, _tight_factor,
+                         as_matrix, check_skew, rank_by_sv)
 
 
 class FrameBounds(NamedTuple):
@@ -132,20 +133,24 @@ def _equiangularity(g: np.ndarray) -> Optional[tuple[float, float]]:
 
 
 def is_tight(g, d: int, tol: ToleranceProfile = DEFAULT_TOL) -> Optional[float]:
-    """Return the tightness constant c if ``g`` is the Gram of a c-tight frame.
+    """Return c if ``g`` is the Gram of a c-tight frame in dimension d, else None.
 
-    Tightness of a rank-d skew Gram is the cubic identity g^3 = -c^2 g with
-    c read off as the largest singular value, tested as h^3 = -h on h = g/c;
-    returns None when either the rank or the residual test fails.
+    That is g^3 = -c^2 g with c^2 = ||g||_F^2 / d: -g^2 / c^2 is then a projector of trace, so rank, d.
+    It is tested as ||d h^3 + ||h||_F^2 h||_F <= residual_rel_tol ||h||_F^3 on h = g / 2^e, 2^e the power
+    of two above max|g| (exact above 2^-1021 max|g|); on entries in {-1, 0, 1} no step of it rounds.
     """
     g = check_skew(g, tol)
-    s = np.linalg.svd(g, compute_uv=False)
-    c = float(s[0])
-    if c <= 0.0 or _rank(s) != d:
+    if d > g.shape[0] or not g.any():  # an n x n Gram has rank <= n, and a zero one is no frame's
         return None
-    h = g / c  # the identity on g / c cannot overflow: h^3 = -h
-    residual = np.linalg.norm(h @ h @ h + h) / np.linalg.norm(h)
-    return c if residual <= tol.residual_rel_tol else None
+    e = int(np.frexp(max(float(g.max()), -float(g.min())))[1])
+    h = np.ldexp(g, -e)
+    sq = float(np.vdot(h, h))
+    if np.linalg.norm(d * (h @ h @ h) + sq * h) > tol.residual_rel_tol * sq**1.5:
+        return None
+    try:
+        return math.ldexp(math.sqrt(sq / d), e)
+    except OverflowError:
+        raise FloatingPointError("spectrum past float64 range") from None
 
 
 def is_equiangular(g, tol: ToleranceProfile = DEFAULT_TOL) -> Optional[float]:

@@ -64,8 +64,9 @@ def _normalize(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _double(c: np.ndarray) -> np.ndarray:
     """[[C, C + I], [C - I, -C]], a skew conference matrix of order 2m if C is one of order m."""
-    eye = np.eye(c.shape[0], dtype=np.int64)
-    return np.block([[c, c + eye], [c - eye, -c]])
+    out, i = np.block([[c, c], [c, -c]]), np.arange(len(c))
+    out[i, i + len(c)], out[i + len(c), i] = 1, -1  # C's diagonal is zero: these are C + I and C - I
+    return out
 
 
 def normalize_conference(c) -> tuple[np.ndarray, np.ndarray]:
@@ -301,9 +302,9 @@ def _plan(m: int) -> tuple[str, int, int] | None:
 def seed_hadamard(order: int) -> np.ndarray:
     """Skew Hadamard matrix of order up to 2048, built as ``_plan`` says; other orders raise ValueError
     and non-integers TypeError, before anything is allocated.  C = H - I is built from ``_paley`` or [[0]],
-    doubled, checked exactly once, and I is set in place.  The ``tracemalloc`` peak is 18 m^2 bytes (72 MiB
-    at m = 2048) in the last doubling (C of order m/2, I, three blocks and the result, all int64), and at a
-    Paley order 17 m^2 in the exact check's skewness test (the int64 C and -C^T and a bool array)."""
+    doubled, checked exactly once, and I is set in place.  The ``tracemalloc`` peak is 17 m^2 bytes (68 MiB
+    at m = 2048) at every order, in the exact check's skewness test (the int64 C and -C^T and a bool array);
+    the last doubling holds 12 m^2 (C of order m/2, -C and the result, all int64)."""
     order = operator.index(order)
     if order > _MAX_SEED_ORDER:
         raise ValueError(f"seed orders are limited to {_MAX_SEED_ORDER}, got {order}")

@@ -410,6 +410,23 @@ def test_verify_frame_and_tight(tmp_path, capsys, phi_basic):
     assert report["c"].startswith("1.414")
 
 
+@pytest.mark.parametrize("m", [8, 64])
+@pytest.mark.parametrize("src", ["etf-square", "etf-core"])
+def test_verify_tight_prints_the_c_that_verify_etf_prints(tmp_path, capsys, src, m):
+    # both read c = mu * sqrt(n - 1) or mu * sqrt(n) bit for bit off an int file; one reversed
+    # edge is a verdict for verify tight, exit 1 with nothing on stderr
+    h = seed_hadamard(m)
+    g, d = (h - np.eye(m, dtype=np.int64), m) if src == "etf-square" else (hadamard_to_etf_core(h), m - 2)
+    write_matrix(tmp_path / "g.symf", g.astype(np.int64), "int")
+    write_matrix(tmp_path / "near.symf", _near_miss(src, m), "int")
+    tight = run(capsys, "verify", "tight", str(tmp_path / "g.symf"), "--dim", str(d))
+    etf = run(capsys, "verify", "etf", str(tmp_path / "g.symf"), "--dim", str(d))
+    assert tight == (0, {"verified": "true", "c": etf[1]["c"]}, "")
+    assert etf[0] == 0
+    near = run(capsys, "verify", "tight", str(tmp_path / "near.symf"), "--dim", str(d))
+    assert near == (1, {"verified": "false"}, "")
+
+
 def test_verify_frame_runs_one_rank_svd(tmp_path, capsys, phi_basic):
     # one SVD for the rank, one for the bounds from the Gram
     path = tmp_path / "phi.symf"
@@ -751,7 +768,7 @@ TRANSCRIPTS = [
      1, 'verified=false\nd=2\nn=3\n', '',
      None),
     ('verify tight sq8.symf --dim 8',
-     0, 'verified=true\nc=2.6457513110645912\n', '',
+     0, 'verified=true\nc=2.6457513110645907\n', '',
      None),
     ('verify tight sq8.symf --dim 6',
      1, 'verified=false\n', '',

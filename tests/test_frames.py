@@ -1,11 +1,14 @@
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from builders import covered_orders
 from sympetf import certify_etf
 from sympetf.errors import FactorizationError, NotAFrameError
 from sympetf.frames import (
@@ -22,6 +25,8 @@ from sympetf.frames import (
     omega,
     symplectic_witness,
 )
+from sympetf.hadamard import hadamard_to_etf_core, hadamard_to_etf_square, seed_hadamard
+from sympetf.skewlinalg import ToleranceProfile
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
@@ -195,6 +200,55 @@ def test_is_tight(gram_tight, conf4, phi_basic):
     assert abs(is_tight(conf4.astype(float), 4) - SQRT3) <= 1e-12
     assert abs(is_tight(gram(phi_basic), 2) - SQRT2) <= 1e-12
     assert is_tight(gram_tight, 3) is None
+
+
+def test_is_tight_refuses_a_zero_gram_and_a_rank_past_the_order(conf4):
+    assert is_tight(np.zeros((4, 4)), 2) is None
+    assert is_tight(conf4.astype(float), 6) is None
+    assert is_tight(conf4.astype(float), 10**400) is None  # past float64 too: refused before any product
+
+
+def test_is_tight_gives_the_certificates_c_bit_for_bit_on_every_covered_gram_to_512():
+    # on entries in {-1, 0, 1} the identity d h^3 + ||h||^2 h is computed with no rounding, so
+    # sqrt(||g||^2 / d) is mu * sqrt(n - 1) or mu * sqrt(n) exactly; at d - 2 the residual is 2 / d
+    for m in covered_orders(512):
+        h = seed_hadamard(m)
+        for g, d in ((hadamard_to_etf_square(h), m), (hadamard_to_etf_core(h), m - 2)):
+            assert is_tight(g, d) == certify_etf(g, d).c
+            assert is_tight(g, d - 2) is None
+
+
+def test_one_reversed_edge_at_order_512_is_not_tight():
+    g = hadamard_to_etf_square(seed_hadamard(512))
+    g[1, 2], g[2, 1] = -g[1, 2], -g[2, 1]
+    assert is_tight(g, 512) is None
+
+
+def _with_extra_block(eps):
+    """The order-8 seed square (c = sqrt 7) beside an orthogonal 2 x 2 block of value eps * c."""
+    g = np.zeros((10, 10))
+    g[:8, :8] = hadamard_to_etf_square(seed_hadamard(8))
+    g[8, 9] = eps * math.sqrt(7)
+    g[9, 8] = -g[8, 9]
+    return g
+
+
+def test_one_tolerance_decides_a_small_extra_block():
+    # read at d = 8, the extra block leaves a residual of about eps / 2, which residual_rel_tol alone
+    # judges: no rank threshold refuses it first, whatever the tolerance
+    assert is_tight(_with_extra_block(1e-9), 8) == pytest.approx(math.sqrt(7), rel=1e-15)
+    assert is_tight(_with_extra_block(1e-8), 8) is None
+    loose = ToleranceProfile(residual_rel_tol=1e-5)
+    assert is_tight(_with_extra_block(1e-6), 8, loose) == pytest.approx(math.sqrt(7), rel=1e-11)
+
+
+@pytest.mark.parametrize("mu", [1e-300, 1e307])
+def test_is_tight_reads_c_near_the_ends_of_float64_with_no_warning(mu):
+    g = mu * hadamard_to_etf_core(seed_hadamard(8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = is_tight(g, 6)
+    assert abs(c - mu * math.sqrt(7)) <= 2 * math.ulp(mu * math.sqrt(7))
 
 
 def test_a_one_by_one_gram_has_no_common_modulus():

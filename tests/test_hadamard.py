@@ -561,18 +561,18 @@ def test_seed_hadamard_refuses_orders_beyond_its_bound_before_allocating():
 
 
 # 1020 = 1019 + 1 is Paley's, 1536 = 4 * (383 + 1) Paley's doubled twice
-@pytest.mark.parametrize(("m", "per_entry"), [(1020, 17), (1536, 18)])
-def test_seed_hadamard_peak_is_at_most_eighteen_bytes_per_entry(m, per_entry):
-    # at 1020 two m x m arrays of 8-byte entries and one of 1-byte entries in the skewness test, at
-    # 1536 the last doubling's five arrays of order m/2 and its result (see the docstring), plus the
-    # 64 KiB that np.array_equal holds beside them and array headers
+@pytest.mark.parametrize("m", [1020, 1536])
+def test_seed_hadamard_peak_is_at_most_seventeen_bytes_per_entry(m):
+    # two m x m arrays of 8-byte entries and one of 1-byte entries in the exact check's skewness
+    # test (see the docstring), plus the 64 KiB that np.array_equal holds beside them and array
+    # headers; at 1536 the last doubling's C of order m/2, -C and result stay below that
     tracemalloc.start()
     try:
         seed_hadamard(m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= per_entry * m * m + 2**17
+    assert peak <= 17 * m * m + 2**17
 
 
 def test_readme_lists_the_orders_seed_hadamard_cannot_build():

@@ -14,7 +14,8 @@ A public function takes a ``tol`` only where some caller sets one, and
 no value it can read off its arguments.  ``__init__`` is the one export
 list: a module marks a name public by its missing underscore, and every
 public function or class of a module is read like an exported name.  The rank
-threshold is read by the one rank rule alone, the symplectic Gram has the one
+threshold is read by the one rank rule alone, which only the rank counts read
+(``frames.is_tight`` decides by an identity and reads no spectrum), the symplectic Gram has the one
 kernel ``skewlinalg._gram``, omega acts on rows through the one kernel
 ``skewlinalg._omega_rows`` and the doubling's B is an odd-row flip, so the dense
 omega matrix is built for users alone and no dense B is built,
@@ -129,6 +130,17 @@ def test_the_rank_threshold_is_read_only_by_its_definition_and_the_rank_rule():
     assert readers == [("skewlinalg", "Assign"), ("skewlinalg", "_rank")]
 
 
+def test_the_rank_rule_serves_the_rank_counts_and_is_tight_reads_no_spectrum():
+    # is_tight decides tightness and rank by the one identity d h^3 + ||h||^2 h = 0, so it takes
+    # no SVD and counts no rank; the rank rule is read where a rank is counted
+    readers = [f"{module}.{stmt.name}" for module, stmt in _statements(PACKAGE)
+               if isinstance(stmt, ast.FunctionDef) and "_rank" in _names(stmt) and not _defines(stmt, "_rank")]
+    assert readers == ["complex_lift.synthesis_from_signature", "search.gerzon_oracle",
+                       "skewlinalg.rank_by_sv", "skewlinalg._blocks"]
+    is_tight = next(stmt for module, stmt in _statements(PACKAGE) if module == "frames" and _defines(stmt, "is_tight"))
+    assert {"svd", "_rank", "rank_by_sv"} & set(_names(is_tight)) == set()
+
+
 def test_skewlinalg_alone_defines_the_gram_kernel():
     assert [module for module, stmt in _statements(PACKAGE)
             if isinstance(stmt, ast.FunctionDef) and stmt.name == "_gram"] == ["skewlinalg"]
@@ -182,13 +194,13 @@ def test_unit_gram_alone_forms_the_exact_identities():
 
 def test_hadamard_forms_h_minus_i_once_per_input_and_adds_i_only_on_output():
     # checks, conversions and constructions all read C: the identity is built only where an H
-    # becomes C and by the doubling [[C, C + I], [C - I, -C]], and set on the diagonal only where
-    # an H is returned
+    # becomes C (the doubling [[C, C + I], [C - I, -C]] sets its two block diagonals by index),
+    # and set on the diagonal only where an H is returned
     def readers(name):
         return [getattr(stmt, "name", type(stmt).__name__) for module, stmt in _statements(PACKAGE)
                 if module == "hadamard" and name in _names(stmt)]
 
-    assert readers("eye") == ["_conference_of", "_double"]
+    assert readers("eye") == ["_conference_of"]
     assert readers("_conference_of") == ["is_skew_hadamard", "_check_skew_hadamard"]
     assert readers("fill_diagonal") == ["_etf_to_hadamard", "double_hadamard", "seed_hadamard"]
 

@@ -86,7 +86,7 @@ def test_core_of_a_permuted_seed_matches_the_public_chain(m):
 
 
 def _certificate_matches_public_checks(g, d, tol):
-    # c is derived from mu, and the SVD's sigma_max (is_tight) agrees with it
+    # c is derived from mu, and is_tight's sqrt(||g||_F^2 / d) agrees with it
     cert = certify_etf(g, d, tol)
     assert cert is not None and svd_certify_etf(g, d, tol) is not None
     mu = is_equiangular(g, tol)
