@@ -6,10 +6,11 @@ below signal *domain* failures, where the input is well formed but does
 not have the mathematical structure an operation requires.  The CLI maps
 domain failures to exit code 1, and usage failures, ``MemoryError`` (a
 size no machine can hold) and ``FloatingPointError`` (input or an order
-so large that float64 overflows) to exit code 2.  Besides numpy's own overflow,
-``FloatingPointError`` comes from ``skewlinalg._rank``, the one rank count, when the largest
-value of a spectrum passes float64, from ``frames.is_tight`` and ``hadamard.etf_to_conference``
-when the tightness constant does, from ``potentials.normalize_nuclear`` when the nuclear norm
+so large that float64 overflows) to exit code 2.  Besides numpy's own
+overflow, ``FloatingPointError`` comes from ``skewlinalg._rank``, the one
+rank count, when the largest value of a spectrum passes float64, from
+``potentials.normalize_nuclear`` when the nuclear norm does, from
+``frames.is_tight`` and ``hadamard.etf_to_conference`` when the tightness constant
 does, and from ``hadamard.doubling_coefficients`` when the coefficients do.
 
 Validation runs once, at the public boundary: a public function checks

@@ -135,9 +135,9 @@ def _equiangularity(g: np.ndarray) -> Optional[tuple[float, float]]:
 def is_tight(g, d: int, tol: ToleranceProfile = DEFAULT_TOL) -> Optional[float]:
     """Return c if ``g`` is the Gram of a c-tight frame in dimension d, else None.
 
-    That is g^3 = -c^2 g with c^2 = ||g||_F^2 / d: -g^2 / c^2 is then a projector of trace, so rank, d.
-    It is tested as ||d h^3 + ||h||_F^2 h||_F <= residual_rel_tol ||h||_F^3 on h = g / 2^e, 2^e the power
-    of two above max|g| (exact above 2^-1021 max|g|); on entries in {-1, 0, 1} no step of it rounds.
+    g^3 = -c^2 g with c^2 = ||g||^2 / d (Frobenius norms) is tested as ||d h^3 + ||h||^2 h|| <= t ||h||^3 on
+    h = g / 2^e, 2^e the power of two above max|g| (exact above 2^-1021 max|g|; on {-1, 0, 1} nothing rounds).
+    Then -g^2 / c^2 is a projector of trace d; t = min(residual_rel_tol, 1/2n) < |r-d|/r pins its rank r to d.
     """
     g = check_skew(g, tol)
     if d > g.shape[0] or not g.any():  # an n x n Gram has rank <= n, and a zero one is no frame's
@@ -145,7 +145,7 @@ def is_tight(g, d: int, tol: ToleranceProfile = DEFAULT_TOL) -> Optional[float]:
     e = int(np.frexp(max(float(g.max()), -float(g.min())))[1])
     h = np.ldexp(g, -e)
     sq = float(np.vdot(h, h))
-    if np.linalg.norm(d * (h @ h @ h) + sq * h) > tol.residual_rel_tol * sq**1.5:
+    if np.linalg.norm(d * (h @ h @ h) + sq * h) > min(tol.residual_rel_tol, 0.5 / g.shape[0]) * sq**1.5:
         return None
     try:
         return math.ldexp(math.sqrt(sq / d), e)

@@ -414,7 +414,7 @@ def test_verify_frame_and_tight(tmp_path, capsys, phi_basic):
 @pytest.mark.parametrize("src", ["etf-square", "etf-core"])
 def test_verify_tight_prints_the_c_that_verify_etf_prints(tmp_path, capsys, src, m):
     # both read c = mu * sqrt(n - 1) or mu * sqrt(n) bit for bit off an int file; one reversed
-    # edge is a verdict for verify tight, exit 1 with nothing on stderr
+    # edge, and a wrong d under any --tol, is a verdict for verify tight, exit 1 with nothing on stderr
     h = seed_hadamard(m)
     g, d = (h - np.eye(m, dtype=np.int64), m) if src == "etf-square" else (hadamard_to_etf_core(h), m - 2)
     write_matrix(tmp_path / "g.symf", g.astype(np.int64), "int")
@@ -425,6 +425,9 @@ def test_verify_tight_prints_the_c_that_verify_etf_prints(tmp_path, capsys, src,
     assert etf[0] == 0
     near = run(capsys, "verify", "tight", str(tmp_path / "near.symf"), "--dim", str(d))
     assert near == (1, {"verified": "false"}, "")
+    # a wrong d reads |d - 2 - d| / d >= 2 / m, under 0.05 at m = 64: the tolerance is capped at 1 / 2n
+    wrong = run(capsys, "verify", "tight", str(tmp_path / "g.symf"), "--dim", str(d - 2), "--tol", "0.05")
+    assert wrong == (1, {"verified": "false"}, "")
 
 
 def test_verify_frame_runs_one_rank_svd(tmp_path, capsys, phi_basic):

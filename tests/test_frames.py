@@ -218,6 +218,19 @@ def test_is_tight_gives_the_certificates_c_bit_for_bit_on_every_covered_gram_to_
             assert is_tight(g, d - 2) is None
 
 
+@pytest.mark.parametrize("build", [hadamard_to_etf_square, hadamard_to_etf_core])
+@pytest.mark.parametrize("m", [64, 256])
+def test_a_loose_tolerance_still_refuses_a_wrong_dimension(build, m):
+    # a tight Gram of rank r read at d != r leaves |r - d| / r exactly, here 2 / r < 0.05; the test
+    # compares with min(residual_rel_tol, 1 / 2n), so no tolerance lets a wrong d pass
+    g = build(seed_hadamard(m))
+    r = m if build is hadamard_to_etf_square else m - 2
+    loose = ToleranceProfile(residual_rel_tol=0.05)
+    assert is_tight(g, r, loose) == certify_etf(g, r).c
+    assert is_tight(g, r - 2, loose) is None
+    assert is_tight(np.pad(g, ((0, 2), (0, 2))), r + 2, loose) is None
+
+
 def test_one_reversed_edge_at_order_512_is_not_tight():
     g = hadamard_to_etf_square(seed_hadamard(512))
     g[1, 2], g[2, 1] = -g[1, 2], -g[2, 1]
