@@ -9,6 +9,7 @@ size no machine can hold) and ``FloatingPointError`` (input or an order
 so large that float64 overflows) to exit code 2.  Besides numpy's own
 overflow, ``FloatingPointError`` comes from ``skewlinalg._rank``, the one
 rank count, when the largest value of a spectrum passes float64, from
+``skewlinalg._tight_factor`` when a tight Gram's block value does, from
 ``potentials.normalize_nuclear`` when the nuclear norm does, from
 ``frames.is_tight`` and ``hadamard.etf_to_conference`` when the tightness constant
 does, and from ``hadamard.doubling_coefficients`` when the coefficients do.
@@ -35,9 +36,10 @@ validator ``tournaments._as_int_square``) or a domain error (``check_skew``:
 raise ``InvalidSeidelError``; nothing in ``hadamard`` raises or catches it).
 Exact checks that decide an answer derived in floating point are not
 validation; they always run.  ``hadamard.etf_to_conference`` is the one
-exact ETF gate: it raises ``NotEtfError`` for an odd dimension, a wrong size
-or a Gram that is not equiangular, and ``RoundingError`` when g/mu misses a Seidel matrix
-S or S fails its conference check; ``certify_etf`` returns None for both.
+exact ETF gate: it raises ``NotEtfError`` for an odd dimension, a wrong size, a
+size outside ``frames.admissible_sizes`` or a Gram that is not equiangular, and
+``RoundingError`` when g/mu misses a Seidel matrix S or S fails its conference
+check; ``certify_etf`` returns None for both.
 Its callers in ``hadamard`` and ``complex_lift`` raise the same, and
 ``hadamard.seidel_from_gram`` raises ``RoundingError`` too.
 """

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (NotEquiangularError, NotEtfError, NotSkewConferenceError, NotSkewHadamardError,
                      RoundingError)
-from .frames import _equiangularity, gram, is_equiangular
+from .frames import _equiangularity, admissible_sizes, gram, is_equiangular
 from .skewlinalg import DEFAULT_TOL, ToleranceProfile, as_matrix, check_skew, frobenius_norm
 from .tournaments import _as_int_square, _unit_gram, check_seidel
 
@@ -115,9 +115,9 @@ def etf_to_conference(
 ) -> tuple[EtfCertificate, np.ndarray]:
     """The exact ETF gate: certificate and skew conference matrix of a Gram g.
 
-    d must be even, and g skew, of size n = d or d+1 and equiangular within entry_tol,
-    and h = g/mu must round entrywise within entry_tol to a Seidel matrix S with
-    ||h - S||_F <= residual_rel_tol ||h||_F.  A square ETF gives S itself.
+    d must be even, and g skew, of a size n = d or d+1 in ``admissible_sizes(d)`` and
+    equiangular within entry_tol, and h = g/mu must round entrywise within entry_tol to a
+    Seidel matrix S with ||h - S||_F <= residual_rel_tol ||h||_F.  A square ETF gives S itself.
     A core has S^2 = x x^T - nI for a +-1 border x: x is row 0 of S^2 with n
     added at entry 0 (x_0 = +1), read exactly, and S bordered by x has order
     n + 1.  One exact conference check decides; no float tightness test runs.
@@ -128,6 +128,8 @@ def etf_to_conference(
         raise NotEtfError(f"an ETF Gram has an even symplectic dimension, got d={d}")
     if n not in (d, d + 1):
         raise NotEtfError(f"size mismatch: a d={d} ETF Gram has n = d or d+1, got n={n}")
+    if n not in (sizes := admissible_sizes(d)):
+        raise NotEtfError(f"size not admissible: a d={d} ETF Gram has n in {sizes}, got n={n}")
     equi = _equiangularity(g)
     if equi is None or equi[1] > tol.entry_tol:
         family = "a square ETF" if n == d else "a d-by-(d+1) ETF"

@@ -16,9 +16,9 @@ Two searches and one exhaustive oracle:
 * ``discrete_diamond_search``: single-edge-flip local search over
   tournaments minimizing sum_{i<j} ((S^2)_ij)^2, which is equivalent to
   maximizing the diamond count.  Its only state is S; each step scores
-  every flip from S^3, an exact float64 BLAS product, in one buffer per
-  search.  Success requires the exact conference (even n) or
-  bound-saturation (n = 3 mod 4) verification.
+  every flip by x = S o S^3 (exact float64 BLAS) and one ``argmin`` over x.
+  Success requires the exact conference (even n) or bound-saturation
+  (n = 3 mod 4) verification.
 * ``gerzon_oracle``: minimum numerical rank over every n-vertex Seidel
   sign pattern, feasible for n <= 6.
 
@@ -195,28 +195,25 @@ def continuous_etf_search(d: int, n: int, p: float, cfg: SearchConfig) -> Search
     return _outcome(restarts, total_iters)
 
 
-def _flip_deltas(s: np.ndarray, mask: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Change in sum_{a<b} ((S^2)_ab)^2 from flipping edge (i, j), at [i, j] for i < j.
+def _best_flip(s: np.ndarray, sq: np.ndarray, x: np.ndarray) -> tuple[int, int]:
+    """Flat index k = i n + j of the flip to take, and its change in sum_{a<b} ((S^2)_ab)^2.
 
-    It is 8 s_ij (S^3)_ij + 16n - 24.  For a != i, j the flip moves
-    (S^2)_ai by 2 s_ij s_aj and (S^2)_aj by -2 s_ij s_ai, so the objective
-    changes by 8(n-2) + 4 s_ij (x + y) with x = sum_{a != i,j} (S^2)_ia s_aj
-    and y = sum_{a != i,j} s_ia (S^2)_aj.  Both equal (S^3)_ij + (n-1) s_ij,
-    since (S^2)_ii = -(n-1), s_jj = 0 and s_ij^2 = 1.  ``mask`` is 16n - 24
-    above the diagonal and +inf on and below it, so a flat ``argmin`` scans
-    the deltas in ``triu_indices`` order and picks the lowest of equal ones.
+    Flipping edge (i, j) changes the objective by 8 x_ij + 16n - 24, x = S o S^3.  For a != i, j
+    the flip moves (S^2)_ai by 2 s_ij s_aj and (S^2)_aj by -2 s_ij s_ai, so the objective changes
+    by 8(n-2) + 4 s_ij (y + z) with y = sum_{a != i,j} (S^2)_ia s_aj and z = sum_{a != i,j} s_ia
+    (S^2)_aj, both (S^3)_ij + (n-1) s_ij as (S^2)_ii = -(n-1), s_jj = 0 and s_ij^2 = 1.  S^3 is
+    skew, so x is symmetric with a zero diagonal, and a least x_ab < 0 with a > b follows its
+    mirror x_ba in row-major order: ``argmin`` finds the least change at the lowest (i < j) when
+    it is below 16n - 24, and else k may be diagonal but 16n - 24 > 0 still ends the descent.
 
-    ``s`` is float64.  S^3 = (S @ S) @ S, two BLAS products, is written into
-    ``out``, the caller's reused n x n buffer, which is then multiplied by s
-    and by 8 and offset by ``mask`` in place and returned.  Every partial sum
-    and result is an integer of magnitude at most 8n(n - 1) + 16n < 2**24, so
-    each step is exact in any order and ``argmin`` sees int64 values.
+    ``s`` is float64; S^2 and x go into the caller's reused n x n buffers ``sq`` and ``x``.  Every
+    partial sum and result is an integer of magnitude at most n(n - 1) < 2**24: each product is exact.
     """
-    np.matmul(s @ s, s, out=out)
-    out *= s
-    out *= 8.0
-    out += mask
-    return out
+    np.matmul(s, s, out=sq)
+    np.matmul(sq, s, out=x)
+    x *= s
+    k = int(x.argmin())
+    return k, 8 * int(x.flat[k]) + 16 * s.shape[0] - 24
 
 
 _MAX_DISCRETE_N = 1024
@@ -232,10 +229,10 @@ def discrete_diamond_search(n: int, cfg: SearchConfig) -> SearchOutcome:
     random restart; ties break at the lowest (i, j).
 
     The search state is S alone, held as float64.  Each step scores all
-    n(n-1)/2 flips at once: flipping edge (i, j) changes the objective by
-    exactly 8 s_ij (S^3)_ij + 16n - 24.  A step costs two n x n float64 BLAS
-    products for S^3 (exact, see ``_flip_deltas``) and O(n^2) in-place work
-    in one buffer made per search; the accepted flip swaps s_ij and s_ji.
+    n(n-1)/2 flips at once by x = S o S^3 (see ``_best_flip``): two exact
+    n x n float64 BLAS products, one in-place product with S and one
+    ``argmin`` over x, in two buffers made per search; the accepted flip
+    swaps s_ij and s_ji.
 
     n must satisfy 2 <= n <= 1024, checked before anything is allocated.
     The bound keeps S^3 exact in float64, and it caps a step at 2n^3, about
@@ -253,8 +250,7 @@ def discrete_diamond_search(n: int, cfg: SearchConfig) -> SearchOutcome:
     else:
         target, verified = None, None  # saturation impossible; minimize anyway
 
-    mask = np.where(np.tri(n, dtype=bool), np.inf, 16.0 * n - 24)
-    deltas = np.empty((n, n))
+    sq, x = np.empty((n, n)), np.empty((n, n))
     restarts = []
     total_flips = 0
     for r in range(cfg.restarts):
@@ -266,8 +262,7 @@ def discrete_diamond_search(n: int, cfg: SearchConfig) -> SearchOutcome:
         while flips < cfg.max_iters:
             if target is not None and q == target:
                 break
-            k = int(_flip_deltas(s, mask, deltas).argmin())  # first minimum: the lowest (i, j), row-major
-            best_delta = int(deltas.flat[k])
+            k, best_delta = _best_flip(s, sq, x)
             if best_delta > 0:
                 break  # strict local minimum
             plateau_moves = plateau_moves + 1 if best_delta == 0 else 0

@@ -26,6 +26,7 @@ from sympetf.hadamard import (
     seed_hadamard,
 )
 from sympetf.matio import read_matrix, write_matrix
+from sympetf.tournaments import random_tournament
 
 
 def run(capsys, *argv):
@@ -385,6 +386,13 @@ def test_verify_etf_refuses_a_core_whose_diagonal_misses_zero(tmp_path, capsys):
     path = tmp_path / "core.symf"
     write_matrix(path, g, "real")
     code, report, err = run(capsys, "verify", "etf", str(path), "--dim", "62")
+    assert (code, report, err) == (1, {"verified": "false"}, "")
+
+
+def test_verify_etf_at_an_inadmissible_size_is_a_verdict(tmp_path, capsys):
+    path = tmp_path / "s6.symf"
+    write_matrix(path, random_tournament(6, np.random.default_rng(6)), "int")
+    code, report, err = run(capsys, "verify", "etf", str(path), "--dim", "6")
     assert (code, report, err) == (1, {"verified": "false"}, "")
 
 

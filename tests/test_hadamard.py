@@ -43,6 +43,7 @@ from sympetf.tournaments import (
     count_diamonds_formula,
     diamond_upper_bound,
     is_doubly_regular,
+    random_tournament,
     switch,
 )
 from sympetf.skewlinalg import DEFAULT_TOL, ToleranceProfile, check_skew
@@ -298,6 +299,22 @@ def test_etf_to_conference_names_a_size_mismatch(m, d):
     # a genuine square ETF Gram offered at a dimension whose sizes exclude it
     with pytest.raises(NotEtfError, match=rf"^size mismatch: a d={d} ETF Gram has n = d or d\+1, got n={m}$"):
         etf_to_conference(hadamard_to_etf_square(seed_hadamard(m)), d)
+
+
+@pytest.mark.parametrize("n, d, sizes", [(6, 6, "{7}"), (5, 4, "{4}")])
+def test_etf_to_conference_names_an_inadmissible_size(n, d, sizes):
+    # n is d or d + 1, but no d-dimensional ETF has n vectors; the Seidel matrix of a tournament
+    # is equiangular and rounds exactly, so without this clause only the conference check refused it
+    g = random_tournament(n, np.random.default_rng(n)).astype(float)
+    with pytest.raises(NotEtfError, match=rf"^size not admissible: a d={d} ETF Gram has n in \{sizes}, got n={n}$"):
+        etf_to_conference(g, d)
+    assert certify_etf(g, d) is None
+
+
+def test_the_gate_refuses_d_zero_as_misuse():
+    # a 1 x 1 Gram passes the size clause at d = 0; admissible_sizes(0) refuses d itself
+    with pytest.raises(ValueError, match="^dimension must be even and >= 2, got 0$"):
+        certify_etf(np.zeros((1, 1)), 0)
 
 
 @pytest.mark.parametrize("shape", ["square", "core"])

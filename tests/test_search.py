@@ -13,13 +13,14 @@ from etf_oracle import svd_certify_etf
 from tournament_oracles import flip_delta, offdiag_square_sum
 from sympetf import certify_etf, search
 from sympetf.frames import factor_gram, gram
-from sympetf.hadamard import hadamard_to_etf_core, hadamard_to_etf_square, is_skew_conference, seed_hadamard
+from sympetf.hadamard import (hadamard_to_etf_core, hadamard_to_etf_square, is_skew_conference, normalize_conference,
+                              seed_hadamard)
 from sympetf.potentials import frame_potential
 from sympetf.search import (
     _MAX_CONTINUOUS_N,
     _MAX_DISCRETE_N,
     SearchConfig,
-    _flip_deltas,
+    _best_flip,
     continuous_etf_search,
     discrete_diamond_search,
     gerzon_oracle,
@@ -174,11 +175,84 @@ def tournaments(draw, max_n=30):
     return s - s.T
 
 
-def flip_mask(n):
-    """The discrete search's mask: 16n - 24 above the diagonal, +inf on and below it."""
-    mask = np.full((n, n), np.inf)
-    mask[np.triu_indices(n, k=1)] = 16 * n - 24
-    return mask
+def masked_pick(s):
+    """The reference scan: flat argmin of 8 S o S^3 + mask, with mask 16n - 24 above the diagonal
+    and +inf on and below it, so it reads the deltas in ``triu_indices`` order.  (k, delta)."""
+    n = s.shape[0]
+    mask = np.where(np.tri(n, dtype=bool), np.inf, 16.0 * n - 24)
+    deltas = 8 * s * ((s @ s) @ s) + mask
+    k = int(deltas.argmin())
+    return k, int(deltas.flat[k])
+
+
+def flip_deltas(s, x):
+    """The change 8 x_ij + 16n - 24 of every flip, as int64, from the kernel's score x = S o S^3."""
+    return 8 * x.astype(np.int64) + 16 * s.shape[0] - 24
+
+
+def assert_same_pick(s):
+    """The kernel takes the masked scan's flip and delta, or stops where it stops; the delta."""
+    n = s.shape[0]
+    f = s.astype(float)
+    k, delta = _best_flip(f, np.empty((n, n)), np.empty((n, n)))
+    ref_k, ref_delta = masked_pick(f)
+    i, j = divmod(ref_k, n)
+    assert ref_delta == flip_delta(s, s @ s, i, j)
+    if ref_delta <= 0:
+        assert (k, delta) == (ref_k, ref_delta)
+    else:
+        assert delta > 0  # both stop; the kernel's k may lie on the diagonal
+    return ref_delta
+
+
+def descend(s, steps):
+    """Up to ``steps`` flips of the masked scan from s, through plateau flips, until it stops."""
+    s = s.copy()
+    states = [s.copy()]
+    for _ in range(steps):
+        k, delta = masked_pick(s.astype(float))
+        if delta > 0:
+            break
+        i, j = divmod(k, s.shape[0])
+        s[i, j], s[j, i] = s[j, i], s[i, j]
+        states.append(s.copy())
+    return states
+
+
+@st.composite
+def planted(draw):
+    """A skew conference matrix of order 4..40 or its core: a local minimum of the objective, or,
+    after one planted flip, a state whose best flip undoes it."""
+    m = draw(st.sampled_from([4, 8, 12, 16, 20, 24, 32, 40]))
+    s = seed_hadamard(m) - np.eye(m, dtype=np.int64)
+    if draw(st.booleans()):
+        s = normalize_conference(s)[0][1:, 1:]
+    n = s.shape[0]
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 2)), draw(st.integers(1, n - 1))
+        if i < j:
+            s[i, j], s[j, i] = s[j, i], s[i, j]
+    return s
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(tournaments(max_n=40), planted()), st.integers(0, 200))
+def test_symmetric_score_picks_the_masked_scans_flip_and_stop(s, steps):
+    # along a descent, through plateau flips, to a strict local minimum or the step cap
+    for state in descend(s, steps):
+        assert_same_pick(state)
+
+
+def test_descents_reach_negative_plateau_and_stopping_deltas():
+    # the property above meets every branch of the stop rule: a flip that gains, a plateau flip
+    # (delta 0) and a strict local minimum (delta > 0)
+    rng = np.random.default_rng(41)
+    seen = set()
+    for n in (9, 12, 15, 20):
+        for _ in range(4):
+            for state in descend(random_tournament(n, rng), 500):
+                seen.add(np.sign(assert_same_pick(state)))
+    assert seen == {-1, 0, 1}
 
 
 @settings(max_examples=60, deadline=None)
@@ -187,8 +261,10 @@ def test_closed_form_flip_deltas_match_oracle_and_recomputation(s):
     n = s.shape[0]
     s2 = s @ s
     q = _offdiag_square_sum(s)
-    deltas = _flip_deltas(s.astype(float), flip_mask(n), np.empty((n, n)))
-    assert np.all(deltas[np.tri(n, dtype=bool)] == np.inf)
+    x = np.empty((n, n))
+    _best_flip(s.astype(float), np.empty((n, n)), x)
+    assert np.array_equal(x, x.T) and not np.any(np.diag(x))
+    deltas = flip_deltas(s, x)
     for i, j in zip(*np.triu_indices(n, k=1)):
         assert deltas[i, j] == flip_delta(s, s2, i, j)
         flipped = s.copy()
@@ -203,27 +279,29 @@ def test_flip_deltas_exact_at_the_size_bound():
     s = random_tournament(n, rng)
     s2 = -_unit_gram(check_seidel(s), 0, 0).astype(np.int64)
     iu = np.triu_indices(n, k=1)
-    deltas = _flip_deltas(s.astype(float), flip_mask(n), np.empty((n, n)))
+    x = np.empty((n, n))
+    best, delta = _best_flip(s.astype(float), np.empty((n, n)), x)
+    deltas = flip_deltas(s, x)
     picks = [(int(iu[0][k]), int(iu[1][k])) for k in rng.choice(len(iu[0]), size=200, replace=False)]
-    for i, j in picks + [divmod(int(np.argmin(deltas)), n)]:
+    for i, j in picks + [divmod(best, n)]:
         assert deltas[i, j] == flip_delta(s, s2, i, j)
+    assert delta == deltas.flat[best] == deltas[iu].min()
 
 
 @pytest.mark.parametrize("n", [7, 16, 33])
 def test_flip_deltas_reuse_one_buffer_across_flips(n):
-    # the buffer starts as NaN and carries each scan into the next; after
-    # every flip it must hold exactly what a freshly allocated scan gives
+    # the buffers start as NaN and carry each scan into the next; after
+    # every flip x must hold exactly what a freshly allocated scan gives
     rng = np.random.default_rng(n)
     s = random_tournament(n, rng).astype(float)
-    mask = flip_mask(n)
-    out = np.full((n, n), np.nan)
+    sq, x = np.full((n, n), np.nan), np.full((n, n), np.nan)
     iu = np.triu_indices(n, k=1)
     for _ in range(60):
         before = s.tobytes()
-        assert _flip_deltas(s, mask, out) is out
+        k, delta = _best_flip(s, sq, x)
         assert s.tobytes() == before
-        assert out.tobytes() == (8 * s * ((s @ s) @ s) + mask).tobytes()
-        assert np.all(out[np.tri(n, dtype=bool)] == np.inf)
+        assert x.tobytes() == (s * ((s @ s) @ s)).tobytes()
+        assert delta == 8 * x.flat[k] + 16 * n - 24
         k = int(rng.integers(len(iu[0])))
         i, j = iu[0][k], iu[1][k]
         s[i, j], s[j, i] = s[j, i], s[i, j]
