@@ -19,10 +19,10 @@ its array arguments on entry and hands values it has checked or built
 itself to private ``_`` kernels, which trust their arrays.  Calls into
 another module go through its public names, except that a public entry
 point may hand arrays it validated or built itself to another module's
-``_`` kernel: ``search`` in its descent loop and with ``tournaments._offdiag_square_sum``
-of its float64 Seidel matrix, ``frames`` and ``search`` with the
-symplectic Gram kernel ``skewlinalg._gram``, ``frames`` and ``potentials`` with
-the row kernel of omega ``skewlinalg._omega_rows``, ``frames.factor_gram`` and
+``_`` kernel: ``search`` with the ``potentials`` kernels of its descent loop,
+``frames`` and ``search`` with the symplectic Gram kernel ``skewlinalg._gram``,
+``frames`` and ``potentials`` with the row kernel of omega
+``skewlinalg._omega_rows``, ``frames.factor_gram`` and
 ``symplectic_witness`` with ``skewlinalg._tight_factor``,
 ``complex_lift.synthesis_from_signature`` and ``search.gerzon_oracle`` with
 ``skewlinalg._rank``, ``hadamard.etf_to_conference`` with ``frames._equiangularity``, and

@@ -15,8 +15,9 @@ Two searches and one exhaustive oracle:
   to the rounding and the exact check.
 * ``discrete_diamond_search``: single-edge-flip local search over
   tournaments minimizing sum_{i<j} ((S^2)_ij)^2, which is equivalent to
-  maximizing the diamond count.  Its only state is S; each step scores
-  every flip by x = S o S^3 (exact float64 BLAS) and one ``argmin`` over x.
+  maximizing the diamond count.  A restart's only state is S; its restarts
+  run in lockstep, and each step scores every flip of every live restart by
+  x = S o S^3 (exact stacked float64 BLAS) and one ``argmin`` per restart.
   Success requires the exact conference (even n) or bound-saturation
   (n = 3 mod 4) verification.
 * ``gerzon_oracle``: minimum numerical rank over every n-vertex Seidel
@@ -36,8 +37,7 @@ import numpy as np
 
 from .potentials import _gradient, _rank_nuclear, _value_and_weight, potential_bound
 from .skewlinalg import ToleranceProfile, _canonical_factor, _check_even_dim, _gram, _rank
-from .tournaments import (_offdiag_square_sum, count_diamonds_formula, diamond_upper_bound,
-                          random_tournament)
+from .tournaments import count_diamonds_formula, diamond_upper_bound, random_tournament
 from .hadamard import certify_etf, is_skew_conference
 
 
@@ -195,8 +195,9 @@ def continuous_etf_search(d: int, n: int, p: float, cfg: SearchConfig) -> Search
     return _outcome(restarts, total_iters)
 
 
-def _best_flip(s: np.ndarray, sq: np.ndarray, x: np.ndarray) -> tuple[int, int]:
-    """Flat index k = i n + j of the flip to take, and its change in sum_{a<b} ((S^2)_ab)^2.
+def _best_flips(s: np.ndarray, sq: np.ndarray, x: np.ndarray) -> tuple[list[int], list[int]]:
+    """For each state of the stack s: the flat index k = i n + j of the flip to take, and its change
+    in sum_{a<b} ((S^2)_ab)^2.
 
     Flipping edge (i, j) changes the objective by 8 x_ij + 16n - 24, x = S o S^3.  For a != i, j
     the flip moves (S^2)_ai by 2 s_ij s_aj and (S^2)_aj by -2 s_ij s_ai, so the objective changes
@@ -206,17 +207,24 @@ def _best_flip(s: np.ndarray, sq: np.ndarray, x: np.ndarray) -> tuple[int, int]:
     mirror x_ba in row-major order: ``argmin`` finds the least change at the lowest (i < j) when
     it is below 16n - 24, and else k may be diagonal but 16n - 24 > 0 still ends the descent.
 
-    ``s`` is float64; S^2 and x go into the caller's reused n x n buffers ``sq`` and ``x``.  Every
+    ``s`` is a float64 (k, n, n) stack; S^2 and x go into the caller's reused buffers ``sq`` and
+    ``x`` of the same shape, one matrix product per slot and no arithmetic across slots.  Every
     partial sum and result is an integer of magnitude at most n(n - 1) < 2**24: each product is exact.
     """
     np.matmul(s, s, out=sq)
     np.matmul(sq, s, out=x)
     x *= s
-    k = int(x.argmin())
-    return k, 8 * int(x.flat[k]) + 16 * s.shape[0] - 24
+    flat = x.reshape(len(x), -1)
+    picks = flat.argmin(axis=1).tolist()
+    offset = 16 * s.shape[1] - 24
+    return picks, [8 * int(flat.item(slot, k)) + offset for slot, k in enumerate(picks)]
 
 
 _MAX_DISCRETE_N = 1024
+# Entries of S in one lockstep batch of max(1, _BATCH_ENTRIES // n^2) restarts.  Per restart, a
+# stacked step cost 0.85-0.9 of a lone one at n = 64, 0.96-1.01 at n = 96-128 and 1.05-1.08 as a stack of
+# 8 at n = 128 (BLAS on 1 thread).
+_BATCH_ENTRIES = 1 << 15
 
 
 def discrete_diamond_search(n: int, cfg: SearchConfig) -> SearchOutcome:
@@ -228,15 +236,20 @@ def discrete_diamond_search(n: int, cfg: SearchConfig) -> SearchOutcome:
     plateau, equal-value flips are accepted at most n times before a
     random restart; ties break at the lowest (i, j).
 
-    The search state is S alone, held as float64.  Each step scores all
-    n(n-1)/2 flips at once by x = S o S^3 (see ``_best_flip``): two exact
-    n x n float64 BLAS products, one in-place product with S and one
-    ``argmin`` over x, in two buffers made per search; the accepted flip
-    swaps s_ij and s_ji.
+    A restart's state is S alone, held as float64.  Restarts run in
+    lockstep, a batch of max(1, 2**15 // n^2) at a time (``_BATCH_ENTRIES``):
+    the live ones fill the prefix of one (batch, n, n) stack, and each step
+    scores every flip of every live restart by x = S o S^3 (``_best_flips``):
+    two stacked float64 BLAS products, one in-place product with S and one
+    ``argmin`` per slot.  A restart's flip, plateau count and stop are its
+    own; one that stops is recorded at its index, and the last live slot
+    moves into its place.  No slot reads another and every value is an
+    exact integer, so each restart takes the flips it would take alone.
 
     n must satisfy 2 <= n <= 1024, checked before anything is allocated.
-    The bound keeps S^3 exact in float64, and it caps a step at 2n^3, about
-    2 * 10^9 multiply-adds, and a few n x n float64 arrays of 8 MiB each.
+    The bound keeps S^3 exact in float64 and caps a step at 2n^3, about
+    2 * 10^9, multiply-adds per live restart.  The three stacks hold at
+    most 2**15 entries each, or one restart's n x n (8 MiB at n = 1024).
     """
     if n < 2:
         raise ValueError(f"need at least two vertices, got {n}")
@@ -250,32 +263,42 @@ def discrete_diamond_search(n: int, cfg: SearchConfig) -> SearchOutcome:
     else:
         target, verified = None, None  # saturation impossible; minimize anyway
 
-    sq, x = np.empty((n, n)), np.empty((n, n))
-    restarts = []
+    size = max(1, min(cfg.restarts, _BATCH_ENTRIES // (n * n)))
+    s, sq, x = (np.empty((size, n, n)) for _ in range(3))
+    restarts = [None] * cfg.restarts
     total_flips = 0
-    for r in range(cfg.restarts):
-        rng = np.random.default_rng([cfg.seed, r])
-        s = random_tournament(n, rng).astype(float)
-        q = _offdiag_square_sum(s)
-        plateau_moves = 0
-        flips = 0
-        while flips < cfg.max_iters:
-            if target is not None and q == target:
-                break
-            k, best_delta = _best_flip(s, sq, x)
-            if best_delta > 0:
-                break  # strict local minimum
-            plateau_moves = plateau_moves + 1 if best_delta == 0 else 0
-            if plateau_moves > n:
-                break
-            i, j = divmod(k, n)
-            s[i, j], s[j, i] = s[j, i], s[i, j]
-            q += best_delta
-            flips += 1
-        total_flips += flips
-        found = s.astype(np.int64)
-        succeeded = target is not None and q == target and verified(found)
-        restarts.append((succeeded, float(q), found, r))
+    for first in range(0, cfg.restarts, size):
+        live = list(range(first, min(first + size, cfg.restarts)))  # the restart in each slot
+        k = len(live)
+        for slot, r in enumerate(live):
+            s[slot] = random_tournament(n, np.random.default_rng([cfg.seed, r]))
+        picks, deltas = _best_flips(s[:k], sq[:k], x[:k])
+        # S^2 is symmetric with diagonal -(n-1), so q = (||S^2||_F^2 - n(n-1)^2) / 2, exact below 2**53
+        q = [(int(v) - n * (n - 1) ** 2) // 2 for v in np.einsum("kij,kij->k", sq[:k], sq[:k]).tolist()]
+        flips, plateau = [0] * k, [0] * k
+        while k:
+            for slot in reversed(range(k)):  # a stopped slot takes the last one, already stepped
+                delta = deltas[slot]
+                plateau[slot] = plateau[slot] + 1 if delta == 0 else 0
+                stop = q[slot] == target or delta > 0 or plateau[slot] > n  # hit, local minimum, plateau
+                if not stop:
+                    i, j = divmod(picks[slot], n)
+                    s[slot, i, j], s[slot, j, i] = s[slot, j, i], s[slot, i, j]
+                    q[slot] += delta
+                    flips[slot] += 1
+                    stop = flips[slot] == cfg.max_iters or q[slot] == target
+                if stop:
+                    found = s[slot].astype(np.int64)
+                    succeeded = q[slot] == target and verified(found)
+                    restarts[live[slot]] = (succeeded, float(q[slot]), found, live[slot])
+                    total_flips += flips[slot]
+                    k -= 1
+                    s[slot] = s[k]
+                    for column in (live, q, flips, plateau):
+                        column[slot] = column[k]
+                        del column[k]
+            if k:
+                picks, deltas = _best_flips(s[:k], sq[:k], x[:k])
     return _outcome(restarts, total_flips)
 
 

@@ -20,7 +20,7 @@ from sympetf.search import (
     _MAX_CONTINUOUS_N,
     _MAX_DISCRETE_N,
     SearchConfig,
-    _best_flip,
+    _best_flips,
     continuous_etf_search,
     discrete_diamond_search,
     gerzon_oracle,
@@ -190,11 +190,18 @@ def flip_deltas(s, x):
     return 8 * x.astype(np.int64) + 16 * s.shape[0] - 24
 
 
+def best_flip(f, x=None):
+    """The stacked kernel's (k, delta) on the float64 state f as a stack of one, scoring into x."""
+    n = f.shape[0]
+    picks, deltas = _best_flips(f[None], np.empty((1, n, n)), np.empty((1, n, n)) if x is None else x[None])
+    return picks[0], deltas[0]
+
+
 def assert_same_pick(s):
     """The kernel takes the masked scan's flip and delta, or stops where it stops; the delta."""
     n = s.shape[0]
     f = s.astype(float)
-    k, delta = _best_flip(f, np.empty((n, n)), np.empty((n, n)))
+    k, delta = best_flip(f)
     ref_k, ref_delta = masked_pick(f)
     i, j = divmod(ref_k, n)
     assert ref_delta == flip_delta(s, s @ s, i, j)
@@ -262,7 +269,7 @@ def test_closed_form_flip_deltas_match_oracle_and_recomputation(s):
     s2 = s @ s
     q = _offdiag_square_sum(s)
     x = np.empty((n, n))
-    _best_flip(s.astype(float), np.empty((n, n)), x)
+    best_flip(s.astype(float), x)
     assert np.array_equal(x, x.T) and not np.any(np.diag(x))
     deltas = flip_deltas(s, x)
     for i, j in zip(*np.triu_indices(n, k=1)):
@@ -280,7 +287,7 @@ def test_flip_deltas_exact_at_the_size_bound():
     s2 = -_unit_gram(check_seidel(s), 0, 0).astype(np.int64)
     iu = np.triu_indices(n, k=1)
     x = np.empty((n, n))
-    best, delta = _best_flip(s.astype(float), np.empty((n, n)), x)
+    best, delta = best_flip(s.astype(float), x)  # a stack of one
     deltas = flip_deltas(s, x)
     picks = [(int(iu[0][k]), int(iu[1][k])) for k in rng.choice(len(iu[0]), size=200, replace=False)]
     for i, j in picks + [divmod(best, n)]:
@@ -294,11 +301,11 @@ def test_flip_deltas_reuse_one_buffer_across_flips(n):
     # every flip x must hold exactly what a freshly allocated scan gives
     rng = np.random.default_rng(n)
     s = random_tournament(n, rng).astype(float)
-    sq, x = np.full((n, n), np.nan), np.full((n, n), np.nan)
+    sq, x = np.full((1, n, n), np.nan), np.full((1, n, n), np.nan)
     iu = np.triu_indices(n, k=1)
     for _ in range(60):
         before = s.tobytes()
-        k, delta = _best_flip(s, sq, x)
+        (k,), (delta,) = _best_flips(s[None], sq, x)
         assert s.tobytes() == before
         assert x.tobytes() == (s * ((s @ s) @ s)).tobytes()
         assert delta == 8 * x.flat[k] + 16 * n - 24
@@ -307,18 +314,35 @@ def test_flip_deltas_reuse_one_buffer_across_flips(n):
         s[i, j], s[j, i] = s[j, i], s[i, j]
 
 
+@pytest.mark.parametrize("n", [7, 16, 31])
+def test_each_slot_of_a_stack_scores_as_its_state_alone(n):
+    # a random state beside a strict local minimum (a skew conference matrix or its core): no slot
+    # reads another, in the products or the argmin
+    m = n + n % 2
+    c = seed_hadamard(m) - np.eye(m, dtype=np.int64)
+    states = [random_tournament(n, np.random.default_rng(n)), c if m == n else normalize_conference(c)[0][1:, 1:]]
+    stack = np.stack(states).astype(float)
+    x = np.empty_like(stack)
+    picks, deltas = _best_flips(stack, np.empty_like(stack), x)
+    for slot, state in enumerate(states):
+        alone = np.empty((n, n))
+        assert (picks[slot], deltas[slot]) == best_flip(state.astype(float), alone)
+        assert x[slot].tobytes() == alone.tobytes()
+    assert deltas[0] <= 0 < deltas[1]
+
+
 @settings(max_examples=60, deadline=None)
 @given(tournaments())
 def test_offdiag_square_sum_matches_the_upper_triangle_oracle(s):
-    # the kernel takes S itself, as int64 (count_diamonds_formula) or float64 (the search)
+    # the kernel takes S itself, as int64 (count_diamonds_formula) or float64
     expected = offdiag_square_sum(s @ s)
     assert _offdiag_square_sum(s) == expected
     assert _offdiag_square_sum(s.astype(float)) == expected
 
 
 def test_offdiag_square_sum_exact_at_the_discrete_size_bound():
-    # the float64 S the search hands it for q0 at its largest order; the oracle sums int64 squares
-    # of S^2 from float64 BLAS, exact as its partial sums are integers below 2**53
+    # a float64 S at the discrete search's largest order; the oracle sums int64 squares of S^2
+    # from float64 BLAS, exact as its partial sums are integers below 2**53
     s = random_tournament(_MAX_DISCRETE_N, np.random.default_rng(7)).astype(float)
     assert _offdiag_square_sum(s) == offdiag_square_sum((s @ s).astype(np.int64))
 
@@ -339,6 +363,9 @@ def test_offdiag_square_sum_exact_for_int64_at_order_2048():
 # Every row passes unchanged with the scan writing into one reused buffer,
 # the starting objective taken from the symmetric-square identity and the
 # draw filling the upper triangle through a boolean mask: none moves a bit.
+# They also pass unchanged with the restarts run in lockstep, each step one
+# stacked scan of every live restart, and each starting objective read off
+# the first step's S^2.
 GOLDEN_TRAJECTORIES = [
     (6, 11, False, 24.0, 29, 0, (24.0, 24.0, 24.0, 24.0), "b91c3ef08a18cf2b51ac85c9fecd5d9e5632ef5bb5091b916f5cea0088a84ae0"),
     (7, 2, True, 21.0, 9, 0, (21.0, 21.0, 21.0, 21.0), "61beed08326e554e0037179480329b288157bc0b979ea95aeb0a2365fb45cf22"),
@@ -363,6 +390,76 @@ def test_discrete_search_golden_trajectories(n, seed, success, value, iters, ind
     assert (out.success, out.best_value, out.iterations_used) == (success, value, iters)
     assert (out.restart_index, out.restart_values) == (index, values)
     assert hashlib.sha256(out.best_object.tobytes()).hexdigest() == digest
+
+
+def sequential_search(n, cfg):
+    """The discrete search one restart after another, each step the masked single-matrix scan and
+    each start's objective summed over the upper triangle: the reference for the lockstep search."""
+    target = 0 if n % 2 == 0 else n * (n - 1) // 2 if n % 4 == 3 else None
+    restarts, total_flips = [], 0
+    for r in range(cfg.restarts):
+        s = random_tournament(n, np.random.default_rng([cfg.seed, r]))
+        q, flips, plateau = offdiag_square_sum(s @ s), 0, 0
+        while flips < cfg.max_iters and q != target:
+            k, delta = masked_pick(s.astype(float))
+            plateau = plateau + 1 if delta == 0 else 0
+            if delta > 0 or plateau > n:
+                break
+            i, j = divmod(k, n)
+            s[i, j], s[j, i] = s[j, i], s[i, j]
+            q, flips = q + delta, flips + 1
+        total_flips += flips
+        exact = is_skew_conference(s) if n % 2 == 0 else count_diamonds_formula(s) == diamond_upper_bound(n)
+        restarts.append((q == target and exact, float(q), s, r))
+    return search._outcome(restarts, total_flips)
+
+
+def assert_same_outcome(n, cfg):
+    out, ref = discrete_diamond_search(n, cfg), sequential_search(n, cfg)
+    assert type(out.success) is bool
+    assert (out.success, out.best_value, out.iterations_used) == (ref.success, ref.best_value, ref.iterations_used)
+    assert (out.restart_index, out.restart_values) == (ref.restart_index, ref.restart_values)
+    assert out.best_object.dtype == ref.best_object.dtype == np.int64
+    assert out.best_object.tobytes() == ref.best_object.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 40), st.integers(0, 10**6), st.integers(1, 7), st.integers(1, 60))
+def test_lockstep_search_matches_restarts_one_after_another(n, seed, restarts, max_iters):
+    # even n, n = 3 mod 4 and n = 1 mod 4, restarts stopping at different steps in one batch
+    assert_same_outcome(n, SearchConfig(seed=seed, restarts=restarts, max_iters=max_iters))
+
+
+def test_lockstep_search_matches_across_batches():
+    # 7 restarts in batches of 2, 2, 2 and 1 at n = 128: more than one batch, more than one slot
+    assert 1 < search._BATCH_ENTRIES // 128**2 < 7
+    assert_same_outcome(128, SearchConfig(seed=5, restarts=7, max_iters=3))
+
+
+@pytest.mark.parametrize("n", [12, 13, 15])
+def test_lockstep_search_matches_with_small_batches(monkeypatch, n):
+    # batches of 3, 3 and 1 whose restarts stop at different steps, so stopped slots take live ones
+    monkeypatch.setattr(search, "_BATCH_ENTRIES", 3 * n * n)
+    assert_same_outcome(n, SearchConfig(seed=n, restarts=7, max_iters=2000))
+
+
+def test_restarts_share_each_stacked_scan(monkeypatch):
+    # one scan per step for all live restarts: one restart at a time would scan at least once per flip
+    calls = count_calls(monkeypatch, search._best_flips)
+    out = discrete_diamond_search(12, SearchConfig(seed=3, restarts=4, max_iters=2000))
+    assert 0 < len(calls) < out.iterations_used
+
+
+def test_discrete_search_holds_one_restart_at_a_time_at_the_size_bound():
+    # measured 56.8 MiB: s, S^2 and x of one restart (24 MiB), the three restarts' int64 results
+    # (24 MiB) and the draw; three restarts in one batch would hold about 96 MiB
+    tracemalloc.start()
+    try:
+        discrete_diamond_search(_MAX_DISCRETE_N, SearchConfig(restarts=3, max_iters=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
 
 
 # (d, n, seed, success, best_value, iterations_used, restart_index,

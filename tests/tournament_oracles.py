@@ -5,8 +5,8 @@ its full SVD, as the core conversions once did; the exact ETF gate now
 reads the same vector as the border of the conference matrix.
 ``flip_delta`` recomputes the change of sum_{a<b} ((S^2)_ab)^2 under one
 edge flip by looping over the changed entries of S^2, the check for the
-closed form 8 (S o S^3)_ij + 16n - 24 by which ``search._best_flip``
-scores every edge at once.
+closed form 8 (S o S^3)_ij + 16n - 24 by which ``search._best_flips``
+scores every edge of every restart in a lockstep stack at once.
 ``offdiag_square_sum`` sums ((S^2)_ij)^2 over the strict upper triangle
 directly, the check for the symmetric-square identity of
 ``tournaments._offdiag_square_sum``.
